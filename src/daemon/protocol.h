@@ -36,12 +36,14 @@
  *
  * The first frame on a fresh connection must be the client's Hello
  * (request-id 0): magic `kMagic`, then the highest protocol version the
- * client speaks. The server answers HelloAck carrying the version it
- * selected — min(client, server), currently always kProtocolVersion —
- * and its admission cap (the per-client in-flight limit, so clients can
- * size their pipelines). A bad magic or a version the server cannot
- * serve produces an Error response and an immediate close. No other
- * frame is valid before the handshake completes.
+ * client speaks. The server decodes only the kProtocolVersion layout,
+ * so a client older than kProtocolVersion gets an Error response and
+ * an immediate close, exactly like a bad magic. A newer client
+ * negotiates down: the server answers HelloAck carrying the version it
+ * selected — min(client, server), always kProtocolVersion — and its
+ * admission cap (the per-client in-flight limit, so clients can size
+ * their pipelines). No other frame is valid before the handshake
+ * completes.
  *
  * ## Requests and responses
  *

@@ -34,6 +34,163 @@ struct Server::Binding
     std::unique_ptr<session::Session> session;
 };
 
+namespace {
+
+/**
+ * One row of the query dispatch table: the message type, its name in
+ * diagnostics, the request decoder, the builder of the session spec
+ * (everything but the priority, which the generic path applies), and
+ * the encoder of the result.
+ */
+template <typename Request, typename Spec, typename Result>
+struct QueryRoute
+{
+    MsgType type;
+    const char *name;
+    bool (*decode)(ByteReader &, Request &);
+    Spec (*build)(const Request &);
+    void (*encode)(const Result &, ByteWriter &);
+};
+
+/** The query dispatch table, one row per query message type. */
+constexpr auto kQueryRoutes = std::make_tuple(
+    QueryRoute<IntervalStatsRequest, session::IntervalStatsQuery,
+               stats::IntervalStats>{
+        MsgType::IntervalStats, "IntervalStats", decodeIntervalStatsRequest,
+        [](const IntervalStatsRequest &q) {
+            session::IntervalStatsQuery spec;
+            spec.context.interval = q.interval;
+            spec.context.resolution = q.resolution;
+            return spec;
+        },
+        stats::encodeIntervalStats},
+    QueryRoute<HistogramRequest, session::HistogramQuery, stats::Histogram>{
+        MsgType::Histogram, "Histogram", decodeHistogramRequest,
+        [](const HistogramRequest &q) {
+            session::HistogramQuery spec;
+            spec.numBins = q.numBins;
+            spec.context.interval = q.interval;
+            spec.context.resolution = q.resolution;
+            return spec;
+        },
+        stats::encodeHistogram},
+    QueryRoute<TaskListRequest, session::TaskListQuery,
+               std::vector<const trace::TaskInstance *>>{
+        MsgType::TaskList, "TaskList", decodeTaskListRequest,
+        [](const TaskListRequest &) { return session::TaskListQuery(); },
+        [](const std::vector<const trace::TaskInstance *> &tasks,
+           ByteWriter &w) {
+            std::vector<TaskRow> rows;
+            rows.reserve(tasks.size());
+            for (const trace::TaskInstance *task : tasks)
+                rows.push_back(TaskRow{task->id, task->type, task->cpu,
+                                       task->interval});
+            encodeTaskRows(rows, w);
+        }},
+    QueryRoute<CounterExtremaRequest, session::CounterExtremaQuery,
+               index::MinMax>{
+        MsgType::CounterExtrema, "CounterExtrema",
+        decodeCounterExtremaRequest,
+        [](const CounterExtremaRequest &q) {
+            session::CounterExtremaQuery spec;
+            spec.cpu = q.cpu;
+            spec.counter = q.counter;
+            spec.context.interval = q.interval;
+            spec.context.resolution = q.resolution;
+            return spec;
+        },
+        stats::encodeMinMax},
+    QueryRoute<WarmupRequest, session::WarmupQuery, session::WarmupStats>{
+        MsgType::Warmup, "Warmup", decodeWarmupRequest,
+        [](const WarmupRequest &q) {
+            session::WarmupQuery spec;
+            spec.policy = q.policy;
+            return spec;
+        },
+        encodeWarmupStats},
+    QueryRoute<TimelineRenderRequest, session::TimelineRenderQuery,
+               session::TimelineRenderResult>{
+        MsgType::TimelineRender, "TimelineRender",
+        decodeTimelineRenderRequest,
+        [](const TimelineRenderRequest &q) {
+            session::TimelineRenderQuery spec;
+            spec.config.mode = static_cast<render::TimelineMode>(q.mode);
+            spec.config.view = q.view;
+            spec.config.heatmapMin = q.heatmapMin;
+            spec.config.heatmapMax = q.heatmapMax;
+            spec.config.heatmapShades = q.heatmapShades;
+            spec.width = q.width;
+            spec.height = q.height;
+            spec.context.resolution = q.resolution;
+            return spec;
+        },
+        [](const session::TimelineRenderResult &result, ByteWriter &w) {
+            RenderReply reply;
+            reply.fb = result.fb;
+            reply.stats = result.stats;
+            encodeRenderReply(reply, w);
+        }},
+    QueryRoute<AnomalyScanRequest, session::AnomalyScanQuery,
+               std::vector<stats::Anomaly>>{
+        MsgType::AnomalyScan, "AnomalyScan", decodeAnomalyScanRequest,
+        [](const AnomalyScanRequest &q) {
+            session::AnomalyScanQuery spec;
+            spec.options = q.options;
+            spec.context.interval = q.interval;
+            return spec;
+        },
+        stats::encodeAnomalies});
+
+// Bodies of the control requests; the client writes them inline.
+
+/** CloseTrace: the trace id. */
+bool
+decodeTraceId(ByteReader &r, std::uint64_t &trace_id)
+{
+    trace_id = r.readVarint();
+    return r.ok();
+}
+
+/** Cancel: the target request id. */
+bool
+decodeCancelTarget(ByteReader &r, std::uint64_t &target)
+{
+    target = r.readU64();
+    return r.ok();
+}
+
+/** SetView: the trace id, then the view. */
+struct SetViewBody
+{
+    std::uint64_t traceId = 0;
+    TimeInterval view;
+};
+
+bool
+decodeSetView(ByteReader &r, SetViewBody &out)
+{
+    out.traceId = r.readVarint();
+    out.view.start = r.readU64();
+    out.view.end = r.readU64();
+    return r.ok();
+}
+
+/** SetFilters: the trace id, then the filter specs. */
+struct SetFiltersBody
+{
+    std::uint64_t traceId = 0;
+    std::vector<FilterSpec> specs;
+};
+
+bool
+decodeSetFilters(ByteReader &r, SetFiltersBody &out)
+{
+    out.traceId = r.readVarint();
+    return r.ok() && decodeFilters(r, out.specs);
+}
+
+} // namespace
+
 /**
  * One client connection: the socket, a reader thread (decodes request
  * frames, drives the sessions, submits queries) and a writer thread
@@ -93,7 +250,17 @@ class Server::Connection
     void dispatch(const Frame &frame);
     void disconnectCleanup();
 
-    Binding *findBinding(std::uint64_t trace_id);
+    /** The binding of @p trace_id, or null after answering Error. */
+    Binding *findBinding(const Frame &frame, std::uint64_t trace_id);
+
+    /**
+     * Serve @p frame through @p route if the types match: decode, find
+     * the binding, admit, apply the priority, submit, track. Returns
+     * false when @p route is not the frame's row.
+     */
+    template <typename Request, typename Spec, typename Result>
+    bool serveQuery(const Frame &frame,
+                    const QueryRoute<Request, Spec, Result> &route);
 
     void handleOpenTrace(const Frame &frame);
     void handleCloseTrace(const Frame &frame);
@@ -258,7 +425,9 @@ Server::Connection::handshake()
         sendFailure(frame.requestId, Status::Error, 0, "bad magic");
         return false;
     }
-    if (hello.version < 1) {
+    // Every decoder reads the current layout; only newer clients can
+    // negotiate down.
+    if (hello.version < kProtocolVersion) {
         sendFailure(frame.requestId, Status::Error, 0,
                     "unsupported protocol version");
         return false;
@@ -318,215 +487,48 @@ Server::Connection::dispatch(const Frame &frame)
         break;
     }
 
-    // Query requests: decode, admit, submit, track.
-    switch (frame.type) {
-    case MsgType::IntervalStats: {
-        IntervalStatsRequest q;
-        if (!decodeOrFail(frame, "IntervalStats",
-                          decodeIntervalStatsRequest, q))
-            return;
-        Binding *binding = findBinding(q.head.traceId);
-        if (!binding) {
-            sendFailure(frame.requestId, Status::Error, 0,
-                        "unknown trace id");
-            return;
-        }
-        if (!admit(frame.requestId))
-            return;
-        session::IntervalStatsQuery spec;
-        spec.context.interval = q.interval;
-        spec.context.resolution = q.resolution;
-        spec.context.priority =
-            effectivePriority(q.head.priority, spec.context.priority);
-        track<stats::IntervalStats>(
-            frame.requestId, binding->session->submit(spec),
-            spec.context.priority == QueryPriority::Background,
-            [](const stats::IntervalStats &s, ByteWriter &w) {
-                stats::encodeIntervalStats(s, w);
-            });
-        return;
-    }
-    case MsgType::Histogram: {
-        HistogramRequest q;
-        if (!decodeOrFail(frame, "Histogram", decodeHistogramRequest, q))
-            return;
-        Binding *binding = findBinding(q.head.traceId);
-        if (!binding) {
-            sendFailure(frame.requestId, Status::Error, 0,
-                        "unknown trace id");
-            return;
-        }
-        if (!admit(frame.requestId))
-            return;
-        session::HistogramQuery spec;
-        spec.numBins = q.numBins;
-        spec.context.interval = q.interval;
-        spec.context.resolution = q.resolution;
-        spec.context.priority =
-            effectivePriority(q.head.priority, spec.context.priority);
-        track<stats::Histogram>(
-            frame.requestId, binding->session->submit(spec),
-            spec.context.priority == QueryPriority::Background,
-            [](const stats::Histogram &h, ByteWriter &w) {
-                stats::encodeHistogram(h, w);
-            });
-        return;
-    }
-    case MsgType::TaskList: {
-        TaskListRequest q;
-        if (!decodeOrFail(frame, "TaskList", decodeTaskListRequest, q))
-            return;
-        Binding *binding = findBinding(q.head.traceId);
-        if (!binding) {
-            sendFailure(frame.requestId, Status::Error, 0,
-                        "unknown trace id");
-            return;
-        }
-        if (!admit(frame.requestId))
-            return;
-        session::TaskListQuery spec;
-        spec.context.priority =
-            effectivePriority(q.head.priority, spec.context.priority);
-        track<std::vector<const trace::TaskInstance *>>(
-            frame.requestId, binding->session->submit(spec),
-            spec.context.priority == QueryPriority::Background,
-            [](const std::vector<const trace::TaskInstance *> &tasks,
-               ByteWriter &w) {
-                std::vector<TaskRow> rows;
-                rows.reserve(tasks.size());
-                for (const trace::TaskInstance *task : tasks)
-                    rows.push_back(TaskRow{task->id, task->type,
-                                           task->cpu, task->interval});
-                encodeTaskRows(rows, w);
-            });
-        return;
-    }
-    case MsgType::CounterExtrema: {
-        CounterExtremaRequest q;
-        if (!decodeOrFail(frame, "CounterExtrema",
-                          decodeCounterExtremaRequest, q))
-            return;
-        Binding *binding = findBinding(q.head.traceId);
-        if (!binding) {
-            sendFailure(frame.requestId, Status::Error, 0,
-                        "unknown trace id");
-            return;
-        }
-        if (!admit(frame.requestId))
-            return;
-        session::CounterExtremaQuery spec;
-        spec.cpu = q.cpu;
-        spec.counter = q.counter;
-        spec.context.interval = q.interval;
-        spec.context.resolution = q.resolution;
-        spec.context.priority =
-            effectivePriority(q.head.priority, spec.context.priority);
-        track<index::MinMax>(
-            frame.requestId, binding->session->submit(spec),
-            spec.context.priority == QueryPriority::Background,
-            [](const index::MinMax &m, ByteWriter &w) {
-                stats::encodeMinMax(m, w);
-            });
-        return;
-    }
-    case MsgType::Warmup: {
-        WarmupRequest q;
-        if (!decodeOrFail(frame, "Warmup", decodeWarmupRequest, q))
-            return;
-        Binding *binding = findBinding(q.head.traceId);
-        if (!binding) {
-            sendFailure(frame.requestId, Status::Error, 0,
-                        "unknown trace id");
-            return;
-        }
-        if (!admit(frame.requestId))
-            return;
-        session::WarmupQuery spec;
-        spec.policy = q.policy;
-        spec.context.priority =
-            effectivePriority(q.head.priority, spec.context.priority);
-        track<session::WarmupStats>(
-            frame.requestId, binding->session->submit(spec),
-            spec.context.priority == QueryPriority::Background,
-            [](const session::WarmupStats &s, ByteWriter &w) {
-                encodeWarmupStats(s, w);
-            });
-        return;
-    }
-    case MsgType::TimelineRender: {
-        TimelineRenderRequest q;
-        if (!decodeOrFail(frame, "TimelineRender",
-                          decodeTimelineRenderRequest, q))
-            return;
-        Binding *binding = findBinding(q.head.traceId);
-        if (!binding) {
-            sendFailure(frame.requestId, Status::Error, 0,
-                        "unknown trace id");
-            return;
-        }
-        if (!admit(frame.requestId))
-            return;
-        session::TimelineRenderQuery spec;
-        spec.config.mode = static_cast<render::TimelineMode>(q.mode);
-        spec.config.view = q.view;
-        spec.config.heatmapMin = q.heatmapMin;
-        spec.config.heatmapMax = q.heatmapMax;
-        spec.config.heatmapShades = q.heatmapShades;
-        spec.width = q.width;
-        spec.height = q.height;
-        spec.context.resolution = q.resolution;
-        spec.context.priority =
-            effectivePriority(q.head.priority, spec.context.priority);
-        track<session::TimelineRenderResult>(
-            frame.requestId, binding->session->submit(spec),
-            spec.context.priority == QueryPriority::Background,
-            [](const session::TimelineRenderResult &result,
-               ByteWriter &w) {
-                RenderReply reply;
-                reply.fb = result.fb;
-                reply.stats = result.stats;
-                encodeRenderReply(reply, w);
-            });
-        return;
-    }
-    case MsgType::AnomalyScan: {
-        AnomalyScanRequest q;
-        if (!decodeOrFail(frame, "AnomalyScan", decodeAnomalyScanRequest,
-                          q))
-            return;
-        Binding *binding = findBinding(q.head.traceId);
-        if (!binding) {
-            sendFailure(frame.requestId, Status::Error, 0,
-                        "unknown trace id");
-            return;
-        }
-        if (!admit(frame.requestId))
-            return;
-        session::AnomalyScanQuery spec;
-        spec.options = q.options;
-        spec.context.interval = q.interval;
-        spec.context.priority =
-            effectivePriority(q.head.priority, spec.context.priority);
-        track<std::vector<stats::Anomaly>>(
-            frame.requestId, binding->session->submit(spec),
-            spec.context.priority == QueryPriority::Background,
-            [](const std::vector<stats::Anomaly> &anomalies,
-               ByteWriter &w) { stats::encodeAnomalies(anomalies, w); });
-        return;
-    }
-    default:
+    const bool routed = std::apply(
+        [&](const auto &...route) {
+            return (serveQuery(frame, route) || ...);
+        },
+        kQueryRoutes);
+    if (!routed) {
         server_->protocolErrors_.fetch_add(1, std::memory_order_relaxed);
         sendFailure(frame.requestId, Status::Error, 0,
                     "unexpected message type");
-        return;
     }
 }
 
+template <typename Request, typename Spec, typename Result>
+bool
+Server::Connection::serveQuery(
+    const Frame &frame, const QueryRoute<Request, Spec, Result> &route)
+{
+    if (frame.type != route.type)
+        return false;
+    Request q;
+    if (!decodeOrFail(frame, route.name, route.decode, q))
+        return true;
+    Binding *binding = findBinding(frame, q.head.traceId);
+    if (!binding || !admit(frame.requestId))
+        return true;
+    Spec spec = route.build(q);
+    spec.context.priority =
+        effectivePriority(q.head.priority, spec.context.priority);
+    track<Result>(frame.requestId, binding->session->submit(spec),
+                  spec.context.priority == QueryPriority::Background,
+                  route.encode);
+    return true;
+}
+
 Server::Binding *
-Server::Connection::findBinding(std::uint64_t trace_id)
+Server::Connection::findBinding(const Frame &frame, std::uint64_t trace_id)
 {
     auto it = bindings_.find(trace_id);
-    return it == bindings_.end() ? nullptr : &it->second;
+    if (it != bindings_.end())
+        return &it->second;
+    sendFailure(frame.requestId, Status::Error, 0, "unknown trace id");
+    return nullptr;
 }
 
 bool
@@ -585,25 +587,17 @@ Server::Connection::handleOpenTrace(const Frame &frame)
 void
 Server::Connection::handleCloseTrace(const Frame &frame)
 {
-    ByteReader r(frame.body);
-    std::uint64_t trace_id = r.readVarint();
-    if (!r.ok() || !r.atEnd()) {
-        server_->protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-        sendFailure(frame.requestId, Status::Error, r.offset(),
-                    "malformed CloseTrace request");
+    std::uint64_t trace_id = 0;
+    if (!decodeOrFail(frame, "CloseTrace", decodeTraceId, trace_id))
         return;
-    }
-    auto it = bindings_.find(trace_id);
-    if (it == bindings_.end()) {
-        sendFailure(frame.requestId, Status::Error, 0,
-                    "unknown trace id");
+    Binding *binding = findBinding(frame, trace_id);
+    if (!binding)
         return;
-    }
     // In-flight queries on this binding survive: executors own shared
     // handles to everything they touch, and their completions still
     // route through the in-flight map. Only the binding goes away.
-    std::shared_ptr<SharedTrace> shared = std::move(it->second.shared);
-    bindings_.erase(it);
+    std::shared_ptr<SharedTrace> shared = std::move(binding->shared);
+    bindings_.erase(trace_id);
     server_->releaseTrace(shared);
     sendOk(frame.requestId);
 }
@@ -611,60 +605,33 @@ Server::Connection::handleCloseTrace(const Frame &frame)
 void
 Server::Connection::handleSetView(const Frame &frame)
 {
-    ByteReader r(frame.body);
-    std::uint64_t trace_id = r.readVarint();
-    TimeInterval view;
-    view.start = r.readU64();
-    view.end = r.readU64();
-    if (!r.ok() || !r.atEnd()) {
-        server_->protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-        sendFailure(frame.requestId, Status::Error, r.offset(),
-                    "malformed SetView request");
+    SetViewBody q;
+    if (!decodeOrFail(frame, "SetView", decodeSetView, q))
         return;
+    if (Binding *binding = findBinding(frame, q.traceId)) {
+        binding->session->setView(q.view);
+        sendOk(frame.requestId);
     }
-    Binding *binding = findBinding(trace_id);
-    if (!binding) {
-        sendFailure(frame.requestId, Status::Error, 0,
-                    "unknown trace id");
-        return;
-    }
-    binding->session->setView(view);
-    sendOk(frame.requestId);
 }
 
 void
 Server::Connection::handleSetFilters(const Frame &frame)
 {
-    ByteReader r(frame.body);
-    std::uint64_t trace_id = r.readVarint();
-    std::vector<FilterSpec> specs;
-    if (!r.ok() || !decodeFilters(r, specs) || !r.atEnd()) {
-        server_->protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-        sendFailure(frame.requestId, Status::Error, r.offset(),
-                    "malformed SetFilters request");
+    SetFiltersBody q;
+    if (!decodeOrFail(frame, "SetFilters", decodeSetFilters, q))
         return;
+    if (Binding *binding = findBinding(frame, q.traceId)) {
+        binding->session->setFilters(materializeFilters(q.specs));
+        sendOk(frame.requestId);
     }
-    Binding *binding = findBinding(trace_id);
-    if (!binding) {
-        sendFailure(frame.requestId, Status::Error, 0,
-                    "unknown trace id");
-        return;
-    }
-    binding->session->setFilters(materializeFilters(specs));
-    sendOk(frame.requestId);
 }
 
 void
 Server::Connection::handleCancel(const Frame &frame)
 {
-    ByteReader r(frame.body);
-    std::uint64_t target = r.readU64();
-    if (!r.ok() || !r.atEnd()) {
-        server_->protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-        sendFailure(frame.requestId, Status::Error, r.offset(),
-                    "malformed Cancel request");
+    std::uint64_t target = 0;
+    if (!decodeOrFail(frame, "Cancel", decodeCancelTarget, target))
         return;
-    }
     std::function<void()> cancel;
     {
         base::MutexLock lock(mutex_);

@@ -40,10 +40,7 @@
  * Construct specs with nested braces or designated initializers —
  * `IntervalStatsQuery{{interval}}`,
  * `HistogramQuery{.context = {}, .numBins = 16}` — or default-construct
- * and assign through `spec.context`. The pre-QueryContext field names
- * survive one deprecation cycle as accessor aliases
- * (`spec.interval()`, `spec.priority()`); new code should reach
- * through `spec.context` directly.
+ * and assign through `spec.context`.
  */
 
 #ifndef AFTERMATH_SESSION_QUERY_H
@@ -181,17 +178,6 @@ struct WarmupStats
 struct IntervalStatsQuery
 {
     QueryContext context;
-
-    /** Deprecated alias of context.interval (one deprecation cycle). */
-    std::optional<TimeInterval> &interval() { return context.interval; }
-    const std::optional<TimeInterval> &interval() const
-    {
-        return context.interval;
-    }
-
-    /** Deprecated alias of context.priority (one deprecation cycle). */
-    QueryPriority &priority() { return context.priority; }
-    QueryPriority priority() const { return context.priority; }
 };
 
 /**
@@ -207,20 +193,12 @@ struct HistogramQuery
 
     /** Number of equal-width bins. */
     std::uint32_t numBins = 20;
-
-    /** Deprecated alias of context.priority (one deprecation cycle). */
-    QueryPriority &priority() { return context.priority; }
-    QueryPriority priority() const { return context.priority; }
 };
 
 /** The task instances passing the active filters (Session::tasks). */
 struct TaskListQuery
 {
     QueryContext context;
-
-    /** Deprecated alias of context.priority (one deprecation cycle). */
-    QueryPriority &priority() { return context.priority; }
-    QueryPriority priority() const { return context.priority; }
 };
 
 /**
@@ -235,17 +213,6 @@ struct CounterExtremaQuery
 
     CpuId cpu = 0;
     CounterId counter = 0;
-
-    /** Deprecated alias of context.interval (one deprecation cycle). */
-    std::optional<TimeInterval> &interval() { return context.interval; }
-    const std::optional<TimeInterval> &interval() const
-    {
-        return context.interval;
-    }
-
-    /** Deprecated alias of context.priority (one deprecation cycle). */
-    QueryPriority &priority() { return context.priority; }
-    QueryPriority priority() const { return context.priority; }
 };
 
 /**
@@ -262,10 +229,6 @@ struct WarmupQuery
                          Resolution{}};
 
     WarmupPolicy policy;
-
-    /** Deprecated alias of context.priority (one deprecation cycle). */
-    QueryPriority &priority() { return context.priority; }
-    QueryPriority priority() const { return context.priority; }
 };
 
 /**
@@ -282,10 +245,6 @@ struct PyramidBuildQuery
 {
     QueryContext context{std::nullopt, QueryPriority::Background,
                          Resolution{}};
-
-    /** Deprecated-style alias for symmetry with the other specs. */
-    QueryPriority &priority() { return context.priority; }
-    QueryPriority priority() const { return context.priority; }
 };
 
 /** What one pyramid build actually did. */
@@ -317,10 +276,6 @@ struct TimelineRenderQuery
     render::TimelineConfig config;
     std::uint32_t width = 640;
     std::uint32_t height = 360;
-
-    /** Deprecated alias of context.priority (one deprecation cycle). */
-    QueryPriority &priority() { return context.priority; }
-    QueryPriority priority() const { return context.priority; }
 };
 
 /** The finished frame and operation counts of a TimelineRenderQuery. */
@@ -357,17 +312,6 @@ struct AnomalyScanQuery
 
     /** Detector thresholds and the per-kind cap. */
     stats::AnomalyScanOptions options;
-
-    /** Deprecated alias of context.interval (one deprecation cycle). */
-    std::optional<TimeInterval> &interval() { return context.interval; }
-    const std::optional<TimeInterval> &interval() const
-    {
-        return context.interval;
-    }
-
-    /** Deprecated alias of context.priority (one deprecation cycle). */
-    QueryPriority &priority() { return context.priority; }
-    QueryPriority priority() const { return context.priority; }
 };
 
 /**
@@ -402,10 +346,6 @@ struct TraceLoadQuery
 
     /** Decode workers of the parallel phase; 0 = the engine's count. */
     unsigned workers = 0;
-
-    /** Deprecated alias of context.priority (one deprecation cycle). */
-    QueryPriority &priority() { return context.priority; }
-    QueryPriority priority() const { return context.priority; }
 };
 
 /** Outcome of a TraceLoadQuery (mirrors trace::ReadResult). */

@@ -7,13 +7,33 @@
  * trace, the sharded index cache, filter snapshots, the SessionMemo —
  * and never the Session itself, so sessions stay movable and
  * destruction is safe with queries in flight. No executor ever blocks
- * on the pool (fan-out queries decompose into independent chunk tasks
- * joined by an atomic countdown), so a 1-worker pool cannot deadlock.
+ * on the pool, so a 1-worker pool cannot deadlock.
+ *
+ * Every query runs in one of two shapes. A single-task query is one
+ * tracked pool task (submitTask()); while queued it is
+ * dequeue-cancellable through its handle. A fan-out query (FanOutJob,
+ * started by launchFanOut()) splits into independent chunks under one
+ * contract:
+ *
+ *  - claim: up to one drainer task per worker claims chunk indices
+ *    through an atomic cursor, and chunk i writes only partial i;
+ *  - stale: before each claim a drainer polls the ticket, and a
+ *    cancelled or stale ticket (or a chunk that saw staleness
+ *    mid-way) abandons the job;
+ *  - yield: a Background drainer that finds Interactive work queued
+ *    re-submits its continuation at Background and frees its worker;
+ *    the cursor makes the hand-off invisible, so results stay
+ *    bit-identical to an uninterrupted run;
+ *  - last-drainer merge: the last drainer out cancels an abandoned or
+ *    stale ticket, or else merges the partials in chunk order and
+ *    completes it. Merges are exact, so the result is bit-identical to
+ *    the serial computation at any worker count.
  */
 
 #include "session/query_engine.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "filter/task_filter.h"
 #include "index/summary_pyramid.h"
@@ -187,6 +207,185 @@ completedTicket(const GenerationDomain &domain, Result value)
     return QueryTicket<Result>(std::move(state));
 }
 
+// -- Single-task queries -------------------------------------------------
+
+/**
+ * Run @p body as one tracked pool task at @p priority that completes
+ * @p state. The task marks the ticket running and cancels it if it went
+ * stale while queued; otherwise @p body gets the ticket and the pool it
+ * runs on and returns the result, or nullopt to cancel. The stored
+ * handle makes a still-queued task dequeue-cancellable.
+ */
+template <typename Result, typename Body>
+QueryTicket<Result>
+submitTask(QueryEngine &engine,
+           std::shared_ptr<detail::TicketState<Result>> state,
+           QueryPriority priority, Body body)
+{
+    base::TaskHandle handle;
+    engine.withPool([&](base::ThreadPool &pool) {
+        // The pool outlives the task (it runs on that pool, and the
+        // pool drains before destruction), so the raw pointer is safe.
+        handle = pool.submitTracked(
+            [state, body = std::move(body), pool_ptr = &pool] {
+                state->markRunning();
+                std::optional<Result> result;
+                if (!state->stale())
+                    result = body(*state, *pool_ptr);
+                if (result)
+                    state->complete(std::move(*result));
+                else
+                    state->completeCancelled();
+            },
+            toTaskPriority(priority));
+    });
+    {
+        base::MutexLock lock(state->mutex);
+        state->handle = handle;
+    }
+    return QueryTicket<Result>(std::move(state));
+}
+
+// -- Fan-out queries -----------------------------------------------------
+
+/**
+ * One fan-out query; the file comment states the contract. @c chunk
+ * computes chunk i into partials[i] and returns false when it saw the
+ * query go stale mid-chunk; @c finish turns the partials, in chunk
+ * order, into the result.
+ */
+template <typename Partial, typename Result>
+struct FanOutJob
+{
+    std::shared_ptr<detail::TicketState<Result>> ticket;
+    std::function<bool(std::size_t, Partial &)> chunk;
+    std::function<Result(std::vector<Partial> &&)> finish;
+    std::vector<Partial> partials;
+    std::atomic<std::size_t> next{0};   ///< The claim cursor.
+    std::atomic<std::size_t> active{0}; ///< Drainers not yet out.
+    std::atomic<bool> abandoned{false};
+
+    /** The executing pool; valid for every drainer run (a drainer only
+     *  runs on this pool, and the pool drains before it dies). */
+    base::ThreadPool *pool = nullptr;
+
+    /** Background jobs yield at chunk boundaries; interactive never. */
+    bool background = false;
+
+    static void
+    drain(const std::shared_ptr<FanOutJob> &job)
+    {
+        job->ticket->markRunning();
+        for (;;) {
+            if (job->ticket->stale()) {
+                job->abandoned.store(true, std::memory_order_relaxed);
+                break;
+            }
+            if (job->background && job->pool->hasHighPriorityWork()) {
+                // Yield: the continuation keeps this drainer's active
+                // slot and resumes at the cursor.
+                job->pool->submit([job] { drain(job); },
+                                  base::TaskPriority::Normal);
+                return;
+            }
+            std::size_t i =
+                job->next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= job->partials.size())
+                break;
+            if (!job->chunk(i, job->partials[i])) {
+                job->abandoned.store(true, std::memory_order_relaxed);
+                break;
+            }
+        }
+        if (job->active.fetch_sub(1, std::memory_order_acq_rel) != 1)
+            return;
+        // Last drainer out. A cancelled job publishes nothing; products
+        // its finished chunks left in shared caches stay there.
+        if (job->abandoned.load(std::memory_order_relaxed) ||
+            job->ticket->stale())
+            job->ticket->completeCancelled();
+        else
+            job->ticket->complete(job->finish(std::move(job->partials)));
+    }
+};
+
+/**
+ * Run @p total chunks as one FanOutJob at @p priority that completes
+ * @p state: one drainer per engine worker, at most one per chunk. A job
+ * without chunks finishes inline.
+ */
+template <typename Partial, typename Result, typename Chunk,
+          typename Finish>
+QueryTicket<Result>
+launchFanOut(QueryEngine &engine,
+             std::shared_ptr<detail::TicketState<Result>> state,
+             QueryPriority priority, std::size_t total, Chunk chunk,
+             Finish finish)
+{
+    if (total == 0) {
+        state->complete(finish(std::vector<Partial>()));
+        return QueryTicket<Result>(std::move(state));
+    }
+    auto job = std::make_shared<FanOutJob<Partial, Result>>();
+    job->ticket = state;
+    job->chunk = std::move(chunk);
+    job->finish = std::move(finish);
+    job->partials.resize(total);
+    job->background = priority == QueryPriority::Background;
+    const std::size_t drainers =
+        std::min<std::size_t>(engine.workers(), total);
+    job->active.store(drainers, std::memory_order_relaxed);
+    engine.withPool([&](base::ThreadPool &pool) {
+        job->pool = &pool;
+        for (std::size_t d = 0; d < drainers; d++)
+            pool.submit([job] { FanOutJob<Partial, Result>::drain(job); },
+                        toTaskPriority(priority));
+    });
+    return QueryTicket<Result>(std::move(state));
+}
+
+// -- Shared query pieces -------------------------------------------------
+
+/**
+ * Chunk @p i of the interval-statistics scan of @p interval: chunks
+ * below numCpus() scan one CPU's states, the rest one run of
+ * @p task_chunk_size task instances each. All sums are exact integers,
+ * so merging the chunks is bit-identical to the serial scan however
+ * they are grouped.
+ */
+stats::IntervalStats
+statsChunk(const trace::Trace &trace, const TimeInterval &interval,
+           std::size_t task_chunk_size, std::size_t i)
+{
+    if (i < trace.numCpus())
+        return stats::intervalStateChunk(trace.cpu(static_cast<CpuId>(i)),
+                                         interval);
+    const auto &instances = trace.taskInstances();
+    std::size_t begin = (i - trace.numCpus()) * task_chunk_size;
+    std::size_t end = std::min(instances.size(), begin + task_chunk_size);
+    return stats::intervalTaskChunk(instances.data() + begin,
+                                    instances.data() + end, interval);
+}
+
+/** How many statsChunk() chunks cover @p trace. */
+std::size_t
+statsChunkCount(const trace::Trace &trace, std::size_t task_chunk_size)
+{
+    return trace.numCpus() +
+           (trace.taskInstances().size() + task_chunk_size - 1) /
+               task_chunk_size;
+}
+
+/** Memoize @p computed under its interval. */
+void
+publishStats(StatsMemo &memo, const stats::IntervalStats &computed)
+{
+    base::MutexLock lock(memo.mutex);
+    memo.stats.insertOrGet(
+        std::make_pair(computed.interval.start, computed.interval.end),
+        stats::IntervalStats(computed));
+}
+
 /**
  * Scan the trace's task instances against @p filters in insertion
  * order, polling @p state for staleness every few thousand instances.
@@ -226,332 +425,11 @@ publishTaskList(SessionMemo &memo, std::uint64_t filter_generation,
         std::vector<const trace::TaskInstance *>(list));
 }
 
-// -- Interval statistics (parallel fan-out) ------------------------------
-
-/**
- * One cold interval-statistics scan decomposed into per-CPU state
- * chunks plus task-array chunks. Drainer tasks claim chunks through an
- * atomic cursor; the last drainer out merges the partials in chunk
- * order and completes (or cancels) the ticket. All sums are exact
- * integers, so the merged result is bit-identical to the serial scan
- * at any worker count.
- */
-struct StatsJob
+/** Per-chunk build flags (1 = this job constructed it), summed. */
+std::size_t
+countBuilt(const std::vector<std::size_t> &built)
 {
-    std::shared_ptr<detail::TicketState<stats::IntervalStats>> ticket;
-    std::shared_ptr<const trace::Trace> trace;
-    std::shared_ptr<StatsMemo> memo;
-    TimeInterval interval;
-    std::size_t cpuChunks = 0;
-    std::size_t taskChunks = 0;
-    std::size_t taskChunkSize = 1;
-    std::vector<stats::IntervalStats> partials;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> active{0};
-    std::atomic<bool> abandoned{false};
-
-    /** The executing pool; valid for every drainer run (a drainer only
-     *  runs on this pool, and the pool drains before it dies). */
-    base::ThreadPool *pool = nullptr;
-
-    /** Background jobs yield at chunk boundaries; interactive never. */
-    bool background = false;
-};
-
-void drainStats(const std::shared_ptr<StatsJob> &job);
-
-/**
- * The cooperative yield of one background drainer: when interactive
- * work is queued, re-submit the continuation at Background priority
- * and free this worker for the High task. The claim cursor makes the
- * hand-off invisible — the continuation resumes exactly where the job
- * left off, so results stay bit-identical to an uninterrupted run.
- * Returns true when the caller must return *without* touching the
- * job's active count (the continuation still owns its slot).
- */
-template <typename Job>
-bool
-yieldForInteractive(const std::shared_ptr<Job> &job,
-                    void (*drain)(const std::shared_ptr<Job> &))
-{
-    if (!job->background || !job->pool->hasHighPriorityWork())
-        return false;
-    job->pool->submit([job, drain] { drain(job); },
-                      base::TaskPriority::Normal);
-    return true;
-}
-
-void
-drainStats(const std::shared_ptr<StatsJob> &job)
-{
-    job->ticket->markRunning();
-    const std::size_t total = job->cpuChunks + job->taskChunks;
-    for (;;) {
-        if (job->ticket->stale()) {
-            job->abandoned.store(true, std::memory_order_relaxed);
-            break;
-        }
-        if (yieldForInteractive(job, drainStats))
-            return;
-        std::size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= total)
-            break;
-        if (i < job->cpuChunks) {
-            job->partials[i] = stats::intervalStateChunk(
-                job->trace->cpu(static_cast<CpuId>(i)), job->interval);
-        } else {
-            const auto &instances = job->trace->taskInstances();
-            std::size_t begin = (i - job->cpuChunks) * job->taskChunkSize;
-            std::size_t end =
-                std::min(instances.size(), begin + job->taskChunkSize);
-            job->partials[i] = stats::intervalTaskChunk(
-                instances.data() + begin, instances.data() + end,
-                job->interval);
-        }
-    }
-    if (job->active.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        return;
-    // Last drainer out: merge, publish, complete.
-    if (job->abandoned.load(std::memory_order_relaxed) ||
-        job->ticket->stale()) {
-        job->ticket->completeCancelled();
-        return;
-    }
-    stats::IntervalStats merged;
-    merged.interval = job->interval;
-    for (const stats::IntervalStats &partial : job->partials)
-        merged.mergeFrom(partial);
-    {
-        base::MutexLock lock(job->memo->mutex);
-        job->memo->stats.insertOrGet(
-            std::make_pair(job->interval.start, job->interval.end),
-            stats::IntervalStats(merged));
-    }
-    job->ticket->complete(std::move(merged));
-}
-
-// -- Warm-up (parallel fan-out, generation-immune) -----------------------
-
-/**
- * One incremental warm-up: the not-yet-warmed (cpu, counter) pairs as
- * independent index-build units, plus optional interval-statistics and
- * task-list units. Unit claiming and completion mirror StatsJob.
- */
-struct WarmupJob
-{
-    std::shared_ptr<detail::TicketState<WarmupStats>> ticket;
-    std::shared_ptr<const trace::Trace> trace;
-    std::shared_ptr<CounterIndexCache> cache;
-    std::shared_ptr<StatsMemo> statsMemo;
-    std::shared_ptr<SessionMemo> memo;
-    std::shared_ptr<const filter::FilterSet> filters;
-    std::vector<std::pair<CpuId, CounterId>> pairs;
-    bool doStats = false;
-    bool doTaskList = false;
-    TimeInterval statsInterval;
-    std::uint64_t filterGeneration = 0;
-    WarmupStats stats;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> active{0};
-    std::atomic<std::size_t> built{0}; ///< Indexes this job constructed.
-    std::atomic<bool> abandoned{false};
-
-    /** See StatsJob::pool / StatsJob::background. */
-    base::ThreadPool *pool = nullptr;
-    bool background = false;
-};
-
-void
-drainWarmup(const std::shared_ptr<WarmupJob> &job)
-{
-    job->ticket->markRunning();
-    const std::size_t pair_units = job->pairs.size();
-    const std::size_t stats_unit = pair_units;
-    const std::size_t list_unit = pair_units + (job->doStats ? 1 : 0);
-    const std::size_t total = list_unit + (job->doTaskList ? 1 : 0);
-    for (;;) {
-        if (job->ticket->stale()) {
-            job->abandoned.store(true, std::memory_order_relaxed);
-            break;
-        }
-        if (yieldForInteractive(job, drainWarmup))
-            return;
-        std::size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= total)
-            break;
-        if (i < pair_units) {
-            bool constructed = false;
-            job->cache->get(job->pairs[i].first, job->pairs[i].second,
-                            &constructed);
-            // Per-call attribution: concurrent non-warm-up queries
-            // building indexes never inflate this job's count.
-            if (constructed)
-                job->built.fetch_add(1, std::memory_order_relaxed);
-        } else if (job->doStats && i == stats_unit) {
-            // One serial scan (warm-up is already off the interactive
-            // path; the pairs dominate the work).
-            stats::IntervalStats merged;
-            merged.interval = job->statsInterval;
-            for (CpuId c = 0; c < job->trace->numCpus(); c++)
-                merged.mergeFrom(stats::intervalStateChunk(
-                    job->trace->cpu(c), job->statsInterval));
-            const auto &instances = job->trace->taskInstances();
-            merged.mergeFrom(stats::intervalTaskChunk(
-                instances.data(), instances.data() + instances.size(),
-                job->statsInterval));
-            base::MutexLock lock(job->statsMemo->mutex);
-            job->statsMemo->stats.insertOrGet(
-                std::make_pair(job->statsInterval.start,
-                               job->statsInterval.end),
-                std::move(merged));
-        } else {
-            auto list =
-                scanTaskList(*job->trace, *job->filters, *job->ticket);
-            if (!list) {
-                job->abandoned.store(true, std::memory_order_relaxed);
-                break;
-            }
-            publishTaskList(*job->memo, job->filterGeneration, *list);
-        }
-    }
-    if (job->active.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        return;
-    if (job->abandoned.load(std::memory_order_relaxed) ||
-        job->ticket->stale()) {
-        // Cancelled mid-way: indexes already built stay cached (they
-        // answer lazily), but nothing is recorded as warmed, so the
-        // next warm-up revisits cheaply.
-        job->ticket->completeCancelled();
-        return;
-    }
-    WarmupStats stats = job->stats;
-    stats.indexesBuilt = job->built.load(std::memory_order_relaxed);
-    {
-        base::MutexLock lock(job->statsMemo->mutex);
-        job->statsMemo->warmedPairs.insert(job->pairs.begin(),
-                                           job->pairs.end());
-    }
-    job->ticket->complete(stats);
-}
-
-// -- Anomaly scan (parallel fan-out) -------------------------------------
-
-/**
- * One anomaly scan decomposed into the detector chunks of
- * stats::anomalyScanChunks(): per-CPU idle chunks, per-task-type
- * outlier chunks, per-(cpu, counter) burst chunks. Claiming, yielding
- * and completion mirror StatsJob; the last drainer merges the partials
- * in chunk order through stats::mergeAnomalyChunks(), so the ranked
- * list is bit-identical to the serial scanner at any worker count.
- */
-struct AnomalyScanJob
-{
-    std::shared_ptr<detail::TicketState<std::vector<stats::Anomaly>>>
-        ticket;
-    std::shared_ptr<const trace::Trace> trace;
-    std::shared_ptr<const filter::FilterSet> filters;
-    stats::AnomalyScanOptions options;
-    TimeInterval interval;
-    std::vector<stats::AnomalyScanChunk> chunks;
-    std::vector<stats::AnomalyChunkResult> partials;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> active{0};
-    std::atomic<bool> abandoned{false};
-
-    /** See StatsJob::pool / StatsJob::background. */
-    base::ThreadPool *pool = nullptr;
-    bool background = false;
-};
-
-void
-drainAnomalies(const std::shared_ptr<AnomalyScanJob> &job)
-{
-    job->ticket->markRunning();
-    const std::size_t total = job->chunks.size();
-    for (;;) {
-        if (job->ticket->stale()) {
-            job->abandoned.store(true, std::memory_order_relaxed);
-            break;
-        }
-        if (yieldForInteractive(job, drainAnomalies))
-            return;
-        std::size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= total)
-            break;
-        job->partials[i] = stats::runAnomalyChunk(
-            *job->trace, job->chunks[i], job->options, job->interval,
-            job->filters.get());
-    }
-    if (job->active.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        return;
-    if (job->abandoned.load(std::memory_order_relaxed) ||
-        job->ticket->stale()) {
-        job->ticket->completeCancelled();
-        return;
-    }
-    job->ticket->complete(stats::mergeAnomalyChunks(
-        *job->trace, job->chunks, std::move(job->partials), job->options,
-        job->interval));
-}
-
-// -- Pyramid build (parallel fan-out, generation-immune) -----------------
-
-/**
- * One pyramid build: every CPU as an independent build unit, claimed
- * through the usual atomic cursor. A unit calls TracePyramids::get(),
- * which builds under the CPU's shard lock — builds for different CPUs
- * never contend, and a CPU whose pyramid a concurrent resolution-
- * bearing query already built is attributed to that query, not this
- * job (the @p built out-parameter is decided under the shard lock).
- */
-struct PyramidJob
-{
-    std::shared_ptr<detail::TicketState<PyramidBuildStats>> ticket;
-    std::shared_ptr<const trace::Trace> trace;
-    std::shared_ptr<index::TracePyramids> pyramids;
-    PyramidBuildStats stats;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> active{0};
-    std::atomic<std::size_t> built{0}; ///< Pyramids this job constructed.
-    std::atomic<bool> abandoned{false};
-
-    /** See StatsJob::pool / StatsJob::background. */
-    base::ThreadPool *pool = nullptr;
-    bool background = false;
-};
-
-void
-drainPyramids(const std::shared_ptr<PyramidJob> &job)
-{
-    job->ticket->markRunning();
-    const std::size_t total = job->trace->numCpus();
-    for (;;) {
-        if (job->ticket->stale()) {
-            job->abandoned.store(true, std::memory_order_relaxed);
-            break;
-        }
-        if (yieldForInteractive(job, drainPyramids))
-            return;
-        std::size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= total)
-            break;
-        bool constructed = false;
-        job->pyramids->get(static_cast<CpuId>(i), &constructed);
-        if (constructed)
-            job->built.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (job->active.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        return;
-    if (job->abandoned.load(std::memory_order_relaxed) ||
-        job->ticket->stale()) {
-        // Pyramids already built stay cached (queries answer from them
-        // lazily); the next build revisits the remaining CPUs cheaply.
-        job->ticket->completeCancelled();
-        return;
-    }
-    PyramidBuildStats stats = job->stats;
-    stats.cpusBuilt = job->built.load(std::memory_order_relaxed);
-    job->ticket->complete(stats);
+    return std::accumulate(built.begin(), built.end(), std::size_t{0});
 }
 
 } // namespace
@@ -572,41 +450,25 @@ Session::submit(const IntervalStatsQuery &query)
         TimeInterval snapped = pyramids_->snap(interval, granularity);
         const bool exact = snapped.start == interval.start &&
                            snapped.end == interval.end;
-        auto state = newTicketState<stats::IntervalStats>(*domain_);
-        auto trace = trace_;
-        auto pyramids = pyramids_;
-        base::TaskHandle handle;
-        engine_->withPool([&](base::ThreadPool &pool) {
-            handle = pool.submitTracked(
-                [state, trace, pyramids, snapped, granularity, exact] {
-                    state->markRunning();
-                    if (state->stale()) {
-                        state->completeCancelled();
-                        return;
-                    }
-                    stats::IntervalStats out;
-                    out.interval = snapped;
-                    std::uint64_t nodes = 0;
-                    auto range = pyramids->leafRange(snapped);
-                    for (CpuId c = 0; c < trace->numCpus(); c++)
-                        pyramids->get(c).occupancy(
-                            range.first, range.second, out.timeInState,
-                            nodes);
-                    out.tasksStarted = pyramids->tasksStartedIn(snapped);
-                    out.tasksOverlapping =
-                        pyramids->tasksOverlapping(snapped);
-                    out.resolution.exact = exact;
-                    out.resolution.nodesTouched = nodes;
-                    out.resolution.granularityNs = granularity;
-                    state->complete(std::move(out));
-                },
-                toTaskPriority(query.context.priority));
-        });
-        {
-            base::MutexLock lock(state->mutex);
-            state->handle = handle;
-        }
-        return QueryTicket<stats::IntervalStats>(std::move(state));
+        return submitTask(
+            *engine_, newTicketState<stats::IntervalStats>(*domain_),
+            query.context.priority,
+            [trace = trace_, pyramids = pyramids_, snapped, granularity,
+             exact](auto &, base::ThreadPool &) {
+                stats::IntervalStats out;
+                out.interval = snapped;
+                std::uint64_t nodes = 0;
+                auto range = pyramids->leafRange(snapped);
+                for (CpuId c = 0; c < trace->numCpus(); c++)
+                    pyramids->get(c).occupancy(range.first, range.second,
+                                               out.timeInState, nodes);
+                out.tasksStarted = pyramids->tasksStartedIn(snapped);
+                out.tasksOverlapping = pyramids->tasksOverlapping(snapped);
+                out.resolution.exact = exact;
+                out.resolution.nodesTouched = nodes;
+                out.resolution.granularityNs = granularity;
+                return out;
+            });
     }
     {
         base::MutexLock lock(statsMemo_->mutex);
@@ -614,47 +476,28 @@ Session::submit(const IntervalStatsQuery &query)
                 std::make_pair(interval.start, interval.end)))
             return completedTicket(*domain_, stats::IntervalStats(*hit));
     }
-    auto state = newTicketState<stats::IntervalStats>(*domain_);
-    auto job = std::make_shared<StatsJob>();
-    job->ticket = state;
-    job->trace = trace_;
-    job->memo = statsMemo_;
-    job->interval = interval;
-    job->cpuChunks = trace_->numCpus();
-    const std::size_t instances = trace_->taskInstances().size();
-    const unsigned workers = engine_->workers();
-    if (instances > 0) {
-        // Enough task chunks to load every worker a few times over,
-        // but no micro-chunks: the claim cursor should stay noise.
-        job->taskChunkSize = std::max<std::size_t>(
-            4096, instances / (static_cast<std::size_t>(workers) * 4));
-        job->taskChunks =
-            (instances + job->taskChunkSize - 1) / job->taskChunkSize;
-    }
-    const std::size_t total = job->cpuChunks + job->taskChunks;
-    if (total == 0) {
-        stats::IntervalStats empty;
-        empty.interval = interval;
-        {
-            base::MutexLock lock(statsMemo_->mutex);
-            statsMemo_->stats.insertOrGet(
-                std::make_pair(interval.start, interval.end),
-                stats::IntervalStats(empty));
-        }
-        return completedTicket(*domain_, std::move(empty));
-    }
-    job->partials.resize(total);
-    job->background = query.context.priority == QueryPriority::Background;
-    const std::size_t drainers =
-        std::max<std::size_t>(1, std::min<std::size_t>(workers, total));
-    job->active.store(drainers, std::memory_order_relaxed);
-    base::TaskPriority priority = toTaskPriority(query.context.priority);
-    engine_->withPool([&](base::ThreadPool &pool) {
-        job->pool = &pool;
-        for (std::size_t d = 0; d < drainers; d++)
-            pool.submit([job] { drainStats(job); }, priority);
-    });
-    return QueryTicket<stats::IntervalStats>(std::move(state));
+    // Enough task chunks to load every worker a few times over, but no
+    // micro-chunks: the claim cursor should stay noise.
+    const std::size_t task_chunk_size = std::max<std::size_t>(
+        4096, trace_->taskInstances().size() /
+                  (static_cast<std::size_t>(engine_->workers()) * 4));
+    return launchFanOut<stats::IntervalStats>(
+        *engine_, newTicketState<stats::IntervalStats>(*domain_),
+        query.context.priority, statsChunkCount(*trace_, task_chunk_size),
+        [trace = trace_, interval, task_chunk_size](
+            std::size_t i, stats::IntervalStats &out) {
+            out = statsChunk(*trace, interval, task_chunk_size, i);
+            return true;
+        },
+        [memo = statsMemo_,
+         interval](std::vector<stats::IntervalStats> &&partials) {
+            stats::IntervalStats merged;
+            merged.interval = interval;
+            for (const stats::IntervalStats &partial : partials)
+                merged.mergeFrom(partial);
+            publishStats(*memo, merged);
+            return merged;
+        });
 }
 
 QueryTicket<std::vector<const trace::TaskInstance *>>
@@ -673,103 +516,68 @@ Session::submit(const TaskListQuery &query)
     // generation, so panning the view never cancels it.
     state->generation = domain_->filterGeneration();
     state->live = domain_->filterGenerationCell();
-    auto trace = trace_;
-    auto memo = memo_;
-    auto filters = std::make_shared<const filter::FilterSet>(filters_);
-    base::TaskHandle handle;
-    engine_->withPool([&](base::ThreadPool &pool) {
-        handle = pool.submitTracked(
-            [state, trace, memo, filters, generation] {
-                state->markRunning();
-                auto list = scanTaskList(*trace, *filters, *state);
-                if (!list) {
-                    state->completeCancelled();
-                    return;
-                }
+    return submitTask(
+        *engine_, std::move(state), query.context.priority,
+        [trace = trace_, memo = memo_,
+         filters = std::make_shared<const filter::FilterSet>(filters_),
+         generation](auto &state, base::ThreadPool &) {
+            auto list = scanTaskList(*trace, *filters, state);
+            if (list)
                 publishTaskList(*memo, generation, *list);
-                state->complete(std::move(*list));
-            },
-            toTaskPriority(query.context.priority));
-    });
-    {
-        base::MutexLock lock(state->mutex);
-        state->handle = handle;
-    }
-    return QueryTicket<List>(std::move(state));
+            return list;
+        });
 }
 
 QueryTicket<stats::Histogram>
 Session::submit(const HistogramQuery &query)
 {
     using List = std::vector<const trace::TaskInstance *>;
-    if (query.context.interval) {
-        const TimeStamp granularity = pyramids_->granularityFor(
-            query.context.resolution, *query.context.interval);
-        if (granularity > 0) {
-            // Pyramid path: snap the interval and select the tasks
-            // starting inside it by binary search on the start-sorted
-            // task array — O(log n + matches) instead of a full list
-            // scan. Bin counts are order-independent, so the result
-            // equals the exact path's histogram of the snapped
-            // interval bit for bit.
-            TimeInterval snapped =
-                pyramids_->snap(*query.context.interval, granularity);
-            const bool exact =
-                snapped.start == query.context.interval->start &&
-                snapped.end == query.context.interval->end;
-            auto state = newTicketState<stats::Histogram>(*domain_);
-            state->generation = domain_->filterGeneration();
-            state->live = domain_->filterGenerationCell();
-            auto trace = trace_;
-            auto pyramids = pyramids_;
-            auto filters =
-                std::make_shared<const filter::FilterSet>(filters_);
-            std::uint32_t num_bins = query.numBins;
-            base::TaskHandle handle;
-            engine_->withPool([&](base::ThreadPool &pool) {
-                handle = pool.submitTracked(
-                    [state, trace, pyramids, filters, snapped,
-                     granularity, exact, num_bins] {
-                        state->markRunning();
-                        if (state->stale()) {
-                            state->completeCancelled();
-                            return;
-                        }
-                        auto range = pyramids->taskStartRange(snapped);
-                        const List &by_start = pyramids->tasksByStart();
-                        std::vector<double> durations;
-                        durations.reserve(range.second - range.first);
-                        for (std::size_t i = range.first;
-                             i < range.second; i++) {
-                            const trace::TaskInstance *task = by_start[i];
-                            if (filters->matches(*trace, *task))
-                                durations.push_back(static_cast<double>(
-                                    task->duration()));
-                        }
-                        if (state->stale()) {
-                            state->completeCancelled();
-                            return;
-                        }
-                        stats::Histogram h = stats::Histogram::fromValues(
-                            durations, num_bins);
-                        h.resolution.exact = exact;
-                        h.resolution.granularityNs = granularity;
-                        state->complete(std::move(h));
-                    },
-                    toTaskPriority(query.context.priority));
-            });
-            {
-                base::MutexLock lock(state->mutex);
-                state->handle = handle;
-            }
-            return QueryTicket<stats::Histogram>(std::move(state));
-        }
-    }
     auto state = newTicketState<stats::Histogram>(*domain_);
     // Like the task list it is built from, the histogram is
     // view-independent: staleness tracks the filter generation only.
     state->generation = domain_->filterGeneration();
     state->live = domain_->filterGenerationCell();
+    auto filters = std::make_shared<const filter::FilterSet>(filters_);
+    const std::uint32_t num_bins = query.numBins;
+    const std::optional<TimeInterval> &restrict_to = query.context.interval;
+    const TimeStamp granularity =
+        restrict_to ? pyramids_->granularityFor(query.context.resolution,
+                                                *restrict_to)
+                    : 0;
+    if (granularity > 0) {
+        // Pyramid path: snap the interval and select the tasks starting
+        // inside it by binary search on the start-sorted task array —
+        // O(log n + matches) instead of a full list scan. Bin counts
+        // are order-independent, so the result equals the exact path's
+        // histogram of the snapped interval bit for bit.
+        TimeInterval snapped = pyramids_->snap(*restrict_to, granularity);
+        const bool exact = snapped.start == restrict_to->start &&
+                           snapped.end == restrict_to->end;
+        return submitTask(
+            *engine_, std::move(state), query.context.priority,
+            [trace = trace_, pyramids = pyramids_, filters, snapped,
+             granularity, exact, num_bins](
+                auto &state,
+                base::ThreadPool &) -> std::optional<stats::Histogram> {
+                auto range = pyramids->taskStartRange(snapped);
+                const List &by_start = pyramids->tasksByStart();
+                std::vector<double> durations;
+                durations.reserve(range.second - range.first);
+                for (std::size_t i = range.first; i < range.second; i++) {
+                    const trace::TaskInstance *task = by_start[i];
+                    if (filters->matches(*trace, *task))
+                        durations.push_back(
+                            static_cast<double>(task->duration()));
+                }
+                if (state.stale())
+                    return std::nullopt;
+                stats::Histogram h =
+                    stats::Histogram::fromValues(durations, num_bins);
+                h.resolution.exact = exact;
+                h.resolution.granularityNs = granularity;
+                return h;
+            });
+    }
     std::uint64_t generation;
     std::shared_ptr<const List> cached;
     {
@@ -778,67 +586,44 @@ Session::submit(const HistogramQuery &query)
         if (const List *hit = memo_->taskList.tryGet(generation))
             cached = std::make_shared<const List>(*hit);
     }
-    auto trace = trace_;
-    auto memo = memo_;
-    auto filters = std::make_shared<const filter::FilterSet>(filters_);
-    std::uint32_t num_bins = query.numBins;
-    std::optional<TimeInterval> restrict_to = query.context.interval;
-    base::TaskHandle handle;
-    engine_->withPool([&](base::ThreadPool &pool) {
-        handle = pool.submitTracked(
-            [state, trace, memo, filters, cached, generation, num_bins,
-             restrict_to] {
-                state->markRunning();
-                if (state->stale()) {
-                    state->completeCancelled();
-                    return;
-                }
-                const List *tasks = cached.get();
-                List computed;
-                if (!tasks) {
-                    auto list = scanTaskList(*trace, *filters, *state);
-                    if (!list) {
-                        state->completeCancelled();
-                        return;
-                    }
-                    computed = std::move(*list);
-                    // The scan is the expensive half; share it with
-                    // later tasks()/histogram() calls of the same
-                    // generation (the published list is unrestricted;
-                    // the interval only narrows the binned values).
-                    publishTaskList(*memo, generation, computed);
-                    tasks = &computed;
-                }
-                std::vector<double> durations;
-                durations.reserve(tasks->size());
-                for (const trace::TaskInstance *task : *tasks) {
-                    if (restrict_to &&
-                        !restrict_to->contains(task->interval.start))
-                        continue;
-                    durations.push_back(
-                        static_cast<double>(task->duration()));
-                }
-                if (state->stale()) {
-                    state->completeCancelled();
-                    return;
-                }
-                state->complete(
-                    stats::Histogram::fromValues(durations, num_bins));
-            },
-            toTaskPriority(query.context.priority));
-    });
-    {
-        base::MutexLock lock(state->mutex);
-        state->handle = handle;
-    }
-    return QueryTicket<stats::Histogram>(std::move(state));
+    return submitTask(
+        *engine_, std::move(state), query.context.priority,
+        [trace = trace_, memo = memo_, filters, cached, generation,
+         num_bins, restrict_to](
+            auto &state,
+            base::ThreadPool &) -> std::optional<stats::Histogram> {
+            const List *tasks = cached.get();
+            List computed;
+            if (!tasks) {
+                auto list = scanTaskList(*trace, *filters, state);
+                if (!list)
+                    return std::nullopt;
+                computed = std::move(*list);
+                // The scan is the expensive half; share it with later
+                // tasks()/histogram() calls of the same generation (the
+                // published list is unrestricted; the interval only
+                // narrows the binned values).
+                publishTaskList(*memo, generation, computed);
+                tasks = &computed;
+            }
+            std::vector<double> durations;
+            durations.reserve(tasks->size());
+            for (const trace::TaskInstance *task : *tasks) {
+                if (restrict_to &&
+                    !restrict_to->contains(task->interval.start))
+                    continue;
+                durations.push_back(static_cast<double>(task->duration()));
+            }
+            if (state.stale())
+                return std::nullopt;
+            return stats::Histogram::fromValues(durations, num_bins);
+        });
 }
 
 QueryTicket<index::MinMax>
 Session::submit(const CounterExtremaQuery &query)
 {
     auto state = newTicketState<index::MinMax>(*domain_);
-    auto cache = counterIndexes_;
     TimeInterval interval = query.context.interval.value_or(view());
     const TimeStamp granularity =
         pyramids_->granularityFor(query.context.resolution, interval);
@@ -849,59 +634,33 @@ Session::submit(const CounterExtremaQuery &query)
         // per-node counter aggregates — O(log n) nodes instead of the
         // index's per-sample range scan. An out-of-range CPU yields
         // the same invalid MinMax a counter with no samples does.
-        TimeInterval snapped = pyramids_->snap(interval, granularity);
-        auto pyramids = pyramids_;
-        base::TaskHandle handle;
-        engine_->withPool([&](base::ThreadPool &pool) {
-            handle = pool.submitTracked(
-                [state, pyramids, cpu, counter, snapped] {
-                    state->markRunning();
-                    if (state->stale()) {
-                        state->completeCancelled();
-                        return;
+        return submitTask(
+            *engine_, std::move(state), query.context.priority,
+            [pyramids = pyramids_, cpu, counter,
+             snapped = pyramids_->snap(interval, granularity)](
+                auto &, base::ThreadPool &) {
+                index::MinMax out;
+                if (const index::SummaryPyramid *p =
+                        pyramids->getOrNull(cpu)) {
+                    std::uint64_t nodes = 0;
+                    auto range = pyramids->leafRange(snapped);
+                    index::SummaryPyramid::CounterAggregate agg =
+                        p->counterAggregate(counter, range.first,
+                                            range.second, nodes);
+                    if (agg.count > 0) {
+                        out.valid = true;
+                        out.min = agg.min;
+                        out.max = agg.max;
                     }
-                    index::MinMax out;
-                    if (const index::SummaryPyramid *p =
-                            pyramids->getOrNull(cpu)) {
-                        std::uint64_t nodes = 0;
-                        auto range = pyramids->leafRange(snapped);
-                        index::SummaryPyramid::CounterAggregate agg =
-                            p->counterAggregate(counter, range.first,
-                                                range.second, nodes);
-                        if (agg.count > 0) {
-                            out.valid = true;
-                            out.min = agg.min;
-                            out.max = agg.max;
-                        }
-                    }
-                    state->complete(out);
-                },
-                toTaskPriority(query.context.priority));
-        });
-        {
-            base::MutexLock lock(state->mutex);
-            state->handle = handle;
-        }
-        return QueryTicket<index::MinMax>(std::move(state));
-    }
-    base::TaskHandle handle;
-    engine_->withPool([&](base::ThreadPool &pool) {
-        handle = pool.submitTracked(
-            [state, cache, cpu, counter, interval] {
-                state->markRunning();
-                if (state->stale()) {
-                    state->completeCancelled();
-                    return;
                 }
-                state->complete(cache->query(cpu, counter, interval));
-            },
-            toTaskPriority(query.context.priority));
-    });
-    {
-        base::MutexLock lock(state->mutex);
-        state->handle = handle;
+                return out;
+            });
     }
-    return QueryTicket<index::MinMax>(std::move(state));
+    return submitTask(*engine_, std::move(state), query.context.priority,
+                      [cache = counterIndexes_, cpu, counter,
+                       interval](auto &, base::ThreadPool &) {
+                          return cache->query(cpu, counter, interval);
+                      });
 }
 
 QueryTicket<Session::WarmupStats>
@@ -912,18 +671,16 @@ Session::submit(const WarmupQuery &query)
     // interval / filter generation, so generation bumps don't invalidate
     // them: warm-up cancels only explicitly.
     state->live = nullptr;
-    auto job = std::make_shared<WarmupJob>();
-    job->ticket = state;
-    job->trace = trace_;
-    job->cache = counterIndexes_;
-    job->statsMemo = statsMemo_;
-    job->memo = memo_;
-    job->filters = std::make_shared<const filter::FilterSet>(filters_);
-    job->statsInterval = view();
-    job->stats.workers = engine_->workers();
+    const TimeInterval stats_interval = view();
+    WarmupStats summary;
+    summary.workers = engine_->workers();
+    auto pairs =
+        std::make_shared<std::vector<std::pair<CpuId, CounterId>>>();
+    bool do_stats = false;
+    bool do_task_list = false;
+    std::uint64_t filter_generation;
 
     const WarmupPolicy &policy = query.policy;
-    std::size_t skipped = 0;
     // The two memos lock sequentially (never nested): warmed pairs and
     // the stats memo live in the shared StatsMemo, the filter
     // generation and task list in the per-context SessionMemo.
@@ -938,10 +695,10 @@ Session::submit(const WarmupQuery &query)
                                   id) == policy.counters.end())
                         continue;
                     if (statsMemo_->warmedPairs.count({c, id})) {
-                        skipped++;
+                        summary.indexesSkipped++;
                         continue;
                     }
-                    job->pairs.emplace_back(c, id);
+                    pairs->emplace_back(c, id);
                 }
             }
         }
@@ -949,37 +706,70 @@ Session::submit(const WarmupQuery &query)
         // lookups count hits, keeping warm-up observable like the old
         // eager revisit did.
         if (policy.intervalStats)
-            job->doStats =
-                statsMemo_->stats.tryGet(std::make_pair(
-                    job->statsInterval.start,
-                    job->statsInterval.end)) == nullptr;
+            do_stats = statsMemo_->stats.tryGet(std::make_pair(
+                           stats_interval.start, stats_interval.end)) ==
+                       nullptr;
     }
     {
         base::MutexLock lock(memo_->mutex);
-        job->filterGeneration = memo_->filterGeneration;
+        filter_generation = memo_->filterGeneration;
         if (policy.taskList)
-            job->doTaskList =
-                memo_->taskList.tryGet(job->filterGeneration) == nullptr;
+            do_task_list =
+                memo_->taskList.tryGet(filter_generation) == nullptr;
     }
-    job->stats.indexesVisited = job->pairs.size();
-    job->stats.indexesSkipped = skipped;
+    summary.indexesVisited = pairs->size();
 
-    const std::size_t total = job->pairs.size() +
-                              (job->doStats ? 1 : 0) +
-                              (job->doTaskList ? 1 : 0);
-    if (total == 0)
-        return completedTicket(*domain_, job->stats);
-    job->background = query.context.priority == QueryPriority::Background;
-    const std::size_t drainers = std::max<std::size_t>(
-        1, std::min<std::size_t>(engine_->workers(), total));
-    job->active.store(drainers, std::memory_order_relaxed);
-    base::TaskPriority priority = toTaskPriority(query.context.priority);
-    engine_->withPool([&](base::ThreadPool &pool) {
-        job->pool = &pool;
-        for (std::size_t d = 0; d < drainers; d++)
-            pool.submit([job] { drainWarmup(job); }, priority);
-    });
-    return QueryTicket<WarmupStats>(std::move(state));
+    // Units: one per (cpu, counter) pair, then the optional interval-
+    // statistics unit, then the optional task-list unit.
+    const std::size_t stats_unit = pairs->size();
+    const std::size_t list_unit = stats_unit + (do_stats ? 1 : 0);
+    return launchFanOut<std::size_t>(
+        *engine_, state, query.context.priority,
+        list_unit + (do_task_list ? 1 : 0),
+        [state, trace = trace_, cache = counterIndexes_,
+         stats_memo = statsMemo_, memo = memo_,
+         filters = std::make_shared<const filter::FilterSet>(filters_),
+         pairs, stats_unit, list_unit, stats_interval,
+         filter_generation](std::size_t i, std::size_t &built) {
+            if (i < stats_unit) {
+                bool constructed = false;
+                cache->get((*pairs)[i].first, (*pairs)[i].second,
+                           &constructed);
+                // Per-call attribution: concurrent non-warm-up queries
+                // building indexes never inflate this job's count.
+                built = constructed ? 1 : 0;
+                return true;
+            }
+            if (i < list_unit) {
+                // One serial scan (warm-up is already off the
+                // interactive path; the pairs dominate the work).
+                const std::size_t all = std::max<std::size_t>(
+                    1, trace->taskInstances().size());
+                const std::size_t chunks = statsChunkCount(*trace, all);
+                stats::IntervalStats merged;
+                merged.interval = stats_interval;
+                for (std::size_t c = 0; c < chunks; c++)
+                    merged.mergeFrom(
+                        statsChunk(*trace, stats_interval, all, c));
+                publishStats(*stats_memo, merged);
+                return true;
+            }
+            auto list = scanTaskList(*trace, *filters, *state);
+            if (list)
+                publishTaskList(*memo, filter_generation, *list);
+            return list.has_value();
+        },
+        // Only a completed warm-up records its pairs as warmed: after a
+        // cancel, indexes already built stay cached (they answer
+        // lazily), and the next warm-up revisits them cheaply.
+        [summary, stats_memo = statsMemo_,
+         pairs](std::vector<std::size_t> &&built) {
+            WarmupStats out = summary;
+            out.indexesBuilt = countBuilt(built);
+            base::MutexLock lock(stats_memo->mutex);
+            stats_memo->warmedPairs.insert(pairs->begin(), pairs->end());
+            return out;
+        });
 }
 
 QueryTicket<PyramidBuildStats>
@@ -989,26 +779,30 @@ Session::submit(const PyramidBuildQuery &query)
     // Pyramids are trace-keyed, never view- or filter-keyed, so
     // generation bumps don't invalidate a build: explicit cancel only.
     state->live = nullptr;
-    auto job = std::make_shared<PyramidJob>();
-    job->ticket = state;
-    job->trace = trace_;
-    job->pyramids = pyramids_;
-    job->stats.cpusVisited = trace_->numCpus();
-    job->stats.workers = engine_->workers();
-    const std::size_t total = trace_->numCpus();
-    if (total == 0)
-        return completedTicket(*domain_, job->stats);
-    job->background = query.context.priority == QueryPriority::Background;
-    const std::size_t drainers = std::max<std::size_t>(
-        1, std::min<std::size_t>(engine_->workers(), total));
-    job->active.store(drainers, std::memory_order_relaxed);
-    base::TaskPriority priority = toTaskPriority(query.context.priority);
-    engine_->withPool([&](base::ThreadPool &pool) {
-        job->pool = &pool;
-        for (std::size_t d = 0; d < drainers; d++)
-            pool.submit([job] { drainPyramids(job); }, priority);
-    });
-    return QueryTicket<PyramidBuildStats>(std::move(state));
+    PyramidBuildStats summary;
+    summary.cpusVisited = trace_->numCpus();
+    summary.workers = engine_->workers();
+    // Every CPU is one unit. TracePyramids::get() builds under the CPU's
+    // shard lock, so builds for different CPUs never contend, and a CPU
+    // a concurrent resolution-bearing query already built is attributed
+    // to that query, not this job. Pyramids built before a cancel stay
+    // cached; the next build revisits the remaining CPUs cheaply.
+    return launchFanOut<std::size_t>(
+        *engine_, std::move(state), query.context.priority,
+        trace_->numCpus(),
+        // The trace capture keeps the pyramids' source alive.
+        [trace = trace_, pyramids = pyramids_](std::size_t i,
+                                               std::size_t &built) {
+            bool constructed = false;
+            pyramids->get(static_cast<CpuId>(i), &constructed);
+            built = constructed ? 1 : 0;
+            return true;
+        },
+        [summary](std::vector<std::size_t> &&built) {
+            PyramidBuildStats out = summary;
+            out.cpusBuilt = countBuilt(built);
+            return out;
+        });
 }
 
 QueryTicket<TraceLoadResult>
@@ -1027,56 +821,39 @@ Session::submit(const TraceLoadQuery &query)
     // Bridge ticket.cancel() into the reader's cooperative poll (the
     // token copies share one flag).
     options.cancel = state->cancel;
-    auto bytes = query.bytes;
-    std::string path = query.path;
-    base::TaskHandle handle;
-    engine_->withPool([&](base::ThreadPool &pool) {
-        // The load's serial frame scan can occupy a worker for the
-        // whole file; drain queued interactive tasks at the reader's
-        // poll boundaries so even a 1-worker engine stays responsive.
-        // The pool outlives the load task (it runs on that pool, and
-        // the pool drains before destruction), so the raw pointer in
-        // the yield hook stays valid.
-        base::ThreadPool *pool_ptr = &pool;
-        options.yield = [pool_ptr] {
-            while (pool_ptr->hasHighPriorityWork() &&
-                   pool_ptr->runOneHighPriorityTask()) {
-            }
-        };
-        handle = pool.submitTracked(
-            [state, bytes, path, options] {
-                state->markRunning();
-                if (state->stale()) {
-                    state->completeCancelled();
-                    return;
+    return submitTask(
+        *engine_, std::move(state), query.context.priority,
+        [options, bytes = query.bytes, path = query.path](
+            auto &,
+            base::ThreadPool &pool) -> std::optional<TraceLoadResult> {
+            // The load's serial frame scan can occupy a worker for the
+            // whole file; drain queued interactive tasks at the
+            // reader's poll boundaries so even a 1-worker engine stays
+            // responsive.
+            trace::ReadOptions run_options = options;
+            run_options.yield = [&pool] {
+                while (pool.hasHighPriorityWork() &&
+                       pool.runOneHighPriorityTask()) {
                 }
-                // The reader spins up its own decode pool: a pool task
-                // must not parallelFor() on its own pool, and a
-                // 1-worker engine would serialize the decode otherwise.
-                trace::ReadResult read =
-                    bytes ? trace::readTrace(*bytes, options)
-                          : trace::readTraceFile(path, options);
-                if (read.cancelled) {
-                    state->completeCancelled();
-                    return;
-                }
-                TraceLoadResult result;
-                result.ok = read.ok;
-                result.error = std::move(read.error);
-                result.encoding = read.encoding;
-                result.bytesRead = read.bytesRead;
-                if (read.ok)
-                    result.trace = std::make_shared<const trace::Trace>(
-                        std::move(read.trace));
-                state->complete(std::move(result));
-            },
-            toTaskPriority(query.context.priority));
-    });
-    {
-        base::MutexLock lock(state->mutex);
-        state->handle = handle;
-    }
-    return QueryTicket<TraceLoadResult>(std::move(state));
+            };
+            // The reader spins up its own decode pool: a pool task must
+            // not parallelFor() on its own pool, and a 1-worker engine
+            // would serialize the decode otherwise.
+            trace::ReadResult read =
+                bytes ? trace::readTrace(*bytes, run_options)
+                      : trace::readTraceFile(path, run_options);
+            if (read.cancelled)
+                return std::nullopt;
+            TraceLoadResult result;
+            result.ok = read.ok;
+            result.error = std::move(read.error);
+            result.encoding = read.encoding;
+            result.bytesRead = read.bytesRead;
+            if (read.ok)
+                result.trace = std::make_shared<const trace::Trace>(
+                    std::move(read.trace));
+            return result;
+        });
 }
 
 QueryTicket<TimelineRenderResult>
@@ -1084,8 +861,6 @@ Session::submit(const TimelineRenderQuery &query)
 {
     AFTERMATH_ASSERT(query.width > 0 && query.height > 0,
                      "render query needs positive dimensions");
-    auto state = newTicketState<TimelineRenderResult>(*domain_);
-    auto trace = trace_;
     // Snapshot the session's filters on the heap: the async render must
     // not point into the (mutable) session object.
     std::shared_ptr<const filter::FilterSet> filters;
@@ -1101,72 +876,59 @@ Session::submit(const TimelineRenderQuery &query)
     // without touching the render config.
     if (query.context.resolution.kind != Resolution::Kind::Exact)
         config.resolution = query.context.resolution;
-    auto pyramids = pyramids_;
-    config.pyramids = pyramids.get();
-    std::uint32_t width = query.width;
-    std::uint32_t height = query.height;
-    auto renderers = rendererPool_;
-    base::TaskHandle handle;
-    engine_->withPool([&](base::ThreadPool &pool) {
-        handle = pool.submitTracked(
-            [state, trace, renderers, filters, pyramids, config, width,
-             height] {
-                state->markRunning();
-                if (state->stale()) {
-                    state->completeCancelled();
-                    return;
-                }
-                TimelineRenderResult result;
-                result.fb = render::Framebuffer(width, height);
-                // Check a pooled renderer out instead of constructing:
-                // repeated async renders reuse the palette and memo
-                // caches a fresh renderer would rebuild per query.
-                RendererPool::Lease lease = renderers->checkout(trace);
-                lease->render(config, result.fb);
-                result.stats = lease->stats();
-                state->complete(std::move(result));
-            },
-            toTaskPriority(query.context.priority));
-    });
-    {
-        base::MutexLock lock(state->mutex);
-        state->handle = handle;
-    }
-    return QueryTicket<TimelineRenderResult>(std::move(state));
+    config.pyramids = pyramids_.get();
+    // The filters and pyramids captures keep config's pointers valid.
+    return submitTask(
+        *engine_, newTicketState<TimelineRenderResult>(*domain_),
+        query.context.priority,
+        [trace = trace_, renderers = rendererPool_, filters,
+         pyramids = pyramids_, config, width = query.width,
+         height = query.height](auto &, base::ThreadPool &) {
+            TimelineRenderResult result;
+            result.fb = render::Framebuffer(width, height);
+            // Check a pooled renderer out instead of constructing:
+            // repeated async renders reuse the palette and memo caches
+            // a fresh renderer would rebuild per query.
+            RendererPool::Lease lease = renderers->checkout(trace);
+            lease->render(config, result.fb);
+            result.stats = lease->stats();
+            return result;
+        });
 }
 
 QueryTicket<std::vector<stats::Anomaly>>
 Session::submit(const AnomalyScanQuery &query)
 {
     TimeInterval interval = query.context.interval.value_or(view());
+    auto chunks =
+        std::make_shared<const std::vector<stats::AnomalyScanChunk>>(
+            stats::anomalyScanChunks(*trace_));
+    if (interval.empty() || query.options.numIntervals == 0 ||
+        chunks->empty())
+        return completedTicket(*domain_, std::vector<stats::Anomaly>());
     // View-dependent by default generation: a view, filter or trace
     // mutation makes a queued or running scan stale (polled at chunk
     // boundaries) — the findings describe a window the user just left.
-    auto state = newTicketState<std::vector<stats::Anomaly>>(*domain_);
-    auto job = std::make_shared<AnomalyScanJob>();
-    job->ticket = state;
-    job->trace = trace_;
-    job->filters = std::make_shared<const filter::FilterSet>(filters_);
-    job->options = query.options;
-    job->interval = interval;
-    if (interval.empty() || query.options.numIntervals == 0)
-        return completedTicket(*domain_, std::vector<stats::Anomaly>());
-    job->chunks = stats::anomalyScanChunks(*trace_);
-    const std::size_t total = job->chunks.size();
-    if (total == 0)
-        return completedTicket(*domain_, std::vector<stats::Anomaly>());
-    job->partials.resize(total);
-    job->background = query.context.priority == QueryPriority::Background;
-    const std::size_t drainers = std::max<std::size_t>(
-        1, std::min<std::size_t>(engine_->workers(), total));
-    job->active.store(drainers, std::memory_order_relaxed);
-    base::TaskPriority priority = toTaskPriority(query.context.priority);
-    engine_->withPool([&](base::ThreadPool &pool) {
-        job->pool = &pool;
-        for (std::size_t d = 0; d < drainers; d++)
-            pool.submit([job] { drainAnomalies(job); }, priority);
-    });
-    return QueryTicket<std::vector<stats::Anomaly>>(std::move(state));
+    // Chunks are the detector units of stats::anomalyScanChunks(), and
+    // stats::mergeAnomalyChunks() combines them in chunk order, so the
+    // ranked list is bit-identical to the serial scanner.
+    return launchFanOut<stats::AnomalyChunkResult>(
+        *engine_, newTicketState<std::vector<stats::Anomaly>>(*domain_),
+        query.context.priority, chunks->size(),
+        [trace = trace_, chunks,
+         filters = std::make_shared<const filter::FilterSet>(filters_),
+         options = query.options,
+         interval](std::size_t i, stats::AnomalyChunkResult &out) {
+            out = stats::runAnomalyChunk(*trace, (*chunks)[i], options,
+                                         interval, filters.get());
+            return true;
+        },
+        [trace = trace_, chunks, options = query.options,
+         interval](std::vector<stats::AnomalyChunkResult> &&partials) {
+            return stats::mergeAnomalyChunks(*trace, *chunks,
+                                             std::move(partials), options,
+                                             interval);
+        });
 }
 
 } // namespace session

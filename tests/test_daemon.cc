@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -247,11 +248,80 @@ TEST(Daemon, UnknownTraceIdAndUnknownTypeAnswerErrors)
     Client client;
     ASSERT_TRUE(connect(server, client));
 
-    TaskListRequest request;
-    request.head.traceId = 999; // Never opened.
-    Reply<std::vector<TaskRow>> reply = client.taskList(request);
-    EXPECT_EQ(reply.status, Status::Error);
-    EXPECT_FALSE(reply.message.empty());
+    // Every trace-addressed request type answers Error for a never-
+    // opened id. A well-formed body must decode under its own type, so
+    // neither the protocol-error nor the rejection count may move.
+    constexpr std::uint64_t kUnknown = 999;
+    const auto outcome = [](const auto &reply) {
+        return std::make_pair(reply.status, reply.message);
+    };
+    using Outcome = std::pair<Status, std::string>;
+    const std::vector<std::pair<const char *, std::function<Outcome()>>>
+        probes = {
+            {"IntervalStats",
+             [&] {
+                 IntervalStatsRequest q;
+                 q.head.traceId = kUnknown;
+                 return outcome(client.intervalStats(q));
+             }},
+            {"Histogram",
+             [&] {
+                 HistogramRequest q;
+                 q.head.traceId = kUnknown;
+                 return outcome(client.histogram(q));
+             }},
+            {"TaskList",
+             [&] {
+                 TaskListRequest q;
+                 q.head.traceId = kUnknown;
+                 return outcome(client.taskList(q));
+             }},
+            {"CounterExtrema",
+             [&] {
+                 CounterExtremaRequest q;
+                 q.head.traceId = kUnknown;
+                 return outcome(client.counterExtrema(q));
+             }},
+            {"Warmup",
+             [&] {
+                 WarmupRequest q;
+                 q.head.traceId = kUnknown;
+                 return outcome(client.warmup(q));
+             }},
+            {"TimelineRender",
+             [&] {
+                 TimelineRenderRequest q;
+                 q.head.traceId = kUnknown;
+                 return outcome(client.timelineRender(q));
+             }},
+            {"AnomalyScan",
+             [&] {
+                 AnomalyScanRequest q;
+                 q.head.traceId = kUnknown;
+                 return outcome(client.anomalyScan(q));
+             }},
+            {"SetView",
+             [&] {
+                 return outcome(
+                     client.setView(kUnknown, traceFile().trace->span()));
+             }},
+            {"SetFilters",
+             [&] {
+                 FilterSpec spec;
+                 spec.ids = {1};
+                 return outcome(client.setFilters(kUnknown, {spec}));
+             }},
+        };
+    const Server::Stats before = server.stats();
+    for (const auto &[name, probe] : probes) {
+        auto [status, message] = probe();
+        EXPECT_EQ(status, Status::Error) << name;
+        EXPECT_FALSE(message.empty()) << name;
+        EXPECT_EQ(server.stats().protocolErrors, before.protocolErrors)
+            << name;
+        EXPECT_EQ(server.stats().rejected, before.rejected) << name;
+        EXPECT_TRUE(client.connected()) << name;
+    }
 
     // Closing an unknown id errors too, and the connection stays usable.
     EXPECT_EQ(client.closeTrace(42).status, Status::Error);

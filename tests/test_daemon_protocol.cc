@@ -146,6 +146,34 @@ TEST(DaemonProtocol, RejectsBadMagicAndAnswersWithError)
     server.stop();
 }
 
+TEST(DaemonProtocol, V1HelloIsRejectedAndCloses)
+{
+    // Every request decoder reads the current layout, so a server that
+    // acked an older client would fail its first query instead.
+    Server server(Server::Options{1, 16});
+    Socket socket = server.connectInProcess();
+    setReadTimeout(socket.fd(), 10);
+
+    Handshake hello;
+    hello.version = 1;
+    ByteWriter w;
+    encodeHandshake(hello, w);
+    ASSERT_TRUE(writeFrame(socket.fd(), MsgType::Hello, 0, w.take()));
+
+    Frame frame;
+    ASSERT_EQ(readFrame(socket.fd(), frame), FrameReadStatus::Ok);
+    EXPECT_EQ(frame.type, MsgType::Response);
+    ByteReader r(frame.body);
+    ResponseHead head;
+    ASSERT_TRUE(decodeResponseHead(r, head));
+    EXPECT_EQ(head.status, Status::Error);
+    EXPECT_FALSE(head.message.empty());
+
+    EXPECT_EQ(readFrame(socket.fd(), frame), FrameReadStatus::Eof);
+    expectServerStillServes(server);
+    server.stop();
+}
+
 TEST(DaemonProtocol, NewerClientVersionNegotiatesDownToServers)
 {
     Server server(Server::Options{1, 16});

@@ -15,20 +15,25 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/buffer.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
+#include "index/summary_pyramid.h"
 #include "render/framebuffer.h"
 #include "session/query.h"
 #include "session/query_engine.h"
 #include "session/renderer_pool.h"
 #include "session/session.h"
 #include "session/session_group.h"
+#include "stats/anomaly.h"
+#include "stats/export.h"
 #include "trace/state.h"
 
 namespace aftermath {
@@ -104,6 +109,53 @@ expectStatsEqual(const stats::IntervalStats &a,
     EXPECT_EQ(a.timeInState, b.timeInState);
     EXPECT_EQ(a.tasksOverlapping, b.tasksOverlapping);
     EXPECT_EQ(a.tasksStarted, b.tasksStarted);
+}
+
+/** Wire bytes of a ranked anomaly list: bit-for-bit comparison. */
+std::vector<std::uint8_t>
+bytesOf(const std::vector<stats::Anomaly> &findings)
+{
+    ByteWriter w;
+    stats::encodeAnomalies(findings, w);
+    return w.take();
+}
+
+/**
+ * Every CPU's pyramid in @p built is already constructed and answers
+ * occupancy, task-start and counter-aggregate queries exactly like a
+ * fresh serial build over the same trace.
+ */
+void
+expectPyramidsBuiltAndIdentical(const trace::Trace &tr,
+                                index::TracePyramids &built)
+{
+    index::TracePyramids fresh(tr);
+    const std::uint64_t leaves = fresh.leafCount();
+    const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+        {0, leaves}, {leaves / 3, 2 * leaves / 3}, {leaves / 2, leaves}};
+    for (CpuId c = 0; c < tr.numCpus(); c++) {
+        bool constructed = true;
+        const index::SummaryPyramid &got = built.get(c, &constructed);
+        EXPECT_FALSE(constructed) << "cpu " << c << " was left unbuilt";
+        const index::SummaryPyramid &want = fresh.get(c);
+        for (const auto &[first, last] : ranges) {
+            std::uint64_t nodes = 0;
+            std::map<std::uint32_t, TimeStamp> got_occ, want_occ;
+            got.occupancy(first, last, got_occ, nodes);
+            want.occupancy(first, last, want_occ, nodes);
+            EXPECT_EQ(got_occ, want_occ) << "cpu " << c;
+            EXPECT_EQ(got.tasksStarted(first, last, nodes),
+                      want.tasksStarted(first, last, nodes));
+            for (CounterId id : tr.cpu(c).counterIds()) {
+                auto a = got.counterAggregate(id, first, last, nodes);
+                auto b = want.counterAggregate(id, first, last, nodes);
+                EXPECT_EQ(a.count, b.count) << "cpu " << c;
+                EXPECT_EQ(a.min, b.min) << "cpu " << c;
+                EXPECT_EQ(a.max, b.max) << "cpu " << c;
+                EXPECT_EQ(a.sum, b.sum) << "cpu " << c;
+            }
+        }
+    }
 }
 
 /** A gate that parks a worker until released; records entry. */
@@ -361,7 +413,12 @@ TEST(QueryPriorityTest, BackgroundYieldKeepsResultsBitIdentical)
                               span.end - 1 - static_cast<TimeStamp>(rep)};
         auto background = session.submit(
             IntervalStatsQuery{{interval, QueryPriority::Background}});
-        // Interactive flood racing the background scan: every arrival
+        // The other chunked Background jobs share the same yield path.
+        auto scan = session.submit(AnomalyScanQuery{
+            {std::nullopt, QueryPriority::Background}, {}});
+        auto build = session.submit(
+            PyramidBuildQuery{{std::nullopt, QueryPriority::Background}});
+        // Interactive flood racing the background jobs: every arrival
         // is a potential yield point for the background drainers.
         std::vector<QueryTicket<index::MinMax>> flood;
         for (CpuId c = 0; c < tr.numCpus(); c++)
@@ -372,6 +429,12 @@ TEST(QueryPriorityTest, BackgroundYieldKeepsResultsBitIdentical)
         ASSERT_EQ(background.wait(), QueryStatus::Done);
         expectStatsEqual(background.result(),
                          serialIntervalStats(tr, interval));
+        ASSERT_EQ(scan.wait(), QueryStatus::Done);
+        EXPECT_EQ(bytesOf(scan.result()),
+                  bytesOf(stats::scanForAnomalies(tr)));
+        ASSERT_EQ(build.wait(), QueryStatus::Done);
+        EXPECT_EQ(build.result().cpusBuilt, tr.numCpus());
+        expectPyramidsBuiltAndIdentical(tr, *session.pyramids());
     }
 }
 

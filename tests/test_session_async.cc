@@ -14,6 +14,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <thread>
 
 #include "base/rng.h"
 #include "base/thread_pool.h"
@@ -95,6 +96,7 @@ struct Gate
     std::mutex mutex;
     std::condition_variable cv;
     bool open = false;
+    std::atomic<bool> entered{false};
 
     void
     release()
@@ -109,18 +111,25 @@ struct Gate
     void
     block()
     {
+        entered.store(true, std::memory_order_release);
         std::unique_lock<std::mutex> lock(mutex);
         cv.wait(lock, [this] { return open; });
     }
 };
 
-/** Park the engine's (sole) worker behind @p gate. */
+/**
+ * Park the engine's (sole) worker behind @p gate, and wait until it is
+ * parked: a worker still finishing earlier work would otherwise take a
+ * later High submission ahead of the queued Normal gate task.
+ */
 void
 occupyWorker(Session &session, const std::shared_ptr<Gate> &gate)
 {
     session.queryEngine()->withPool([&](base::ThreadPool &pool) {
         pool.submit([gate] { gate->block(); });
     });
+    while (!gate->entered.load(std::memory_order_acquire))
+        std::this_thread::yield();
 }
 
 TEST(TaskHandle, TrackedTaskRunsAndReportsDone)

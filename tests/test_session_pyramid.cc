@@ -368,13 +368,19 @@ TEST(SummaryPyramid, RenderAtPixelsResolutionReportsProvenance)
 TEST(SummaryPyramid, ThreadPoolRunsOneHighPriorityTaskOnDonorThread)
 {
     base::ThreadPool pool(1);
-    // Park the only worker so High submissions stay queued.
+    // Park the only worker so High submissions stay queued. Wait until
+    // it is parked: a worker that has not dequeued the park task yet
+    // would take the High task first.
+    std::atomic<bool> parked{false};
     std::atomic<bool> release{false};
     std::atomic<bool> ran{false};
-    pool.submit([&release] {
+    pool.submit([&parked, &release] {
+        parked.store(true, std::memory_order_release);
         while (!release.load(std::memory_order_acquire))
             std::this_thread::yield();
     });
+    while (!parked.load(std::memory_order_acquire))
+        std::this_thread::yield();
     pool.submit([&ran] { ran.store(true, std::memory_order_release); },
                 base::TaskPriority::High);
 

@@ -133,8 +133,12 @@ TEST(LockRank, CorrectOrderNestsAndIsTracked)
 
 TEST(LockRank, UnrankedMutexesAreExemptInEitherOrder)
 {
+    // One pair per nesting order: nesting the same two mutexes both
+    // ways would be a real lock-order inversion (and TSan reports it).
     Mutex ranked(lockrank::kThreadPool, "test-ranked");
     Mutex unranked;
+    Mutex ranked_outer(lockrank::kThreadPool, "test-ranked-outer");
+    Mutex unranked_inner;
     {
         // Ranked inside unranked…
         MutexLock a(unranked);
@@ -144,8 +148,8 @@ TEST(LockRank, UnrankedMutexesAreExemptInEitherOrder)
     }
     {
         // …and unranked inside ranked: both fine, by design.
-        MutexLock a(ranked);
-        MutexLock b(unranked);
+        MutexLock a(ranked_outer);
+        MutexLock b(unranked_inner);
     }
 }
 
