@@ -795,49 +795,28 @@ Server::stats() const
 std::shared_ptr<Server::SharedTrace>
 Server::acquireTrace(const OpenTraceRequest &request, std::string &error)
 {
-    // Path-sourced opens share through the registry.
-    if (!request.bytes) {
-        {
-            base::MutexLock lock(mutex_);
-            auto it = registry_.find(request.path);
-            if (it != registry_.end()) {
-                it->second->refs++;
-                return it->second;
-            }
-        }
-        // Load outside the lock: only this client waits on the disk.
-        trace::ReadOptions options;
-        options.workers = options_.workers;
-        trace::ReadResult result =
-            trace::readTraceFile(request.path, options);
-        if (!result.ok) {
-            error = "cannot load " + request.path + ": " + result.error;
-            return nullptr;
-        }
-        auto shared = std::make_shared<SharedTrace>();
-        shared->key = request.path;
-        shared->trace = std::make_shared<const trace::Trace>(
-            std::move(result.trace));
-        session::Session seed(shared->trace);
-        shared->caches = seed.sharedCaches();
-        shared->refs = 1;
-
+    // Path-sourced opens share through the registry; inline bytes are
+    // always a private trace, never in the registry.
+    const bool from_path = !request.bytes;
+    if (from_path) {
         base::MutexLock lock(mutex_);
-        auto [it, inserted] = registry_.emplace(request.path, shared);
-        if (!inserted) {
-            // Another client's load won the race; share theirs.
+        auto it = registry_.find(request.path);
+        if (it != registry_.end()) {
             it->second->refs++;
             return it->second;
         }
-        return shared;
     }
 
-    // Inline bytes: always a private trace, never in the registry.
+    // Load outside the lock: only this client waits on the read.
     trace::ReadOptions options;
     options.workers = options_.workers;
-    trace::ReadResult result = trace::readTrace(*request.bytes, options);
+    trace::ReadResult result =
+        from_path ? trace::readTraceFile(request.path, options)
+                  : trace::readTrace(*request.bytes, options);
     if (!result.ok) {
-        error = "cannot parse inline trace: " + result.error;
+        error = (from_path ? "cannot load " + request.path + ": "
+                           : std::string("cannot parse inline trace: ")) +
+                result.error;
         return nullptr;
     }
     auto shared = std::make_shared<SharedTrace>();
@@ -846,6 +825,17 @@ Server::acquireTrace(const OpenTraceRequest &request, std::string &error)
     session::Session seed(shared->trace);
     shared->caches = seed.sharedCaches();
     shared->refs = 1;
+    if (!from_path)
+        return shared;
+
+    shared->key = request.path;
+    base::MutexLock lock(mutex_);
+    auto [it, inserted] = registry_.emplace(request.path, shared);
+    if (!inserted) {
+        // Another client's load won the race; share theirs.
+        it->second->refs++;
+        return it->second;
+    }
     return shared;
 }
 

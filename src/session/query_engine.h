@@ -482,9 +482,9 @@ struct SessionMemo
  *
  * Driving-side methods (withPool(), setWorkers(), setIdleTimeout(),
  * shutdown(), drain()) follow the session's external-synchronization
- * contract — one driving thread at a time;
- * generation()/bumpGeneration()/liveWorkers()/hasInteractiveWork() are
- * safe from any thread. The pool is never exposed by reference: with
+ * contract — one driving thread at a time; liveWorkers() and
+ * hasInteractiveWork() are safe from any thread, as is every
+ * GenerationDomain. The pool is never exposed by reference: with
  * an idle timeout enabled the reaper may join the workers at any
  * quiescent moment, so every enqueue goes through withPool(), which
  * holds the teardown lock across restart + enqueue.
@@ -528,58 +528,6 @@ class QueryEngine
     defaultDomain() const
     {
         return defaultDomain_;
-    }
-
-    /**
-     * The default domain's live generation, bumped by *every*
-     * shared-state mutation (view, filters, trace). View-dependent
-     * queries (interval stats, extrema, render) submitted under an
-     * older value are stale and cancel cooperatively.
-     */
-    std::uint64_t
-    generation() const
-    {
-        return defaultDomain_->generation();
-    }
-
-    /**
-     * The default domain's live filter generation, bumped only by
-     * filter and trace mutations. View-independent but filter-keyed
-     * queries (task list, histogram) poll this one, so panning the
-     * view never spuriously cancels them.
-     */
-    std::uint64_t
-    filterGeneration() const
-    {
-        return defaultDomain_->filterGeneration();
-    }
-
-    /** Invalidate in-flight view-dependent queries (the view moved). */
-    void
-    bumpGeneration()
-    {
-        defaultDomain_->bumpGeneration();
-    }
-
-    /** Invalidate every in-flight query (filters or trace moved). */
-    void
-    bumpFilterGeneration()
-    {
-        defaultDomain_->bumpFilterGeneration();
-    }
-
-    /** The generation cell executors poll (shared, outlives the engine). */
-    std::shared_ptr<const std::atomic<std::uint64_t>>
-    generationCell() const
-    {
-        return defaultDomain_->generationCell();
-    }
-
-    /** The filter-generation cell (shared, outlives the engine). */
-    std::shared_ptr<const std::atomic<std::uint64_t>>
-    filterGenerationCell() const
-    {
-        return defaultDomain_->filterGenerationCell();
     }
 
     /**

@@ -2,29 +2,35 @@
  * @file
  * The two-phase trace loader (see reader.h for the contract).
  *
- * Phase 1 scans the stream serially: small global frames (topology,
- * descriptions, task types) decode and apply in stream order, while
- * every *lane* frame — the per-CPU events plus the three bulk global
- * tables (task instances, memory regions, memory accesses) — is only
- * structurally skipped and recorded into per-lane stretches (start
- * offset + count of consecutive frames). The scan's hot loop extends a
- * stretch with one masked 8-byte prefix compare and one word-at-a-time
- * varint skip per frame.
+ * Phase 1 is one serial scan loop. Small global frames (topology,
+ * descriptions, task types) decode and apply in stream order; every
+ * *lane* frame — the per-CPU events plus the three bulk global tables
+ * (task instances, memory regions, memory accesses) — is only skipped
+ * structurally and recorded into per-lane stretches (start offset +
+ * count of consecutive frames). Per frame the loop does one of three
+ * things: extend the open stretch when the frame repeats the cached
+ * (tag, CPU) prefix of the last lane frame (one masked 8-byte compare
+ * plus a word-at-a-time varint skip), take one lane-frame step (skip,
+ * CPU check, append, cache the prefix), or decode a non-lane frame.
  *
- * Phase 2 decodes the stretches. With workers > 1 it runs *during* the
- * scan: full batches stream to a per-lane serial executor on a private
- * base::ThreadPool (each lane has a FIFO and at most one active pump,
- * so its container fills in exact stream order with its own delta
- * registers), and the decode wall-clock hides behind the scan. Decode
- * diagnostics merge by lowest byte offset, which makes the reported
- * error — like the trace itself — independent of worker count and
- * scheduling.
+ * Phase 2 decodes the stretches with one run decoder (decodeRun) over
+ * one per-frame switch (decodeLaneFrame). The scan runs the same
+ * decoder on a one-frame run for a global frame that precedes the
+ * topology frame, before any lane exists. With workers > 1 phase 2
+ * runs *during* the scan: full batches stream to a per-lane serial
+ * executor on a private base::ThreadPool (each lane has a FIFO and at
+ * most one active pump, so its container fills in exact stream order
+ * with its own delta registers), and the decode wall-clock hides
+ * behind the scan. Without a pool the same decoder takes each lane's
+ * whole run on the calling thread. Decode diagnostics merge by lowest
+ * byte offset, which makes the reported error — like the trace itself
+ * — independent of worker count and scheduling.
  */
 
 #include "trace/reader.h"
 
+#include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -135,9 +141,10 @@ class FrameDecoder
 
 /**
  * The wire shape of one lane frame's payload — the single source of
- * truth the scan's skip paths derive frame boundaries from (the decode
- * switches re-read the same fields semantically, so a layout change
- * there without a change here fails loudly in the round-trip tests).
+ * truth the scan's structural skip derives frame boundaries from (the
+ * decode switch re-reads the same fields semantically, so a layout
+ * change there without a change here fails loudly in the round-trip
+ * tests).
  *
  * perCpu frames start with a varint/u32 CPU id that the scan decodes;
  * the payload fields below follow it. kindByte is the comm-event u8
@@ -179,44 +186,32 @@ frameLayout(FrameType type)
 }
 
 /**
- * Skip the payload of one lane frame (everything after the tag and,
- * for per-CPU frames, the already-consumed CPU id) without
- * materializing it. Truncation fails the reader here, during the
- * scan; value-level violations (an over-long varint, a varint
- * overflowing a 32-bit field) are left for the decode phase, which
- * re-reads every field with full validation and reports the frame's
- * offset and kind.
+ * Skip the payload of one lane frame: everything after the tag and,
+ * for per-CPU frames, the CPU id, starting at @p offset (<= the buffer
+ * size). Returns the offset just past the frame, or 0 (the header
+ * precedes every frame) if the frame is truncated. Value-level
+ * violations (an over-long varint, a varint overflowing a 32-bit
+ * field) are left for the decode phase, which re-reads every field
+ * with full validation and reports the frame's offset and kind.
+ * Always inlined: it is most of the scan loop's work per frame, and
+ * as a call it costs the loop its registers.
  */
-void
-skipLanePayload(ByteReader &reader, Encoding encoding, FrameType type)
+[[gnu::always_inline]] inline std::size_t
+skipPayload(const std::vector<std::uint8_t> &bytes, std::size_t offset,
+            Encoding encoding, const FrameLayout &layout)
 {
-    const FrameLayout layout = frameLayout(type);
-    if (layout.payloadVarints == 0) {
-        reader.markFailed();
-        return;
-    }
-    if (encoding == Encoding::Compact) {
+    ByteReader reader(bytes.data() + offset, bytes.size() - offset);
+    if (encoding == Encoding::Raw) {
+        reader.skip(layout.rawPayload); // Kind and trailing bytes too.
+    } else {
         if (layout.kindByte)
-            reader.skip(1);
+            reader.skip(1); // The comm kind byte.
         reader.skipVarints(layout.payloadVarints);
         if (layout.trailingByte)
-            reader.skip(1);
-        return;
+            reader.skip(1); // The mem-access is-write byte.
     }
-    reader.skip(layout.rawPayload);
+    return reader.ok() ? offset + reader.offset() : 0;
 }
-
-/** First decode error of one lane's frame run. */
-struct CpuDecodeStatus
-{
-    std::size_t errorOffset = std::numeric_limits<std::size_t>::max();
-    std::string error;
-
-    bool failed() const
-    {
-        return errorOffset != std::numeric_limits<std::size_t>::max();
-    }
-};
 
 /**
  * Decode lanes: every CPU timeline is one lane, and the three bulk
@@ -239,115 +234,144 @@ globalLaneIndex(FrameType type)
 }
 
 /**
- * Decode one batch of a CPU's frame stretches into its timeline, in
- * stream order, carrying the delta registers across batches. The scan
- * already validated frame structure and CPU ids, so the only possible
- * failures are value-level (a varint over-long or overflowing a 32-bit
- * field).
+ * Decode the payload of one lane frame, whose tag the caller has read,
+ * into its container: a per-CPU frame into @p timeline (re-reading the
+ * CPU id the scan validated), a global table frame into @p trace.
+ * Semantic validation that needs the whole trace (a task instance on
+ * an out-of-range CPU) is finalize()'s job, exactly as for directly
+ * populated traces. A value-level violation (an over-long varint, a
+ * varint overflowing a 32-bit field) or a frame foreign to the lane
+ * fails the reader and adds nothing.
  */
 void
-decodeBatch(const std::vector<std::uint8_t> &bytes, Encoding encoding,
-            const std::vector<std::uint64_t> &stretches,
-            CpuTimeline &timeline, DeltaRegisters &registers,
-            const base::CancellationToken &cancel,
-            std::atomic<bool> &cancelled, CpuDecodeStatus &status)
+decodeLaneFrame(FrameType type, ByteReader &reader, FrameDecoder &decoder,
+                Trace &trace, CpuTimeline *timeline)
 {
-    if (status.failed())
+    if (isPerCpuFrame(type) != (timeline != nullptr)) {
+        reader.markFailed(); // The scan routes every frame to its lane.
         return;
-    ByteReader reader(bytes);
-    FrameDecoder decoder(reader, encoding, registers);
-    std::size_t frames_seen = 0;
-    for (std::uint64_t stretch : stretches) {
-        reader.seek(static_cast<std::size_t>(stretch &
-                                             kStretchOffsetMask));
-        const std::size_t count =
-            static_cast<std::size_t>(stretch >> kStretchCountShift);
-        for (std::size_t k = 0; k < count; k++) {
-            if ((frames_seen++ & 0x3ff) == 0 &&
-                (cancelled.load(std::memory_order_relaxed) ||
-                 cancel.cancelled())) {
-                cancelled.store(true, std::memory_order_relaxed);
-                return;
-            }
-            const std::size_t offset = reader.offset();
-            FrameType type = static_cast<FrameType>(reader.readU8());
-            switch (type) {
-              case FrameType::StateEvent: {
-                decoder.readValue32(); // CPU id, validated by the scan.
-                StateEvent ev;
-                ev.state = decoder.readValue32();
-                ev.interval.start = decoder.readTime(DeltaClass::State);
-                ev.interval.end = ev.interval.start + decoder.readValue();
-                ev.task = decoder.readValue();
-                if (reader.ok())
-                    timeline.addState(ev);
-                break;
-              }
-              case FrameType::CounterSample: {
-                decoder.readValue32();
-                CounterId counter = decoder.readValue32();
-                CounterSample sample;
-                sample.time = decoder.readTime(DeltaClass::Counter);
-                sample.value = decoder.readCounterValue();
-                if (reader.ok())
-                    timeline.addCounterSample(counter, sample);
-                break;
-              }
-              case FrameType::DiscreteEvent: {
-                decoder.readValue32();
-                DiscreteEvent ev;
-                ev.type = static_cast<DiscreteType>(decoder.readValue32());
-                ev.time = decoder.readTime(DeltaClass::Discrete);
-                ev.payload = decoder.readValue();
-                if (reader.ok())
-                    timeline.addDiscrete(ev);
-                break;
-              }
-              case FrameType::CommEvent: {
-                decoder.readValue32();
-                CommEvent ev;
-                ev.kind = static_cast<CommKind>(reader.readU8());
-                ev.time = decoder.readTime(DeltaClass::Comm);
-                ev.src = decoder.readValue32();
-                ev.dst = decoder.readValue32();
-                ev.size = decoder.readValue();
-                ev.region = decoder.readValue();
-                if (reader.ok())
-                    timeline.addComm(ev);
-                break;
-              }
-              default:
-                // The scan only records per-CPU frame tags.
-                reader.markFailed();
-            }
-            if (!reader.ok()) {
-                status.errorOffset = offset;
-                status.error = strFormat("corrupt %s frame at offset %zu",
-                                         frameTypeName(type), offset);
-                return;
-            }
+    }
+    if (timeline)
+        decoder.readValue32(); // CPU id, validated by the scan.
+    switch (type) {
+      case FrameType::StateEvent: {
+        StateEvent ev;
+        ev.state = decoder.readValue32();
+        ev.interval.start = decoder.readTime(DeltaClass::State);
+        ev.interval.end = ev.interval.start + decoder.readValue();
+        ev.task = decoder.readValue();
+        if (reader.ok())
+            timeline->addState(ev);
+        break;
+      }
+      case FrameType::CounterSample: {
+        CounterId counter = decoder.readValue32();
+        CounterSample sample;
+        sample.time = decoder.readTime(DeltaClass::Counter);
+        sample.value = decoder.readCounterValue();
+        if (reader.ok())
+            timeline->addCounterSample(counter, sample);
+        break;
+      }
+      case FrameType::DiscreteEvent: {
+        DiscreteEvent ev;
+        ev.type = static_cast<DiscreteType>(decoder.readValue32());
+        ev.time = decoder.readTime(DeltaClass::Discrete);
+        ev.payload = decoder.readValue();
+        if (reader.ok())
+            timeline->addDiscrete(ev);
+        break;
+      }
+      case FrameType::CommEvent: {
+        CommEvent ev;
+        ev.kind = static_cast<CommKind>(reader.readU8());
+        ev.time = decoder.readTime(DeltaClass::Comm);
+        ev.src = decoder.readValue32();
+        ev.dst = decoder.readValue32();
+        ev.size = decoder.readValue();
+        ev.region = decoder.readValue();
+        if (reader.ok())
+            timeline->addComm(ev);
+        break;
+      }
+      case FrameType::TaskInstance: {
+        TaskInstance instance;
+        instance.id = decoder.readValue();
+        instance.type = decoder.readValue();
+        instance.cpu = decoder.readValue32();
+        instance.interval.start = decoder.readValue();
+        instance.interval.end = instance.interval.start +
+                                decoder.readValue();
+        if (reader.ok())
+            trace.addTaskInstance(instance);
+        break;
+      }
+      case FrameType::MemRegion: {
+        MemRegion region;
+        region.id = decoder.readValue();
+        region.address = decoder.readValue();
+        region.size = decoder.readValue();
+        std::uint32_t node = decoder.readValue32();
+        if (reader.ok()) {
+            region.node = node == std::numeric_limits<std::uint32_t>::max()
+                              ? kInvalidNode : node;
+            trace.addMemRegion(region);
         }
+        break;
+      }
+      case FrameType::MemAccess: {
+        MemAccess access;
+        access.task = decoder.readValue();
+        access.address = decoder.readValue();
+        access.size = decoder.readValue();
+        access.isWrite = reader.readU8() != 0;
+        if (reader.ok())
+            trace.addMemAccess(access);
+        break;
+      }
+      default:
+        reader.markFailed();
     }
 }
 
 /**
- * Decode one batch of a global lane's frame stretches into the trace's
- * corresponding container, in stream order. Semantic validation that
- * needs the whole trace (a task instance on an out-of-range CPU) is
- * finalize()'s job, exactly as for directly populated traces.
+ * One lane's decode carry across batches: its delta registers and its
+ * first decode error. In the pipelined mode it is exclusively owned by
+ * the lane's single active pump (at most one exists; the active flag's
+ * lock hand-off makes successive pumps happen-before ordered).
+ */
+struct LaneDecode
+{
+    DeltaRegisters registers;
+    std::size_t errorOffset = std::numeric_limits<std::size_t>::max();
+    std::string error;
+
+    bool failed() const
+    {
+        return errorOffset != std::numeric_limits<std::size_t>::max();
+    }
+};
+
+/**
+ * The run decoder: decode one batch of a lane's frame stretches into
+ * its container, in stream order, carrying @p state across batches.
+ * The scan already validated frame structure and CPU ids, so the only
+ * possible failures are value-level; the first one stops the lane.
  */
 void
-decodeGlobalBatch(const std::vector<std::uint8_t> &bytes,
-                  Encoding encoding,
-                  const std::vector<std::uint64_t> &stretches, Trace &trace,
-                  const base::CancellationToken &cancel,
-                  std::atomic<bool> &cancelled, CpuDecodeStatus &status)
+decodeRun(const std::vector<std::uint8_t> &bytes, Encoding encoding,
+          const std::vector<std::uint64_t> &stretches, Trace &trace,
+          std::size_t lane, LaneDecode &state,
+          const base::CancellationToken &cancel,
+          std::atomic<bool> &cancelled)
 {
-    if (status.failed())
+    if (state.failed())
         return;
+    CpuTimeline *timeline = lane < trace.numCpus()
+                                ? &trace.cpu(static_cast<CpuId>(lane))
+                                : nullptr;
     ByteReader reader(bytes);
-    DeltaRegisters registers; // Unused: global frames carry no times.
-    FrameDecoder decoder(reader, encoding, registers);
+    FrameDecoder decoder(reader, encoding, state.registers);
     std::size_t frames_seen = 0;
     for (std::uint64_t stretch : stretches) {
         reader.seek(static_cast<std::size_t>(stretch &
@@ -363,51 +387,11 @@ decodeGlobalBatch(const std::vector<std::uint8_t> &bytes,
             }
             const std::size_t offset = reader.offset();
             FrameType type = static_cast<FrameType>(reader.readU8());
-            switch (type) {
-              case FrameType::TaskInstance: {
-                TaskInstance instance;
-                instance.id = decoder.readValue();
-                instance.type = decoder.readValue();
-                instance.cpu = decoder.readValue32();
-                instance.interval.start = decoder.readValue();
-                instance.interval.end = instance.interval.start +
-                                        decoder.readValue();
-                if (reader.ok())
-                    trace.addTaskInstance(instance);
-                break;
-              }
-              case FrameType::MemRegion: {
-                MemRegion region;
-                region.id = decoder.readValue();
-                region.address = decoder.readValue();
-                region.size = decoder.readValue();
-                std::uint32_t node = decoder.readValue32();
-                if (reader.ok()) {
-                    region.node =
-                        node == std::numeric_limits<std::uint32_t>::max()
-                            ? kInvalidNode : node;
-                    trace.addMemRegion(region);
-                }
-                break;
-              }
-              case FrameType::MemAccess: {
-                MemAccess access;
-                access.task = decoder.readValue();
-                access.address = decoder.readValue();
-                access.size = decoder.readValue();
-                access.isWrite = reader.readU8() != 0;
-                if (reader.ok())
-                    trace.addMemAccess(access);
-                break;
-              }
-              default:
-                // The scan only records this lane's frame tags.
-                reader.markFailed();
-            }
+            decodeLaneFrame(type, reader, decoder, trace, timeline);
             if (!reader.ok()) {
-                status.errorOffset = offset;
-                status.error = strFormat("corrupt %s frame at offset %zu",
-                                         frameTypeName(type), offset);
+                state.errorOffset = offset;
+                state.error = strFormat("corrupt %s frame at offset %zu",
+                                        frameTypeName(type), offset);
                 return;
             }
         }
@@ -421,15 +405,16 @@ constexpr std::size_t kBatchFrames = 4096;
  * The scan-to-decoder pipeline: while the serial scan walks the byte
  * stream, completed lane batches decode concurrently on the pool, so
  * decode wall-clock hides behind the scan instead of following it.
+ * Without a pool (a small trace, or workers == 1) the same per-lane
+ * decode state serves the run decoder on the calling thread.
  *
  * Per-lane order is preserved by a per-key serial executor: each lane
  * has a FIFO of pending batches and at most one active pump task; the
- * pump drains the FIFO, carrying the lane's delta registers and error
- * slot, which only the active pump touches (handoff happens-before via
- * the mutex). The mutex-shared half (LaneQueue) and the pump-owned
- * half (LaneDecode) are separate structs so the guarded accesses are
- * exactly the queue operations — the decode state needs no lock by
- * construction.
+ * pump drains the FIFO, carrying the lane's LaneDecode, which only the
+ * active pump touches (handoff happens-before via the mutex). The
+ * mutex-shared half (LaneQueue) and the pump-owned half (LaneDecode)
+ * are separate structs so the guarded accesses are exactly the queue
+ * operations — the decode state needs no lock by construction.
  */
 struct DecodePipeline
 {
@@ -442,17 +427,6 @@ struct DecodePipeline
     {
         std::deque<std::vector<std::uint64_t>> pending;
         bool active = false;
-    };
-
-    /**
-     * One lane's decode carry: exclusively owned by the lane's single
-     * active pump (at most one exists; the active flag's lock hand-off
-     * makes successive pumps happen-before ordered).
-     */
-    struct LaneDecode
-    {
-        DeltaRegisters registers;
-        CpuDecodeStatus status;
     };
 
     base::Mutex mutex{base::lockrank::kDecodePipeline,
@@ -468,8 +442,6 @@ pumpLane(const std::shared_ptr<DecodePipeline> &pipeline,
          Trace &trace, std::size_t lane,
          const base::CancellationToken &cancel)
 {
-    DecodePipeline::LaneDecode &state = pipeline->decode[lane];
-    const std::size_t num_cpus = pipeline->decode.size() - kNumGlobalLanes;
     for (;;) {
         std::vector<std::uint64_t> batch;
         {
@@ -483,15 +455,8 @@ pumpLane(const std::shared_ptr<DecodePipeline> &pipeline,
             batch = std::move(queue.pending.front());
             queue.pending.pop_front();
         }
-        if (lane < num_cpus) {
-            decodeBatch(bytes, encoding, batch,
-                        trace.cpu(static_cast<CpuId>(lane)),
-                        state.registers, cancel, pipeline->cancelled,
-                        state.status);
-        } else {
-            decodeGlobalBatch(bytes, encoding, batch, trace, cancel,
-                              pipeline->cancelled, state.status);
-        }
+        decodeRun(bytes, encoding, batch, trace, lane,
+                  pipeline->decode[lane], cancel, pipeline->cancelled);
     }
 }
 
@@ -532,9 +497,7 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
     Trace &trace = result.trace;
     std::vector<std::vector<std::uint64_t>> runs;
     std::vector<std::size_t> frames_buffered;
-    std::size_t scanned = 0;
     bool have_topology = false;
-    bool done = false;
 
     const unsigned max_workers = options.workers == 0
                                      ? base::ThreadPool::defaultWorkers()
@@ -604,86 +567,6 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
         stretch_count++;
     };
 
-    // A failed or cancelled scan must stop the decode pipeline before
-    // `result` leaves the function: the pumps hold pointers into
-    // result.trace, so they have to be parked before any return that
-    // might move it. Invoked ahead of every early return in the scan.
-    auto abort_pipeline = [&] {
-        if (!pipeline)
-            return;
-        pipeline->cancelled.store(true, std::memory_order_relaxed);
-        pool->wait();
-    };
-
-    auto check_cpu = [&](CpuId cpu, FrameType type,
-                         std::size_t offset) -> bool {
-        if (!have_topology) {
-            result.error = strFormat(
-                "%s frame at offset %zu precedes the topology frame",
-                frameTypeName(type), offset);
-            return false;
-        }
-        if (cpu >= trace.numCpus()) {
-            result.error = strFormat(
-                "%s frame at offset %zu: event on cpu %u outside topology",
-                frameTypeName(type), offset, cpu);
-            return false;
-        }
-        return true;
-    };
-
-    const std::uint8_t *data = bytes.data();
-    const std::size_t size = bytes.size();
-    const bool compact = encoding == Encoding::Compact;
-
-    // Strict inline varint for the raw-pointer fast path: fails on
-    // exactly the inputs ByteReader::readVarint rejects.
-    auto read_varint_fast = [&](std::size_t &p, std::uint64_t &v) -> bool {
-        v = 0;
-        int shift = 0;
-        while (p < size) {
-            std::uint8_t b = data[p++];
-            if (shift == 63 && (b & 0x7e))
-                return false;
-            v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-            if (!(b & 0x80))
-                return true;
-            if (shift == 63)
-                return false;
-            shift += 7;
-        }
-        return false;
-    };
-
-    // Word-at-a-time varint skipping (see ByteReader::skipVarints; the
-    // decode phase re-reads every field skipped here with validation).
-    auto skip_varints_fast = [&](std::size_t &p, unsigned n) -> bool {
-        while (n > 0) {
-            if (size - p < 8) {
-                std::uint64_t v;
-                for (; n > 0; n--) {
-                    if (!read_varint_fast(p, v))
-                        return false;
-                }
-                return true;
-            }
-            std::uint64_t w;
-            std::memcpy(&w, data + p, 8);
-            std::uint64_t term = ~w & 0x8080808080808080ull;
-            unsigned count = static_cast<unsigned>(std::popcount(term));
-            if (count >= n) {
-                for (unsigned k = 1; k < n; k++)
-                    term &= term - 1; // Drop the k lowest terminators.
-                p += static_cast<std::size_t>(
-                         std::countr_zero(term) / 8) + 1;
-                return true;
-            }
-            p += 8;
-            n -= count;
-        }
-        return true;
-    };
-
     // The (tag byte + encoded CPU id) prefix of the last lane frame,
     // as a masked 8-byte pattern: while consecutive frames repeat it
     // (the overwhelmingly common case), the scan extends the stretch
@@ -692,238 +575,158 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
     std::uint64_t prefix_pattern = 0;
     std::uint64_t prefix_mask = 0;
     std::size_t prefix_len = 0; // 0 = no cached prefix.
+    FrameType prefix_type = FrameType::StateEvent;
     FrameLayout prefix_layout;
     std::size_t prefix_lane = 0;
-    FrameType prefix_type = FrameType::StateEvent;
 
-    while (!done) {
-        // Fast path: stretches of consecutive per-CPU frames (the bulk
-        // of any real trace) scan in one register-resident raw-pointer
-        // loop. Falls back to the general path at global frames, near
-        // the buffer tail, and before the topology frame.
-        if (have_topology) {
-            std::size_t pos = reader.offset();
-            while (size - pos >= 64) {
-                if (prefix_len != 0) {
-                    std::uint64_t head;
-                    std::memcpy(&head, data + pos, 8);
-                    if (((head ^ prefix_pattern) & prefix_mask) == 0) {
-                        // Same tag (and CPU): extend the stretch.
-                        std::size_t p = pos + prefix_len;
-                        if (compact) {
-                            if (prefix_layout.kindByte)
-                                p++; // The comm kind byte (any value).
-                            // The trailing is-write byte must exist
-                            // beyond the varints (word-skipping does
-                            // not bound varint length, so p can reach
-                            // the buffer end here).
-                            if (!skip_varints_fast(
-                                    p, prefix_layout.payloadVarints) ||
-                                (prefix_layout.trailingByte &&
-                                 p >= size)) {
-                                result.error = strFormat(
-                                    "truncated or corrupt %s frame at "
-                                    "offset %zu",
-                                    frameTypeName(prefix_type), pos);
-                                abort_pipeline();
-                                return result;
-                            }
-                            if (prefix_layout.trailingByte)
-                                p++; // The mem-access is-write byte.
-                        } else {
-                            // rawPayload covers kind/trailing bytes.
-                            p += prefix_layout.rawPayload;
-                        }
-                        if (stretch_count >= kMaxStretchFrames)
-                            close_stretch();
-                        if (stretch_count == 0) {
-                            stretch_lane = prefix_lane;
-                            stretch_start = pos;
-                        }
-                        stretch_count++;
-                        pos = p;
-                        if ((++scanned & 0xfff) == 0) {
-                            if (options.yield)
-                                options.yield();
-                            if (options.cancel.cancelled()) {
-                                result.cancelled = true;
-                                result.error = "trace load cancelled";
-                                abort_pipeline();
-                                return result;
-                            }
-                        }
-                        continue;
-                    }
-                }
-                FrameType ftype = static_cast<FrameType>(data[pos]);
-                const FrameLayout layout = frameLayout(ftype);
-                if (layout.payloadVarints == 0)
-                    break; // Description/end frame: general path.
-                const std::size_t frame_offset = pos;
-                std::size_t p = pos + 1;
-                std::size_t prefix_end = p;
-                std::size_t lane;
-                if (layout.perCpu) {
-                    std::uint64_t cpu64;
-                    if (compact) {
-                        bool ok = read_varint_fast(p, cpu64) &&
-                                  cpu64 <= std::numeric_limits<
-                                               std::uint32_t>::max();
-                        prefix_end = p;
-                        if (ok && layout.kindByte)
-                            p++; // The comm kind byte (any value).
-                        if (!ok ||
-                            !skip_varints_fast(p,
-                                               layout.payloadVarints)) {
-                            result.error = strFormat(
-                                "truncated or corrupt %s frame at "
-                                "offset %zu",
-                                frameTypeName(ftype), frame_offset);
-                            abort_pipeline();
-                            return result;
-                        }
-                    } else {
-                        std::uint32_t c32;
-                        std::memcpy(&c32, data + p, 4);
-                        cpu64 = c32;
-                        prefix_end = p + 4;
-                        p += 4 + layout.rawPayload;
-                    }
-                    CpuId cpu = static_cast<CpuId>(cpu64);
-                    if (cpu >= trace.numCpus()) {
-                        result.error = strFormat(
-                            "%s frame at offset %zu: event on cpu %u "
-                            "outside topology",
-                            frameTypeName(ftype), frame_offset, cpu);
-                        abort_pipeline();
-                        return result;
-                    }
-                    lane = cpu;
-                } else {
-                    if (compact) {
-                        // The trailing is-write byte must exist beyond
-                        // the varints (word-skipping does not bound
-                        // varint length, so p can reach the buffer
-                        // end here).
-                        if (!skip_varints_fast(p,
-                                               layout.payloadVarints) ||
-                            (layout.trailingByte && p >= size)) {
-                            result.error = strFormat(
-                                "truncated or corrupt %s frame at "
-                                "offset %zu",
-                                frameTypeName(ftype), frame_offset);
-                            abort_pipeline();
-                            return result;
-                        }
-                        if (layout.trailingByte)
-                            p++; // The mem-access is-write byte.
-                    } else {
-                        p += layout.rawPayload;
-                    }
-                    lane = trace.numCpus() + globalLaneIndex(ftype);
-                }
-                append_frame(lane, frame_offset);
-                // Cache this frame's prefix for the stretch fast path
-                // (tag + CPU id bytes; at most 1 + 5 <= 8 bytes).
-                prefix_len = prefix_end - frame_offset;
-                prefix_mask =
-                    prefix_len >= 8
-                        ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << (8 * prefix_len)) - 1;
-                std::memcpy(&prefix_pattern, data + frame_offset, 8);
-                prefix_pattern &= prefix_mask;
-                prefix_layout = layout;
-                prefix_lane = lane;
-                prefix_type = ftype;
-                pos = p;
-                if ((++scanned & 0xfff) == 0) {
-                    if (options.yield)
-                        options.yield();
-                    if (options.cancel.cancelled()) {
-                        result.cancelled = true;
-                        result.error = "trace load cancelled";
-                        abort_pipeline();
-                        return result;
-                    }
-                }
-            }
-            reader.seek(pos);
+    const std::uint8_t *data = bytes.data();
+    const std::size_t size = bytes.size();
+
+    // The one fail path of the scan. The decode pumps hold pointers
+    // into result.trace, so a failed or cancelled scan parks them
+    // before `result` leaves the function.
+    auto fail = [&](std::string error) {
+        result.error = std::move(error);
+        if (pipeline) {
+            pipeline->cancelled.store(true, std::memory_order_relaxed);
+            pool->wait();
         }
+        return std::move(result);
+    };
+    auto fail_corrupt = [&](FrameType type, std::size_t offset) {
+        return fail(strFormat("truncated or corrupt %s frame at offset %zu",
+                              frameTypeName(type), offset));
+    };
 
+    // The scan loop, up to the end-of-trace frame. `pos` is its cursor:
+    // a repeated lane frame advances it without touching the reader,
+    // which is re-seated on it before decoding anything.
+    std::size_t pos = reader.offset();
+    std::size_t scanned = 0;
+    bool done = false;
+    while (!done) {
+        // Every 4096 scanned frames: donate the thread, poll cancellation.
         if ((++scanned & 0xfff) == 0) {
             if (options.yield)
                 options.yield();
             if (options.cancel.cancelled()) {
                 result.cancelled = true;
-                result.error = "trace load cancelled";
-                abort_pipeline();
-                return result;
+                return fail("trace load cancelled");
             }
         }
-        std::size_t frame_offset = reader.offset();
-        std::uint8_t type_raw = reader.readU8();
-        if (!reader.ok()) {
-            result.error = strFormat(
-                "truncated trace at offset %zu: missing end-of-trace frame",
-                frame_offset);
-            abort_pipeline();
-            return result;
+        const std::size_t offset = pos;
+        if (prefix_len != 0 && size - offset >= 8) {
+            std::uint64_t head;
+            std::memcpy(&head, data + offset, 8);
+            if (((head ^ prefix_pattern) & prefix_mask) == 0) {
+                // The cached prefix again: extend the stretch.
+                pos = skipPayload(bytes, offset + prefix_len, encoding,
+                                  prefix_layout);
+                if (pos == 0)
+                    return fail_corrupt(prefix_type, offset);
+                append_frame(prefix_lane, offset);
+                continue;
+            }
         }
-        FrameType type = static_cast<FrameType>(type_raw);
+        reader.seek(offset);
+        const FrameType type = static_cast<FrameType>(reader.readU8());
+        if (!reader.ok())
+            return fail(strFormat("truncated trace at offset %zu: "
+                                  "missing end-of-trace frame",
+                                  offset));
+        const FrameLayout layout = frameLayout(type);
 
-        // A non-lane frame (descriptions, topology, end-of-trace,
-        // unknown tags) interrupts the byte-contiguity of the open
-        // stretch; close it so decode never walks across it.
-        bool lane_frame = isPerCpuFrame(type) ||
-                          type == FrameType::TaskInstance ||
-                          type == FrameType::MemRegion ||
-                          type == FrameType::MemAccess;
-        if (!lane_frame)
-            close_stretch();
+        if (layout.payloadVarints != 0) {
+            // The lane-frame step: skip, check the CPU, append,
+            // cache the prefix.
+            const CpuId cpu = layout.perCpu ? decoder.readValue32() : 0;
+            const std::size_t prefix_end = reader.offset();
+            pos = reader.ok()
+                      ? skipPayload(bytes, prefix_end, encoding, layout)
+                      : 0;
+            if (pos == 0)
+                return fail_corrupt(type, offset);
+            const std::size_t lane =
+                layout.perCpu ? cpu
+                              : trace.numCpus() + globalLaneIndex(type);
+            if (!have_topology) {
+                // No lane exists before the topology frame sizes
+                // them, so a global frame decodes right here, as a
+                // one-frame run. Only memory frames may come this
+                // early; a task instance decodes first all the same,
+                // so that its corruption outranks the ordering error.
+                if (!layout.perCpu) {
+                    LaneDecode frame;
+                    std::atomic<bool> stop{false};
+                    decodeRun(bytes, encoding, {packStretch(offset, 1)},
+                              trace, lane, frame,
+                              base::CancellationToken(), stop);
+                    if (frame.failed())
+                        return fail_corrupt(type, offset);
+                    if (type != FrameType::TaskInstance)
+                        continue;
+                }
+                return fail(strFormat("%s frame at offset %zu "
+                                      "precedes the topology frame",
+                                      frameTypeName(type), offset));
+            }
+            if (layout.perCpu && cpu >= trace.numCpus())
+                return fail(strFormat(
+                    "%s frame at offset %zu: event on cpu %u "
+                    "outside topology",
+                    frameTypeName(type), offset, cpu));
+            // A prefix of 8 bytes or more (an over-long CPU id) or
+            // in the buffer's last 8 bytes is not cached.
+            prefix_len = prefix_end - offset;
+            if (prefix_len >= 8 || size - offset < 8)
+                prefix_len = 0;
+            prefix_mask = (std::uint64_t{1} << (8 * prefix_len)) - 1;
+            if (prefix_len != 0)
+                std::memcpy(&prefix_pattern, data + offset, 8);
+            prefix_pattern &= prefix_mask;
+            prefix_type = type;
+            prefix_layout = layout;
+            prefix_lane = lane;
+            append_frame(lane, offset);
+            continue;
+        }
 
+        // A non-lane frame interrupts the byte-contiguity of the
+        // open stretch; close it so decode never walks across it.
+        close_stretch();
         switch (type) {
           case FrameType::Topology: {
-            if (have_topology) {
-                result.error = strFormat(
-                    "duplicate topology frame at offset %zu", frame_offset);
-                abort_pipeline();
-                return result;
-            }
+            if (have_topology)
+                return fail(strFormat(
+                    "duplicate topology frame at offset %zu", offset));
             std::uint32_t num_cpus = decoder.readValue32();
             std::uint32_t num_nodes = decoder.readValue32();
             if (!reader.ok() || num_cpus == 0 || num_cpus > kMaxCpus ||
-                num_nodes == 0 || num_nodes > kMaxNodes) {
-                result.error = strFormat(
-                    "invalid topology frame at offset %zu", frame_offset);
-                abort_pipeline();
-                return result;
-            }
+                num_nodes == 0 || num_nodes > kMaxNodes)
+                return fail(strFormat(
+                    "invalid topology frame at offset %zu", offset));
             std::vector<NodeId> cpu_to_node(num_cpus);
             for (auto &node : cpu_to_node) {
                 node = decoder.readValue32();
-                if (reader.ok() && node >= num_nodes) {
-                    result.error = strFormat(
+                if (reader.ok() && node >= num_nodes)
+                    return fail(strFormat(
                         "cpu mapped to invalid node in topology frame "
                         "at offset %zu",
-                        frame_offset);
-                    abort_pipeline();
-                    return result;
-                }
+                        offset));
             }
             std::vector<std::uint32_t> distances(
                 static_cast<std::size_t>(num_nodes) * num_nodes);
             for (auto &d : distances)
                 d = decoder.readValue32();
-            if (!reader.ok()) {
-                result.error = strFormat(
-                    "truncated topology frame at offset %zu", frame_offset);
-                abort_pipeline();
-                return result;
-            }
+            if (!reader.ok())
+                return fail(strFormat(
+                    "truncated topology frame at offset %zu", offset));
             trace.setTopology(MachineTopology::custom(
-                std::move(cpu_to_node), num_nodes, std::move(distances)));
+                std::move(cpu_to_node), num_nodes,
+                std::move(distances)));
             runs.resize(trace.numCpus() + kNumGlobalLanes);
-            frames_buffered.resize(trace.numCpus() + kNumGlobalLanes, 0);
+            frames_buffered.resize(trace.numCpus() + kNumGlobalLanes,
+                                   0);
             have_topology = true;
             break;
           }
@@ -951,176 +754,55 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                 trace.addTaskType(task_type);
             break;
           }
-          case FrameType::StateEvent:
-          case FrameType::CounterSample:
-          case FrameType::DiscreteEvent:
-          case FrameType::CommEvent: {
-            CpuId cpu = decoder.readValue32();
-            skipLanePayload(reader, encoding, type);
-            if (!reader.ok())
-                break;
-            if (!check_cpu(cpu, type, frame_offset)) {
-                abort_pipeline();
-                return result;
-            }
-            append_frame(cpu, frame_offset);
-            break;
-          }
-          case FrameType::TaskInstance: {
-            if (have_topology) {
-                // Buffer-tail frame: skip and hand to the task lane
-                // (finalize() validates instance CPUs, as for directly
-                // populated traces).
-                skipLanePayload(reader, encoding, type);
-                if (reader.ok())
-                    append_frame(trace.numCpus() + globalLaneIndex(type),
-                                 frame_offset);
-                break;
-            }
-            TaskInstance instance;
-            instance.id = decoder.readValue();
-            instance.type = decoder.readValue();
-            instance.cpu = decoder.readValue32();
-            instance.interval.start = decoder.readValue();
-            instance.interval.end = instance.interval.start +
-                                    decoder.readValue();
-            if (!reader.ok())
-                break;
-            // Unreachable on success: no topology yet means the frame
-            // is premature.
-            if (!check_cpu(instance.cpu, type, frame_offset)) {
-                abort_pipeline();
-                return result;
-            }
-            break;
-          }
-          case FrameType::MemRegion: {
-            if (have_topology) {
-                skipLanePayload(reader, encoding, type);
-                if (reader.ok())
-                    append_frame(trace.numCpus() + globalLaneIndex(type),
-                                 frame_offset);
-                break;
-            }
-            // Legal before the topology frame: decode directly (the
-            // lanes exist only once the topology sizes them).
-            MemRegion region;
-            region.id = decoder.readValue();
-            region.address = decoder.readValue();
-            region.size = decoder.readValue();
-            std::uint32_t node = decoder.readValue32();
-            region.node = node == std::numeric_limits<std::uint32_t>::max()
-                              ? kInvalidNode : node;
-            if (reader.ok())
-                trace.addMemRegion(region);
-            break;
-          }
-          case FrameType::MemAccess: {
-            if (have_topology) {
-                skipLanePayload(reader, encoding, type);
-                if (reader.ok())
-                    append_frame(trace.numCpus() + globalLaneIndex(type),
-                                 frame_offset);
-                break;
-            }
-            MemAccess access;
-            access.task = decoder.readValue();
-            access.address = decoder.readValue();
-            access.size = decoder.readValue();
-            access.isWrite = reader.readU8() != 0;
-            if (reader.ok())
-                trace.addMemAccess(access);
-            break;
-          }
           case FrameType::EndOfTrace:
+            if (!have_topology)
+                return fail("trace contains no topology frame");
             done = true;
             break;
           default:
-            result.error = strFormat("unknown frame type %u at offset %zu",
-                                     type_raw, frame_offset);
-            abort_pipeline();
-            return result;
+            return fail(strFormat("unknown frame type %u at offset %zu",
+                                  static_cast<unsigned>(type), offset));
         }
-
-        if (!reader.ok()) {
-            result.error = strFormat(
-                "truncated or corrupt %s frame at offset %zu",
-                frameTypeName(type), frame_offset);
-            abort_pipeline();
-            return result;
-        }
+        if (!reader.ok())
+            return fail_corrupt(type, offset);
+        pos = reader.offset();
     }
 
-    if (!have_topology) {
-        result.error = "trace contains no topology frame";
-        abort_pipeline();
-        return result;
-    }
-
-    // ---- Phase 2: drain the pipeline / decode serially -----------------
-    close_stretch(); // No-op unless the stream ended mid-stretch.
-    const std::size_t num_cpus = trace.numCpus();
-    const std::size_t num_lanes = runs.size();
-    bool decode_cancelled = false;
-    const CpuDecodeStatus *first_error = nullptr;
-    auto consider = [&](const CpuDecodeStatus &status) {
-        // The minimum-offset rule keeps the reported diagnostic
-        // independent of scheduling and worker count.
-        if (status.failed() &&
-            (!first_error || status.errorOffset < first_error->errorOffset))
-            first_error = &status;
-    };
-    std::vector<CpuDecodeStatus> statuses;
+    // ---- Phase 2: decode every lane's run ------------------------------
     if (pipeline) {
         // Most batches already decoded while the scan was running; hand
         // over the partial tails and wait for the pumps to drain.
-        for (std::size_t lane = 0; lane < num_lanes; lane++) {
+        for (std::size_t lane = 0; lane < runs.size(); lane++) {
             if (!runs[lane].empty())
                 flush_batch(lane);
         }
         pool->wait();
-        decode_cancelled =
-            pipeline->cancelled.load(std::memory_order_relaxed) ||
-            options.cancel.cancelled();
-        if (!decode_cancelled) {
-            // pool->wait() returned: every pump is done, the decode
-            // halves are quiescent and safe to read without the lock.
-            for (const DecodePipeline::LaneDecode &state : pipeline->decode)
-                consider(state.status);
-        }
-    } else if (options.cancel.cancelled()) {
-        decode_cancelled = true;
     } else {
-        // Small trace or workers == 1: decode every run on the calling
-        // thread. No early exit on a failed lane, so the minimum-offset
-        // rule sees the same candidates as the pipelined mode.
-        statuses.resize(num_lanes);
-        std::atomic<bool> cancelled{false};
-        for (std::size_t lane = 0; lane < num_lanes; lane++) {
-            if (lane < num_cpus) {
-                DeltaRegisters registers;
-                decodeBatch(bytes, encoding, runs[lane],
-                            trace.cpu(static_cast<CpuId>(lane)),
-                            registers, options.cancel, cancelled,
-                            statuses[lane]);
-            } else {
-                decodeGlobalBatch(bytes, encoding, runs[lane], trace,
-                                  options.cancel, cancelled,
-                                  statuses[lane]);
-            }
-        }
-        decode_cancelled = cancelled.load(std::memory_order_relaxed) ||
-                           options.cancel.cancelled();
-        if (!decode_cancelled) {
-            for (const CpuDecodeStatus &status : statuses)
-                consider(status);
-        }
+        // Small trace or workers == 1: the run decoder takes each whole
+        // run on the calling thread. No early exit on a failed lane, so
+        // the lowest-offset rule sees the same candidates as the
+        // pipelined mode.
+        pipeline = std::make_shared<DecodePipeline>(runs.size());
+        for (std::size_t lane = 0; lane < runs.size(); lane++)
+            decodeRun(bytes, encoding, runs[lane], trace, lane,
+                      pipeline->decode[lane], options.cancel,
+                      pipeline->cancelled);
     }
-
-    if (decode_cancelled) {
+    if (pipeline->cancelled.load(std::memory_order_relaxed) ||
+        options.cancel.cancelled()) {
         result.cancelled = true;
         result.error = "trace load cancelled";
         return result;
+    }
+
+    // Every lane's decode state is quiescent now (no pump is left
+    // running). The lowest-offset rule keeps the reported diagnostic
+    // independent of scheduling and worker count.
+    const LaneDecode *first_error = nullptr;
+    for (const LaneDecode &lane : pipeline->decode) {
+        if (lane.failed() &&
+            (!first_error || lane.errorOffset < first_error->errorOffset))
+            first_error = &lane;
     }
     if (first_error) {
         result.error = first_error->error;
@@ -1132,7 +814,7 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
         result.error = "trace validation failed: " + finalize_error;
         return result;
     }
-    result.bytesRead = reader.offset();
+    result.bytesRead = pos;
     result.ok = true;
     return result;
 }

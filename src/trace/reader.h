@@ -9,23 +9,25 @@
  *
  * Two-phase decode contract: loading always runs in two passes.
  *
- *  1. Frame scan (serial). One walk over the byte stream validates the
+ *  1. Frame scan (serial). One loop over the byte stream validates the
  *     header, decodes the small global frames (topology, state/counter
  *     descriptions, task types) in stream order, and partitions every
  *     other frame into per-lane runs of consecutive-frame stretches
  *     without materializing them — one lane per CPU for the event
  *     frames (state, counter, discrete, comm; CPU ids are validated
  *     against the topology here) and one lane each for the bulk global
- *     tables (task instances, memory regions, memory accesses). The
- *     scan checks frame structure and stops at the first malformed
- *     frame.
- *  2. Lane decode (parallel). Each lane's stretches decode strictly in
- *     stream order with private delta-timestamp registers, so every
- *     container fills exactly as a serial pass would fill it. With
- *     ReadOptions::workers > 1 the decode is pipelined: batches of
- *     scanned frames stream to a base::ThreadPool while the scan is
- *     still running. Decode diagnostics are merged by lowest byte
- *     offset so the reported error does not depend on scheduling.
+ *     tables (task instances, memory regions, memory accesses). Every
+ *     lane frame takes the same structural skip, whether it repeats the
+ *     previous frame's (tag, CPU) prefix or starts a new one. The scan
+ *     checks frame structure and stops at the first malformed frame.
+ *  2. Lane decode (parallel). One run decoder decodes each lane's
+ *     stretches strictly in stream order with private delta-timestamp
+ *     registers, so every container fills exactly as a serial pass
+ *     would fill it. With ReadOptions::workers > 1 the decode is
+ *     pipelined: batches of scanned frames stream to a base::ThreadPool
+ *     while the scan is still running; otherwise the same decoder runs
+ *     on the calling thread. Decode diagnostics are merged by lowest
+ *     byte offset so the reported error does not depend on scheduling.
  *
  * Bit-identity guarantee: the materialized Trace, the diagnostics (which
  * carry the failing frame's byte offset and kind), and bytesRead are

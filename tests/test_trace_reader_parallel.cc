@@ -357,6 +357,105 @@ TEST(ReaderCorruption, OverlongVarintsReachingBufferEndFailCleanly)
     }
 }
 
+TEST(ReaderCorruption, SampledCorruptionIsIdenticalAtEveryWorkerCount)
+{
+    // Every CPU lane fills a 4096-frame batch, so workers > 1 decode on
+    // the pipeline while the scan runs: a corrupt byte must give the
+    // same outcome whether it stops the scan with pumps in flight,
+    // fails one lane's decode, or decodes to a different valid trace.
+    RandomTraceOptions options;
+    options.cpus = 3;
+    options.statesPerCpu = 1700;
+    const Trace tr = buildRandomTrace(31, options);
+    for (Encoding encoding : {Encoding::Raw, Encoding::Compact}) {
+        const std::vector<std::uint8_t> bytes = writeTrace(tr, encoding);
+        Rng rng(encoding == Encoding::Raw ? 101 : 202);
+        for (int sample = 0; sample < 48; sample++) {
+            const std::size_t pos = rng.nextBounded(bytes.size());
+            std::vector<std::vector<std::uint8_t>> corruptions;
+            corruptions.emplace_back(bytes.begin(), bytes.begin() + pos);
+            for (std::uint8_t flip : {std::uint8_t{0x01},
+                                      std::uint8_t{0x80},
+                                      std::uint8_t{0xff}}) {
+                corruptions.push_back(bytes);
+                corruptions.back()[pos] ^= flip;
+            }
+            for (std::size_t kind = 0; kind < corruptions.size(); kind++) {
+                SCOPED_TRACE("position " + std::to_string(pos) +
+                             ", corruption " + std::to_string(kind));
+                ReadResult serial;
+                std::vector<std::uint8_t> serial_reencoded;
+                for (unsigned workers : {1u, 2u, 4u}) {
+                    ReadOptions read_options;
+                    read_options.workers = workers;
+                    ReadResult result =
+                        readTrace(corruptions[kind], read_options);
+                    std::vector<std::uint8_t> reencoded;
+                    if (result.ok)
+                        reencoded = writeTrace(result.trace, Encoding::Raw);
+                    if (workers == 1) {
+                        serial = std::move(result);
+                        serial_reencoded = std::move(reencoded);
+                        continue;
+                    }
+                    EXPECT_EQ(result.ok, serial.ok) << "workers " << workers;
+                    EXPECT_EQ(result.cancelled, serial.cancelled);
+                    EXPECT_EQ(result.error, serial.error);
+                    EXPECT_EQ(result.bytesRead, serial.bytesRead);
+                    EXPECT_EQ(reencoded, serial_reencoded)
+                        << "workers " << workers;
+                }
+            }
+        }
+    }
+}
+
+TEST(ReaderRoundTrip, OverlongCpuIdsKeepFrameBoundaries)
+{
+    // CPU ids varint-encoded in 10 and in 9 bytes (readVarint accepts
+    // both). The scan skips a frame that repeats the previous frame's
+    // (tag, CPU id) prefix after one 8-byte compare; two prefixes that
+    // agree on their first 8 bytes but differ in length must not pass
+    // for one another, or the scan loses the frame boundaries.
+    ByteWriter writer;
+    writer.writeU32(kTraceMagic);
+    writer.writeU16(kTraceVersion);
+    writer.writeU16(static_cast<std::uint16_t>(Encoding::Compact));
+    writer.writeU64(2'000'000'000);
+    writer.writeU8(static_cast<std::uint8_t>(FrameType::Topology));
+    writer.writeVarint(1);  // cpus
+    writer.writeVarint(1);  // nodes
+    writer.writeVarint(0);  // cpu 0 -> node 0
+    writer.writeVarint(10); // distance
+    auto state_event = [&](int cpu_id_bytes) {
+        writer.writeU8(static_cast<std::uint8_t>(FrameType::StateEvent));
+        for (int i = 1; i < cpu_id_bytes; i++)
+            writer.writeU8(0x80); // Over-long encoding of cpu 0...
+        writer.writeU8(0x00);     // ...terminated.
+        writer.writeVarint(0);        // state
+        writer.writeSignedVarint(20); // time delta
+        writer.writeVarint(10);       // duration
+        writer.writeVarint(0);        // task
+    };
+    for (int i = 0; i < 100; i++)
+        state_event(10);
+    state_event(9);
+    for (int i = 0; i < 100; i++)
+        state_event(10);
+    writer.writeU8(static_cast<std::uint8_t>(FrameType::EndOfTrace));
+    std::vector<std::uint8_t> bytes = writer.take();
+
+    for (unsigned workers : kWorkerCounts) {
+        ReadOptions options;
+        options.workers = workers;
+        ReadResult result = readTrace(bytes, options);
+        ASSERT_TRUE(result.ok) << "workers " << workers << ": "
+                               << result.error;
+        EXPECT_EQ(result.bytesRead, bytes.size());
+        EXPECT_EQ(result.trace.cpu(0).states().size(), 201u);
+    }
+}
+
 // ---- Cancellation ------------------------------------------------------
 
 TEST(ReaderCancellation, PreCancelledTokenStopsTheLoad)
