@@ -11,17 +11,17 @@
  *    This is the default, so existing callers are unaffected.
  *  - Budget{maxErrorNs}: the engine may snap the query interval
  *    outward to the coarsest pyramid granularity not exceeding
- *    maxErrorNs and answer the snapped interval exactly from O(log n)
- *    pyramid nodes. Each interval edge moves by less than the chosen
- *    granularity.
+ *    maxErrorNs and answer the snapped interval exactly from a few
+ *    summary cells per state and CPU. Each interval edge moves by
+ *    less than the chosen granularity.
  *  - Pixels{width}: Budget with maxErrorNs = interval.duration() /
  *    width — one pixel column of error at the caller's viewport width,
  *    the natural request for rendering and per-viewport statistics.
  *
  * Results carry a ResolutionInfo so callers (and property tests) can
  * tell approximate answers from exact ones: whether the answer is
- * exact for the *requested* interval, how many pyramid nodes were
- * touched, and the granularity the interval was snapped to. A query
+ * exact for the *requested* interval, how many summary cells were
+ * read, and the granularity the interval was snapped to. A query
  * the engine could not serve from the pyramids (granularity finer than
  * the pyramid's leaves, a filter the pyramid cannot honour) falls back
  * to the exact scan and reports exact = true, granularityNs = 0.
@@ -81,7 +81,12 @@ struct ResolutionInfo
      */
     bool exact = true;
 
-    /** Pyramid nodes consulted (0 on the exact-scan path). */
+    /**
+     * Summary cells read: one per (state column, range edge) lookup of
+     * the pyramids' cumulative occupancy columns. 0 on the exact-scan
+     * path; > 0 on every approximate answer over a CPU with state
+     * time.
+     */
     std::uint64_t nodesTouched = 0;
 
     /** Granularity the interval was snapped to (0 = no snapping). */

@@ -1,5 +1,6 @@
 #include "daemon/protocol.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
@@ -631,25 +632,18 @@ encodeRenderReply(const RenderReply &reply, ByteWriter &w)
     w.writeU32(fb.height());
     // RGBA runs in row-major order, spanning row boundaries. Timeline
     // frames aggregate equal adjacent pixels, so runs are long.
-    std::uint64_t total =
-        static_cast<std::uint64_t>(fb.width()) * fb.height();
-    std::uint64_t i = 0;
-    while (i < total) {
-        render::Rgba color =
-            fb.pixel(static_cast<std::int64_t>(i % fb.width()),
-                     static_cast<std::int64_t>(i / fb.width()));
-        std::uint64_t run = 1;
-        while (i + run < total &&
-               fb.pixel(
-                   static_cast<std::int64_t>((i + run) % fb.width()),
-                   static_cast<std::int64_t>((i + run) / fb.width())) ==
-                   color)
+    const render::Rgba *px = fb.data();
+    const std::size_t total =
+        static_cast<std::size_t>(fb.width()) * fb.height();
+    for (std::size_t i = 0; i < total;) {
+        std::size_t run = 1;
+        while (i + run < total && px[i + run] == px[i])
             run++;
         w.writeVarint(run);
-        w.writeU8(color.r);
-        w.writeU8(color.g);
-        w.writeU8(color.b);
-        w.writeU8(color.a);
+        w.writeU8(px[i].r);
+        w.writeU8(px[i].g);
+        w.writeU8(px[i].b);
+        w.writeU8(px[i].a);
         i += run;
     }
     w.writeVarint(reply.stats.rectOps);
@@ -685,9 +679,7 @@ decodeRenderReply(ByteReader &r, RenderReply &out)
             r.markFailed();
             return false;
         }
-        for (std::uint64_t p = i; p < i + run; p++)
-            out.fb.setPixel(static_cast<std::int64_t>(p % width),
-                            static_cast<std::int64_t>(p / width), color);
+        std::fill_n(out.fb.data() + i, run, color);
         i += run;
     }
     out.stats.rectOps = r.readVarint();

@@ -7,57 +7,6 @@
 namespace aftermath {
 namespace index {
 
-namespace {
-
-/** Slotwise combine; an empty aggregate is the identity. */
-void
-combineAggregate(SummaryPyramid::CounterAggregate &into,
-                 const SummaryPyramid::CounterAggregate &from)
-{
-    if (from.count == 0)
-        return;
-    if (into.count == 0) {
-        into = from;
-        return;
-    }
-    into.min = std::min(into.min, from.min);
-    into.max = std::max(into.max, from.max);
-    // Wrapping add via unsigned arithmetic (signed overflow is UB).
-    into.sum = static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(into.sum) +
-        static_cast<std::uint64_t>(from.sum));
-    into.count += from.count;
-}
-
-/** Merge two sorted (state, time) vectors, summing equal states. */
-std::vector<std::pair<std::uint32_t, TimeStamp>>
-mergeOccupancy(const std::vector<std::pair<std::uint32_t, TimeStamp>> &a,
-               const std::vector<std::pair<std::uint32_t, TimeStamp>> &b)
-{
-    std::vector<std::pair<std::uint32_t, TimeStamp>> out;
-    out.reserve(a.size() + b.size());
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < a.size() && j < b.size()) {
-        if (a[i].first < b[j].first) {
-            out.push_back(a[i++]);
-        } else if (b[j].first < a[i].first) {
-            out.push_back(b[j++]);
-        } else {
-            out.emplace_back(a[i].first, a[i].second + b[j].second);
-            i++;
-            j++;
-        }
-    }
-    for (; i < a.size(); i++)
-        out.push_back(a[i]);
-    for (; j < b.size(); j++)
-        out.push_back(b[j]);
-    return out;
-}
-
-} // namespace
-
 SummaryPyramid::SummaryPyramid(const trace::Trace &trace, CpuId cpu,
                                TimeStamp leaf_granularity,
                                std::uint64_t leaf_count)
@@ -65,213 +14,146 @@ SummaryPyramid::SummaryPyramid(const trace::Trace &trace, CpuId cpu,
 {
     AFTERMATH_ASSERT(g0_ > 0 && leafCount_ > 0,
                      "pyramid with a degenerate leaf layout");
-    const trace::CpuTimeline &tl = trace.cpu(cpu);
-    counterIds_ = tl.counterIds();
-
-    std::vector<Node> leaves(leafCount_);
+    const std::vector<trace::StateEvent> &states = trace.cpu(cpu).states();
     const TimeStamp domain_end = g0_ * leafCount_;
+    // Zero-duration events and events past the domain have no
+    // occupancy.
+    auto occupies = [domain_end](const trace::StateEvent &ev) {
+        return ev.interval.end > ev.interval.start &&
+               ev.interval.start < domain_end;
+    };
+    for (const trace::StateEvent &ev : states)
+        if (occupies(ev))
+            stateIds_.push_back(ev.state);
+    std::sort(stateIds_.begin(), stateIds_.end());
+    stateIds_.erase(std::unique(stateIds_.begin(), stateIds_.end()),
+                    stateIds_.end());
+    columns_.resize(stateIds_.size());
 
-    // State occupancy: distribute each event's overlap across the
-    // leaves it spans. Zero-duration events have no occupancy.
-    {
-        std::vector<std::map<std::uint32_t, TimeStamp>> acc(leafCount_);
-        for (const trace::StateEvent &ev : tl.states()) {
-            if (ev.interval.end <= ev.interval.start ||
-                ev.interval.start >= domain_end)
-                continue;
-            std::uint64_t first = ev.interval.start / g0_;
-            std::uint64_t last =
-                std::min((ev.interval.end - 1) / g0_ + 1, leafCount_);
-            for (std::uint64_t leaf = first; leaf < last; leaf++) {
-                TimeInterval slot{leaf * g0_, (leaf + 1) * g0_};
-                TimeStamp overlap = ev.interval.overlapDuration(slot);
-                if (overlap > 0)
-                    acc[leaf][ev.state] += overlap;
-            }
-        }
-        for (std::uint64_t leaf = 0; leaf < leafCount_; leaf++)
-            leaves[leaf].occupancy.assign(acc[leaf].begin(),
-                                          acc[leaf].end());
-    }
-
-    // Counter aggregates: one slot per sampled counter, samples
-    // bucketed by time. Sample times never reach domain_end (the leaf
-    // count strictly covers the span), but stay defensive.
-    for (std::uint64_t leaf = 0; leaf < leafCount_; leaf++)
-        leaves[leaf].counters.resize(counterIds_.size());
-    for (std::size_t slot = 0; slot < counterIds_.size(); slot++) {
-        for (const trace::CounterSample &sample :
-             tl.counterSamples(counterIds_[slot])) {
-            std::uint64_t leaf = sample.time / g0_;
-            if (leaf >= leafCount_)
-                continue;
-            CounterAggregate one;
-            one.count = 1;
-            one.min = sample.value;
-            one.max = sample.value;
-            one.sum = sample.value;
-            combineAggregate(leaves[leaf].counters[slot], one);
-        }
-    }
-
-    // Task-begin counts of this CPU's tasks.
-    for (const trace::TaskInstance &task : trace.taskInstances()) {
-        if (task.cpu != cpu || task.interval.start >= domain_end)
+    // Distribute each event's overlap across the leaves it spans. The
+    // events are start-sorted and non-overlapping (CpuTimeline::
+    // finalize), so every column receives its leaves in increasing
+    // order and only its back cell can share an event's first leaf.
+    for (const trace::StateEvent &ev : states) {
+        if (!occupies(ev))
             continue;
-        leaves[task.interval.start / g0_].tasksStarted++;
-    }
-
-    levels_.push_back(std::move(leaves));
-    while (levels_.back().size() > 1) {
-        const std::vector<Node> &prev = levels_.back();
-        std::vector<Node> next((prev.size() + 1) / 2);
-        for (std::size_t i = 0; i < next.size(); i++) {
-            const Node &left = prev[2 * i];
-            if (2 * i + 1 >= prev.size()) {
-                next[i] = left;
-                continue;
-            }
-            const Node &right = prev[2 * i + 1];
-            next[i].occupancy =
-                mergeOccupancy(left.occupancy, right.occupancy);
-            next[i].counters = left.counters;
-            for (std::size_t slot = 0; slot < next[i].counters.size();
-                 slot++)
-                combineAggregate(next[i].counters[slot],
-                                 right.counters[slot]);
-            next[i].tasksStarted =
-                left.tasksStarted + right.tasksStarted;
+        std::vector<Cell> &column = columns_[static_cast<std::size_t>(
+            std::lower_bound(stateIds_.begin(), stateIds_.end(),
+                             ev.state) -
+            stateIds_.begin())];
+        std::uint64_t first = ev.interval.start / g0_;
+        std::uint64_t last =
+            std::min((ev.interval.end - 1) / g0_ + 1, leafCount_);
+        for (std::uint64_t leaf = first; leaf < last; leaf++) {
+            TimeStamp overlap = ev.interval.overlapDuration(
+                {leaf * g0_, (leaf + 1) * g0_});
+            if (!column.empty() && column.back().leaf == leaf)
+                column.back().cumulative += overlap;
+            else
+                column.push_back({leaf, overlap});
         }
-        levels_.push_back(std::move(next));
     }
+    for (std::vector<Cell> &column : columns_)
+        for (std::size_t i = 1; i < column.size(); i++)
+            column[i].cumulative += column[i - 1].cumulative;
 }
 
-template <typename Visit>
-void
-SummaryPyramid::decompose(std::uint64_t first, std::uint64_t last,
-                          std::uint64_t &nodes_touched, Visit &&visit) const
+std::size_t
+SummaryPyramid::seek(const std::vector<Cell> &column, std::size_t from,
+                     std::uint64_t leaf)
 {
-    std::size_t level = 0;
-    while (first < last && level < levels_.size()) {
-        if (first & 1) {
-            visit(levels_[level][first]);
-            first++;
-            nodes_touched++;
-        }
-        if (last & 1) {
-            last--;
-            visit(levels_[level][last]);
-            nodes_touched++;
-        }
-        first >>= 1;
-        last >>= 1;
-        level++;
-    }
+    // Gallop: probe from + 1, + 2, + 4, ... until a probe reaches leaf,
+    // then binary-search the last doubling.
+    std::size_t bound = 1;
+    while (from + bound <= column.size() &&
+           column[from + bound - 1].leaf < leaf)
+        bound *= 2;
+    auto it = std::lower_bound(
+        column.begin() + static_cast<std::ptrdiff_t>(from + bound / 2),
+        column.begin() + static_cast<std::ptrdiff_t>(
+                             std::min(from + bound, column.size())),
+        leaf,
+        [](const Cell &cell, std::uint64_t l) { return cell.leaf < l; });
+    return static_cast<std::size_t>(it - column.begin());
 }
 
 void
 SummaryPyramid::occupancy(std::uint64_t first_leaf, std::uint64_t last_leaf,
                           std::map<std::uint32_t, TimeStamp> &into,
-                          std::uint64_t &nodes_touched) const
+                          std::uint64_t &cells_read) const
 {
     last_leaf = std::min(last_leaf, leafCount_);
     if (first_leaf >= last_leaf)
         return;
-    decompose(first_leaf, last_leaf, nodes_touched, [&](const Node &node) {
-        for (const auto &entry : node.occupancy)
-            into[entry.first] += entry.second;
-    });
+    for (std::size_t slot = 0; slot < columns_.size(); slot++) {
+        const std::vector<Cell> &column = columns_[slot];
+        const std::size_t first = seek(column, 0, first_leaf);
+        const std::size_t last = seek(column, first, last_leaf);
+        cells_read += 2;
+        TimeStamp time = before(column, last) - before(column, first);
+        if (time > 0)
+            into[stateIds_[slot]] += time;
+    }
 }
 
-std::vector<std::pair<std::uint32_t, double>>
-SummaryPyramid::occupancyOver(const TimeInterval &interval,
-                              std::uint64_t &nodes_touched) const
+void
+SummaryPyramid::occupancyOver(const TimeInterval &interval, Sweep &sweep,
+                              std::uint64_t &cells_read) const
 {
-    std::map<std::uint32_t, double> acc;
+    sweep.occupancy.clear();
+    sweep.cursors.resize(columns_.size());
     const TimeStamp domain_end = g0_ * leafCount_;
-    TimeStamp start = std::min(interval.start, domain_end);
-    TimeStamp end = std::min(interval.end, domain_end);
+    const TimeStamp start = std::min(interval.start, domain_end);
+    const TimeStamp end = std::min(interval.end, domain_end);
+    if (start >= end)
+        return;
 
-    auto addFraction = [&](std::uint64_t leaf, TimeStamp covered) {
-        const Node &node = levels_[0][leaf];
-        double fraction =
-            static_cast<double>(covered) / static_cast<double>(g0_);
-        for (const auto &entry : node.occupancy)
-            acc[entry.first] += static_cast<double>(entry.second) * fraction;
-        nodes_touched++;
-    };
+    // Leaves [lo, hi) meet the interval. A partly covered leaf at
+    // either edge adds its occupancy scaled by the covered fraction;
+    // the whole leaves between, [mid_lo, mid_hi), add theirs exactly.
+    const std::uint64_t lo = start / g0_;
+    const std::uint64_t hi = (end - 1) / g0_ + 1;
+    TimeStamp lead = 0; // Covered time of a leading partial leaf.
+    TimeStamp trail = 0; // Covered time of a distinct trailing one.
+    if (start % g0_ != 0)
+        lead = std::min(end, (lo + 1) * g0_) - start;
+    if (end % g0_ != 0 && (lead == 0 || hi - lo > 1))
+        trail = end - (hi - 1) * g0_;
+    const std::uint64_t mid_lo = lead > 0 ? lo + 1 : lo;
+    const std::uint64_t mid_hi = trail > 0 ? hi - 1 : hi;
+    const double lead_fraction =
+        static_cast<double>(lead) / static_cast<double>(g0_);
+    const double trail_fraction =
+        static_cast<double>(trail) / static_cast<double>(g0_);
 
-    if (start < end && start % g0_ != 0) {
-        // Leading partial leaf.
-        std::uint64_t leaf = start / g0_;
-        TimeStamp leaf_end = (leaf + 1) * g0_;
-        addFraction(leaf, std::min(end, leaf_end) - start);
-        start = std::min(leaf_end, end);
+    for (std::size_t slot = 0; slot < columns_.size(); slot++) {
+        const std::vector<Cell> &column = columns_[slot];
+        std::size_t from = std::min(sweep.cursors[slot], column.size());
+        if (from > 0 && column[from - 1].leaf >= lo)
+            from = 0;
+        const std::size_t at_lo = seek(column, from, lo);
+        const std::size_t at_mid_lo =
+            lead > 0 ? seek(column, at_lo, mid_lo) : at_lo;
+        const std::size_t at_mid_hi = seek(column, at_mid_lo, mid_hi);
+        const std::size_t at_hi =
+            trail > 0 ? seek(column, at_mid_hi, hi) : at_mid_hi;
+        cells_read += 2 + (lead > 0) + (trail > 0);
+        // Summed leading, trailing, whole: frames are bit-identical
+        // only while this order of the double additions holds.
+        double time = 0.0;
+        time += static_cast<double>(before(column, at_mid_lo) -
+                                    before(column, at_lo)) *
+                lead_fraction;
+        time += static_cast<double>(before(column, at_hi) -
+                                    before(column, at_mid_hi)) *
+                trail_fraction;
+        time += static_cast<double>(before(column, at_mid_hi) -
+                                    before(column, at_mid_lo));
+        if (time > 0)
+            sweep.occupancy.emplace_back(stateIds_[slot], time);
+        // An adjacent next interval starts in leaf mid_hi.
+        sweep.cursors[slot] = at_mid_hi;
     }
-    if (start < end && end % g0_ != 0 && end / g0_ >= start / g0_) {
-        // Trailing partial leaf (distinct from the leading one here).
-        std::uint64_t leaf = end / g0_;
-        addFraction(leaf, end - leaf * g0_);
-        end = leaf * g0_;
-    }
-    if (start < end) {
-        std::map<std::uint32_t, TimeStamp> exact;
-        occupancy(start / g0_, end / g0_, exact, nodes_touched);
-        for (const auto &entry : exact)
-            acc[entry.first] += static_cast<double>(entry.second);
-    }
-    return {acc.begin(), acc.end()};
-}
-
-SummaryPyramid::CounterAggregate
-SummaryPyramid::counterAggregate(CounterId counter,
-                                 std::uint64_t first_leaf,
-                                 std::uint64_t last_leaf,
-                                 std::uint64_t &nodes_touched) const
-{
-    CounterAggregate out;
-    auto it = std::lower_bound(counterIds_.begin(), counterIds_.end(),
-                               counter);
-    if (it == counterIds_.end() || *it != counter)
-        return out;
-    std::size_t slot =
-        static_cast<std::size_t>(it - counterIds_.begin());
-    last_leaf = std::min(last_leaf, leafCount_);
-    if (first_leaf >= last_leaf)
-        return out;
-    decompose(first_leaf, last_leaf, nodes_touched, [&](const Node &node) {
-        combineAggregate(out, node.counters[slot]);
-    });
-    return out;
-}
-
-std::uint64_t
-SummaryPyramid::tasksStarted(std::uint64_t first_leaf,
-                             std::uint64_t last_leaf,
-                             std::uint64_t &nodes_touched) const
-{
-    std::uint64_t out = 0;
-    last_leaf = std::min(last_leaf, leafCount_);
-    if (first_leaf >= last_leaf)
-        return out;
-    decompose(first_leaf, last_leaf, nodes_touched,
-              [&](const Node &node) { out += node.tasksStarted; });
-    return out;
-}
-
-std::size_t
-SummaryPyramid::memoryBytes() const
-{
-    std::size_t bytes = sizeof(*this);
-    for (const std::vector<Node> &level : levels_) {
-        bytes += level.size() * sizeof(Node);
-        for (const Node &node : level) {
-            bytes += node.occupancy.size() *
-                     sizeof(std::pair<std::uint32_t, TimeStamp>);
-            bytes += node.counters.size() * sizeof(CounterAggregate);
-        }
-    }
-    return bytes;
 }
 
 TracePyramids::TracePyramids(const trace::Trace &trace)

@@ -6,27 +6,29 @@
  * size, but an exact scan touches every event in the view interval —
  * at billion-event scale that is the wall (the ROADMAP's "O(pixels),
  * not O(events)" item; Traveler's aggregated task-trace navigation is
- * the exemplar). The pyramid precomputes, per CPU, hierarchical
- * summaries at power-of-two interval granularities:
- *
- *  - state occupancy: time spent per task state inside each node,
- *  - counter aggregates: min/max/sum/count of each counter's samples,
- *  - task-begin counts per node.
- *
- * Level 0 partitions the trace span into leaves of one fixed
- * granularity g0 (the smallest power of two putting the leaf count
- * near a few thousand); level k merges pairs of level k-1 nodes, so
- * any *leaf-aligned* interval decomposes into O(log n) nodes by the
- * canonical segment-tree walk — and the decomposed answer is exact
- * for that aligned interval, not an approximation of it.
+ * the exemplar). The pyramid partitions the trace span into leaves of
+ * one fixed granularity g0 (the smallest power of two putting the leaf
+ * count near a few thousand) and precomputes, per CPU, the state
+ * occupancy of every leaf as flat cumulative columns: for each state
+ * with nonzero time on the CPU, one cell (leaf, time in the state
+ * through the end of that leaf) per leaf where the state occurs. The
+ * time of a state over a leaf range [a, b) is prefix(b) - prefix(a),
+ * two searches of its column with no tree walk, and is exact for
+ * that *leaf-aligned* interval, not an approximation of it. A column
+ * has cells only where its state occurs, so memory stays O(state
+ * events + leaves) per CPU whatever the state ids are (they are not
+ * validated, so a dense state x leaf table would let one hostile file
+ * pay a table row per distinct id).
  *
  * The query plane (session/query_engine.cc) uses this as follows: a
  * query carrying Resolution::Budget or Resolution::Pixels has its
- * interval snapped outward to the coarsest granularity within the
- * error budget, and the snapped interval is answered exactly from the
- * pyramid; the result reports the snapped interval and a
- * ResolutionInfo provenance. Resolution::Exact never touches this
- * structure.
+ * interval snapped outward to the coarsest power-of-two multiple of g0
+ * within the error budget, and the snapped interval is answered
+ * exactly — state occupancy from these columns, task counts from the
+ * trace-global arrays of TracePyramids, counter extrema from the
+ * per-(cpu, counter) index::CounterIndex. The result reports the
+ * snapped interval and a ResolutionInfo provenance.
+ * Resolution::Exact never touches this structure.
  *
  * One caveat for bit-identity: the exact scan records a zero-valued
  * occupancy entry for a zero-duration state event inside the interval
@@ -56,31 +58,18 @@
 #include "base/thread_annotations.h"
 #include "base/time_interval.h"
 #include "base/types.h"
-#include "index/counter_index.h"
 #include "trace/trace.h"
 
 namespace aftermath {
 namespace index {
 
-/** The per-CPU pyramid: summary nodes at power-of-two granularities. */
+/** The per-CPU pyramid: cumulative state-occupancy columns over leaves. */
 class SummaryPyramid
 {
   public:
-    /** min/max/sum/count of one counter's samples inside one range. */
-    struct CounterAggregate
-    {
-        std::uint64_t count = 0;
-        std::int64_t min = 0;
-        std::int64_t max = 0;
-        /** Wrapping two's-complement sum (callers wanting averages at
-         *  pyramid scale accept the same wrap the samples could). */
-        std::int64_t sum = 0;
-    };
-
     /**
      * Build the pyramid of @p cpu over @p trace with leaves of
      * @p leaf_granularity covering @p leaf_count slots from time 0.
-     * The trace must stay alive and unchanged.
      */
     SummaryPyramid(const trace::Trace &trace, CpuId cpu,
                    TimeStamp leaf_granularity, std::uint64_t leaf_count);
@@ -91,68 +80,65 @@ class SummaryPyramid
     /**
      * Exact state occupancy over the aligned leaf range
      * [@p first_leaf, @p last_leaf): adds time-per-state into @p into
-     * (states with zero occupancy are absent) and counts the pyramid
-     * nodes consulted into @p nodes_touched.
+     * (states with zero occupancy are absent) and counts the summary
+     * cells read into @p cells_read.
      */
     void occupancy(std::uint64_t first_leaf, std::uint64_t last_leaf,
                    std::map<std::uint32_t, TimeStamp> &into,
-                   std::uint64_t &nodes_touched) const;
+                   std::uint64_t &cells_read) const;
+
+    /**
+     * Caller-owned state of occupancyOver(), reused across calls: the
+     * answer, plus one cell cursor per state column. A left-to-right
+     * sweep of adjacent intervals (a lane's pixel columns) then seeks
+     * each column from where the previous call stopped. Any cursor
+     * value is safe: one past the interval's start is ignored and the
+     * column searched from its first cell.
+     */
+    struct Sweep
+    {
+        /** (state, time) of positive time, in state order. */
+        std::vector<std::pair<std::uint32_t, double>> occupancy;
+        std::vector<std::size_t> cursors;
+    };
 
     /**
      * Approximate state occupancy over an *arbitrary* interval, for
      * sub-pixel render bands: whole leaves inside the interval are
      * exact; a partially covered boundary leaf contributes its
-     * occupancy scaled by the covered fraction.
+     * occupancy scaled by the covered fraction. Replaces
+     * @p sweep.occupancy with the answer.
      */
-    std::vector<std::pair<std::uint32_t, double>>
-    occupancyOver(const TimeInterval &interval,
-                  std::uint64_t &nodes_touched) const;
-
-    /**
-     * Exact counter aggregate over the aligned leaf range. A counter
-     * never sampled on this CPU yields count == 0.
-     */
-    CounterAggregate counterAggregate(CounterId counter,
-                                      std::uint64_t first_leaf,
-                                      std::uint64_t last_leaf,
-                                      std::uint64_t &nodes_touched) const;
-
-    /**
-     * Tasks of this CPU beginning inside the aligned leaf range (the
-     * per-node task-begin counts summed over the decomposition).
-     */
-    std::uint64_t tasksStarted(std::uint64_t first_leaf,
-                               std::uint64_t last_leaf,
-                               std::uint64_t &nodes_touched) const;
-
-    /** Bytes used by the node arrays. */
-    std::size_t memoryBytes() const;
+    void occupancyOver(const TimeInterval &interval, Sweep &sweep,
+                       std::uint64_t &cells_read) const;
 
   private:
-    struct Node
+    struct Cell
     {
-        /** (state, time inside node), sorted by state id; zero-time
-         *  states absent. */
-        std::vector<std::pair<std::uint32_t, TimeStamp>> occupancy;
-        /** One slot per id in counterIds_, same order. */
-        std::vector<CounterAggregate> counters;
-        std::uint64_t tasksStarted = 0;
+        std::uint64_t leaf;
+        TimeStamp cumulative; ///< Time in the state through this leaf.
     };
 
     /**
-     * Canonical bottom-up decomposition of the leaf range
-     * [first, last) into O(log n) nodes; calls @p visit on each.
+     * Index of the first cell of @p column at or after @p leaf, given
+     * that every cell before @p from precedes it: a galloping search
+     * forward from @p from, O(log distance).
      */
-    template <typename Visit>
-    void decompose(std::uint64_t first, std::uint64_t last,
-                   std::uint64_t &nodes_touched, Visit &&visit) const;
+    static std::size_t seek(const std::vector<Cell> &column,
+                            std::size_t from, std::uint64_t leaf);
+
+    /** Time of @p column in the cells before index @p pos. */
+    static TimeStamp
+    before(const std::vector<Cell> &column, std::size_t pos)
+    {
+        return pos == 0 ? 0 : column[pos - 1].cumulative;
+    }
 
     TimeStamp g0_;
     std::uint64_t leafCount_;
-    std::vector<CounterId> counterIds_; ///< Sorted; slot order of nodes.
-    /** levels_[0] = leaves; levels_[k] merges pairs of level k-1;
-     *  top level has exactly one node. */
-    std::vector<std::vector<Node>> levels_;
+    std::vector<std::uint32_t> stateIds_; ///< Sorted; slot order of columns_.
+    /** One column per state, cells in increasing leaf order. */
+    std::vector<std::vector<Cell>> columns_;
 };
 
 /**

@@ -47,6 +47,10 @@ class Framebuffer
     /** Pixel at (x, y); out-of-bounds returns transparent black. */
     Rgba pixel(std::int64_t x, std::int64_t y) const;
 
+    /** The width * height pixels, row-major: (x, y) at y * width + x. */
+    const Rgba *data() const { return pixels_.data(); }
+    Rgba *data() { return pixels_.data(); }
+
     /** Fill the rectangle [x, x+w) x [y, y+h), clipped to the buffer. */
     void fillRect(std::int64_t x, std::int64_t y, std::int64_t w,
                   std::int64_t h, const Rgba &color);

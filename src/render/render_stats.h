@@ -29,7 +29,7 @@ struct RenderStats
      * How the frame was resolved (base/resolution.h): exact per-event
      * predominant-color resolution (the default), or pyramid-backed
      * occupancy bands — then granularityNs is the pyramid's leaf
-     * granularity and nodesTouched counts the nodes consulted.
+     * granularity and nodesTouched counts the summary cells read.
      */
     ResolutionInfo resolution;
 

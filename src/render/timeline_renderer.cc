@@ -172,7 +172,7 @@ TimelineRenderer::renderPyramidLane(const TimelineConfig &config,
     const index::SummaryPyramid &pyramid = config.pyramids->get(cpu);
     const std::uint32_t top = layout.laneTop(cpu);
     const std::uint32_t height = layout.laneHeight();
-    std::uint64_t nodes = 0;
+    std::uint64_t cells = 0;
 
     struct Band
     {
@@ -180,6 +180,7 @@ TimelineRenderer::renderPyramidLane(const TimelineConfig &config,
         double exact;
         std::uint32_t rows;
     };
+    index::SummaryPyramid::Sweep sweep;
     std::vector<Band> bands;
     for (std::uint32_t x = 0; x < layout.width(); x++) {
         TimeInterval pixel = layout.pixelInterval(x);
@@ -188,14 +189,14 @@ TimelineRenderer::renderPyramidLane(const TimelineConfig &config,
             stats_.rectOps++;
             continue;
         }
-        auto occupancy = pyramid.occupancyOver(pixel, nodes);
-        // Share of the lane height per state, rows summing to the
-        // covered share by largest-remainder rounding; uncovered time
-        // (idle between events) stays lane background.
+        pyramid.occupancyOver(pixel, sweep, cells);
+        // Share of the lane height per state, in state order, rows
+        // summing to the covered share by largest-remainder rounding;
+        // uncovered time (idle between events) stays lane background.
         bands.clear();
         double covered = 0.0;
         const double total = static_cast<double>(pixel.duration());
-        for (const auto &[state, time] : occupancy) {
+        for (const auto &[state, time] : sweep.occupancy) {
             double share = std::min((time / total) *
                                         static_cast<double>(height),
                                     static_cast<double>(height));
@@ -203,10 +204,6 @@ TimelineRenderer::renderPyramidLane(const TimelineConfig &config,
                 {state, share, static_cast<std::uint32_t>(share)});
             covered += share;
         }
-        std::sort(bands.begin(), bands.end(),
-                  [](const Band &a, const Band &b) {
-                      return a.state < b.state;
-                  });
         std::uint32_t covered_rows = static_cast<std::uint32_t>(
             std::min(covered + 0.5, static_cast<double>(height)));
         std::uint32_t assigned = 0;
@@ -240,7 +237,7 @@ TimelineRenderer::renderPyramidLane(const TimelineConfig &config,
             stats_.rectOps++;
         }
     }
-    stats_.resolution.nodesTouched += nodes;
+    stats_.resolution.nodesTouched += cells;
 }
 
 Rgba

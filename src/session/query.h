@@ -28,14 +28,15 @@
  *    builds are Background).
  *  - resolution: how much error the caller tolerates
  *    (base/resolution.h). Resolution::Exact — the default — keeps
- *    every result bit-identical to the historical scan. Budget/Pixels
- *    let interval stats, histograms, counter extrema and timeline
- *    renders answer from the summary pyramids
- *    (index/summary_pyramid.h) in O(log n + output resolution): the
- *    interval snaps outward to a granularity within the budget and
- *    the *snapped* interval is answered exactly; results carry a
- *    ResolutionInfo provenance telling approximate answers from exact
- *    ones. Approximate results are never memoized.
+ *    every result bit-identical to the historical scan. Under
+ *    Budget/Pixels, interval stats, histograms, counter extrema and
+ *    timeline renders snap the interval outward to a pyramid
+ *    granularity within the budget (index/summary_pyramid.h) and
+ *    answer the *snapped* interval exactly, at a cost that does not
+ *    grow with the events inside it; results carry a ResolutionInfo
+ *    provenance
+ *    telling approximate answers from exact ones. Approximate results
+ *    are never memoized.
  *
  * Construct specs with nested braces or designated initializers —
  * `IntervalStatsQuery{{interval}}`,
@@ -172,7 +173,8 @@ struct WarmupStats
  * any worker count). Memoized results answer as already-completed
  * tickets. Under Resolution::Budget/Pixels the interval snaps to the
  * pyramid granularity and the snapped interval is answered exactly
- * from O(log n) nodes; the result's interval and resolution fields
+ * from two cells of each state column per CPU and the trace-global
+ * task arrays; the result's interval and resolution fields
  * report what was actually computed.
  */
 struct IntervalStatsQuery
@@ -202,10 +204,9 @@ struct TaskListQuery
 };
 
 /**
- * Extrema of one counter on one CPU (Session::counterExtrema): through
- * the cached min/max index at Resolution::Exact, or from the pyramid's
- * per-node counter aggregates over the snapped interval under
- * Budget/Pixels.
+ * Extrema of one counter on one CPU (Session::counterExtrema) through
+ * the cached min/max index: over the requested interval at
+ * Resolution::Exact, over the snapped interval under Budget/Pixels.
  */
 struct CounterExtremaQuery
 {

@@ -444,9 +444,10 @@ Session::submit(const IntervalStatsQuery &query)
         pyramids_->granularityFor(query.context.resolution, interval);
     if (granularity > 0) {
         // Pyramid path: snap the interval outward to the granularity
-        // and answer the *snapped* interval exactly from O(log n)
-        // nodes per CPU — one tracked task, no fan-out, and no memo
-        // (the memo holds exact answers for requested intervals only).
+        // and answer the *snapped* interval exactly from two cells of
+        // each state column per CPU — one tracked task, no fan-out,
+        // and no memo (the memo holds exact answers for requested
+        // intervals only).
         TimeInterval snapped = pyramids_->snap(interval, granularity);
         const bool exact = snapped.start == interval.start &&
                            snapped.end == interval.end;
@@ -457,15 +458,15 @@ Session::submit(const IntervalStatsQuery &query)
              exact](auto &, base::ThreadPool &) {
                 stats::IntervalStats out;
                 out.interval = snapped;
-                std::uint64_t nodes = 0;
+                std::uint64_t cells = 0;
                 auto range = pyramids->leafRange(snapped);
                 for (CpuId c = 0; c < trace->numCpus(); c++)
                     pyramids->get(c).occupancy(range.first, range.second,
-                                               out.timeInState, nodes);
+                                               out.timeInState, cells);
                 out.tasksStarted = pyramids->tasksStartedIn(snapped);
                 out.tasksOverlapping = pyramids->tasksOverlapping(snapped);
                 out.resolution.exact = exact;
-                out.resolution.nodesTouched = nodes;
+                out.resolution.nodesTouched = cells;
                 out.resolution.granularityNs = granularity;
                 return out;
             });
@@ -623,41 +624,18 @@ Session::submit(const HistogramQuery &query)
 QueryTicket<index::MinMax>
 Session::submit(const CounterExtremaQuery &query)
 {
-    auto state = newTicketState<index::MinMax>(*domain_);
     TimeInterval interval = query.context.interval.value_or(view());
-    const TimeStamp granularity =
-        pyramids_->granularityFor(query.context.resolution, interval);
-    CpuId cpu = query.cpu;
-    CounterId counter = query.counter;
-    if (granularity > 0) {
-        // Pyramid path: the extrema of the snapped interval from the
-        // per-node counter aggregates — O(log n) nodes instead of the
-        // index's per-sample range scan. An out-of-range CPU yields
-        // the same invalid MinMax a counter with no samples does.
-        return submitTask(
-            *engine_, std::move(state), query.context.priority,
-            [pyramids = pyramids_, cpu, counter,
-             snapped = pyramids_->snap(interval, granularity)](
-                auto &, base::ThreadPool &) {
-                index::MinMax out;
-                if (const index::SummaryPyramid *p =
-                        pyramids->getOrNull(cpu)) {
-                    std::uint64_t nodes = 0;
-                    auto range = pyramids->leafRange(snapped);
-                    index::SummaryPyramid::CounterAggregate agg =
-                        p->counterAggregate(counter, range.first,
-                                            range.second, nodes);
-                    if (agg.count > 0) {
-                        out.valid = true;
-                        out.min = agg.min;
-                        out.max = agg.max;
-                    }
-                }
-                return out;
-            });
-    }
-    return submitTask(*engine_, std::move(state), query.context.priority,
-                      [cache = counterIndexes_, cpu, counter,
+    // Budget/Pixels: the extrema of the snapped interval. The index
+    // selects samples in [start, end), exactly the leaves of the
+    // leaf-aligned snapped interval. Unknown CPUs and unsampled
+    // counters yield an invalid MinMax.
+    if (const TimeStamp granularity =
+            pyramids_->granularityFor(query.context.resolution, interval))
+        interval = pyramids_->snap(interval, granularity);
+    return submitTask(*engine_, newTicketState<index::MinMax>(*domain_),
+                      query.context.priority,
+                      [cache = counterIndexes_, cpu = query.cpu,
+                       counter = query.counter,
                        interval](auto &, base::ThreadPool &) {
                           return cache->query(cpu, counter, interval);
                       });

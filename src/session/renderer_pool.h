@@ -2,19 +2,19 @@
  * @file
  * A thread-safe checkout pool of per-trace TimelineRenderer instances.
  *
- * A TimelineRenderer accumulates caches worth keeping across redraws —
- * the task-type palette assignment, per-task color and remote-fraction
- * memos — and pays a task-type scan at construction. The asynchronous
- * render executor used to rebuild one from scratch per query; the pool
- * makes the caches survive instead: checkout() hands an idle renderer
- * of the session's current trace (or constructs one on a miss), the
- * RAII lease returns it on destruction, and repeated async
+ * A TimelineRenderer pays a task-type scan at construction to build
+ * its task-type palette index, the one cache that survives across
+ * redraws (its per-task color and remote-fraction memos are cleared
+ * at the start of every render). The pool keeps renderers alive
+ * instead of constructing one per query: checkout() hands an idle
+ * renderer of the session's current trace (or constructs one on a
+ * miss), the RAII lease returns it on destruction, and repeated async
  * TimelineRenderQuery executions stop paying construction cost.
  * Session's synchronous render path checks out of the same pool, so
  * sync and async redraws share one warm palette.
  *
  * The pool is bound to one trace at a time: setTrace() invalidates
- * every idle renderer (their caches index the old trace's task types)
+ * every idle renderer (their palettes index the old trace's task types)
  * and re-keys reuse to the new trace. A lease checked out against an
  * older trace — an in-flight executor that captured the trace before a
  * swap — still works (it constructs and keeps its own renderer); its

@@ -306,7 +306,8 @@ class Session
     /**
      * The session's renderer checkout pool: sync and async renders
      * lease TimelineRenderer instances here instead of constructing
-     * per call, so palette and per-task caches survive across redraws.
+     * per call, so the task-type palette index survives across
+     * redraws (per-task memos are cleared by every render).
      * Invalidated on setTrace(). Exposed for capacity tuning
      * (setCapacity) and counter introspection.
      */
@@ -461,7 +462,7 @@ class Session
 
     /**
      * Render the timeline into @p fb through a renderer leased from
-     * the session's RendererPool (palette and per-task caches persist
+     * the session's RendererPool (its task-type palette index persists
      * across redraws). When @p config names no task filter the
      * session's active filters apply; when it names no view the
      * session's view applies. submit(TimelineRenderQuery) is the

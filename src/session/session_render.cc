@@ -1,9 +1,10 @@
 /**
  * @file
  * The rendering face of session::Session: timeline passes check a
- * renderer out of the session's RendererPool (palette caches persist
- * across redraws, shared with the async TimelineRenderQuery
- * executors); counter overlays go through the cached indexes.
+ * renderer out of the session's RendererPool (its task-type palette
+ * index persists across redraws, shared with the async
+ * TimelineRenderQuery executors); counter overlays go through the
+ * cached indexes.
  */
 
 #include "session/session.h"

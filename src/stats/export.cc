@@ -59,7 +59,7 @@ plausibleCount(ByteReader &r, std::uint64_t count,
     return true;
 }
 
-/** Resolution provenance: exact flag + nodes touched + granularity. */
+/** Resolution provenance: exact flag + cells read + granularity. */
 void
 writeResolutionInfo(const ResolutionInfo &info, ByteWriter &w)
 {

@@ -41,7 +41,7 @@ struct IntervalStats
 
     /**
      * How the result was answered (base/resolution.h): exact scan, or
-     * pyramid nodes over a snapped interval — in which case
+     * pyramid cells over a snapped interval — in which case
      * this->interval reports the snapped interval actually computed.
      */
     ResolutionInfo resolution;

@@ -29,6 +29,7 @@
 #include "daemon/protocol.h"
 #include "daemon/server.h"
 #include "daemon/wire.h"
+#include "render/framebuffer.h"
 #include "trace/writer.h"
 #include "trace_builder.h"
 
@@ -401,6 +402,56 @@ TEST(DaemonProtocol, AnomalyScanRequestRoundTripsAndValidates)
     bad.options.idleWorkerFraction =
         -std::numeric_limits<double>::infinity();
     EXPECT_TRUE(rejects(bad));
+}
+
+TEST(DaemonProtocol, RenderReplyRunsSpanRowsAndMatchGoldenBytes)
+{
+    // A 3x2 frame, rows "A A B" and "B B C": the B run crosses the row
+    // boundary, so the codec must see one run of 3, not two runs.
+    const render::Rgba a{1, 2, 3, 255};
+    const render::Rgba b{9, 8, 7, 6};
+    const render::Rgba c{0, 0, 0, 0};
+    RenderReply reply;
+    reply.fb = render::Framebuffer(3, 2, b);
+    reply.fb.setPixel(0, 0, a);
+    reply.fb.setPixel(1, 0, a);
+    reply.fb.setPixel(2, 1, c);
+    reply.stats.rectOps = 5;
+    reply.stats.eventsVisited = 300;
+    reply.stats.resolution.exact = false;
+    reply.stats.resolution.nodesTouched = 1;
+    reply.stats.resolution.granularityNs = 128;
+
+    ByteWriter w;
+    encodeRenderReply(reply, w);
+    const std::vector<std::uint8_t> golden = {
+        3, 0, 0, 0, 2, 0, 0, 0, // width, height (u32 LE)
+        2, 1, 2, 3, 255,        // run 2 of A
+        3, 9, 8, 7, 6,          // run 3 of B, across the row boundary
+        1, 0, 0, 0, 0,          // run 1 of C
+        5, 0, 0xac, 0x02,       // rectOps, lineOps, eventsVisited
+        0, 1, 0x80, 0x01};      // exact, nodesTouched, granularityNs
+    EXPECT_EQ(w.data(), golden);
+
+    ByteReader r(golden);
+    RenderReply back;
+    ASSERT_TRUE(decodeRenderReply(r, back));
+    EXPECT_TRUE(r.atEnd());
+    for (std::int64_t y = 0; y < 2; y++)
+        for (std::int64_t x = 0; x < 3; x++)
+            EXPECT_EQ(back.fb.pixel(x, y), reply.fb.pixel(x, y))
+                << x << "," << y;
+    EXPECT_EQ(back.stats.eventsVisited, 300u);
+    EXPECT_EQ(back.stats.resolution.granularityNs, 128u);
+
+    // A zero-length run and a run past the frame's end are rejected.
+    for (std::uint8_t bad_run : {0, 5}) {
+        std::vector<std::uint8_t> bytes = golden;
+        bytes[13] = bad_run; // The B run.
+        ByteReader br(bytes);
+        RenderReply out;
+        EXPECT_FALSE(decodeRenderReply(br, out)) << int(bad_run);
+    }
 }
 
 TEST(DaemonProtocol, RequestsBeforeHandshakeAreRejected)

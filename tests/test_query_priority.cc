@@ -122,8 +122,8 @@ bytesOf(const std::vector<stats::Anomaly> &findings)
 
 /**
  * Every CPU's pyramid in @p built is already constructed and answers
- * occupancy, task-start and counter-aggregate queries exactly like a
- * fresh serial build over the same trace.
+ * occupancy queries exactly like a fresh serial build over the same
+ * trace.
  */
 void
 expectPyramidsBuiltAndIdentical(const trace::Trace &tr,
@@ -144,16 +144,6 @@ expectPyramidsBuiltAndIdentical(const trace::Trace &tr,
             got.occupancy(first, last, got_occ, nodes);
             want.occupancy(first, last, want_occ, nodes);
             EXPECT_EQ(got_occ, want_occ) << "cpu " << c;
-            EXPECT_EQ(got.tasksStarted(first, last, nodes),
-                      want.tasksStarted(first, last, nodes));
-            for (CounterId id : tr.cpu(c).counterIds()) {
-                auto a = got.counterAggregate(id, first, last, nodes);
-                auto b = want.counterAggregate(id, first, last, nodes);
-                EXPECT_EQ(a.count, b.count) << "cpu " << c;
-                EXPECT_EQ(a.min, b.min) << "cpu " << c;
-                EXPECT_EQ(a.max, b.max) << "cpu " << c;
-                EXPECT_EQ(a.sum, b.sum) << "cpu " << c;
-            }
         }
     }
 }

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -87,6 +89,59 @@ randomInterval(Rng &rng, const TimeInterval &span)
     TimeStamp start = span.start + rng.nextBounded(len);
     TimeStamp end = start + 1 + rng.nextBounded(len - (start - span.start));
     return {start, end};
+}
+
+/**
+ * Time per state of @p cpu's events inside @p range, summed event by
+ * event; states with zero time are absent.
+ */
+std::map<std::uint32_t, TimeStamp>
+naiveOccupancy(const trace::Trace &tr, CpuId cpu, const TimeInterval &range)
+{
+    std::map<std::uint32_t, TimeStamp> out;
+    for (const trace::StateEvent &ev : tr.cpu(cpu).states()) {
+        TimeStamp t = ev.interval.overlapDuration(range);
+        if (t > 0)
+            out[ev.state] += t;
+    }
+    return out;
+}
+
+/**
+ * SummaryPyramid::occupancyOver recomputed from the events: a partly
+ * covered leaf at either edge adds its occupancy scaled by the covered
+ * fraction, the whole leaves between add their exact time, and the
+ * doubles add in that order (leading, trailing, whole).
+ */
+std::vector<std::pair<std::uint32_t, double>>
+naiveOccupancyOver(const trace::Trace &tr, CpuId cpu, TimeStamp g0,
+                   TimeStamp domain_end, const TimeInterval &interval)
+{
+    std::map<std::uint32_t, double> acc;
+    TimeStamp start = std::min(interval.start, domain_end);
+    TimeStamp end = std::min(interval.end, domain_end);
+    auto addPartialLeaf = [&](TimeStamp leaf_start, TimeStamp covered) {
+        double fraction =
+            static_cast<double>(covered) / static_cast<double>(g0);
+        for (const auto &[state, t] :
+             naiveOccupancy(tr, cpu, {leaf_start, leaf_start + g0}))
+            acc[state] += static_cast<double>(t) * fraction;
+    };
+    if (start < end && start % g0 != 0) {
+        TimeStamp leaf_start = start / g0 * g0;
+        addPartialLeaf(leaf_start, std::min(end, leaf_start + g0) - start);
+        start = std::min(leaf_start + g0, end);
+    }
+    if (start < end && end % g0 != 0) {
+        TimeStamp leaf_start = end / g0 * g0;
+        addPartialLeaf(leaf_start, end - leaf_start);
+        end = leaf_start;
+    }
+    if (start < end) {
+        for (const auto &[state, t] : naiveOccupancy(tr, cpu, {start, end}))
+            acc[state] += static_cast<double>(t);
+    }
+    return {acc.begin(), acc.end()};
 }
 
 TEST(SummaryPyramid, BudgetAnswersEqualExactScanOfSnappedInterval)
@@ -281,6 +336,79 @@ TEST(SummaryPyramid, HistogramRestrictionMatchesExactOverSnappedInterval)
         EXPECT_EQ(approx.rangeMax(), exact.rangeMax());
         for (std::uint32_t bin = 0; bin < exact.numBins(); bin++)
             EXPECT_EQ(approx.count(bin), exact.count(bin)) << bin;
+    }
+}
+
+TEST(SummaryPyramid, OccupancyMatchesNaivePerEventReference)
+{
+    // Leaves of about 1, 8 and 64 time units under events 0-100 long:
+    // events cross leaf boundaries, and some have zero duration.
+    for (std::uint64_t seed : {3ull, 11ull, 2024ull}) {
+        for (int states : {40, 400, 3000}) {
+            RandomTraceOptions opts;
+            opts.cpus = 3;
+            opts.statesPerCpu = states;
+            opts.zeroDurationProbability = 0.15;
+            trace::Trace tr = buildRandomTrace(seed, opts);
+            index::TracePyramids pyramids(tr);
+            const TimeStamp g0 = pyramids.leafGranularity();
+            const std::uint64_t leaves = pyramids.leafCount();
+            const TimeStamp dom = pyramids.domainEnd();
+            Rng rng(seed * 17 + static_cast<std::uint64_t>(states));
+            for (CpuId c = 0; c < tr.numCpus(); c++) {
+                const index::SummaryPyramid &pyramid = pyramids.get(c);
+
+                // Leaf ranges: the whole domain, an empty one at its
+                // end, one running past it, and random ones.
+                std::vector<std::pair<std::uint64_t, std::uint64_t>>
+                    ranges = {{0, leaves},
+                              {leaves, leaves},
+                              {leaves / 2, leaves + 3}};
+                for (int i = 0; i < 40; i++) {
+                    std::uint64_t a = rng.nextBounded(leaves + 1);
+                    ranges.emplace_back(
+                        a, a + rng.nextBounded(leaves + 1 - a));
+                }
+                for (const auto &[a, b] : ranges) {
+                    std::map<std::uint32_t, TimeStamp> got;
+                    std::uint64_t cells = 0;
+                    pyramid.occupancy(a, b, got, cells);
+                    EXPECT_EQ(got,
+                              naiveOccupancy(
+                                  tr, c,
+                                  {a * g0, std::min(b, leaves) * g0}))
+                        << "cpu " << c << " leaves [" << a << ", " << b
+                        << ")";
+                }
+
+                // Arbitrary intervals: short and long, empty, touching
+                // and passing the domain end, and beyond it.
+                std::vector<TimeInterval> intervals = {
+                    {0, dom},          {dom - 1, dom},
+                    {dom / 3, dom + 5}, {dom + 1, dom + 9},
+                    {dom / 2, dom / 2}};
+                for (int i = 0; i < 60; i++) {
+                    TimeStamp start = rng.nextBounded(dom + 2 * g0);
+                    TimeStamp len = i % 2 == 0 ? rng.nextBounded(4 * g0)
+                                               : rng.nextBounded(dom);
+                    intervals.push_back({start, start + len});
+                }
+                // A left-to-right sweep of adjacent pixel-like columns,
+                // the renderer's access pattern.
+                for (TimeStamp x = 0; x < 300; x++)
+                    intervals.push_back(
+                        {dom * x / 299, dom * (x + 1) / 299});
+                index::SummaryPyramid::Sweep sweep;
+                for (const TimeInterval &iv : intervals) {
+                    std::uint64_t cells = 0;
+                    pyramid.occupancyOver(iv, sweep, cells);
+                    EXPECT_EQ(sweep.occupancy,
+                              naiveOccupancyOver(tr, c, g0, dom, iv))
+                        << "cpu " << c << " [" << iv.start << ", "
+                        << iv.end << ")";
+                }
+            }
+        }
     }
 }
 

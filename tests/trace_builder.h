@@ -46,6 +46,12 @@ struct RandomTraceOptions
     /** Probability a state event covers a task execution. */
     double taskProbability = 0.6;
 
+    /**
+     * Probability a state event has zero duration. At 0 (the default)
+     * no draw is made, so existing seeds keep their traces.
+     */
+    double zeroDurationProbability = 0.0;
+
     /** Probability of a discrete event per state. */
     double discreteProbability = 0.3;
 
@@ -96,6 +102,9 @@ buildRandomTrace(std::uint64_t seed, const RandomTraceOptions &options = {})
         std::int64_t ctr = 0;
         for (int i = 0; i < options.statesPerCpu; i++) {
             TimeStamp end = t + 1 + rng.nextBounded(100);
+            if (options.zeroDurationProbability > 0 &&
+                rng.nextBool(options.zeroDurationProbability))
+                end = t;
             bool is_task = rng.nextBool(options.taskProbability);
             TaskInstanceId task = kInvalidTaskInstance;
             if (is_task) {

@@ -125,7 +125,7 @@ printIntervalStats(const aftermath::stats::IntervalStats &stats)
                 static_cast<unsigned long long>(stats.tasksStarted),
                 static_cast<unsigned long long>(stats.tasksOverlapping));
     std::printf("  resolution: %s, granularity %llu, %llu pyramid "
-                "nodes\n",
+                "cells\n",
                 stats.resolution.exact ? "exact" : "approximate",
                 static_cast<unsigned long long>(
                     stats.resolution.granularityNs),
