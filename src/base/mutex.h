@@ -56,7 +56,6 @@
  *                           nest with each other.
  *   kPyramidShard (305)     one index::TracePyramids per-CPU shard;
  *                           shards never nest with each other.
- *   kRendererPool (310)     session::RendererPool::mutex_.
  *   kThreadPool (400)       base::ThreadPool::mutex_ — every enqueue
  *                           path ends here, so everything above must
  *                           rank lower.
@@ -99,7 +98,6 @@ inline constexpr int kStatsMemo = 190;
 inline constexpr int kSessionMemo = 200;
 inline constexpr int kCounterIndexShard = 300;
 inline constexpr int kPyramidShard = 305;
-inline constexpr int kRendererPool = 310;
 inline constexpr int kThreadPool = 400;
 inline constexpr int kDecodePipeline = 410;
 inline constexpr int kTicketState = 500;

@@ -225,7 +225,6 @@ class Client
     }
 
     bool handshake(std::string &error);
-    void demuxLoop();
 
     std::shared_ptr<detail::ClientCore> core_;
     std::thread demux_;

@@ -10,7 +10,7 @@
  * by construction. All sessions share the server's one QueryEngine and
  * worker pool; clients that open the *same* trace file additionally
  * share that trace's caches (counter indexes, the filter-independent
- * stats memo, the renderer pool) through Session::adoptSharedCaches(),
+ * stats memo, the summary pyramids) through Session::adoptSharedCaches(),
  * so a cold scan any client pays for serves them all.
  *
  * Isolation comes from the cancellation plane, not from duplication:

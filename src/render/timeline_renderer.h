@@ -78,8 +78,9 @@ struct TimelineConfig
 
     /**
      * Pyramid store backing non-Exact renders; owned by the caller and
-     * kept alive across the render (Session wires its own and the
-     * async executor holds a shared reference).
+     * kept alive across the render. Session renders always use the
+     * session's own store (the async executor holds a shared
+     * reference), replacing any value set here.
      */
     index::TracePyramids *pyramids = nullptr;
 };
@@ -88,9 +89,10 @@ struct TimelineConfig
  * Renders a trace's timeline into a framebuffer.
  *
  * The renderer is independent of any particular framebuffer: construct it
- * once per trace and pass the target buffer to each render call. Internal
- * caches (task type palette assignment) persist across renders, which is
- * what session::Session relies on for repeated interactive redraws.
+ * over a trace and pass the target buffer to each render call. It keeps
+ * only the task-type palette index between renders, built by one pass
+ * over the trace's task types at construction — cheap next to a frame,
+ * so session::Session constructs a renderer for every render.
  */
 class TimelineRenderer
 {

@@ -37,20 +37,16 @@ CounterIndexCache::get(CpuId cpu, CounterId counter, bool *built)
                 .first->second;
 }
 
-const index::CounterIndex *
-CounterIndexCache::getOrNull(CpuId cpu, CounterId counter)
-{
-    if (!trace_.hasCpu(cpu))
-        return nullptr;
-    return &get(cpu, counter);
-}
-
 index::MinMax
 CounterIndexCache::query(CpuId cpu, CounterId counter,
                          const TimeInterval &interval)
 {
-    const index::CounterIndex *index = getOrNull(cpu, counter);
-    return index ? index->query(interval) : index::MinMax{};
+    // An unsampled counter has no extrema: answer it without building
+    // or inserting an index, so queries over arbitrary counter ids
+    // (a daemon client's, say) cannot grow the store.
+    if (!trace_.hasCpu(cpu) || trace_.cpu(cpu).counterSamples(counter).empty())
+        return index::MinMax{};
+    return get(cpu, counter).query(interval);
 }
 
 void

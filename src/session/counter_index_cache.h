@@ -13,8 +13,8 @@
  * The store is sharded per CPU with one lock per shard: lookups and
  * builds for different CPUs never contend, which is what lets
  * Session::warmup() construct the indexes of a many-core trace
- * concurrently. get()/getOrNull()/query()/counters() are safe to call
- * from multiple threads; clear() takes each shard lock in turn, but
+ * concurrently. get()/query()/counters() are safe to call from
+ * multiple threads; clear() takes each shard lock in turn, but
  * callers must still guarantee no reference returned by get() is used
  * afterwards (entries die with the map).
  */
@@ -63,12 +63,10 @@ class CounterIndexCache
     const index::CounterIndex &get(CpuId cpu, CounterId counter,
                                    bool *built = nullptr);
 
-    /** Like get(), but returns nullptr for out-of-range CPU ids. */
-    const index::CounterIndex *getOrNull(CpuId cpu, CounterId counter);
-
     /**
      * Extrema of @p counter on @p cpu within @p interval through the
-     * cached index; invalid for unknown CPUs or unsampled counters.
+     * cached index; invalid for unknown CPUs or unsampled counters,
+     * which neither build nor insert an index.
      */
     index::MinMax query(CpuId cpu, CounterId counter,
                         const TimeInterval &interval);

@@ -37,7 +37,6 @@
 
 #include "filter/task_filter.h"
 #include "index/summary_pyramid.h"
-#include "session/renderer_pool.h"
 #include "session/session.h"
 #include "stats/anomaly.h"
 #include "stats/histogram.h"
@@ -841,35 +840,26 @@ Session::submit(const TimelineRenderQuery &query)
                      "render query needs positive dimensions");
     // Snapshot the session's filters on the heap: the async render must
     // not point into the (mutable) session object.
-    std::shared_ptr<const filter::FilterSet> filters;
-    render::TimelineConfig config = query.config;
-    if (!config.taskFilter && filters_.size() > 0) {
-        filters = std::make_shared<const filter::FilterSet>(filters_);
-        config.taskFilter = filters.get();
-    }
-    if (config.view.empty() && !view_.empty())
-        config.view = view_;
+    auto filters = std::make_shared<const filter::FilterSet>(filters_);
+    render::TimelineConfig config = effectiveConfig(query.config, *filters);
     // A non-Exact context.resolution overrides the config's own knob,
     // so async and remote callers can request pyramid-backed rendering
     // without touching the render config.
     if (query.context.resolution.kind != Resolution::Kind::Exact)
         config.resolution = query.context.resolution;
-    config.pyramids = pyramids_.get();
-    // The filters and pyramids captures keep config's pointers valid.
+    // The trace, filters and pyramids captures keep config's pointers
+    // valid across a trace swap mid-render.
     return submitTask(
         *engine_, newTicketState<TimelineRenderResult>(*domain_),
         query.context.priority,
-        [trace = trace_, renderers = rendererPool_, filters,
-         pyramids = pyramids_, config, width = query.width,
+        [trace = trace_, filters, pyramids = pyramids_, config,
+         width = query.width,
          height = query.height](auto &, base::ThreadPool &) {
             TimelineRenderResult result;
             result.fb = render::Framebuffer(width, height);
-            // Check a pooled renderer out instead of constructing:
-            // repeated async renders reuse the palette and memo caches
-            // a fresh renderer would rebuild per query.
-            RendererPool::Lease lease = renderers->checkout(trace);
-            lease->render(config, result.fb);
-            result.stats = lease->stats();
+            render::TimelineRenderer renderer(*trace);
+            renderer.render(config, result.fb);
+            result.stats = renderer.stats();
             return result;
         });
 }

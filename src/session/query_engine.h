@@ -40,7 +40,7 @@
  *
  * Executors never touch the Session object itself — they capture shared
  * ownership of everything they read (the trace, the sharded index
- * cache, a filter snapshot, the renderer pool, the memos) so sessions
+ * cache, a filter snapshot, the pyramid store, the memos) so sessions
  * stay movable and destruction is safe with queries in flight (the
  * engine's pool drains before it dies). Completed results publish into
  * the memos under their mutexes, so asynchronous queries warm the same
@@ -71,8 +71,8 @@
  * inverting the order. Every other mutex in the plane —
  * StatsMemo::mutex (kStatsMemo, 190), SessionMemo::mutex
  * (kSessionMemo, 200), the CounterIndexCache shards
- * (kCounterIndexShard, 300), RendererPool (kRendererPool, 310), and
- * the leaf completion states TicketState (kTicketState, 500) /
+ * (kCounterIndexShard, 300), the TracePyramids shards (kPyramidShard,
+ * 305), and the leaf completion states TicketState (kTicketState, 500) /
  * TaskHandle (kTaskState, 510) — is acquired on its own or strictly
  * after the ones above it in rank order, never the other way around;
  * the two memo ranks are never held together (executors publish into

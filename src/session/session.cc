@@ -92,18 +92,13 @@ void
 Session::rebindTrace()
 {
     counterIndexes_ = std::make_shared<CounterIndexCache>(*trace_);
-    // The pyramid store is cheap to construct (the per-CPU pyramids
-    // build lazily; only the trace-global task arrays are eager) and
-    // trace-keyed, so a swap replaces it wholesale — in-flight queries
-    // keep the old store and trace alive through their shared_ptrs.
+    // The pyramid store is trace-keyed, so a swap replaces it
+    // wholesale — in-flight queries keep the old store and trace alive
+    // through their shared_ptrs. Its per-CPU pyramids build lazily, but
+    // the constructor eagerly sorts the trace-global task arrays (every
+    // task instance by start, every task end), which is not cheap on a
+    // large trace.
     pyramids_ = std::make_shared<index::TracePyramids>(*trace_);
-    // Renderers are constructed lazily by the pool (they scan the
-    // task-type table), so query-only sessions never pay for one;
-    // re-keying drops the old trace's idle renderers while in-flight
-    // leases of the old trace finish and are discarded on return.
-    if (!rendererPool_)
-        rendererPool_ = std::make_shared<RendererPool>();
-    rendererPool_->setTrace(trace_);
     // Replace — never clear in place — the shared memos: executors
     // still in flight over the old trace keep publishing into the old
     // objects, which nobody queries anymore and which die with their
@@ -202,7 +197,6 @@ Session::view() const
 void
 Session::setConcurrency(const Concurrency &concurrency)
 {
-    concurrency_ = concurrency;
     engine_->setWorkers(concurrency.workers);
 }
 
@@ -230,7 +224,6 @@ Session::sharedCaches() const
     SharedCaches out;
     out.counterIndexes = counterIndexes_;
     out.statsMemo = statsMemo_;
-    out.renderers = rendererPool_;
     out.pyramids = pyramids_;
     return out;
 }
@@ -240,7 +233,6 @@ Session::adoptSharedCaches(const SharedCaches &caches)
 {
     AFTERMATH_ASSERT(caches.counterIndexes != nullptr &&
                          caches.statsMemo != nullptr &&
-                         caches.renderers != nullptr &&
                          caches.pyramids != nullptr,
                      "adopting incomplete shared caches");
     // Roll the replaced caches' counters into the bases, exactly like a
@@ -253,7 +245,6 @@ Session::adoptSharedCaches(const SharedCaches &caches)
     }
     counterIndexes_ = caches.counterIndexes;
     statsMemo_ = caches.statsMemo;
-    rendererPool_ = caches.renderers;
     pyramids_ = caches.pyramids;
 }
 
@@ -430,10 +421,6 @@ Session::cacheStats() const
         counterIndexBase_.builds + counterIndexes_->counters().builds;
     out.intervalStats = statsBase_;
     out.taskList = taskListBase_;
-    RendererPool::Counters renderers = rendererPool_->counters();
-    out.renderer.hits = renderers.reused;
-    out.renderer.builds = renderers.created;
-    out.renderer.evictions = renderers.dropped;
     {
         base::MutexLock lock(statsMemo_->mutex);
         accumulate(out.intervalStats, statsMemo_->stats.counters());

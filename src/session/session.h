@@ -72,7 +72,6 @@
 #include "session/query.h"
 #include "session/query_cache.h"
 #include "session/query_engine.h"
-#include "session/renderer_pool.h"
 #include "stats/histogram.h"
 #include "stats/interval_stats.h"
 #include "trace/trace.h"
@@ -92,8 +91,9 @@ struct SessionCacheStats
     /** Filtered task list cache. */
     CacheCounters taskList;
 
-    /** Renderer checkout pool (hits = reuses, builds = constructions,
-     *  evictions = returns dropped as stale or over capacity). */
+    /** Always zero: every render constructs its own renderer, so there
+     *  is no renderer cache to count. Kept because the scripted-session
+     *  benchmark (e2ebench/) still reads it. */
     CacheCounters renderer;
 };
 
@@ -150,8 +150,8 @@ class Session
     /**
      * The lazily-built caches that are shareable across every session
      * (every daemon client) viewing the *same* trace: the sharded
-     * counter-index cache, the filter-independent stats memo, the
-     * renderer checkout pool and the summary pyramids. The filter-keyed
+     * counter-index cache, the filter-independent stats memo and the
+     * summary pyramids. The filter-keyed
      * SessionMemo is deliberately absent — it never crosses driving
      * contexts.
      */
@@ -159,7 +159,6 @@ class Session
     {
         std::shared_ptr<CounterIndexCache> counterIndexes;
         std::shared_ptr<StatsMemo> statsMemo;
-        std::shared_ptr<RendererPool> renderers;
         std::shared_ptr<index::TracePyramids> pyramids;
     };
 
@@ -294,7 +293,7 @@ class Session
 
     /**
      * Replace this session's counter-index cache, stats memo and
-     * renderer pool with @p caches, which must have been obtained from
+     * summary pyramids with @p caches, which must have been obtained from
      * a session over the same trace object (sharedCaches() on the
      * first session for that trace). Counters of the replaced caches
      * roll into this session's cumulative accounting. The daemon's
@@ -302,19 +301,6 @@ class Session
      * set, so a scan any client paid for serves them all.
      */
     void adoptSharedCaches(const SharedCaches &caches);
-
-    /**
-     * The session's renderer checkout pool: sync and async renders
-     * lease TimelineRenderer instances here instead of constructing
-     * per call, so the task-type palette index survives across
-     * redraws (per-task memos are cleared by every render).
-     * Invalidated on setTrace(). Exposed for capacity tuning
-     * (setCapacity) and counter introspection.
-     */
-    const std::shared_ptr<RendererPool> &rendererPool() const
-    {
-        return rendererPool_;
-    }
 
     /**
      * The session's summary pyramids (index/summary_pyramid.h):
@@ -336,9 +322,6 @@ class Session
      * session on it).
      */
     void setConcurrency(const Concurrency &concurrency);
-
-    /** The active concurrency knob. */
-    const Concurrency &concurrency() const { return concurrency_; }
 
     /**
      * Prefetch the search structures @p policy names so later queries
@@ -461,13 +444,13 @@ class Session
     // -- Rendering ---------------------------------------------------------
 
     /**
-     * Render the timeline into @p fb through a renderer leased from
-     * the session's RendererPool (its task-type palette index persists
-     * across redraws). When @p config names no task filter the
-     * session's active filters apply; when it names no view the
-     * session's view applies. submit(TimelineRenderQuery) is the
-     * asynchronous form, rendering into a query-owned framebuffer
-     * through the same pool.
+     * Render the timeline into @p fb with a renderer constructed for
+     * this call (construction is one pass over the task-type table).
+     * When @p config names no task filter the session's active filters
+     * apply; when it names no view the session's view applies; the
+     * session's summary pyramids always back non-Exact resolutions.
+     * submit(TimelineRenderQuery) is the asynchronous form, rendering
+     * into a query-owned framebuffer with the same effective config.
      */
     const render::RenderStats &render(const render::TimelineConfig &config,
                                       render::Framebuffer &fb);
@@ -509,14 +492,19 @@ class Session
     /** Re-point every per-trace structure after a trace swap. */
     void rebindTrace();
 
-    /** The effective config: session filters and view filled in. */
+    /**
+     * The config every render runs with: @p filters when @p config
+     * names no task filter (and the set is nonempty), the session's
+     * view when it names none, and the session's pyramid store. The
+     * async path passes its heap snapshot of the filters.
+     */
     render::TimelineConfig
-    effectiveConfig(const render::TimelineConfig &config) const;
+    effectiveConfig(const render::TimelineConfig &config,
+                    const filter::FilterSet &filters) const;
 
     std::shared_ptr<const trace::Trace> trace_;
     filter::FilterSet filters_;
     TimeInterval view_; ///< Empty means the whole trace span.
-    Concurrency concurrency_;
 
     // Shared with in-flight executors (shared_ptr so sessions stay
     // movable and destruction-safe with queries in flight).
@@ -526,7 +514,6 @@ class Session
     std::shared_ptr<SessionMemo> memo_;    ///< Per driving context.
     CacheCounters statsBase_;    ///< Pre-swap stats-memo accounting.
     CacheCounters taskListBase_; ///< Pre-swap task-list accounting.
-    std::shared_ptr<RendererPool> rendererPool_;
     std::shared_ptr<index::TracePyramids> pyramids_;
     std::shared_ptr<QueryEngine> engine_;
     std::shared_ptr<GenerationDomain> domain_; ///< Never null.

@@ -1,10 +1,9 @@
 /**
  * @file
- * The rendering face of session::Session: timeline passes check a
- * renderer out of the session's RendererPool (its task-type palette
- * index persists across redraws, shared with the async
- * TimelineRenderQuery executors); counter overlays go through the
- * cached indexes.
+ * The rendering face of session::Session: each timeline pass
+ * constructs its own renderer over the session's trace and runs the
+ * effective config that the async TimelineRenderQuery executor runs
+ * too; counter overlays go through the cached indexes.
  */
 
 #include "session/session.h"
@@ -13,19 +12,19 @@ namespace aftermath {
 namespace session {
 
 render::TimelineConfig
-Session::effectiveConfig(const render::TimelineConfig &config) const
+Session::effectiveConfig(const render::TimelineConfig &config,
+                         const filter::FilterSet &filters) const
 {
     render::TimelineConfig effective = config;
-    if (!effective.taskFilter && filters_.size() > 0)
-        effective.taskFilter = &filters_;
+    if (!effective.taskFilter && filters.size() > 0)
+        effective.taskFilter = &filters;
     if (effective.view.empty() && !view_.empty())
         effective.view = view_;
-    // Wire the session's pyramid store in so a config requesting
-    // Budget/Pixels resolution renders O(pixels) occupancy bands; the
-    // store outlives the synchronous render (pyramids_ is replaced,
-    // never destroyed, on setTrace).
-    if (!effective.pyramids)
-        effective.pyramids = pyramids_.get();
+    // The session's own pyramid store backs Budget/Pixels resolution;
+    // a store of another trace would answer for the wrong events. A
+    // synchronous render ends before any setTrace can replace the
+    // store, and the async executor captures it.
+    effective.pyramids = pyramids_.get();
     return effective;
 }
 
@@ -33,9 +32,9 @@ const render::RenderStats &
 Session::render(const render::TimelineConfig &config,
                 render::Framebuffer &fb)
 {
-    RendererPool::Lease lease = rendererPool_->checkout(trace_);
-    lease->render(effectiveConfig(config), fb);
-    renderStats_ = lease->stats();
+    render::TimelineRenderer renderer(*trace_);
+    renderer.render(effectiveConfig(config, filters_), fb);
+    renderStats_ = renderer.stats();
     return renderStats_;
 }
 
@@ -43,9 +42,9 @@ const render::RenderStats &
 Session::renderNaive(const render::TimelineConfig &config,
                      render::Framebuffer &fb)
 {
-    RendererPool::Lease lease = rendererPool_->checkout(trace_);
-    lease->renderNaive(effectiveConfig(config), fb);
-    renderStats_ = lease->stats();
+    render::TimelineRenderer renderer(*trace_);
+    renderer.renderNaive(effectiveConfig(config, filters_), fb);
+    renderStats_ = renderer.stats();
     return renderStats_;
 }
 

@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests of the two-level priority scheduler, the idle worker
- * lifecycle, and the renderer checkout pool: High tasks overtake
- * queued Normal tasks, background drainers yield to interactive work
- * without corrupting results (bit-identity vs a serial scan), the
- * engine's idle timeout parks-then-joins its workers and the next
- * submission restarts them, and RendererPool reuses renderers across
- * checkouts while invalidating on trace swaps. Built with TSan and
- * ASan in CI to keep the concurrency race-free.
+ * lifecycle, and session renders: High tasks overtake queued Normal
+ * tasks, background drainers yield to interactive work without
+ * corrupting results (bit-identity vs a serial scan), the engine's
+ * idle timeout parks-then-joins its workers and the next submission
+ * restarts them, and sync and async renders draw the same frame, also
+ * after a trace swap. Built with TSan and ASan in CI to keep the
+ * concurrency race-free.
  */
 
 #include <gtest/gtest.h>
@@ -27,9 +27,9 @@
 #include "base/thread_pool.h"
 #include "index/summary_pyramid.h"
 #include "render/framebuffer.h"
+#include "render/timeline_renderer.h"
 #include "session/query.h"
 #include "session/query_engine.h"
-#include "session/renderer_pool.h"
 #include "session/session.h"
 #include "session/session_group.h"
 #include "stats/anomaly.h"
@@ -557,82 +557,7 @@ TEST(IdleLifecycle, GroupSharedEngineParksAndRestarts)
         serialIntervalStats(tr_b, {span.start, span.end - 1}));
 }
 
-// -- Renderer pool --------------------------------------------------------
-
-TEST(RendererPoolTest, CheckoutConstructsThenReuses)
-{
-    auto trace =
-        std::make_shared<const trace::Trace>(denseTrace(3, 1, 100));
-    auto pool = std::make_shared<RendererPool>();
-    pool->setTrace(trace);
-
-    { RendererPool::Lease lease = pool->checkout(trace); }
-    RendererPool::Counters counters = pool->counters();
-    EXPECT_EQ(counters.created, 1u);
-    EXPECT_EQ(counters.reused, 0u);
-    EXPECT_EQ(counters.returned, 1u);
-    EXPECT_EQ(pool->idleCount(), 1u);
-
-    { RendererPool::Lease lease = pool->checkout(trace); }
-    counters = pool->counters();
-    EXPECT_EQ(counters.created, 1u);
-    EXPECT_EQ(counters.reused, 1u);
-
-    // Concurrent leases force a second construction; both return.
-    {
-        RendererPool::Lease a = pool->checkout(trace);
-        RendererPool::Lease b = pool->checkout(trace);
-        EXPECT_TRUE(a.valid());
-        EXPECT_TRUE(b.valid());
-    }
-    counters = pool->counters();
-    EXPECT_EQ(counters.created, 2u);
-    EXPECT_EQ(pool->idleCount(), 2u);
-}
-
-TEST(RendererPoolTest, SetTraceInvalidatesIdleAndDropsStaleReturns)
-{
-    auto trace_a =
-        std::make_shared<const trace::Trace>(denseTrace(3, 1, 100, 1));
-    auto trace_b =
-        std::make_shared<const trace::Trace>(denseTrace(3, 1, 100, 2));
-    auto pool = std::make_shared<RendererPool>();
-    pool->setTrace(trace_a);
-    { RendererPool::Lease lease = pool->checkout(trace_a); }
-    EXPECT_EQ(pool->idleCount(), 1u);
-
-    pool->setTrace(trace_b);
-    EXPECT_EQ(pool->idleCount(), 0u);
-    EXPECT_EQ(pool->counters().dropped, 1u);
-
-    // An in-flight lease of the old trace still works, but its return
-    // is dropped instead of poisoning the new trace's idle set.
-    {
-        RendererPool::Lease stale = pool->checkout(trace_a);
-        RendererPool::Lease fresh = pool->checkout(trace_b);
-        EXPECT_TRUE(stale.valid());
-        EXPECT_TRUE(fresh.valid());
-    }
-    EXPECT_EQ(pool->idleCount(), 1u);
-    EXPECT_EQ(pool->counters().dropped, 2u);
-}
-
-TEST(RendererPoolTest, CapacityBoundsIdleRenderers)
-{
-    auto trace =
-        std::make_shared<const trace::Trace>(denseTrace(3, 1, 100));
-    auto pool = std::make_shared<RendererPool>(1);
-    pool->setTrace(trace);
-    {
-        RendererPool::Lease a = pool->checkout(trace);
-        RendererPool::Lease b = pool->checkout(trace);
-    }
-    EXPECT_EQ(pool->idleCount(), 1u);
-    EXPECT_EQ(pool->counters().dropped, 1u);
-
-    pool->setCapacity(0);
-    EXPECT_EQ(pool->idleCount(), 0u);
-}
+// -- Session renders ------------------------------------------------------
 
 void
 expectFramesEqual(const render::Framebuffer &a,
@@ -648,7 +573,7 @@ expectFramesEqual(const render::Framebuffer &a,
     }
 }
 
-TEST(RendererPoolTest, SyncAndAsyncRendersSharePoolAndMatch)
+TEST(SessionRenderTest, SyncAndAsyncRendersMatch)
 {
     Session session(denseTrace(4, 1, 300));
     render::TimelineConfig config;
@@ -658,8 +583,6 @@ TEST(RendererPoolTest, SyncAndAsyncRendersSharePoolAndMatch)
     render::Framebuffer fb_again(64, 48);
     session.render(config, fb_again);
     expectFramesEqual(fb_sync, fb_again);
-    // The second sync render leased the first one's renderer back.
-    EXPECT_GE(session.cacheStats().renderer.hits, 1u);
 
     TimelineRenderQuery query;
     query.config = config;
@@ -669,28 +592,27 @@ TEST(RendererPoolTest, SyncAndAsyncRendersSharePoolAndMatch)
     ASSERT_EQ(ticket.wait(), QueryStatus::Done);
     expectFramesEqual(fb_sync, ticket.result().fb);
 
-    std::uint64_t reuses_before = session.cacheStats().renderer.hits;
     auto second = session.submit(query);
     ASSERT_EQ(second.wait(), QueryStatus::Done);
     expectFramesEqual(fb_sync, second.result().fb);
-    EXPECT_GT(session.cacheStats().renderer.hits, reuses_before);
 }
 
-TEST(RendererPoolTest, TraceSwapRekeysSessionRenders)
+TEST(SessionRenderTest, TraceSwapRendersNewTrace)
 {
     Session session(denseTrace(4, 1, 300, 1));
     render::TimelineConfig config;
     render::Framebuffer fb_old(48, 32);
     session.render(config, fb_old);
 
-    session.setTrace(denseTrace(4, 1, 300, 2));
+    auto fresh =
+        std::make_shared<const trace::Trace>(denseTrace(4, 1, 300, 2));
+    session.setTrace(fresh);
     render::Framebuffer fb_new(48, 32);
-    session.render(config, fb_new); // Fresh renderer of the new trace.
-    render::Framebuffer fb_new2(48, 32);
-    session.render(config, fb_new2);
-    expectFramesEqual(fb_new, fb_new2);
-    // At least the pre-swap idle renderer was discarded on the swap.
-    EXPECT_GE(session.cacheStats().renderer.evictions, 1u);
+    session.render(config, fb_new);
+    render::Framebuffer fb_direct(48, 32);
+    render::TimelineRenderer direct(*fresh);
+    direct.render(config, fb_direct);
+    expectFramesEqual(fb_direct, fb_new);
 }
 
 // -- drain() vs concurrent submitters -------------------------------------

@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "base/rng.h"
 #include "base/thread_pool.h"
@@ -273,6 +274,29 @@ TEST(SessionAsync, SubmitCounterExtremaMatchesSync)
     EXPECT_EQ(async_view.valid, sync_view.valid);
     EXPECT_EQ(async_view.min, sync_view.min);
     EXPECT_EQ(async_view.max, sync_view.max);
+}
+
+TEST(SessionAsync, UnsampledCounterExtremaDoNotGrowIndexCache)
+{
+    trace::Trace tr = denseTrace(); // Counters 0 and 1 are sampled.
+    Session session = Session::view(tr);
+    const CounterIndexCache &cache = *session.sharedCaches().counterIndexes;
+    const TimeInterval span = tr.span();
+
+    std::vector<QueryTicket<index::MinMax>> tickets;
+    for (CounterId counter = 2; counter < 10'002; counter++)
+        tickets.push_back(
+            session.submit(CounterExtremaQuery{{span}, 0, counter}));
+    for (QueryTicket<index::MinMax> &ticket : tickets)
+        EXPECT_FALSE(ticket.take().valid);
+    EXPECT_EQ(session.cacheStats().counterIndex.builds, 0u);
+    EXPECT_EQ(cache.size(), 0u);
+
+    for (int repeat = 0; repeat < 2; repeat++)
+        EXPECT_TRUE(
+            session.submit(CounterExtremaQuery{{span}, 0, 1}).take().valid);
+    EXPECT_EQ(session.cacheStats().counterIndex.builds, 1u);
+    EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(SessionAsync, CancelWhileQueuedReportsCancelledAndBuildsNothing)
