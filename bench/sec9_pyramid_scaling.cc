@@ -138,9 +138,11 @@ measure(const trace::Trace &tr, int reps)
     render::Framebuffer fb(kWidth, 240);
     out.render_s = p95(reps, [&] { session.render(config, fb); });
 
-    // One stats query runs in microseconds; time batches of 16 so the
-    // p95 ratio gates on signal, not timer jitter.
-    constexpr int kStatsBatch = 16;
+    // One stats query runs in tens of microseconds (30-70 us on a
+    // 4-thread host, most of it the hand-off to a worker and back), so
+    // a single preemption can swamp a sample of a few. Batches of 128
+    // make every sample last well over 1 ms on the 1x trace.
+    constexpr int kStatsBatch = 128;
     out.stats_s = p95(reps, [&] {
                       for (int i = 0; i < kStatsBatch; i++)
                           session

@@ -563,10 +563,9 @@ Server::Connection::handleOpenTrace(const Frame &frame)
 
     Binding binding;
     binding.shared = shared;
-    binding.session =
-        std::make_unique<session::Session>(shared->trace);
+    binding.session = std::make_unique<session::Session>(shared->trace,
+                                                         shared->caches);
     binding.session->setQueryEngine(server_->engine_);
-    binding.session->adoptSharedCaches(shared->caches);
     // Per-client cancellation scope: this client's view/filter
     // mutations cancel only its own stale queries.
     binding.session->setGenerationDomain(

@@ -10,8 +10,10 @@
  * by construction. All sessions share the server's one QueryEngine and
  * worker pool; clients that open the *same* trace file additionally
  * share that trace's caches (counter indexes, the filter-independent
- * stats memo, the summary pyramids) through Session::adoptSharedCaches(),
- * so a cold scan any client pays for serves them all.
+ * stats memo, the summary pyramids): each binding's session is
+ * constructed over that trace's one Session::SharedCaches, built once
+ * when the trace is first loaded, so a cold scan any client pays for
+ * serves them all and a second open builds nothing.
  *
  * Isolation comes from the cancellation plane, not from duplication:
  * each (client, trace) binding owns a GenerationDomain, so a client's

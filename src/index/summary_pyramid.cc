@@ -1,6 +1,8 @@
 #include "index/summary_pyramid.h"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 
 #include "base/logging.h"
 
@@ -168,23 +170,42 @@ TracePyramids::TracePyramids(const trace::Trace &trace)
         g0_ <<= 1;
     leafCount_ = span_end / g0_ + 1;
 
+    // The task index, a counting sort over leaves: a task's start leaf
+    // and the leaf boundary at or after its end are all the order that
+    // a leaf-aligned count or range needs. A task's end (start +
+    // duration, which can wrap on hostile input) is covered by the
+    // span, but its start need not be: starts at or past the domain
+    // end go into one trailing bucket, leaf leafCount_, that no
+    // aligned range reaches. g0 is a power of two, so shifts divide.
+    const int shift = std::countr_zero(g0_);
+    const TimeStamp in_leaf = g0_ - 1;
+    auto start_leaf = [&](const trace::TaskInstance &task) {
+        return std::min<std::uint64_t>(task.interval.start >> shift,
+                                       leafCount_);
+    };
     const std::vector<trace::TaskInstance> &instances =
         trace.taskInstances();
-    tasksByStart_.reserve(instances.size());
+    startsBefore_.assign(leafCount_ + 2, 0);
+    endsBy_.assign(leafCount_ + 1, 0);
+    for (const trace::TaskInstance &task : instances) {
+        startsBefore_[start_leaf(task) + 1]++;
+        // ceil(end / g0) without forming end + g0 - 1, which can wrap.
+        const TimeStamp end = task.interval.end;
+        const std::uint64_t boundary =
+            (end >> shift) + ((end & in_leaf) != 0 ? 1 : 0);
+        if (boundary <= leafCount_)
+            endsBy_[boundary]++;
+    }
+    std::partial_sum(startsBefore_.begin(), startsBefore_.end(),
+                     startsBefore_.begin());
+    std::partial_sum(endsBy_.begin(), endsBy_.end(), endsBy_.begin());
+
+    // Scatter in trace order, so each bucket keeps trace order.
+    std::vector<std::uint64_t> next(startsBefore_.begin(),
+                                    startsBefore_.end() - 1);
+    tasksByStart_.resize(instances.size());
     for (const trace::TaskInstance &task : instances)
-        tasksByStart_.push_back(&task);
-    std::stable_sort(tasksByStart_.begin(), tasksByStart_.end(),
-                     [](const trace::TaskInstance *a,
-                        const trace::TaskInstance *b) {
-                         return a->interval.start < b->interval.start;
-                     });
-    taskStarts_.reserve(instances.size());
-    taskEnds_.reserve(instances.size());
-    for (const trace::TaskInstance *task : tasksByStart_)
-        taskStarts_.push_back(task->interval.start);
-    for (const trace::TaskInstance &task : instances)
-        taskEnds_.push_back(task.interval.end);
-    std::sort(taskEnds_.begin(), taskEnds_.end());
+        tasksByStart_[next[start_leaf(task)]++] = &task;
 }
 
 const SummaryPyramid &
@@ -279,14 +300,24 @@ TracePyramids::leafRange(const TimeInterval &interval) const
             std::min(interval.end / g0_, leafCount_)};
 }
 
+std::pair<std::uint64_t, std::uint64_t>
+TracePyramids::alignedBoundaries(const TimeInterval &interval) const
+{
+    AFTERMATH_ASSERT(interval.start % g0_ == 0 && interval.end % g0_ == 0 &&
+                         interval.start <= interval.end &&
+                         interval.end <= domainEnd(),
+                     "task index query over [%llu, %llu), which is not "
+                     "leaf-aligned inside the domain",
+                     static_cast<unsigned long long>(interval.start),
+                     static_cast<unsigned long long>(interval.end));
+    return {interval.start / g0_, interval.end / g0_};
+}
+
 std::uint64_t
 TracePyramids::tasksStartedIn(const TimeInterval &interval) const
 {
-    auto lo = std::lower_bound(taskStarts_.begin(), taskStarts_.end(),
-                               interval.start);
-    auto hi = std::lower_bound(taskStarts_.begin(), taskStarts_.end(),
-                               interval.end);
-    return static_cast<std::uint64_t>(hi - lo);
+    auto [a, b] = alignedBoundaries(interval);
+    return startsBefore_[b] - startsBefore_[a];
 }
 
 std::uint64_t
@@ -295,23 +326,16 @@ TracePyramids::tasksOverlapping(const TimeInterval &interval) const
     // #{start < end} - #{end <= start}: exactly the tasks whose
     // interval overlaps [start, end), including the spanning tasks an
     // empty interval still intersects.
-    auto started = std::lower_bound(taskStarts_.begin(),
-                                    taskStarts_.end(), interval.end);
-    auto finished = std::upper_bound(taskEnds_.begin(), taskEnds_.end(),
-                                     interval.start);
-    return static_cast<std::uint64_t>(started - taskStarts_.begin()) -
-           static_cast<std::uint64_t>(finished - taskEnds_.begin());
+    auto [a, b] = alignedBoundaries(interval);
+    return startsBefore_[b] - endsBy_[a];
 }
 
 std::pair<std::size_t, std::size_t>
 TracePyramids::taskStartRange(const TimeInterval &interval) const
 {
-    auto lo = std::lower_bound(taskStarts_.begin(), taskStarts_.end(),
-                               interval.start);
-    auto hi = std::lower_bound(taskStarts_.begin(), taskStarts_.end(),
-                               interval.end);
-    return {static_cast<std::size_t>(lo - taskStarts_.begin()),
-            static_cast<std::size_t>(hi - taskStarts_.begin())};
+    auto [a, b] = alignedBoundaries(interval);
+    return {static_cast<std::size_t>(startsBefore_[a]),
+            static_cast<std::size_t>(startsBefore_[b])};
 }
 
 } // namespace index

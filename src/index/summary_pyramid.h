@@ -25,10 +25,17 @@
  * interval snapped outward to the coarsest power-of-two multiple of g0
  * within the error budget, and the snapped interval is answered
  * exactly — state occupancy from these columns, task counts from the
- * trace-global arrays of TracePyramids, counter extrema from the
+ * trace-global task index of TracePyramids, counter extrema from the
  * per-(cpu, counter) index::CounterIndex. The result reports the
  * snapped interval and a ResolutionInfo provenance.
  * Resolution::Exact never touches this structure.
+ *
+ * The task index is a counting sort over the same leaves: per leaf
+ * boundary, the number of tasks starting before it and the number
+ * ending at or before it, plus every task bucketed by start leaf. For a
+ * leaf-aligned interval the task counts and the set of tasks starting
+ * inside it are then two array lookups each, and the build is two
+ * linear passes with no comparison sort.
  *
  * One caveat for bit-identity: the exact scan records a zero-valued
  * occupancy entry for a zero-duration state event inside the interval
@@ -145,9 +152,12 @@ class SummaryPyramid
  * The shared, per-CPU-sharded pyramid store of one trace. One leaf
  * granularity g0 for every CPU (chosen from the trace span), per-CPU
  * pyramids built lazily under per-shard locks (rank kPyramidShard),
- * plus the trace-global sorted task-start/end arrays that make the
- * interval task counts (tasksStarted / tasksOverlapping) and the
- * histogram's task selection O(log n) for any interval.
+ * plus the trace-global task index by leaf, built eagerly: cumulative
+ * task-start and task-end counts per leaf boundary and the tasks
+ * bucketed by start leaf. They make the interval task counts
+ * (tasksStarted / tasksOverlapping) and the histogram's task selection
+ * O(1) for any leaf-aligned interval, which is the only kind they
+ * accept.
  */
 class TracePyramids
 {
@@ -203,13 +213,25 @@ class TracePyramids
     std::pair<std::uint64_t, std::uint64_t>
     leafRange(const TimeInterval &interval) const;
 
+    // The task-index queries below take a leaf-aligned @p interval
+    // inside the domain, as snap() returns it (both edges multiples of
+    // g0, start <= end <= domainEnd()), and panic on any other.
+
     /** Tasks (trace-wide) whose start lies inside @p interval. */
     std::uint64_t tasksStartedIn(const TimeInterval &interval) const;
 
-    /** Tasks (trace-wide) overlapping @p interval. */
+    /**
+     * Tasks (trace-wide) overlapping @p interval: the tasks starting
+     * before its end less those ending at or before its start, in
+     * unsigned arithmetic.
+     */
     std::uint64_t tasksOverlapping(const TimeInterval &interval) const;
 
-    /** All task instances sorted by start time (ties by trace order). */
+    /**
+     * All task instances bucketed by start leaf, in leaf order and in
+     * trace order within a leaf; tasks starting at or past domainEnd()
+     * come last.
+     */
     const std::vector<const trace::TaskInstance *> &tasksByStart() const
     {
         return tasksByStart_;
@@ -223,6 +245,13 @@ class TracePyramids
     taskStartRange(const TimeInterval &interval) const;
 
   private:
+    /**
+     * Leaf boundaries {start / g0, end / g0} of a leaf-aligned
+     * @p interval inside the domain; panics on any other interval.
+     */
+    std::pair<std::uint64_t, std::uint64_t>
+    alignedBoundaries(const TimeInterval &interval) const;
+
     /**
      * One CPU's slot, guarded by its own lock. Shards share one rank
      * (kPyramidShard) because no code path holds two at once.
@@ -239,9 +268,12 @@ class TracePyramids
     std::uint64_t leafCount_ = 1;
     std::vector<Shard> shards_; ///< One per CPU; never resized.
 
-    // Immutable after construction: trace-global task arrays.
-    std::vector<TimeStamp> taskStarts_; ///< Sorted start times.
-    std::vector<TimeStamp> taskEnds_;   ///< Sorted end times.
+    // Immutable after construction: the trace-global task index.
+    /** [k]: tasks starting before leaf boundary k, k <= leafCount + 1
+     *  (the last entry counts the trailing past-the-domain bucket). */
+    std::vector<std::uint64_t> startsBefore_;
+    /** [k]: tasks ending at or before leaf boundary k, k <= leafCount. */
+    std::vector<std::uint64_t> endsBy_;
     std::vector<const trace::TaskInstance *> tasksByStart_;
 };
 

@@ -173,8 +173,8 @@ struct WarmupStats
  * any worker count). Memoized results answer as already-completed
  * tickets. Under Resolution::Budget/Pixels the interval snaps to the
  * pyramid granularity and the snapped interval is answered exactly
- * from two cells of each state column per CPU and the trace-global
- * task arrays; the result's interval and resolution fields
+ * from two cells of each state column per CPU and two lookups in the
+ * trace-global task index; the result's interval and resolution fields
  * report what was actually computed.
  */
 struct IntervalStatsQuery
@@ -186,8 +186,9 @@ struct IntervalStatsQuery
  * Duration histogram of the tasks passing the active filters. When
  * context.interval is set, only tasks *starting* inside it are binned
  * (the interval-stats tasksStarted notion); under Budget/Pixels the
- * interval snaps to the pyramid granularity and the selection uses the
- * pyramid's start-sorted task array instead of a full list scan.
+ * interval snaps to the pyramid granularity and the selection is the
+ * pyramid's bucket range of tasks starting in the snapped interval
+ * (tasks bucketed by start leaf) instead of a full list scan.
  */
 struct HistogramQuery
 {

@@ -546,8 +546,8 @@ Session::submit(const HistogramQuery &query)
                     : 0;
     if (granularity > 0) {
         // Pyramid path: snap the interval and select the tasks starting
-        // inside it by binary search on the start-sorted task array —
-        // O(log n + matches) instead of a full list scan. Bin counts
+        // inside it as one range of the start-leaf buckets — O(matches)
+        // instead of a full list scan. Bin edges (min/max) and counts
         // are order-independent, so the result equals the exact path's
         // histogram of the snapped interval bit for bit.
         TimeInterval snapped = pyramids_->snap(*restrict_to, granularity);

@@ -80,6 +80,22 @@ Session::Session(std::shared_ptr<const trace::Trace> trace)
     rebindTrace();
 }
 
+Session::Session(std::shared_ptr<const trace::Trace> trace,
+                 const SharedCaches &caches)
+    : trace_(std::move(trace)),
+      counterIndexes_(caches.counterIndexes),
+      statsMemo_(caches.statsMemo),
+      memo_(std::make_shared<SessionMemo>()),
+      pyramids_(caches.pyramids),
+      engine_(std::make_shared<QueryEngine>(1)),
+      domain_(engine_->defaultDomain())
+{
+    AFTERMATH_ASSERT(trace_ != nullptr, "session over a null trace");
+    AFTERMATH_ASSERT(counterIndexes_ != nullptr && statsMemo_ != nullptr &&
+                         pyramids_ != nullptr,
+                     "session over incomplete shared caches");
+}
+
 Session
 Session::view(const trace::Trace &trace)
 {
@@ -94,10 +110,9 @@ Session::rebindTrace()
     counterIndexes_ = std::make_shared<CounterIndexCache>(*trace_);
     // The pyramid store is trace-keyed, so a swap replaces it
     // wholesale — in-flight queries keep the old store and trace alive
-    // through their shared_ptrs. Its per-CPU pyramids build lazily, but
-    // the constructor eagerly sorts the trace-global task arrays (every
-    // task instance by start, every task end), which is not cheap on a
-    // large trace.
+    // through their shared_ptrs. Its per-CPU pyramids build lazily; the
+    // constructor eagerly builds the trace-global task index, two
+    // linear passes over the task instances.
     pyramids_ = std::make_shared<index::TracePyramids>(*trace_);
     // Replace — never clear in place — the shared memos: executors
     // still in flight over the old trace keep publishing into the old
@@ -226,26 +241,6 @@ Session::sharedCaches() const
     out.statsMemo = statsMemo_;
     out.pyramids = pyramids_;
     return out;
-}
-
-void
-Session::adoptSharedCaches(const SharedCaches &caches)
-{
-    AFTERMATH_ASSERT(caches.counterIndexes != nullptr &&
-                         caches.statsMemo != nullptr &&
-                         caches.pyramids != nullptr,
-                     "adopting incomplete shared caches");
-    // Roll the replaced caches' counters into the bases, exactly like a
-    // trace swap, so cacheStats() stays cumulative across the adoption.
-    counterIndexBase_.hits += counterIndexes_->counters().hits;
-    counterIndexBase_.builds += counterIndexes_->counters().builds;
-    {
-        base::MutexLock lock(statsMemo_->mutex);
-        accumulate(statsBase_, statsMemo_->stats.counters());
-    }
-    counterIndexes_ = caches.counterIndexes;
-    statsMemo_ = caches.statsMemo;
-    pyramids_ = caches.pyramids;
 }
 
 Session::WarmupStats

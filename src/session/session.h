@@ -103,15 +103,19 @@ struct SessionCacheStats
  * Construction modes:
  *  - Session(trace::Trace) takes ownership of the trace;
  *  - Session(std::shared_ptr<const trace::Trace>) shares it;
+ *  - Session(std::shared_ptr<const trace::Trace>, SharedCaches) shares
+ *    it and the per-trace caches of another session over it;
  *  - Session::view(trace) borrows a trace owned elsewhere (the caller
  *    guarantees it outlives the session).
  *
- * All caches are lazy: nothing is indexed until the first query needs
- * it — unless warmup() prefetches the structures for the current view
- * off the query path. setFilters() invalidates only filter-dependent
- * caches (the task list); setTrace() invalidates everything. Counters
- * are cumulative across invalidations so cache behaviour stays
- * observable.
+ * All caches but one are lazy: nothing is indexed until the first
+ * query needs it — unless warmup() prefetches the structures for the
+ * current view off the query path. The exception is the pyramid
+ * store's trace-global task index, built with the session in two
+ * linear passes over the task instances. setFilters() invalidates
+ * only filter-dependent caches (the task list); setTrace() invalidates
+ * everything. Counters are cumulative across invalidations so cache
+ * behaviour stays observable.
  */
 class Session
 {
@@ -161,6 +165,16 @@ class Session
         std::shared_ptr<StatsMemo> statsMemo;
         std::shared_ptr<index::TracePyramids> pyramids;
     };
+
+    /**
+     * A session sharing ownership of @p trace and answering from
+     * @p caches, which must come from sharedCaches() of a session over
+     * the same trace object; builds no per-trace structure of its own.
+     * The daemon's shared-cache plane: every client viewing one trace
+     * binds one set, so a scan any client paid for serves them all.
+     */
+    Session(std::shared_ptr<const trace::Trace> trace,
+            const SharedCaches &caches);
 
     // -- Shared state ------------------------------------------------------
 
@@ -286,21 +300,10 @@ class Session
 
     /**
      * Handles to this session's shareable per-trace caches, for a
-     * second session over the *same* trace to adopt. The returned
-     * shared_ptrs stay valid across this session's moves.
+     * second session over the *same* trace to be constructed over. The
+     * returned shared_ptrs stay valid across this session's moves.
      */
     SharedCaches sharedCaches() const;
-
-    /**
-     * Replace this session's counter-index cache, stats memo and
-     * summary pyramids with @p caches, which must have been obtained from
-     * a session over the same trace object (sharedCaches() on the
-     * first session for that trace). Counters of the replaced caches
-     * roll into this session's cumulative accounting. The daemon's
-     * shared-cache plane: every client viewing one trace adopts one
-     * set, so a scan any client paid for serves them all.
-     */
-    void adoptSharedCaches(const SharedCaches &caches);
 
     /**
      * The session's summary pyramids (index/summary_pyramid.h):

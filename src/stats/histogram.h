@@ -25,9 +25,9 @@ class Histogram
   public:
     /**
      * How the observation set was selected (base/resolution.h): exact
-     * task-list scan, or the pyramid's start-sorted task array over a
-     * snapped interval. Bin counts themselves are always exact over
-     * the selected set.
+     * task-list scan, or the pyramid's tasks bucketed by start leaf over
+     * a snapped interval. Bin counts themselves are always exact over
+     * the selected set, which they count in any order.
      */
     ResolutionInfo resolution;
 

@@ -3,7 +3,9 @@
  * Property tests of the resolution-aware query plane: pyramid answers
  * are bit-identical to the exact scan over the snapped interval,
  * snapping stays within the requested budget, Resolution::Exact is
- * bit-identical at every worker count, pyramids invalidate with the
+ * bit-identical at every worker count, the trace-global task index
+ * answers by its definitions on leaf-aligned intervals (hostile
+ * wrapped task intervals included), pyramids invalidate with the
  * trace and share through SharedCaches, and the cooperative-yield
  * plumbing (ThreadPool::runOneHighPriorityTask, ReadOptions::yield)
  * behaves. Built with TSan and ASan+UBSan in CI.
@@ -142,6 +144,137 @@ naiveOccupancyOver(const trace::Trace &tr, CpuId cpu, TimeStamp g0,
             acc[state] += static_cast<double>(t);
     }
     return {acc.begin(), acc.end()};
+}
+
+/**
+ * The task-index answers over [a, b) by their definitions, from the
+ * raw task array in unsigned arithmetic: #{start in [a, b)}, #{start <
+ * b} - #{end <= a}, and the tasks starting in [a, b) in trace order.
+ */
+struct NaiveTaskIndex
+{
+    std::uint64_t started = 0;
+    std::uint64_t overlapping = 0;
+    std::vector<const trace::TaskInstance *> startingIn;
+};
+
+NaiveTaskIndex
+naiveTaskIndex(const trace::Trace &tr, const TimeInterval &interval)
+{
+    NaiveTaskIndex out;
+    std::uint64_t starts_before_end = 0;
+    std::uint64_t ends_by_start = 0;
+    for (const trace::TaskInstance &task : tr.taskInstances()) {
+        if (task.interval.start >= interval.start &&
+            task.interval.start < interval.end) {
+            out.started++;
+            out.startingIn.push_back(&task);
+        }
+        if (task.interval.start < interval.end)
+            starts_before_end++;
+        if (task.interval.end <= interval.start)
+            ends_by_start++;
+    }
+    out.overlapping = starts_before_end - ends_by_start;
+    return out;
+}
+
+/**
+ * Leaf-aligned intervals over @p pyramids' domain: every ordered pair
+ * of a set of boundaries holding the domain's edges, its first and
+ * last leaves, its middle and random boundaries (so empty intervals,
+ * single leaves and the whole domain are all in).
+ */
+std::vector<TimeInterval>
+leafAlignedGrid(const index::TracePyramids &pyramids, Rng &rng)
+{
+    const std::uint64_t leaves = pyramids.leafCount();
+    std::vector<std::uint64_t> bounds = {0, 1, leaves / 3, leaves / 2,
+                                         leaves - 1, leaves};
+    for (int i = 0; i < 14; i++)
+        bounds.push_back(rng.nextBounded(leaves + 1));
+    std::sort(bounds.begin(), bounds.end());
+    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+    std::vector<TimeInterval> out;
+    const TimeStamp g0 = pyramids.leafGranularity();
+    for (std::size_t i = 0; i < bounds.size(); i++)
+        for (std::size_t j = i; j < bounds.size(); j++)
+            out.push_back({bounds[i] * g0, bounds[j] * g0});
+    return out;
+}
+
+/**
+ * Every task-index answer of @p pyramids over every interval of
+ * @p grid equals naiveTaskIndex() over @p tr.
+ */
+void
+expectTaskIndexMatchesNaive(const trace::Trace &tr,
+                            const index::TracePyramids &pyramids,
+                            const std::vector<TimeInterval> &grid)
+{
+    const auto &by_start = pyramids.tasksByStart();
+    for (const TimeInterval &iv : grid) {
+        NaiveTaskIndex expect = naiveTaskIndex(tr, iv);
+        EXPECT_EQ(pyramids.tasksStartedIn(iv), expect.started)
+            << "[" << iv.start << ", " << iv.end << ")";
+        EXPECT_EQ(pyramids.tasksOverlapping(iv), expect.overlapping)
+            << "[" << iv.start << ", " << iv.end << ")";
+        auto [first, last] = pyramids.taskStartRange(iv);
+        ASSERT_LE(first, last);
+        ASSERT_LE(last, by_start.size());
+        std::vector<const trace::TaskInstance *> got(
+            by_start.begin() + static_cast<std::ptrdiff_t>(first),
+            by_start.begin() + static_cast<std::ptrdiff_t>(last));
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, expect.startingIn)
+            << "[" << iv.start << ", " << iv.end << ")";
+    }
+}
+
+/**
+ * tasksByStart() holds every task once, in start-leaf order (starts
+ * past the domain last) and in trace order within a leaf.
+ */
+void
+expectTasksBucketedByStartLeaf(const trace::Trace &tr,
+                               const index::TracePyramids &pyramids)
+{
+    const auto &by_start = pyramids.tasksByStart();
+    ASSERT_EQ(by_start.size(), tr.taskInstances().size());
+    auto leaf_of = [&](const trace::TaskInstance *task) {
+        return std::min(task->interval.start / pyramids.leafGranularity(),
+                        pyramids.leafCount());
+    };
+    for (std::size_t i = 1; i < by_start.size(); i++) {
+        const std::uint64_t prev = leaf_of(by_start[i - 1]);
+        const std::uint64_t cur = leaf_of(by_start[i]);
+        ASSERT_LE(prev, cur) << i;
+        if (prev == cur) {
+            ASSERT_LT(by_start[i - 1], by_start[i]) << i;
+        }
+    }
+}
+
+/**
+ * A copy of @p base's topology, task types and task instances with
+ * @p extra appended after them, finalized. State events are not
+ * copied: the task index reads only the tasks and the span.
+ */
+trace::Trace
+withTasks(const trace::Trace &base,
+          const std::vector<trace::TaskInstance> &extra)
+{
+    trace::Trace tr;
+    tr.setTopology(base.topology());
+    for (const auto &[id, type] : base.taskTypes())
+        tr.addTaskType(type);
+    for (const trace::TaskInstance &task : base.taskInstances())
+        tr.addTaskInstance(task);
+    for (const trace::TaskInstance &task : extra)
+        tr.addTaskInstance(task);
+    std::string err;
+    EXPECT_TRUE(tr.finalize(err)) << err;
+    return tr;
 }
 
 TEST(SummaryPyramid, BudgetAnswersEqualExactScanOfSnappedInterval)
@@ -412,6 +545,168 @@ TEST(SummaryPyramid, OccupancyMatchesNaivePerEventReference)
     }
 }
 
+TEST(SummaryPyramid, TaskIndexMatchesNaiveCountsOverLeafAlignedIntervals)
+{
+    // Random traces plus tasks starting and ending exactly on leaf
+    // boundaries, zero-duration tasks on and off boundaries, a task
+    // spanning the whole trace, all appended in descending start order
+    // (out of the trace's start order). The span is a multiple of 1024
+    // in one variant (it then divides evenly into leaves) and one past
+    // it in the other.
+    for (std::uint64_t seed : {5ull, 23ull, 101ull}) {
+        for (int states : {40, 3000}) {
+            for (TimeStamp tail : {0ull, 1ull}) {
+                RandomTraceOptions opts;
+                opts.cpus = 3;
+                opts.statesPerCpu = states;
+                trace::Trace base = buildRandomTrace(seed, opts);
+                const TimeStamp span_end =
+                    ((base.span().end | 1023) + 1) + tail;
+                TaskInstanceId next_id = base.taskInstances().size();
+                const TaskTypeId type =
+                    base.taskInstances().front().type;
+                const trace::TaskInstance spanning{
+                    next_id++, type, 0, {0, span_end}};
+                const TimeStamp g0 =
+                    index::TracePyramids(withTasks(base, {spanning}))
+                        .leafGranularity();
+                if (tail == 0) {
+                    ASSERT_EQ(span_end % g0, 0u);
+                }
+
+                Rng rng(seed * 31 + static_cast<std::uint64_t>(states));
+                std::vector<trace::TaskInstance> extra;
+                auto add = [&](TimeStamp start, TimeStamp end) {
+                    extra.push_back(
+                        {next_id++, type,
+                         static_cast<CpuId>(rng.nextBounded(opts.cpus)),
+                         {start, end}});
+                };
+                const std::uint64_t boundaries = span_end / g0;
+                for (int i = 0; i < 60; i++) {
+                    const TimeStamp at = rng.nextBounded(boundaries) * g0;
+                    const TimeStamp len = rng.nextBounded(4 * g0);
+                    add(at, std::min(at + len, span_end)); // Starts on one.
+                    add(at > len ? at - len : 0, at);      // Ends on one.
+                    add(at, at);                           // Zero, on one.
+                    const TimeStamp off = rng.nextBounded(span_end);
+                    add(off, off); // Zero-duration, anywhere.
+                }
+                add(0, 0);
+                add(span_end, span_end);
+                extra.push_back(spanning);
+                std::sort(extra.begin(), extra.end(),
+                          [](const trace::TaskInstance &a,
+                             const trace::TaskInstance &b) {
+                              return a.interval.start > b.interval.start;
+                          });
+                trace::Trace tr = withTasks(base, extra);
+                ASSERT_EQ(tr.span().end, span_end);
+
+                index::TracePyramids pyramids(tr);
+                ASSERT_EQ(pyramids.leafGranularity(), g0);
+                expectTasksBucketedByStartLeaf(tr, pyramids);
+                expectTaskIndexMatchesNaive(tr, pyramids,
+                                            leafAlignedGrid(pyramids, rng));
+            }
+        }
+    }
+}
+
+TEST(SummaryPyramid, WrappedTaskIntervalsBuildCleanlyAndCountByDefinition)
+{
+    // The reader computes a task's end as start + duration, which can
+    // wrap: such a task starts far past the span, which covers ends
+    // only. Write marker tasks, patch their raw start and duration
+    // fields into wrapping ones, and read the bytes back.
+    trace::Trace base = buildRandomTrace(61);
+    struct Patch
+    {
+        TimeStamp start;
+        TimeStamp duration;
+    };
+    const std::vector<Patch> patches = {
+        {~0ull - 100, 151},                   // Ends at 50.
+        {~0ull, 1},                           // Ends at 0.
+        {1ull << 63, (1ull << 63) + 7},       // Ends at 7.
+        {~0ull - 5, 5 + 1 + base.span().end}, // Ends at the span end.
+    };
+    std::vector<trace::TaskInstance> markers;
+    TaskInstanceId next_id = base.taskInstances().size();
+    for (std::size_t i = 0; i < patches.size(); i++) {
+        const TimeStamp start = 0x5a5a5a5a00000000ull + i;
+        markers.push_back({next_id++, base.taskInstances().front().type, 0,
+                           {start, start + 0x1234 + i}});
+    }
+    std::vector<std::uint8_t> bytes = trace::writeTrace(
+        withTasks(base, markers), trace::Encoding::Raw);
+    auto le = [](TimeStamp v) {
+        std::vector<std::uint8_t> out(8);
+        for (int b = 0; b < 8; b++)
+            out[static_cast<std::size_t>(b)] =
+                static_cast<std::uint8_t>(v >> (8 * b));
+        return out;
+    };
+    for (std::size_t i = 0; i < patches.size(); i++) {
+        std::vector<std::uint8_t> field = le(markers[i].interval.start);
+        std::vector<std::uint8_t> duration =
+            le(markers[i].interval.duration());
+        field.insert(field.end(), duration.begin(), duration.end());
+        auto at = std::search(bytes.begin(), bytes.end(), field.begin(),
+                              field.end());
+        ASSERT_NE(at, bytes.end()) << "marker " << i;
+        std::vector<std::uint8_t> patched = le(patches[i].start);
+        duration = le(patches[i].duration);
+        patched.insert(patched.end(), duration.begin(), duration.end());
+        std::copy(patched.begin(), patched.end(), at);
+    }
+    trace::ReadResult read = trace::readTrace(bytes);
+    ASSERT_TRUE(read.ok) << read.error;
+    const trace::Trace &tr = read.trace;
+    std::size_t wrapped = 0;
+    for (const trace::TaskInstance &task : tr.taskInstances())
+        wrapped += task.interval.start > task.interval.end;
+    ASSERT_EQ(wrapped, patches.size());
+    ASSERT_EQ(tr.span().end, base.span().end);
+
+    index::TracePyramids pyramids(tr);
+    for (const Patch &patch : patches)
+        ASSERT_GE(patch.start, pyramids.domainEnd());
+    expectTasksBucketedByStartLeaf(tr, pyramids);
+    Rng rng(67);
+    expectTaskIndexMatchesNaive(tr, pyramids,
+                                leafAlignedGrid(pyramids, rng));
+
+    // The query plane answers over them without fault too.
+    Session session = Session::view(tr);
+    stats::IntervalStats approx =
+        session
+            .submit(IntervalStatsQuery{{tr.span(),
+                                        QueryPriority::Interactive,
+                                        Resolution::pixels(16)}})
+            .take();
+    EXPECT_EQ(approx.tasksStarted,
+              pyramids.tasksStartedIn(approx.interval));
+}
+
+TEST(SummaryPyramidDeathTest, TaskIndexRejectsIntervalsNotLeafAligned)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    RandomTraceOptions opts;
+    opts.statesPerCpu = 3000; // Leaves wider than one time unit.
+    trace::Trace tr = buildRandomTrace(71, opts);
+    index::TracePyramids pyramids(tr);
+    const TimeStamp g0 = pyramids.leafGranularity();
+    ASSERT_GT(g0, 1u);
+    const TimeStamp dom = pyramids.domainEnd();
+    EXPECT_DEATH(pyramids.tasksStartedIn({1, 2 * g0}), "not leaf-aligned");
+    EXPECT_DEATH(pyramids.tasksOverlapping({0, g0 + 1}),
+                 "not leaf-aligned");
+    EXPECT_DEATH(pyramids.taskStartRange({0, dom + g0}),
+                 "not leaf-aligned");
+    EXPECT_DEATH(pyramids.tasksStartedIn({2 * g0, g0}), "not leaf-aligned");
+}
+
 TEST(SummaryPyramid, BuildQueryIsIdempotentAndAttributed)
 {
     trace::Trace tr = buildRandomTrace(31);
@@ -453,14 +748,15 @@ TEST(SummaryPyramid, SharedCachesShareOnePyramidStore)
     auto tr = std::make_shared<const trace::Trace>(buildRandomTrace(43));
     Session a(tr);
     a.submit(PyramidBuildQuery{}).take();
-    Session b(tr);
-    b.adoptSharedCaches(a.sharedCaches());
+    Session b(tr, a.sharedCaches());
     EXPECT_EQ(a.pyramids().get(), b.pyramids().get());
+    // b built no pyramid of its own: a's prefetch serves it.
+    EXPECT_EQ(b.pyramids()->size(), tr->numCpus());
 
     const TimeInterval span = tr->span();
     Resolution res = Resolution::budget(span.duration() / 8);
     stats::IntervalStats via_b =
-        a.submit(IntervalStatsQuery{
+        b.submit(IntervalStatsQuery{
                      {span, QueryPriority::Interactive, res}})
             .take();
     expectSameAggregates(via_b,
