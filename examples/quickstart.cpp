@@ -103,7 +103,8 @@ main()
 
     // 5c. Traces also load asynchronously: submit a TraceLoadQuery, keep
     //     querying the current trace while the file decodes on the
-    //     session's pool, then swap the result in with setTrace().
+    //     session's pool, then open the result in a new session. A
+    //     session is bound to its trace for life.
     session::TraceLoadQuery load;
     load.path = "quickstart.ostv";
     auto load_ticket = session.submit(load);
@@ -113,14 +114,12 @@ main()
                      reloaded.error.c_str());
         return 1;
     }
-    session.setTrace(reloaded.trace);
-    std::printf("async reload: %zu bytes -> %u cpus, swapped in\n",
-                reloaded.bytesRead, session.trace().numCpus());
-    // The swap invalidated references into the old trace; rebind.
-    const trace::Trace &swapped = session.trace();
+    Session reopened(reloaded.trace);
+    std::printf("async reload: %zu bytes -> %u cpus, opened\n",
+                reloaded.bytesRead, reopened.trace().numCpus());
 
     // 6. Task graph reconstruction from the trace's memory accesses.
-    graph::TaskGraph tg = graph::TaskGraph::reconstruct(swapped);
+    graph::TaskGraph tg = graph::TaskGraph::reconstruct(reopened.trace());
     graph::DepthAnalysis depth = graph::computeDepths(tg);
     std::printf("task graph: %u nodes, %zu edges, max depth %u, "
                 "acyclic=%s\n",
@@ -131,7 +130,7 @@ main()
     render::Framebuffer fb(800, 256);
     render::TimelineConfig tl_config;
     tl_config.mode = render::TimelineMode::State;
-    const render::RenderStats &rstats = session.render(tl_config, fb);
+    const render::RenderStats &rstats = reopened.render(tl_config, fb);
     if (!fb.writePpmFile("quickstart_states.ppm", error)) {
         std::fprintf(stderr, "ppm export failed: %s\n", error.c_str());
         return 1;

@@ -28,9 +28,8 @@
  * submit(WarmupQuery) build the per-CPU search structures concurrently
  * and incrementally before the user's first zoom needs them. The pool
  * schedules by QueryPriority — interactive queries overtake queued
- * background work, which yields at chunk boundaries — and its workers
- * can be reclaimed after quiescence (QueryEngine::setIdleTimeout,
- * shutdown()).
+ * background work, which yields at chunk boundaries — and starts its
+ * workers on the first submission.
  *
  * The per-layer modules remain available underneath: the trace model
  * and format, indexes, filters, derived metrics, statistics, task-graph

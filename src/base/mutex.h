@@ -43,8 +43,9 @@
  *                           in-process loopback tests).
  *   kQueryEngine (100)      session::QueryEngine::poolMutex_ — the
  *                           outermost lock of the query plane: held
- *                           across pool restart + enqueue (withPool)
- *                           and by the idle reaper.
+ *                           across lazy pool start + enqueue
+ *                           (withPool) and across a resize's drain
+ *                           and join (setWorkers).
  *   kStatsMemo (190)        session::StatsMemo::mutex — the
  *                           filter-independent memo (interval stats,
  *                           warmed pairs) shared across every client

@@ -121,15 +121,6 @@ ThreadPool::wait()
         idle_.wait(lock);
 }
 
-std::chrono::steady_clock::duration
-ThreadPool::idleFor() const
-{
-    MutexLock lock(mutex_);
-    if (!highQueue_.empty() || !queue_.empty() || running_ > 0)
-        return std::chrono::steady_clock::duration::zero();
-    return std::chrono::steady_clock::now() - idleSince_;
-}
-
 bool
 ThreadPool::runOneHighPriorityTask()
 {
@@ -147,10 +138,8 @@ ThreadPool::runOneHighPriorityTask()
     {
         MutexLock lock(mutex_);
         running_--;
-        if (highQueue_.empty() && queue_.empty() && running_ == 0) {
-            idleSince_ = std::chrono::steady_clock::now();
+        if (highQueue_.empty() && queue_.empty() && running_ == 0)
             idle_.notifyAll();
-        }
     }
     return true;
 }
@@ -180,10 +169,8 @@ ThreadPool::workerLoop()
         {
             MutexLock lock(mutex_);
             running_--;
-            if (highQueue_.empty() && queue_.empty() && running_ == 0) {
-                idleSince_ = std::chrono::steady_clock::now();
+            if (highQueue_.empty() && queue_.empty() && running_ == 0)
                 idle_.notifyAll();
-            }
         }
     }
 }

@@ -19,7 +19,6 @@
 #define AFTERMATH_BASE_THREAD_POOL_H
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -191,20 +190,12 @@ class ThreadPool
      * this at chunk boundaries instead of abandoning its worker —
      * interactive work runs immediately, on the donor's thread, and
      * the donor resumes where it left off. The task counts as running
-     * for wait()/idleFor() exactly as if a worker had popped it.
+     * for wait() exactly as if a worker had popped it.
      */
     bool runOneHighPriorityTask();
 
     /** Block until both queues are empty and no task is running. */
     void wait();
-
-    /**
-     * How long the pool has been quiescent (both queues empty, nothing
-     * running); zero while busy. Fresh pools count as idle since
-     * construction. The idle-teardown reaper of session::QueryEngine
-     * polls this.
-     */
-    std::chrono::steady_clock::duration idleFor() const;
 
     /**
      * Run body(i) for every i in [0, n), distributing indexes across
@@ -247,10 +238,6 @@ class ThreadPool
     std::size_t running_ AM_GUARDED_BY(mutex_) = 0;
 
     bool stopping_ AM_GUARDED_BY(mutex_) = false;
-
-    /** Last transition to quiescence; meaningful only while idle. */
-    std::chrono::steady_clock::time_point idleSince_ AM_GUARDED_BY(mutex_) =
-        std::chrono::steady_clock::now();
 };
 
 } // namespace base

@@ -821,8 +821,7 @@ Server::acquireTrace(const OpenTraceRequest &request, std::string &error)
     auto shared = std::make_shared<SharedTrace>();
     shared->trace =
         std::make_shared<const trace::Trace>(std::move(result.trace));
-    session::Session seed(shared->trace);
-    shared->caches = seed.sharedCaches();
+    shared->caches = session::Session::freshCaches(shared->trace);
     shared->refs = 1;
     if (!from_path)
         return shared;

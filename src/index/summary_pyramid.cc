@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <numeric>
 
 #include "base/logging.h"
@@ -165,10 +166,18 @@ TracePyramids::TracePyramids(const trace::Trace &trace)
     // Smallest power-of-two leaf strictly covering the span with at
     // most kTargetLeaves leaves; the extra leaf keeps the last event
     // strictly inside the domain even when the span divides evenly.
+    // The loop tests span_end / g0 itself: adding the extra leaf
+    // first wraps to 0 when g0 = 1 and span_end = 2^64 - 1.
     g0_ = 1;
-    while (span_end / g0_ + 1 > kTargetLeaves)
+    while (span_end / g0_ >= kTargetLeaves)
         g0_ <<= 1;
     leafCount_ = span_end / g0_ + 1;
+    // A span ending in the top leaf below 2^64 (hostile input) would
+    // put domainEnd() at 2^64: drop that leaf so the domain end stays
+    // representable and leaf-aligned. Events past it are ignored like
+    // any past the domain.
+    if (leafCount_ > std::numeric_limits<TimeStamp>::max() / g0_)
+        leafCount_--;
 
     // The task index, a counting sort over leaves: a task's start leaf
     // and the leaf boundary at or after its end are all the order that
@@ -282,12 +291,16 @@ TracePyramids::snap(const TimeInterval &interval,
     TimeStamp start = interval.start >= dom
                           ? dom
                           : interval.start / granularity * granularity;
-    TimeStamp end =
-        interval.end >= dom
-            ? dom
-            : std::min((interval.end + granularity - 1) / granularity *
-                           granularity,
-                       dom);
+    // Round the end up without forming end + granularity, which can
+    // wrap near 2^64; a round-up at or past the domain clamps to it.
+    TimeStamp end = dom;
+    if (interval.end < dom) {
+        const TimeStamp floor = interval.end / granularity * granularity;
+        if (floor == interval.end)
+            end = floor;
+        else if (dom - floor > granularity)
+            end = floor + granularity;
+    }
     if (end < start)
         end = start;
     return {start, end};

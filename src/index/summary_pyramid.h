@@ -48,7 +48,7 @@
  * across every session viewing one trace (Session::SharedCaches), the
  * same idiom as CounterIndexCache: one lock per CPU shard, builds for
  * different CPUs never contend, references stay valid for the
- * pyramids' lifetime (the whole object is replaced on setTrace).
+ * pyramids' lifetime, which is the trace's.
  */
 
 #ifndef AFTERMATH_INDEX_SUMMARY_PYRAMID_H
@@ -174,7 +174,11 @@ class TracePyramids
     /** Leaves per pyramid; the domain is [0, leafCount * g0). */
     std::uint64_t leafCount() const { return leafCount_; }
 
-    /** End of the pyramid domain (>= the trace span's end). */
+    /**
+     * End of the pyramid domain: past the trace span's end, except for
+     * a span ending within g0 of 2^64, whose top leaf is dropped so
+     * the domain end stays representable.
+     */
     TimeStamp domainEnd() const { return g0_ * leafCount_; }
 
     /**

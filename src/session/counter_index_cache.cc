@@ -49,15 +49,6 @@ CounterIndexCache::query(CpuId cpu, CounterId counter,
     return get(cpu, counter).query(interval);
 }
 
-void
-CounterIndexCache::clear()
-{
-    for (Shard &shard : shards_) {
-        base::MutexLock lock(shard.mutex);
-        shard.entries.clear();
-    }
-}
-
 std::size_t
 CounterIndexCache::size() const
 {

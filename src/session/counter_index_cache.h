@@ -13,10 +13,8 @@
  * The store is sharded per CPU with one lock per shard: lookups and
  * builds for different CPUs never contend, which is what lets
  * Session::warmup() construct the indexes of a many-core trace
- * concurrently. get()/query()/counters() are safe to call from
- * multiple threads; clear() takes each shard lock in turn, but
- * callers must still guarantee no reference returned by get() is used
- * afterwards (entries die with the map).
+ * concurrently. Every method is safe to call from multiple threads;
+ * references returned by get() stay valid for the cache's lifetime.
  */
 
 #ifndef AFTERMATH_SESSION_COUNTER_INDEX_CACHE_H
@@ -71,13 +69,6 @@ class CounterIndexCache
     index::MinMax query(CpuId cpu, CounterId counter,
                         const TimeInterval &interval);
 
-    /**
-     * Drop every built index (counters preserved). Thread-safe against
-     * concurrent get() calls, but references obtained before the clear
-     * dangle — callers coordinate that externally.
-     */
-    void clear();
-
     /** Number of indexes currently built. */
     std::size_t size() const;
 
@@ -94,7 +85,7 @@ class CounterIndexCache
     /**
      * One CPU's slice of the store, guarded by its own lock. Shards
      * share one rank (kCounterIndexShard) because no code path ever
-     * holds two of them at once — clear()/size()/counters() visit
+     * holds two of them at once — size()/counters() visit
      * them strictly one at a time.
      */
     struct Shard

@@ -319,14 +319,13 @@ struct AnomalyScanQuery
 /**
  * Load a trace off the interaction path: the two-phase parallel reader
  * (trace/reader.h) runs on the engine's pool and the finished trace
- * comes back through the ticket, ready to swap in with
- * Session::setTrace(result.trace) from the driving thread — executors
- * never mutate the session, so queries over the old trace stay valid
- * until the swap.
+ * comes back through the ticket, ready to open as a new
+ * Session(result.trace) — executors never mutate the session, so the
+ * loading session and its queries stay valid beside the new one.
  *
  * Exactly one source must be set: a file path, or a shared in-memory
  * byte buffer (kept alive by the executor until completion). Like
- * warm-up, a load is generation-immune — view/filter/trace mutations
+ * warm-up, a load is generation-immune — view and filter mutations
  * do not cancel it; ticket.cancel() does, cooperatively at the next
  * frame-run boundary (the ticket completes Cancelled, no result).
  *
@@ -359,7 +358,7 @@ struct TraceLoadResult
     /** Diagnostic when !ok (carries byte offset + frame kind). */
     std::string error;
 
-    /** The loaded trace when ok; pass to Session::setTrace to swap. */
+    /** The loaded trace when ok; open it with Session(trace). */
     std::shared_ptr<const trace::Trace> trace;
 
     /** Encoding found in the trace header. */

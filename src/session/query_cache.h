@@ -54,8 +54,7 @@ struct CacheCounters
  * recently used entries; a returned reference then stays valid only
  * until the entry's eviction (at the earliest, n getOrBuild() calls
  * with other keys later). Counters are cumulative across clear() so
- * invalidation (filter changes, trace swaps) remains observable from
- * the outside.
+ * invalidation (filter changes) remains observable from the outside.
  */
 template <typename Key, typename Value>
 class MemoCache
@@ -134,9 +133,6 @@ class MemoCache
         capacity_ = capacity;
         trimToCapacity();
     }
-
-    /** The capacity bound; 0 means unbounded. */
-    std::size_t capacity() const { return capacity_; }
 
     /** Drop every entry; counters are preserved. */
     void

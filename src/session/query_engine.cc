@@ -53,20 +53,6 @@ QueryEngine::QueryEngine(unsigned workers)
     setWorkers(workers);
 }
 
-QueryEngine::~QueryEngine()
-{
-    if (reaper_.joinable()) {
-        {
-            base::MutexLock lock(poolMutex_);
-            stopReaper_ = true;
-        }
-        reaperCv_.notifyAll();
-        reaper_.join();
-    }
-    // pool_ drains both queues and joins in its destructor; executors
-    // never call back into the engine, so no lock is needed here.
-}
-
 void
 QueryEngine::setWorkers(unsigned workers)
 {
@@ -81,11 +67,8 @@ QueryEngine::setWorkers(unsigned workers)
 base::ThreadPool &
 QueryEngine::ensurePoolLocked()
 {
-    if (!pool_) {
+    if (!pool_)
         pool_ = std::make_shared<base::ThreadPool>(workers_);
-        // A parked reaper waits for the pool to exist again.
-        reaperCv_.notifyAll();
-    }
     return *pool_;
 }
 
@@ -108,29 +91,9 @@ QueryEngine::drain()
         base::MutexLock lock(poolMutex_);
         pool = pool_;
     }
-    // A parked pool has nothing queued or running: already drained.
+    // A pool not yet started has nothing queued or running.
     if (pool)
         pool->wait();
-}
-
-void
-QueryEngine::setIdleTimeout(std::chrono::milliseconds timeout)
-{
-    {
-        base::MutexLock lock(poolMutex_);
-        idleTimeout_ = timeout;
-        if (timeout.count() > 0 && !reaper_.joinable())
-            reaper_ = std::thread([this] { reaperLoop(); });
-    }
-    reaperCv_.notifyAll();
-}
-
-void
-QueryEngine::shutdown()
-{
-    base::MutexLock lock(poolMutex_);
-    // Drains both queues (queued background work completes) and joins.
-    pool_.reset();
 }
 
 unsigned
@@ -145,32 +108,6 @@ QueryEngine::hasInteractiveWork() const
 {
     base::MutexLock lock(poolMutex_);
     return pool_ && pool_->hasHighPriorityWork();
-}
-
-void
-QueryEngine::reaperLoop()
-{
-    base::MutexLock lock(poolMutex_);
-    for (;;) {
-        if (stopReaper_)
-            return;
-        if (idleTimeout_.count() <= 0 || !pool_) {
-            // Nothing to reap until a timeout is set and a pool lives.
-            reaperCv_.wait(lock);
-            continue;
-        }
-        std::chrono::steady_clock::duration idle = pool_->idleFor();
-        if (idle >= idleTimeout_) {
-            // Quiescent past the timeout: park-then-join. No task is
-            // queued or running (that is what idle means), and every
-            // submission path holds poolMutex_, so nothing races the
-            // teardown. The next submission restarts the pool.
-            pool_.reset();
-            continue;
-        }
-        reaperCv_.waitFor(lock, idleTimeout_ - idle +
-                                    std::chrono::milliseconds(1));
-    }
 }
 
 namespace {
@@ -789,7 +726,7 @@ Session::submit(const TraceLoadQuery &query)
                      "trace load query needs a source");
     auto state = newTicketState<TraceLoadResult>(*domain_);
     // A load's product is handed back to the driving thread, never
-    // published into shared caches, so view/filter/trace mutations
+    // published into shared caches, so view and filter mutations
     // cannot make it stale: generation-immune, explicit cancel only.
     state->live = nullptr;
     trace::ReadOptions options;
@@ -848,7 +785,7 @@ Session::submit(const TimelineRenderQuery &query)
     if (query.context.resolution.kind != Resolution::Kind::Exact)
         config.resolution = query.context.resolution;
     // The trace, filters and pyramids captures keep config's pointers
-    // valid across a trace swap mid-render.
+    // valid even if the session dies mid-render.
     return submitTask(
         *engine_, newTicketState<TimelineRenderResult>(*domain_),
         query.context.priority,

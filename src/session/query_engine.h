@@ -6,7 +6,7 @@
  * the query on the QueryEngine's shared base::ThreadPool. A ticket is a
  * future with a status and a cancel: wait()/result() block until the
  * query finished, cancel() requests cooperative abandonment, and every
- * view/filter/trace mutation bumps the session's GenerationDomain so
+ * view or filter mutation bumps the session's GenerationDomain so
  * stale in-flight queries cancel at the next chunk boundary instead of
  * wasting cores on a view the user already left. A domain is the unit
  * of cancellation: sessions default to their engine's domain (one
@@ -31,12 +31,10 @@
  * loads) queue behind interactive work but hold their worker once
  * running.
  *
- * Idle lifecycle: the pool starts lazily on the first submission, and
- * with setIdleTimeout(t) a reaper thread joins the workers after t of
- * quiescence — the next submission restarts them transparently.
- * shutdown() is the explicit form (drain, join, restart lazily).
- * Many-session programs and SessionGroup's shared engine reclaim their
- * parked workers this way instead of holding N idle pools alive.
+ * Pool lifetime: the pool starts lazily on the first submission — a
+ * session that never queries, or whose engine a daemon binding
+ * replaces, starts no thread — and lives until setWorkers() resizes it
+ * or the engine dies.
  *
  * Executors never touch the Session object itself — they capture shared
  * ownership of everything they read (the trace, the sharded index
@@ -61,14 +59,14 @@
  *         -> base::ThreadPool::mutex_ (kThreadPool, 400)
  *
  * The engine->pool edge is the only real nesting inside the plane:
- * withPool() holds the teardown lock across pool restart + enqueue,
- * and the idle reaper holds it across idleFor() probes and the final
- * pool_.reset(). The daemon ranks sit below it because a connection's
- * request handler holds its connection lock while submitting into the
- * engine; ticket completion callbacks run with *no* lock held (they
- * fire after TicketState::mutex is released), so a callback may
- * re-enter the daemon's low-ranked locks to enqueue a response without
- * inverting the order. Every other mutex in the plane —
+ * withPool() holds poolMutex_ across lazy start + enqueue, and
+ * setWorkers() holds it across the old pool's drain and join. The
+ * daemon ranks sit below it because a connection's request handler
+ * holds its connection lock while submitting into the engine; ticket
+ * completion callbacks run with *no* lock held (they fire after
+ * TicketState::mutex is released), so a callback may re-enter the
+ * daemon's low-ranked locks to enqueue a response without inverting
+ * the order. Every other mutex in the plane —
  * StatsMemo::mutex (kStatsMemo, 190), SessionMemo::mutex
  * (kSessionMemo, 200), the CounterIndexCache shards
  * (kCounterIndexShard, 300), the TracePyramids shards (kPyramidShard,
@@ -83,13 +81,11 @@
 #define AFTERMATH_SESSION_QUERY_ENGINE_H
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -124,8 +120,8 @@ enum class QueryStatus
 
 /**
  * The pair of cancellation counters one driving context bumps on
- * shared-state mutations: the full generation (view + filters + trace)
- * and the filter generation (filters + trace only). Executors snapshot
+ * shared-state mutations: the full generation (view + filters) and the
+ * filter generation (filters only). Executors snapshot
  * the relevant counter at submit and poll the shared cell at chunk
  * boundaries; a bump makes every older in-flight query of this domain
  * stale.
@@ -156,7 +152,7 @@ class GenerationDomain
         return generation_->load(std::memory_order_acquire);
     }
 
-    /** The live filter generation (filter/trace mutations only). */
+    /** The live filter generation (filter mutations only). */
     std::uint64_t
     filterGeneration() const
     {
@@ -170,7 +166,7 @@ class GenerationDomain
         generation_->fetch_add(1, std::memory_order_acq_rel);
     }
 
-    /** Invalidate every in-flight query (filters or trace moved). */
+    /** Invalidate every in-flight query (filters moved). */
     void
     bumpFilterGeneration()
     {
@@ -474,35 +470,30 @@ struct SessionMemo
 
 /**
  * The shared execution substrate of one or more sessions: a lazily
- * started base::ThreadPool with a two-level priority queue, the
- * generation counters that invalidate in-flight queries, and the idle
- * lifecycle of the workers. A SessionGroup points every variant at one
- * engine so group-wide work (overlapped warm-up, submitAll) shares one
- * pool instead of parking workers per variant.
+ * started base::ThreadPool with a two-level priority queue and the
+ * generation counters that invalidate in-flight queries. A
+ * SessionGroup points every variant at one engine so group-wide work
+ * (overlapped warm-up, submitAll) shares one pool instead of parking
+ * workers per variant.
  *
- * Driving-side methods (withPool(), setWorkers(), setIdleTimeout(),
- * shutdown(), drain()) follow the session's external-synchronization
- * contract — one driving thread at a time; liveWorkers() and
- * hasInteractiveWork() are safe from any thread, as is every
- * GenerationDomain. The pool is never exposed by reference: with
- * an idle timeout enabled the reaper may join the workers at any
- * quiescent moment, so every enqueue goes through withPool(), which
- * holds the teardown lock across restart + enqueue.
+ * Every method is safe from any thread, as is every GenerationDomain:
+ * the daemon's connection threads submit into one shared engine while
+ * setWorkers() may resize its pool. The pool is never exposed by
+ * reference, because a resize replaces it; every enqueue goes through
+ * withPool(), which holds poolMutex_ across lazy start + enqueue.
  */
 class QueryEngine
 {
   public:
     /** An engine whose pool will run @p workers threads (0 = one per
-     *  hardware thread). The pool starts on the first submit. */
+     *  hardware thread). The pool starts on the first submit, and
+     *  drains both queues before it dies with the engine. */
     explicit QueryEngine(unsigned workers = 1);
-
-    /** Joins the reaper; the pool drains both queues before dying. */
-    ~QueryEngine();
 
     QueryEngine(const QueryEngine &) = delete;
     QueryEngine &operator=(const QueryEngine &) = delete;
 
-    /** Effective worker count of the (possibly parked) pool. */
+    /** Effective worker count of the (possibly not yet started) pool. */
     unsigned
     workers() const AM_EXCLUDES(poolMutex_)
     {
@@ -512,7 +503,8 @@ class QueryEngine
 
     /**
      * Resize the pool; takes effect immediately (a live pool drains its
-     * queues and joins before the new size applies).
+     * queues, queued background work included, and joins before the
+     * new size applies; the next submission starts the new pool).
      */
     void setWorkers(unsigned workers);
 
@@ -531,54 +523,25 @@ class QueryEngine
     }
 
     /**
-     * Run @p body with the live pool (restarted if parked) while
-     * holding the teardown lock, so the reaper cannot join the workers
-     * between the restart and the body's enqueues. The submit path of
-     * every executor — and the only way to reach the pool. The body
-     * must only enqueue — calling back into the engine deadlocks.
+     * Run @p body with the live pool (started on first use) while
+     * holding poolMutex_, so a concurrent setWorkers() cannot replace
+     * the pool between the start and the body's enqueues. The submit
+     * path of every executor — and the only way to reach the pool. The
+     * body must only enqueue — calling back into the engine deadlocks.
      */
     void withPool(const std::function<void(base::ThreadPool &)> &body)
         AM_EXCLUDES(poolMutex_);
 
     /**
      * Block until both of the pool's queues are empty and no task is
-     * running. A parked pool counts as drained. The structured
-     * replacement for the old pool().wait() idiom.
+     * running. A pool not yet started counts as drained.
      */
     void drain() AM_EXCLUDES(poolMutex_);
 
-    // -- Idle lifecycle ----------------------------------------------------
-
     /**
-     * Park-then-join the workers after @p timeout of quiescence (both
-     * queues empty, nothing running); zero (the default) keeps them
-     * alive for the engine's lifetime. The next submission restarts
-     * the pool transparently — only the thread start-up cost returns.
-     * Starts the reaper thread on first use.
-     */
-    void setIdleTimeout(std::chrono::milliseconds timeout)
-        AM_EXCLUDES(poolMutex_);
-
-    /** The active idle timeout; zero = never torn down. */
-    std::chrono::milliseconds
-    idleTimeout() const AM_EXCLUDES(poolMutex_)
-    {
-        base::MutexLock lock(poolMutex_);
-        return idleTimeout_;
-    }
-
-    /**
-     * Drain both queues, join the workers and release them now. Any
-     * queued work (including background warm-up) completes first. The
-     * next submission restarts the pool lazily; setWorkers() and the
-     * idle timeout survive the cycle.
-     */
-    void shutdown();
-
-    /**
-     * Worker threads currently alive: 0 while the pool is parked (not
-     * yet started, idle-reaped, or shut down), workers() otherwise.
-     * Safe from any thread — the observable probe of idle teardown.
+     * Worker threads currently alive: 0 until the first submission
+     * starts the pool (and between a setWorkers() resize and the next
+     * submission), workers() otherwise. The probe of the lazy start.
      */
     unsigned liveWorkers() const;
 
@@ -590,18 +553,17 @@ class QueryEngine
     bool hasInteractiveWork() const;
 
   private:
-    /** Start the pool if parked. */
+    /** Start the pool if it is not running. */
     base::ThreadPool &ensurePoolLocked() AM_REQUIRES(poolMutex_);
-
-    /** Reaper main loop: park-then-join after idleTimeout_ quiescence. */
-    void reaperLoop();
 
     std::shared_ptr<GenerationDomain> defaultDomain_;
 
     /**
-     * Guards pool lifetime against the reaper thread. The outermost
-     * lock of the plane (lockrank::kQueryEngine): withPool() and the
-     * reaper hold it while acquiring the pool's own mutex underneath.
+     * Guards the pool handle: daemon connection threads submit
+     * concurrently (the first one starts the pool), and setWorkers()
+     * may replace the pool meanwhile. The outermost lock of the plane
+     * (lockrank::kQueryEngine): withPool() and setWorkers() hold it
+     * while acquiring the pool's own mutex underneath.
      */
     mutable base::Mutex poolMutex_{base::lockrank::kQueryEngine,
                                    "query-engine"};
@@ -610,17 +572,11 @@ class QueryEngine
     /**
      * shared_ptr, not unique_ptr: drain() copies the handle and waits
      * on it *outside* poolMutex_, so concurrent submitters never queue
-     * behind a full quiescence wait. A teardown racing such a drain
-     * defers the join to whichever thread drops the last reference.
+     * behind a full quiescence wait. A resize racing such a drain
+     * defers the old pool's join to whichever thread drops the last
+     * reference.
      */
     std::shared_ptr<base::ThreadPool> pool_ AM_GUARDED_BY(poolMutex_);
-    std::chrono::milliseconds idleTimeout_ AM_GUARDED_BY(poolMutex_){0};
-
-    /** Started/joined by driving-side methods only. */
-    std::thread reaper_;
-
-    base::CondVar reaperCv_;
-    bool stopReaper_ AM_GUARDED_BY(poolMutex_) = false;
 };
 
 } // namespace session

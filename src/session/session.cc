@@ -51,34 +51,28 @@ durationsOf(const std::vector<const trace::TaskInstance *> &tasks)
 
 } // namespace
 
-namespace {
-
-void
-accumulate(CacheCounters &into, const CacheCounters &from)
+Session::SharedCaches
+Session::freshCaches(const std::shared_ptr<const trace::Trace> &trace)
 {
-    into.hits += from.hits;
-    into.builds += from.builds;
-    into.evictions += from.evictions;
+    AFTERMATH_ASSERT(trace != nullptr, "session over a null trace");
+    // Every cache but one starts cold. The pyramid store builds its
+    // per-CPU pyramids lazily; its constructor eagerly builds the
+    // trace-global task index, two linear passes over the task
+    // instances.
+    SharedCaches caches;
+    caches.counterIndexes = std::make_shared<CounterIndexCache>(*trace);
+    caches.statsMemo = std::make_shared<StatsMemo>();
+    caches.pyramids = std::make_shared<index::TracePyramids>(*trace);
+    return caches;
 }
-
-} // namespace
 
 Session::Session(trace::Trace trace)
-    : trace_(std::make_shared<const trace::Trace>(std::move(trace))),
-      engine_(std::make_shared<QueryEngine>(1)),
-      domain_(engine_->defaultDomain())
-{
-    rebindTrace();
-}
+    : Session(std::make_shared<const trace::Trace>(std::move(trace)))
+{}
 
 Session::Session(std::shared_ptr<const trace::Trace> trace)
-    : trace_(std::move(trace)),
-      engine_(std::make_shared<QueryEngine>(1)),
-      domain_(engine_->defaultDomain())
-{
-    AFTERMATH_ASSERT(trace_ != nullptr, "session over a null trace");
-    rebindTrace();
-}
+    : Session(trace, freshCaches(trace))
+{}
 
 Session::Session(std::shared_ptr<const trace::Trace> trace,
                  const SharedCaches &caches)
@@ -102,71 +96,6 @@ Session::view(const trace::Trace &trace)
     // Aliasing empty-owner shared_ptr: no ownership, pointer only.
     return Session(std::shared_ptr<const trace::Trace>(
         std::shared_ptr<const trace::Trace>(), &trace));
-}
-
-void
-Session::rebindTrace()
-{
-    counterIndexes_ = std::make_shared<CounterIndexCache>(*trace_);
-    // The pyramid store is trace-keyed, so a swap replaces it
-    // wholesale — in-flight queries keep the old store and trace alive
-    // through their shared_ptrs. Its per-CPU pyramids build lazily; the
-    // constructor eagerly builds the trace-global task index, two
-    // linear passes over the task instances.
-    pyramids_ = std::make_shared<index::TracePyramids>(*trace_);
-    // Replace — never clear in place — the shared memos: executors
-    // still in flight over the old trace keep publishing into the old
-    // objects, which nobody queries anymore and which die with their
-    // last reference, so stale results (or, worse, task pointers into
-    // the old trace) can never poison the new trace's caches.
-    auto freshStats = std::make_shared<StatsMemo>();
-    if (statsMemo_) {
-        // Sequential, never nested: both rank kStatsMemo, so copy out
-        // under the old lock, then write under the fresh one.
-        std::size_t stats_capacity;
-        {
-            base::MutexLock lock(statsMemo_->mutex);
-            accumulate(statsBase_, statsMemo_->stats.counters());
-            stats_capacity = statsMemo_->stats.capacity();
-        }
-        base::MutexLock lock(freshStats->mutex);
-        freshStats->stats.setCapacity(stats_capacity);
-    }
-    statsMemo_ = std::move(freshStats);
-    auto fresh = std::make_shared<SessionMemo>();
-    if (memo_) {
-        std::uint64_t filter_generation;
-        {
-            base::MutexLock lock(memo_->mutex);
-            accumulate(taskListBase_, memo_->taskList.counters());
-            filter_generation = memo_->filterGeneration;
-        }
-        base::MutexLock lock(fresh->mutex);
-        fresh->filterGeneration = filter_generation;
-    }
-    memo_ = std::move(fresh);
-}
-
-void
-Session::setTrace(trace::Trace trace)
-{
-    setTrace(std::make_shared<const trace::Trace>(std::move(trace)));
-}
-
-void
-Session::setTrace(std::shared_ptr<const trace::Trace> trace)
-{
-    AFTERMATH_ASSERT(trace != nullptr, "session over a null trace");
-    // Keep the index accounting cumulative across the swap: the cache
-    // object dies with the old trace, its counters roll into the base.
-    // In-flight queries keep the old cache and trace alive through
-    // their captured shared_ptrs, but the generation bump cancels them
-    // before they can serve stale data.
-    counterIndexBase_.hits += counterIndexes_->counters().hits;
-    counterIndexBase_.builds += counterIndexes_->counters().builds;
-    trace_ = std::move(trace);
-    rebindTrace();
-    domain_->bumpFilterGeneration();
 }
 
 void
@@ -410,18 +339,13 @@ SessionCacheStats
 Session::cacheStats() const
 {
     SessionCacheStats out;
-    out.counterIndex.hits =
-        counterIndexBase_.hits + counterIndexes_->counters().hits;
-    out.counterIndex.builds =
-        counterIndexBase_.builds + counterIndexes_->counters().builds;
-    out.intervalStats = statsBase_;
-    out.taskList = taskListBase_;
+    out.counterIndex = counterIndexes_->counters();
     {
         base::MutexLock lock(statsMemo_->mutex);
-        accumulate(out.intervalStats, statsMemo_->stats.counters());
+        out.intervalStats = statsMemo_->stats.counters();
     }
     base::MutexLock lock(memo_->mutex);
-    accumulate(out.taskList, memo_->taskList.counters());
+    out.taskList = memo_->taskList.counters();
     return out;
 }
 

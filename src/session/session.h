@@ -13,10 +13,10 @@
  * Threading contract (the submit/ticket model): the session has a
  * *driving side* and an *execution side*.
  *
- *  - Driving side: setters (setTrace, setFilters, setView,
- *    setConcurrency), submit() and the synchronous query methods
- *    require external synchronization — one driving thread at a time
- *    per session (per group, when sessions share a QueryEngine).
+ *  - Driving side: setters (setFilters, setView, setConcurrency),
+ *    submit() and the synchronous query methods require external
+ *    synchronization — one driving thread at a time per session (per
+ *    group, when sessions share a QueryEngine).
  *  - Execution side: submit(spec) returns a QueryTicket immediately
  *    and runs the query on the engine's worker pool. Tickets are safe
  *    from any thread (status/wait/result/cancel), so a UI thread can
@@ -24,14 +24,14 @@
  *    Completed results publish into the session's memo caches, which
  *    are internally locked for exactly this producer path.
  *
- * Every mutation of the shared state (view, filters, trace) bumps the
+ * Every mutation of the shared state (view, filters) bumps the
  * engine's generation counters; in-flight stale queries observe the
  * bump at their next chunk boundary and complete as Cancelled instead
  * of wasting cores on a view the user already left. Staleness is
  * per-query: view-dependent queries (interval stats, extrema, render)
  * cancel on any mutation, view-independent but filter-keyed ones (task
- * list, histogram) only on filter/trace mutations — panning never
- * cancels them — and warm-up tickets cancel only explicitly (their
+ * list, histogram) only on filter mutations — panning never cancels
+ * them — and warm-up tickets cancel only explicitly (their
  * products are keyed or view-independent).
  *
  * The synchronous query methods are thin wrappers that check the memo,
@@ -98,9 +98,11 @@ struct SessionCacheStats
 };
 
 /**
- * One interactive analysis session over one finalized trace.
+ * One interactive analysis session over one finalized trace, bound to
+ * it for life: to analyse another trace, construct another session.
  *
- * Construction modes:
+ * Construction modes. Every one delegates to the SharedCaches
+ * constructor; all others pass it a fresh set from freshCaches():
  *  - Session(trace::Trace) takes ownership of the trace;
  *  - Session(std::shared_ptr<const trace::Trace>) shares it;
  *  - Session(std::shared_ptr<const trace::Trace>, SharedCaches) shares
@@ -113,9 +115,8 @@ struct SessionCacheStats
  * current view off the query path. The exception is the pyramid
  * store's trace-global task index, built with the session in two
  * linear passes over the task instances. setFilters() invalidates
- * only filter-dependent caches (the task list); setTrace() invalidates
- * everything. Counters are cumulative across invalidations so cache
- * behaviour stays observable.
+ * only filter-dependent caches (the task list). Counters are
+ * cumulative across invalidations so cache behaviour stays observable.
  */
 class Session
 {
@@ -167,11 +168,21 @@ class Session
     };
 
     /**
+     * A fresh SharedCaches set over @p trace (never null): builds the
+     * pyramid store's trace-global task index; every other cache
+     * starts cold. The caches reference the trace, which must outlive
+     * them.
+     */
+    static SharedCaches
+    freshCaches(const std::shared_ptr<const trace::Trace> &trace);
+
+    /**
      * A session sharing ownership of @p trace and answering from
-     * @p caches, which must come from sharedCaches() of a session over
-     * the same trace object; builds no per-trace structure of its own.
-     * The daemon's shared-cache plane: every client viewing one trace
-     * binds one set, so a scan any client paid for serves them all.
+     * @p caches, which must come from freshCaches() or sharedCaches()
+     * over the same trace object; builds no per-trace structure of its
+     * own. The daemon's shared-cache plane: every client viewing one
+     * trace binds one set, so a scan any client paid for serves them
+     * all.
      */
     Session(std::shared_ptr<const trace::Trace> trace,
             const SharedCaches &caches);
@@ -180,12 +191,6 @@ class Session
 
     /** The trace under analysis. */
     const trace::Trace &trace() const { return *trace_; }
-
-    /** Replace the trace (ownership taken); every cache is dropped. */
-    void setTrace(trace::Trace trace);
-
-    /** Replace the trace (shared); every cache is dropped. */
-    void setTrace(std::shared_ptr<const trace::Trace> trace);
 
     /**
      * Replace the active filter set; filter-dependent caches (the task
@@ -248,8 +253,8 @@ class Session
      * filters and the query interval (nullopt = current view), and the
      * merged ranked list is bit-identical to the synchronous
      * scanForAnomalies() at any worker count. View-generation-aware:
-     * view/filter/trace mutations cancel a queued or running scan at
-     * its next chunk boundary.
+     * view and filter mutations cancel a queued or running scan at its
+     * next chunk boundary.
      */
     QueryTicket<std::vector<stats::Anomaly>>
     submit(const AnomalyScanQuery &query);
@@ -257,7 +262,7 @@ class Session
     /**
      * Load a trace asynchronously through the two-phase parallel
      * reader (trace/reader.h) and return its ticket; the driving
-     * thread swaps the result in with setTrace(result.trace). Like
+     * thread opens the result as a new Session(result.trace). Like
      * warm-up, the load is generation-immune — only ticket.cancel()
      * stops it (cooperatively, at the next frame-run boundary).
      */
@@ -284,8 +289,8 @@ class Session
     void setQueryEngine(std::shared_ptr<QueryEngine> engine);
 
     /**
-     * Point this session at its own cancellation domain: view/filter/
-     * trace mutations bump (and in-flight queries poll) @p domain
+     * Point this session at its own cancellation domain: view and
+     * filter mutations bump (and in-flight queries poll) @p domain
      * instead of the engine's default. The daemon gives each client one
      * domain so a client's mutations never cancel another client's
      * queries on the shared engine.
@@ -310,7 +315,7 @@ class Session
      * resolution-aware queries (Resolution::Budget / Pixels) answer
      * from them, building each CPU's pyramid on first use; a
      * PyramidBuildQuery prefetches them off the interactive path.
-     * Replaced wholesale on setTrace(). Never null.
+     * Never null.
      */
     const std::shared_ptr<index::TracePyramids> &pyramids() const
     {
@@ -347,12 +352,13 @@ class Session
     /**
      * Aggregate statistics of @p interval across all CPUs, memoized per
      * interval. By default entries are never evicted: the reference
-     * stays valid until setTrace(), and memory grows with the number of
-     * *distinct* intervals queried. Callers issuing unbounded streams
-     * of unique intervals (continuous zooming) should bound the memo
-     * with setStatsCacheCapacity(); the reference then stays valid only
-     * until the entry's eviction — and asynchronous publishes evict
-     * too, so don't hold references across in-flight submissions.
+     * stays valid for the session's lifetime, and memory grows with
+     * the number of *distinct* intervals queried. Callers issuing
+     * unbounded streams of unique intervals (continuous zooming) should
+     * bound the memo with setStatsCacheCapacity(); the reference then
+     * stays valid only until the entry's eviction — and asynchronous
+     * publishes evict too, so don't hold references across in-flight
+     * submissions.
      */
     const stats::IntervalStats &intervalStats(const TimeInterval &interval);
 
@@ -418,7 +424,7 @@ class Session
 
     /**
      * The task instances passing the active filters, cached until the
-     * filters or the trace change. Pointers into the trace's instance
+     * filters change. Pointers into the trace's instance
      * array, in insertion order.
      */
     const std::vector<const trace::TaskInstance *> &tasks();
@@ -492,9 +498,6 @@ class Session
     SessionCacheStats cacheStats() const;
 
   private:
-    /** Re-point every per-trace structure after a trace swap. */
-    void rebindTrace();
-
     /**
      * The config every render runs with: @p filters when @p config
      * names no task filter (and the set is nonempty), the session's
@@ -512,11 +515,8 @@ class Session
     // Shared with in-flight executors (shared_ptr so sessions stay
     // movable and destruction-safe with queries in flight).
     std::shared_ptr<CounterIndexCache> counterIndexes_;
-    CacheCounters counterIndexBase_; ///< Accounting of pre-swap caches.
     std::shared_ptr<StatsMemo> statsMemo_; ///< Shareable across clients.
     std::shared_ptr<SessionMemo> memo_;    ///< Per driving context.
-    CacheCounters statsBase_;    ///< Pre-swap stats-memo accounting.
-    CacheCounters taskListBase_; ///< Pre-swap task-list accounting.
     std::shared_ptr<index::TracePyramids> pyramids_;
     std::shared_ptr<QueryEngine> engine_;
     std::shared_ptr<GenerationDomain> domain_; ///< Never null.

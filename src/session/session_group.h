@@ -18,10 +18,8 @@
  * submits every variant's WarmupQuery before waiting on any of them,
  * and submitAll(spec) fans one query spec out to all variants and
  * returns the tickets so deltas compute concurrently. The shared
- * engine's idle lifecycle applies group-wide: queryEngine()->
- * setIdleTimeout()/shutdown() parks-then-joins the one worker set
- * after quiescence, and the next submission of any variant restarts
- * it.
+ * engine's one worker set starts on the first submission of any
+ * variant and lives as long as the group.
  *
  * Like Session, a group's driving side requires external
  * synchronization: one thread at a time. Tickets returned by

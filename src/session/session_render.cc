@@ -21,9 +21,9 @@ Session::effectiveConfig(const render::TimelineConfig &config,
     if (effective.view.empty() && !view_.empty())
         effective.view = view_;
     // The session's own pyramid store backs Budget/Pixels resolution;
-    // a store of another trace would answer for the wrong events. A
-    // synchronous render ends before any setTrace can replace the
-    // store, and the async executor captures it.
+    // a store of another trace would answer for the wrong events. The
+    // async executor captures it, so it outlives the session if need
+    // be.
     effective.pyramids = pyramids_.get();
     return effective;
 }

@@ -496,6 +496,48 @@ TEST(Daemon, InlineBytesOpenStaysPrivate)
     server.stop();
 }
 
+TEST(Daemon, TraceEndingAtTheLastTimestampRendersInsteadOfAborting)
+{
+    // A span ending at 2^64 - 1 must still give the pyramids a leaf
+    // layout: a degenerate one aborts the first pyramid-backed query,
+    // and with it the whole daemon.
+    auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
+        trace::writeTrace(test_support::buildTopOfTimeTrace(),
+                          trace::Encoding::Raw));
+    Server server(Server::Options{2, 16});
+    Client client;
+    ASSERT_TRUE(connect(server, client));
+    OpenTraceRequest open;
+    open.bytes = bytes;
+    Reply<OpenTraceReply> opened = client.openTrace(open);
+    ASSERT_TRUE(opened.ok()) << opened.message;
+    ASSERT_EQ(opened.value.span.end, ~TimeStamp{0});
+
+    TimelineRenderRequest render;
+    render.head.traceId = opened.value.traceId;
+    render.view = opened.value.span;
+    render.width = 1920;
+    render.height = 32;
+    render.resolution = Resolution::pixels(1920);
+    Reply<RenderReply> frame = client.timelineRender(render);
+    ASSERT_TRUE(frame.ok()) << frame.message;
+    EXPECT_FALSE(frame.value.stats.resolution.exact);
+
+    // Bit-identical to a local session's render of the same bytes.
+    trace::ReadResult read = trace::readTrace(*bytes);
+    ASSERT_TRUE(read.ok) << read.error;
+    session::Session local = session::Session::view(read.trace);
+    session::TimelineRenderQuery query;
+    query.config.view = opened.value.span;
+    query.context.resolution = render.resolution;
+    query.width = render.width;
+    query.height = render.height;
+    session::TimelineRenderResult expect = local.submit(query).take();
+    EXPECT_EQ(bytesOf(frame.value),
+              bytesOf(RenderReply{std::move(expect.fb), expect.stats}));
+    server.stop();
+}
+
 TEST(Daemon, AdmissionControlRejectsBeyondInflightCap)
 {
     Server server(Server::Options{1, 2});

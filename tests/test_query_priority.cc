@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests of the two-level priority scheduler, the idle worker
- * lifecycle, and session renders: High tasks overtake queued Normal
+ * Tests of the two-level priority scheduler, the engine's pool
+ * lifetime, and session renders: High tasks overtake queued Normal
  * tasks, background drainers yield to interactive work without
- * corrupting results (bit-identity vs a serial scan), the engine's
- * idle timeout parks-then-joins its workers and the next submission
- * restarts them, and sync and async renders draw the same frame, also
- * after a trace swap. Built with TSan and ASan in CI to keep the
- * concurrency race-free.
+ * corrupting results (bit-identity vs a serial scan), the pool starts
+ * on the first submission and a resize drains queued work before the
+ * join, and sync and async renders draw the same frame. Built with
+ * TSan and ASan in CI to keep the concurrency race-free.
  */
 
 #include <gtest/gtest.h>
@@ -27,11 +26,9 @@
 #include "base/thread_pool.h"
 #include "index/summary_pyramid.h"
 #include "render/framebuffer.h"
-#include "render/timeline_renderer.h"
 #include "session/query.h"
 #include "session/query_engine.h"
 #include "session/session.h"
-#include "session/session_group.h"
 #include "stats/anomaly.h"
 #include "stats/export.h"
 #include "trace/state.h"
@@ -305,22 +302,6 @@ TEST(ThreadPoolPriority, YieldHandsWorkerToHighTaskThenResumes)
                                         "background-finish"}));
 }
 
-TEST(ThreadPoolPriority, IdleForTracksQuiescence)
-{
-    base::ThreadPool pool(2);
-    // Fresh pools count as idle since construction.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_GT(pool.idleFor().count(), 0);
-    auto gate = std::make_shared<Gate>();
-    pool.submit([gate] { gate->block(); });
-    gate->awaitEntered();
-    EXPECT_EQ(pool.idleFor().count(), 0);
-    gate->release();
-    pool.wait();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_GT(pool.idleFor().count(), 0);
-}
-
 // -- Query priorities on the engine --------------------------------------
 
 TEST(QueryPriorityDefaults, SpecsCarryTheirRole)
@@ -449,68 +430,44 @@ TEST(QueryPriorityTest, BackgroundWarmupYieldsAndStillWarmsEverything)
                   warmup.result().indexesSkipped);
 }
 
-// -- Idle lifecycle -------------------------------------------------------
+// -- Pool lifetime --------------------------------------------------------
 
-/** Poll @p engine until its workers parked or @p deadline passed. */
-bool
-awaitParked(QueryEngine &engine,
-            std::chrono::milliseconds deadline =
-                std::chrono::milliseconds(5'000))
-{
-    auto start = std::chrono::steady_clock::now();
-    while (engine.liveWorkers() != 0) {
-        if (std::chrono::steady_clock::now() - start > deadline)
-            return false;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return true;
-}
-
-TEST(IdleLifecycle, IdleTimeoutJoinsWorkersAndNextSubmitRestarts)
+TEST(PoolLifecycle, SessionConstructionStartsNoWorker)
 {
     trace::Trace tr = denseTrace();
     Session session = Session::view(tr);
-    TimeInterval span = tr.span();
     std::shared_ptr<QueryEngine> engine = session.queryEngine();
-    EXPECT_EQ(engine->liveWorkers(), 0u); // Lazy: no query yet.
-
-    engine->setIdleTimeout(std::chrono::milliseconds(25));
-    const stats::IntervalStats first = session.intervalStats();
-    expectStatsEqual(first, serialIntervalStats(tr, span));
-    EXPECT_TRUE(awaitParked(*engine))
-        << "idle timeout never joined the workers";
-
-    // A long timeout keeps the restarted pool observable.
-    engine->setIdleTimeout(std::chrono::seconds(600));
-    auto ticket = session.submit(
-        IntervalStatsQuery{TimeInterval{span.start, span.end - 1}});
-    EXPECT_EQ(ticket.wait(), QueryStatus::Done);
-    EXPECT_EQ(engine->liveWorkers(), 1u);
-    expectStatsEqual(ticket.result(),
-                     serialIntervalStats(tr, {span.start, span.end - 1}));
-}
-
-TEST(IdleLifecycle, ExplicitShutdownReleasesWorkersAndRestartsLazily)
-{
-    trace::Trace tr = denseTrace();
-    Session session = Session::view(tr);
-    TimeInterval span = tr.span();
-    std::shared_ptr<QueryEngine> engine = session.queryEngine();
-
-    session.intervalStats();
-    EXPECT_EQ(engine->liveWorkers(), 1u);
-    engine->shutdown();
+    EXPECT_EQ(engine->liveWorkers(), 0u);
+    session.setView({0, 100}); // Mutations submit nothing.
     EXPECT_EQ(engine->liveWorkers(), 0u);
 
-    auto ticket = session.submit(
-        IntervalStatsQuery{TimeInterval{span.start, span.end - 2}});
-    EXPECT_EQ(ticket.wait(), QueryStatus::Done);
+    const TimeInterval span = tr.span();
+    expectStatsEqual(session.intervalStats(span),
+                     serialIntervalStats(tr, span));
     EXPECT_EQ(engine->liveWorkers(), 1u);
-    expectStatsEqual(ticket.result(),
-                     serialIntervalStats(tr, {span.start, span.end - 2}));
 }
 
-TEST(IdleLifecycle, ShutdownDrainsQueuedBackgroundWorkFirst)
+TEST(PoolLifecycle, BindingLeavesItsDiscardedEngineUnstarted)
+{
+    // The daemon's binding sequence: a session over shared caches is
+    // pointed at the server's engine and its own domain, so the engine
+    // it was constructed with must never have started a thread.
+    auto tr = std::make_shared<const trace::Trace>(denseTrace());
+    auto server_engine = std::make_shared<QueryEngine>(2);
+    Session session(tr, Session::freshCaches(tr));
+    std::shared_ptr<QueryEngine> discarded = session.queryEngine();
+    session.setQueryEngine(server_engine);
+    session.setGenerationDomain(std::make_shared<GenerationDomain>());
+
+    const TimeInterval span = tr->span();
+    auto ticket = session.submit(IntervalStatsQuery{span});
+    ASSERT_EQ(ticket.wait(), QueryStatus::Done);
+    expectStatsEqual(ticket.result(), serialIntervalStats(*tr, span));
+    EXPECT_EQ(discarded->liveWorkers(), 0u);
+    EXPECT_EQ(server_engine->liveWorkers(), 2u);
+}
+
+TEST(PoolLifecycle, ResizeDrainsQueuedBackgroundWorkFirst)
 {
     trace::Trace tr = denseTrace();
     Session session = Session::view(tr);
@@ -518,43 +475,16 @@ TEST(IdleLifecycle, ShutdownDrainsQueuedBackgroundWorkFirst)
     auto ticket = session.submit(IntervalStatsQuery{
         {TimeInterval{span.start, span.end - 3},
          QueryPriority::Background}});
-    session.queryEngine()->shutdown();
+    session.setConcurrency({2});
     // Drained, not abandoned: the ticket completed before the join.
     EXPECT_EQ(ticket.status(), QueryStatus::Done);
     expectStatsEqual(ticket.result(),
                      serialIntervalStats(tr, {span.start, span.end - 3}));
-}
-
-TEST(IdleLifecycle, GroupSharedEngineParksAndRestarts)
-{
-    trace::Trace tr_a = denseTrace(4, 2, 800, 1);
-    trace::Trace tr_b = denseTrace(4, 2, 800, 3);
-    SessionGroup group;
-    group.add("a", Session::view(tr_a));
-    group.add("b", Session::view(tr_b));
-    group.setConcurrency({2});
-    group.warmup();
-
-    std::shared_ptr<QueryEngine> engine = group.queryEngine();
-    EXPECT_GE(engine->liveWorkers(), 1u);
-    engine->setIdleTimeout(std::chrono::milliseconds(25));
-    EXPECT_TRUE(awaitParked(*engine))
-        << "shared engine never parked its workers";
-
-    engine->setIdleTimeout(std::chrono::seconds(600));
-    TimeInterval span = tr_a.span();
-    auto tickets = group.submitAll(
-        IntervalStatsQuery{TimeInterval{span.start, span.end - 1}});
-    ASSERT_EQ(tickets.size(), 2u);
-    EXPECT_EQ(tickets[0].wait(), QueryStatus::Done);
-    EXPECT_EQ(tickets[1].wait(), QueryStatus::Done);
-    EXPECT_GE(engine->liveWorkers(), 1u);
-    expectStatsEqual(
-        tickets[0].result(),
-        serialIntervalStats(tr_a, {span.start, span.end - 1}));
-    expectStatsEqual(
-        tickets[1].result(),
-        serialIntervalStats(tr_b, {span.start, span.end - 1}));
+    // The next submission starts the resized pool.
+    auto next = session.submit(
+        IntervalStatsQuery{TimeInterval{span.start, span.end - 4}});
+    ASSERT_EQ(next.wait(), QueryStatus::Done);
+    EXPECT_EQ(session.queryEngine()->liveWorkers(), 2u);
 }
 
 // -- Session renders ------------------------------------------------------
@@ -595,24 +525,6 @@ TEST(SessionRenderTest, SyncAndAsyncRendersMatch)
     auto second = session.submit(query);
     ASSERT_EQ(second.wait(), QueryStatus::Done);
     expectFramesEqual(fb_sync, second.result().fb);
-}
-
-TEST(SessionRenderTest, TraceSwapRendersNewTrace)
-{
-    Session session(denseTrace(4, 1, 300, 1));
-    render::TimelineConfig config;
-    render::Framebuffer fb_old(48, 32);
-    session.render(config, fb_old);
-
-    auto fresh =
-        std::make_shared<const trace::Trace>(denseTrace(4, 1, 300, 2));
-    session.setTrace(fresh);
-    render::Framebuffer fb_new(48, 32);
-    session.render(config, fb_new);
-    render::Framebuffer fb_direct(48, 32);
-    render::TimelineRenderer direct(*fresh);
-    direct.render(config, fb_direct);
-    expectFramesEqual(fb_direct, fb_new);
 }
 
 // -- drain() vs concurrent submitters -------------------------------------
@@ -684,17 +596,16 @@ TEST(QueryPriorityTest, DrainRacesConcurrentSubmitters)
 }
 
 /**
- * The harder interleaving: drain() overlapping pool *teardown* (idle
- * reaping via a tiny timeout plus explicit shutdown churn) while a
- * submitter keeps restarting the pool. The join may land on whichever
- * thread drops the last pool handle; results must stay exact.
+ * The harder interleaving: drain() overlapping pool *teardown* (a
+ * churner resizing the pool back and forth) while a submitter keeps
+ * restarting it. The join may land on whichever thread drops the last
+ * pool handle; results must stay exact.
  */
 TEST(QueryPriorityTest, DrainRacesTeardownChurn)
 {
     trace::Trace tr = denseTrace(4, 2, 600);
     const TimeInterval span = tr.span();
     auto engine = std::make_shared<QueryEngine>(2);
-    engine->setIdleTimeout(std::chrono::milliseconds(1));
 
     std::atomic<bool> done{false};
     std::thread drainer([&] {
@@ -702,8 +613,9 @@ TEST(QueryPriorityTest, DrainRacesTeardownChurn)
             engine->drain();
     });
     std::thread churner([&] {
-        while (!done.load(std::memory_order_acquire)) {
-            engine->shutdown();
+        for (unsigned workers = 1; !done.load(std::memory_order_acquire);
+             workers = 3 - workers) {
+            engine->setWorkers(workers);
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
     });

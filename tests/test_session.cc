@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the session facade: lazy index construction, cache
- * invalidation on filter changes and trace swaps, and equivalence of
+ * invalidation on filter changes, and equivalence of
  * facade results with the legacy free-function paths.
  */
 
@@ -181,28 +181,6 @@ TEST(Session, TasksWithPredicateComposesWithFilters)
     EXPECT_TRUE(session.tasks([](const trace::TaskInstance &task) {
         return task.cpu == 1;
     }).empty());
-}
-
-TEST(Session, TraceSwapDropsEveryCache)
-{
-    Session session(smallTrace(1));
-    session.counterExtrema(0, kCtr, {0, 100});
-    session.intervalStats({0, 100});
-    session.tasks();
-    std::uint64_t builds_before = session.cacheStats().counterIndex.builds;
-    EXPECT_EQ(builds_before, 1u);
-
-    session.setTrace(smallTrace(3));
-    // Counter data changed; the facade must re-index, not serve stale
-    // extrema. Accounting is cumulative across the swap.
-    index::MinMax mm = session.counterExtrema(0, kCtr, {0, 101});
-    ASSERT_TRUE(mm.valid);
-    EXPECT_EQ(mm.max, 300);
-    EXPECT_EQ(session.cacheStats().counterIndex.builds, builds_before + 1);
-
-    EXPECT_EQ(session.intervalStats({0, 100}).timeInState.at(kExec), 160u);
-    EXPECT_EQ(session.cacheStats().intervalStats.builds, 2u);
-    EXPECT_EQ(session.tasks().size(), 2u);
 }
 
 TEST(Session, OwningAndViewModesSeeTheSameTrace)

@@ -382,42 +382,6 @@ TEST(SessionAsync, ViewBumpDoesNotCancelFilterKeyedQueries)
     EXPECT_EQ(stale.wait(), QueryStatus::Cancelled);
 }
 
-TEST(SessionAsync, TraceSwapDoesNotLetStaleExecutorsPoisonCaches)
-{
-    trace::Trace before = denseTrace(4, 2, 300, 1);
-    trace::Trace after = denseTrace(4, 2, 300, 3);
-    Session session = Session::view(before);
-    auto gate = std::make_shared<Gate>();
-    occupyWorker(session, gate);
-
-    // A generation-immune warm-up of the old trace is in flight when
-    // the trace is swapped: it must complete against the *old* trace's
-    // structures without leaking anything into the new trace's caches.
-    auto warmup = session.submit(WarmupQuery{});
-    auto old_stats = session.submit(IntervalStatsQuery{TimeInterval{0, 90}});
-    session.setTrace(
-        std::shared_ptr<const trace::Trace>(
-            std::shared_ptr<const trace::Trace>(), &after));
-    gate->release();
-    EXPECT_EQ(warmup.wait(), QueryStatus::Done);
-    old_stats.wait(); // Cancelled (stale) either way; must not publish.
-
-    // The new trace's caches start cold and serve new-trace data.
-    EXPECT_EQ(session.intervalStats({0, 90}).timeInState,
-              serialIntervalStats(after, {0, 90}).timeInState);
-    const trace::TaskInstance *first = after.taskInstances().data();
-    const trace::TaskInstance *last =
-        first + after.taskInstances().size();
-    for (const trace::TaskInstance *task : session.tasks()) {
-        EXPECT_GE(task, first);
-        EXPECT_LT(task, last);
-    }
-    // And warm-up of the new trace is not skipped by stale bookkeeping.
-    Session::WarmupStats rewarm = session.warmup();
-    EXPECT_EQ(rewarm.indexesVisited, 4u * 2u);
-    EXPECT_EQ(rewarm.indexesSkipped, 0u);
-}
-
 TEST(SessionAsync, WarmupTicketSurvivesGenerationBumps)
 {
     trace::Trace tr = denseTrace(4, 2, 400);

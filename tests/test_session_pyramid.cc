@@ -5,8 +5,8 @@
  * snapping stays within the requested budget, Resolution::Exact is
  * bit-identical at every worker count, the trace-global task index
  * answers by its definitions on leaf-aligned intervals (hostile
- * wrapped task intervals included), pyramids invalidate with the
- * trace and share through SharedCaches, and the cooperative-yield
+ * wrapped task intervals and a span ending at 2^64 - 1 included),
+ * pyramids share through SharedCaches, and the cooperative-yield
  * plumbing (ThreadPool::runOneHighPriorityTask, ReadOptions::yield)
  * behaves. Built with TSan and ASan+UBSan in CI.
  */
@@ -689,6 +689,83 @@ TEST(SummaryPyramid, WrappedTaskIntervalsBuildCleanlyAndCountByDefinition)
               pyramids.tasksStartedIn(approx.interval));
 }
 
+TEST(SummaryPyramid, SpanEndingAtTheLastTimestampAnswersOverTheDomain)
+{
+    // The span end 2^64 - 1 lies in the top leaf below 2^64: the leaf
+    // layout must neither wrap to zero leaves nor put the domain end
+    // at 2^64 (which wraps to 0).
+    trace::ReadResult read = trace::readTrace(trace::writeTrace(
+        test_support::buildTopOfTimeTrace(), trace::Encoding::Raw));
+    ASSERT_TRUE(read.ok) << read.error;
+    const trace::Trace &tr = read.trace;
+    const TimeInterval span = tr.span();
+    ASSERT_EQ(span.end, ~TimeStamp{0});
+
+    Session session = Session::view(tr);
+    const index::TracePyramids &pyramids = *session.pyramids();
+    const TimeStamp g0 = pyramids.leafGranularity();
+    ASSERT_GT(pyramids.leafCount(), 0u);
+    EXPECT_LE(pyramids.leafCount(), index::TracePyramids::kTargetLeaves);
+    EXPECT_GT(pyramids.domainEnd(), 0u);
+    EXPECT_EQ(pyramids.domainEnd() / g0, pyramids.leafCount());
+    EXPECT_EQ(pyramids.domainEnd() % g0, 0u);
+
+    PyramidBuildStats built = session.submit(PyramidBuildQuery{}).take();
+    EXPECT_EQ(built.cpusBuilt, tr.numCpus());
+
+    // Stats: the snapped interval is leaf-aligned inside the domain,
+    // and the answer is the exact scan of it.
+    const Resolution res = Resolution::pixels(1920);
+    const QueryContext context{span, QueryPriority::Interactive, res};
+    stats::IntervalStats approx =
+        session.submit(IntervalStatsQuery{context}).take();
+    const TimeStamp g = pyramids.granularityFor(res, span);
+    ASSERT_GT(g, 0u);
+    EXPECT_FALSE(approx.resolution.exact);
+    EXPECT_EQ(approx.interval, pyramids.snap(span, g));
+    EXPECT_EQ(approx.interval.start % g0, 0u);
+    EXPECT_EQ(approx.interval.end % g0, 0u);
+    EXPECT_LE(approx.interval.end, pyramids.domainEnd());
+    expectSameAggregates(approx, serialIntervalStats(tr, approx.interval));
+
+    // Histogram: the task selection of the snapped interval.
+    stats::Histogram hist =
+        session.submit(HistogramQuery{context, 12}).take();
+    stats::Histogram exact =
+        session.submit(HistogramQuery{{approx.interval}, 12}).take();
+    ASSERT_EQ(hist.numBins(), exact.numBins());
+    EXPECT_EQ(hist.rangeMin(), exact.rangeMin());
+    EXPECT_EQ(hist.rangeMax(), exact.rangeMax());
+    for (std::uint32_t bin = 0; bin < exact.numBins(); bin++)
+        EXPECT_EQ(hist.count(bin), exact.count(bin)) << bin;
+
+    // Render: the pyramid path draws every column, sync and async
+    // alike.
+    TimelineRenderQuery render;
+    render.context.resolution = res;
+    render.width = 1920;
+    render.height = 32;
+    TimelineRenderResult frame = session.submit(render).take();
+    EXPECT_FALSE(frame.stats.resolution.exact);
+    EXPECT_EQ(frame.stats.resolution.granularityNs, g0);
+    render::TimelineConfig config;
+    config.resolution = res;
+    render::Framebuffer fb(1920, 32);
+    session.render(config, fb);
+    EXPECT_TRUE(std::equal(fb.data(), fb.data() + 1920 * 32,
+                           frame.fb.data()));
+
+    // Snapping a sub-interval near the top rounds up without wrapping.
+    const TimeInterval top{pyramids.domainEnd() - 3 * g0 - 1,
+                           pyramids.domainEnd() - 1};
+    for (TimeStamp gran = g0; gran != 0 && gran <= (TimeStamp{1} << 63);
+         gran *= 2) {
+        TimeInterval snapped = pyramids.snap(top, gran);
+        EXPECT_LE(snapped.start, top.start) << gran;
+        EXPECT_EQ(snapped.end, pyramids.domainEnd()) << gran;
+    }
+}
+
 TEST(SummaryPyramidDeathTest, TaskIndexRejectsIntervalsNotLeafAligned)
 {
     testing::GTEST_FLAG(death_test_style) = "threadsafe";
@@ -717,30 +794,6 @@ TEST(SummaryPyramid, BuildQueryIsIdempotentAndAttributed)
     PyramidBuildStats second = session.submit(PyramidBuildQuery{}).take();
     EXPECT_EQ(second.cpusVisited, tr.numCpus());
     EXPECT_EQ(second.cpusBuilt, 0u);
-}
-
-TEST(SummaryPyramid, SetTraceReplacesThePyramidStoreWholesale)
-{
-    trace::Trace before = buildRandomTrace(37);
-    Session session = Session::view(before);
-    session.submit(PyramidBuildQuery{}).take();
-    std::shared_ptr<index::TracePyramids> old = session.pyramids();
-
-    trace::Trace after = buildRandomTrace(41);
-    const TimeInterval span = after.span();
-    session.setTrace(std::move(after));
-    EXPECT_NE(session.pyramids().get(), old.get());
-
-    // Approximate queries answer from the *new* trace's pyramids.
-    TimeInterval interval{span.start + 1, span.end - 1};
-    Resolution res = Resolution::budget(span.duration() / 2);
-    stats::IntervalStats approx =
-        session
-            .submit(IntervalStatsQuery{
-                {interval, QueryPriority::Interactive, res}})
-            .take();
-    expectSameAggregates(
-        approx, serialIntervalStats(session.trace(), approx.interval));
 }
 
 TEST(SummaryPyramid, SharedCachesShareOnePyramidStore)

@@ -155,9 +155,9 @@ TEST(LockRank, UnrankedMutexesAreExemptInEitherOrder)
 
 TEST(LockRank, WaitingWhileHoldingALowerRankIsAllowed)
 {
-    // The drain-style wait of the engine: the reaper holds
-    // kQueryEngine and sleeps on a condition of a higher-ranked
-    // mutex; the wake-up re-acquisition must pass the order check.
+    // A wait nested under the engine lock: a holder of kQueryEngine
+    // sleeps on a condition of a higher-ranked mutex; the wake-up
+    // re-acquisition must pass the order check.
     Mutex outer(lockrank::kQueryEngine, "test-outer");
     Mutex inner(lockrank::kThreadPool, "test-inner");
     CondVar cv;
@@ -191,7 +191,7 @@ TEST(LockRankDeathTest, SameRankAcquisitionAborts)
         GTEST_SKIP() << "lock-rank checks compiled out";
     testing::GTEST_FLAG(death_test_style) = "threadsafe";
     // Two distinct mutexes of one rank model the memo-vs-memo trap
-    // rebindTrace() avoids by locking sequentially: nesting them is an
+    // that locking memos one at a time avoids: nesting them is an
     // abort, whichever is first.
     Mutex first(lockrank::kSessionMemo, "test-memo-a");
     Mutex second(lockrank::kSessionMemo, "test-memo-b");

@@ -481,7 +481,7 @@ TEST(ReaderCancellation, ValidLoadIsNotCancelled)
 
 // ---- The asynchronous TraceLoadQuery plane -----------------------------
 
-TEST(TraceLoadQuery, LoadsAndSwapsATrace)
+TEST(TraceLoadQuery, LoadsATraceToOpenInANewSession)
 {
     RandomTraceOptions options;
     options.cpus = 6;
@@ -502,10 +502,11 @@ TEST(TraceLoadQuery, LoadsAndSwapsATrace)
     EXPECT_EQ(result.bytesRead, bytes->size());
     expectTracesEqual(next, *result.trace);
 
-    // The driving thread swaps the loaded trace in.
-    session.setTrace(result.trace);
-    EXPECT_EQ(session.trace().numCpus(), 6u);
-    EXPECT_GT(session.intervalStats().tasksStarted, 0u);
+    // The driving thread opens the loaded trace in a new session.
+    Session next_session(result.trace);
+    EXPECT_EQ(next_session.trace().numCpus(), 6u);
+    EXPECT_GT(next_session.intervalStats().tasksStarted, 0u);
+    EXPECT_EQ(session.trace().numCpus(), 2u);
 }
 
 TEST(TraceLoadQuery, ReportsReadErrors)

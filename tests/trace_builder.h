@@ -209,6 +209,34 @@ buildDenseTrace(const DenseTraceOptions &options = {})
     return tr;
 }
 
+/**
+ * A two-CPU trace whose span ends at 2^64 - 1, the last representable
+ * timestamp: CPU 0 executes one task {10, 2^64 - 1}, CPU 1 a short one
+ * and then idles. Hostile input for every layout derived from the
+ * span end.
+ */
+inline trace::Trace
+buildTopOfTimeTrace()
+{
+    constexpr std::uint32_t kExec =
+        static_cast<std::uint32_t>(trace::CoreState::TaskExec);
+    constexpr std::uint32_t kIdle =
+        static_cast<std::uint32_t>(trace::CoreState::Idle);
+    constexpr TimeStamp kLast = ~TimeStamp{0};
+    trace::Trace tr;
+    tr.setTopology(trace::MachineTopology::uniform(1, 2));
+    tr.addTaskType({0xa, "w"});
+    tr.addTaskInstance({0, 0xa, 0, {10, kLast}});
+    tr.addTaskInstance({1, 0xa, 1, {0, 1000}});
+    tr.cpu(0).addState({{0, 10}, kIdle, kInvalidTaskInstance});
+    tr.cpu(0).addState({{10, kLast}, kExec, 0});
+    tr.cpu(1).addState({{0, 1000}, kExec, 1});
+    tr.cpu(1).addState({{1000, 5000}, kIdle, kInvalidTaskInstance});
+    std::string err;
+    EXPECT_TRUE(tr.finalize(err)) << err;
+    return tr;
+}
+
 /** Assert every record of @p a equals the corresponding one of @p b. */
 inline void
 expectTracesEqual(const trace::Trace &a, const trace::Trace &b)
