@@ -54,8 +54,8 @@ main()
         {render::TimelineMode::NumaHeatmap, "numa_heatmap"},
     };
     for (const View &view : views) {
-        // One session renderer serves every mode; its palette caches
-        // persist across the passes.
+        // Every pass renders its lanes in parallel on the session's
+        // engine, each lane with a renderer of its own.
         render::Framebuffer fb(1024, 512);
         render::TimelineConfig tl;
         tl.mode = view.mode;

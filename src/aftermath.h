@@ -16,7 +16,7 @@
  *   session.setFilters(filters);            // shared by stats + render
  *   auto &stats = session.intervalStats();  // memoized
  *   auto mm = session.counterExtrema(cpu, counter, interval); // indexed
- *   session.render(config, framebuffer);    // pooled renderer
+ *   session.render(config, framebuffer);    // lanes in parallel
  *
  * Sessions extend to comparison workflows, to many-core traces, and to
  * UI threads that must never block: session::SessionGroup aligns N

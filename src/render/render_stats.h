@@ -39,6 +39,17 @@ struct RenderStats
         *this = RenderStats{};
     }
 
+    /** Add the operation and summary-cell counts of @p other, a part of
+     *  the same frame (the resolution kind stays this one's). */
+    void
+    addCounts(const RenderStats &other)
+    {
+        rectOps += other.rectOps;
+        lineOps += other.lineOps;
+        eventsVisited += other.eventsVisited;
+        resolution.nodesTouched += other.resolution.nodesTouched;
+    }
+
     std::uint64_t totalOps() const { return rectOps + lineOps; }
 };
 

@@ -53,15 +53,12 @@ TimelineRenderer::taskVisible(const TimelineConfig &config,
     return config.taskFilter->matches(trace_, *task);
 }
 
-void
-TimelineRenderer::prepareHeatmapRange(const TimelineConfig &config,
-                                      const TimeInterval &view)
+TimelineConfig
+TimelineRenderer::resolveHeatmapRange(const TimelineConfig &config,
+                                      const TimeInterval &view) const
 {
-    if (config.heatmapMax != 0) {
-        effectiveHeatMin_ = config.heatmapMin;
-        effectiveHeatMax_ = config.heatmapMax;
-        return;
-    }
+    if (config.mode != TimelineMode::Heatmap || config.heatmapMax != 0)
+        return config;
     // Adapt to the shortest/longest task currently displayed.
     bool any = false;
     TimeStamp lo = 0, hi = 1;
@@ -80,8 +77,10 @@ TimelineRenderer::prepareHeatmapRange(const TimelineConfig &config,
             hi = std::max(hi, d);
         }
     }
-    effectiveHeatMin_ = lo;
-    effectiveHeatMax_ = std::max(hi, lo + 1);
+    TimelineConfig resolved = config;
+    resolved.heatmapMin = lo;
+    resolved.heatmapMax = std::max(hi, lo + 1);
+    return resolved;
 }
 
 double
@@ -125,8 +124,8 @@ TimelineRenderer::taskColor(const TimelineConfig &config, TaskInstanceId id)
     Rgba color;
     switch (config.mode) {
       case TimelineMode::Heatmap:
-        color = heatmapShade(task->duration(), effectiveHeatMin_,
-                             effectiveHeatMax_, config.heatmapShades);
+        color = heatmapShade(task->duration(), config.heatmapMin,
+                             config.heatmapMax, config.heatmapShades);
         break;
       case TimelineMode::TypeMap:
         color = taskTypeColor(typeIndex(task->type));
@@ -361,48 +360,74 @@ TimelineRenderer::resolveLane(const TimelineConfig &config,
     }
 }
 
+ResolutionInfo
+FramePlan::resolution() const
+{
+    ResolutionInfo info;
+    if (pyramids) {
+        info.exact = false;
+        info.granularityNs = config.pyramids->leafGranularity();
+    }
+    return info;
+}
+
+std::optional<FramePlan>
+TimelineRenderer::planFrame(const TimelineConfig &config,
+                            std::uint32_t width, std::uint32_t height) const
+{
+    TimeInterval view = config.view.empty() ? trace_.span() : config.view;
+    if (view.empty())
+        return std::nullopt;
+    FramePlan frame{resolveHeatmapRange(config, view),
+                    TimelineLayout(view, width, height, trace_.numCpus())};
+    frame.pyramids = usePyramids(frame.config, frame.layout);
+    return frame;
+}
+
+void
+TimelineRenderer::renderLane(const FramePlan &frame, CpuId cpu,
+                             Framebuffer &fb)
+{
+    // The caches are per lane, so a lane draws the same whether its
+    // renderer drew other lanes before or not.
+    taskColorCache_.clear();
+    remoteFractionCache_.clear();
+    const TimelineLayout &layout = frame.layout;
+    if (frame.pyramids) {
+        renderPyramidLane(frame.config, layout, cpu, fb);
+        return;
+    }
+
+    row_.resize(layout.width());
+    resolveLane(frame.config, layout, cpu, row_);
+
+    // Aggregate runs of identical adjacent pixels into one rectangle
+    // (paper section VI-B.b).
+    std::uint32_t top = layout.laneTop(cpu);
+    std::uint32_t height = layout.laneHeight();
+    std::uint32_t x = 0;
+    while (x < layout.width()) {
+        std::uint32_t run_end = x + 1;
+        while (run_end < layout.width() && row_[run_end] == row_[x])
+            run_end++;
+        fb.fillRect(x, top, run_end - x, height, row_[x]);
+        stats_.rectOps++;
+        x = run_end;
+    }
+}
+
 void
 TimelineRenderer::render(const TimelineConfig &config, Framebuffer &fb)
 {
     stats_.reset();
-    taskColorCache_.clear();
-    remoteFractionCache_.clear();
-
     fb.clear(kBackground);
-    TimeInterval view = config.view.empty() ? trace_.span() : config.view;
-    if (view.empty())
+    std::optional<FramePlan> frame =
+        planFrame(config, fb.width(), fb.height());
+    if (!frame)
         return;
-    TimelineLayout layout(view, fb.width(), fb.height(),
-                          trace_.numCpus());
-    prepareHeatmapRange(config, view);
-
-    if (usePyramids(config, layout)) {
-        stats_.resolution.exact = false;
-        stats_.resolution.granularityNs =
-            config.pyramids->leafGranularity();
-        for (CpuId cpu = 0; cpu < trace_.numCpus(); cpu++)
-            renderPyramidLane(config, layout, cpu, fb);
-        return;
-    }
-
-    std::vector<Rgba> row(layout.width());
-    for (CpuId cpu = 0; cpu < trace_.numCpus(); cpu++) {
-        resolveLane(config, layout, cpu, row);
-
-        // Aggregate runs of identical adjacent pixels into one rectangle
-        // (paper section VI-B.b).
-        std::uint32_t top = layout.laneTop(cpu);
-        std::uint32_t height = layout.laneHeight();
-        std::uint32_t x = 0;
-        while (x < layout.width()) {
-            std::uint32_t run_end = x + 1;
-            while (run_end < layout.width() && row[run_end] == row[x])
-                run_end++;
-            fb.fillRect(x, top, run_end - x, height, row[x]);
-            stats_.rectOps++;
-            x = run_end;
-        }
-    }
+    stats_.resolution = frame->resolution();
+    for (CpuId cpu = 0; cpu < trace_.numCpus(); cpu++)
+        renderLane(*frame, cpu, fb);
 }
 
 void
@@ -413,12 +438,13 @@ TimelineRenderer::renderNaive(const TimelineConfig &config, Framebuffer &fb)
     remoteFractionCache_.clear();
 
     fb.clear(kBackground);
-    TimeInterval view = config.view.empty() ? trace_.span() : config.view;
-    if (view.empty())
+    std::optional<FramePlan> frame =
+        planFrame(config, fb.width(), fb.height());
+    if (!frame)
         return;
-    TimelineLayout layout(view, fb.width(), fb.height(),
-                          trace_.numCpus());
-    prepareHeatmapRange(config, view);
+    const TimelineConfig &resolved = frame->config;
+    const TimelineLayout &layout = frame->layout;
+    const TimeInterval &view = layout.view();
 
     for (CpuId cpu = 0; cpu < trace_.numCpus(); cpu++) {
         std::uint32_t top = layout.laneTop(cpu);
@@ -436,22 +462,22 @@ TimelineRenderer::renderNaive(const TimelineConfig &config, Framebuffer &fb)
                 continue;
 
             Rgba color;
-            if (config.mode == TimelineMode::State) {
+            if (resolved.mode == TimelineMode::State) {
                 if (ev.state == kTaskExecState &&
                     ev.task != kInvalidTaskInstance &&
-                    !taskVisible(config, ev.task))
+                    !taskVisible(resolved, ev.task))
                     continue;
                 color = stateColor(ev.state);
             } else {
                 if (ev.state != kTaskExecState ||
                     ev.task == kInvalidTaskInstance ||
-                    !taskVisible(config, ev.task))
+                    !taskVisible(resolved, ev.task))
                     continue;
-                if (config.mode == TimelineMode::NumaHeatmap) {
+                if (resolved.mode == TimelineMode::NumaHeatmap) {
                     color = numaHeatShade(
                         taskRemoteFraction(ev.task, cpu));
                 } else {
-                    std::optional<Rgba> c = taskColor(config, ev.task);
+                    std::optional<Rgba> c = taskColor(resolved, ev.task);
                     if (!c)
                         continue;
                     color = *c;
@@ -473,13 +499,11 @@ TimelineRenderer::resolvePixel(const TimelineConfig &config,
 {
     taskColorCache_.clear();
     remoteFractionCache_.clear();
-    prepareHeatmapRange(config, layout.view());
-
     TimeInterval pixel = layout.pixelInterval(x);
     const auto &states = trace_.cpu(cpu).states();
     trace::SliceRange slice = trace_.cpu(cpu).stateSlice(pixel);
-    return resolveInterval(config, cpu, states, slice.first, slice.last,
-                           pixel);
+    return resolveInterval(resolveHeatmapRange(config, layout.view()), cpu,
+                           states, slice.first, slice.last, pixel);
 }
 
 } // namespace render

@@ -54,8 +54,10 @@ struct TimelineConfig
     TimeInterval view;
 
     /**
-     * Heatmap duration range. When max is 0 the range adapts to the
-     * shortest/longest task currently displayed (paper section II-B).
+     * Heatmap duration range, read by Heatmap mode only. When max is 0
+     * the range adapts to the shortest/longest task currently displayed
+     * (paper section II-B); finding it scans every task instance once
+     * per frame, so only an adaptive Heatmap frame pays that scan.
      */
     TimeStamp heatmapMin = 0;
     TimeStamp heatmapMax = 0;
@@ -86,13 +88,34 @@ struct TimelineConfig
 };
 
 /**
+ * What every lane of one frame shares, fixed once before any lane is
+ * drawn (TimelineRenderer::planFrame): the config with an adaptive
+ * heatmap range resolved to explicit bounds, the layout, and whether
+ * the lanes are drawn from the summary pyramids. Lanes of one plan may
+ * be drawn by different renderers on different threads; each lane
+ * writes only its own framebuffer rows.
+ */
+struct FramePlan
+{
+    TimelineConfig config;
+    TimelineLayout layout;
+    bool pyramids = false; ///< Lanes drawn as pyramid occupancy bands.
+
+    /** The frame's provenance: exact, or the pyramids' leaf granularity
+     *  (nodesTouched is counted per lane). */
+    ResolutionInfo resolution() const;
+};
+
+/**
  * Renders a trace's timeline into a framebuffer.
  *
  * The renderer is independent of any particular framebuffer: construct it
  * over a trace and pass the target buffer to each render call. It keeps
- * only the task-type palette index between renders, built by one pass
- * over the trace's task types at construction — cheap next to a frame,
- * so session::Session constructs a renderer for every render.
+ * the task-type palette index, built by one pass over the trace's task
+ * types at construction, and per-lane color caches. A frame is drawn
+ * lane by lane through renderLane(): render() walks the lanes of one
+ * plan serially, and session::Session fans them out over its engine's
+ * workers, one renderer per lane, into one framebuffer.
  */
 class TimelineRenderer
 {
@@ -103,9 +126,29 @@ class TimelineRenderer
     /**
      * Render into @p fb with the paper's optimizations: per-pixel
      * predominant color resolution and aggregation of equal adjacent
-     * pixels into single rectangles.
+     * pixels into single rectangles. Clears @p fb, plans the frame and
+     * draws every lane in order with renderLane().
      */
     void render(const TimelineConfig &config, Framebuffer &fb);
+
+    /**
+     * Plan a @p width x @p height frame of @p config; nullopt when the
+     * visible interval is empty (the frame is all background). Scans
+     * the task instances for the duration range only for an adaptive
+     * Heatmap frame (mode Heatmap, heatmapMax 0).
+     */
+    std::optional<FramePlan> planFrame(const TimelineConfig &config,
+                                       std::uint32_t width,
+                                       std::uint32_t height) const;
+
+    /**
+     * Draw lane @p cpu of @p frame into its rows of @p fb (a buffer of
+     * the planned dimensions, cleared to the background) and add the
+     * lane's operation counts to stats(). A frame with fewer rows than
+     * lanes stacks lanes on shared rows; draw those in lane order on one
+     * thread.
+     */
+    void renderLane(const FramePlan &frame, CpuId cpu, Framebuffer &fb);
 
     /**
      * Render naively into @p fb: one rectangle per visible event, drawn
@@ -114,7 +157,8 @@ class TimelineRenderer
      */
     void renderNaive(const TimelineConfig &config, Framebuffer &fb);
 
-    /** Operation counts of the last render call. */
+    /** Operation counts of the last render call, or of the lanes drawn
+     *  since construction. */
     const RenderStats &stats() const { return stats_; }
 
     /**
@@ -164,9 +208,13 @@ class TimelineRenderer
     /** True if the task passes the config's filter. */
     bool taskVisible(const TimelineConfig &config, TaskInstanceId id) const;
 
-    /** Compute the effective heatmap duration range for this view. */
-    void prepareHeatmapRange(const TimelineConfig &config,
-                             const TimeInterval &view);
+    /**
+     * @p config with an adaptive heatmap range (mode Heatmap,
+     * heatmapMax 0) replaced by the shortest and longest duration of
+     * the tasks visible in @p view; any other config as is.
+     */
+    TimelineConfig resolveHeatmapRange(const TimelineConfig &config,
+                                       const TimeInterval &view) const;
 
     /** Map task type id to its palette index. */
     std::size_t typeIndex(TaskTypeId type) const;
@@ -174,8 +222,7 @@ class TimelineRenderer
     const trace::Trace &trace_;
     RenderStats stats_;
 
-    TimeStamp effectiveHeatMin_ = 0;
-    TimeStamp effectiveHeatMax_ = 0;
+    std::vector<Rgba> row_; ///< One lane's pixel colors (exact lanes).
     std::unordered_map<TaskInstanceId, Rgba> taskColorCache_;
     std::unordered_map<TaskInstanceId, double> remoteFractionCache_;
     std::unordered_map<TaskTypeId, std::size_t> typeIndexCache_;

@@ -265,8 +265,11 @@ struct PyramidBuildStats
 /**
  * Render the timeline into a query-owned framebuffer of the given
  * dimensions. Session filters and view are injected at submit time when
- * the config names none, exactly like Session::render(); a config that
- * names a taskFilter must keep it alive until the ticket completes.
+ * the config names none; Session::render() is this query, waited on. A
+ * config that names a taskFilter must keep it alive until the ticket
+ * completes. The executor is a fan-out with one chunk per CPU lane, so
+ * a view or filter change cancels the render at the next lane boundary
+ * and no partly drawn frame is ever published.
  * A non-Exact context.resolution overrides the config's resolution
  * field, letting remote and async callers request pyramid-backed
  * rendering without touching the render config.

@@ -33,6 +33,7 @@
 #include "session/query_engine.h"
 
 #include <algorithm>
+#include <mutex>
 #include <numeric>
 
 #include "filter/task_filter.h"
@@ -784,19 +785,66 @@ Session::submit(const TimelineRenderQuery &query)
     // without touching the render config.
     if (query.context.resolution.kind != Resolution::Kind::Exact)
         config.resolution = query.context.resolution;
+    // One chunk per lane. The first chunk to run plans the frame (an
+    // adaptive heatmap's task scan included) and allocates it; every
+    // chunk then draws its lane into the lane's own rows, with its own
+    // renderer, and returns the lane's counts.
+    struct Frame
+    {
+        std::once_flag planned;
+        std::optional<render::FramePlan> plan;
+        std::optional<render::Framebuffer> fb;
+
+        void
+        prepare(const trace::Trace &trace,
+                const render::TimelineConfig &config, std::uint32_t width,
+                std::uint32_t height)
+        {
+            std::call_once(planned, [&] {
+                plan = render::TimelineRenderer(trace).planFrame(
+                    config, width, height);
+                fb.emplace(width, height);
+            });
+        }
+    };
+    auto frame = std::make_shared<Frame>();
     // The trace, filters and pyramids captures keep config's pointers
     // valid even if the session dies mid-render.
-    return submitTask(
+    return launchFanOut<render::RenderStats>(
         *engine_, newTicketState<TimelineRenderResult>(*domain_),
-        query.context.priority,
-        [trace = trace_, filters, pyramids = pyramids_, config,
-         width = query.width,
-         height = query.height](auto &, base::ThreadPool &) {
-            TimelineRenderResult result;
-            result.fb = render::Framebuffer(width, height);
+        query.context.priority, trace_->numCpus(),
+        [trace = trace_, filters, pyramids = pyramids_, config, frame,
+         width = query.width, height = query.height](
+            std::size_t i, render::RenderStats &out) {
+            frame->prepare(*trace, config, width, height);
+            if (!frame->plan)
+                return true;
+            // Lanes share rows only when the frame has fewer rows than
+            // lanes; the first lane on a row then draws every lane on
+            // it, in lane order, as the serial loop would.
+            const render::TimelineLayout &layout = frame->plan->layout;
+            const auto lane = static_cast<CpuId>(i);
+            const std::uint32_t top = layout.laneTop(lane);
+            if (lane > 0 && layout.laneTop(lane - 1) == top)
+                return true;
             render::TimelineRenderer renderer(*trace);
-            renderer.render(config, result.fb);
-            result.stats = renderer.stats();
+            for (CpuId c = lane;
+                 c < trace->numCpus() && layout.laneTop(c) == top; c++)
+                renderer.renderLane(*frame->plan, c, *frame->fb);
+            out = renderer.stats();
+            return true;
+        },
+        [trace = trace_, config, frame, width = query.width,
+         height = query.height](std::vector<render::RenderStats> &&lanes) {
+            // A trace without lanes runs no chunk; its frame is all
+            // background.
+            frame->prepare(*trace, config, width, height);
+            TimelineRenderResult result;
+            result.fb = std::move(*frame->fb);
+            if (frame->plan)
+                result.stats.resolution = frame->plan->resolution();
+            for (const render::RenderStats &lane : lanes)
+                result.stats.addCounts(lane);
             return result;
         });
 }

@@ -453,18 +453,24 @@ class Session
     // -- Rendering ---------------------------------------------------------
 
     /**
-     * Render the timeline into @p fb with a renderer constructed for
-     * this call (construction is one pass over the task-type table).
+     * Render the timeline into @p fb: submit(TimelineRenderQuery) at
+     * @p fb's dimensions, waited on, with the frame moved into @p fb.
+     * The lanes fan out over the engine's workers, each drawn by its
+     * own renderer into its own rows, so the frame and its counts are
+     * those of one serial TimelineRenderer::render at any worker count.
      * When @p config names no task filter the session's active filters
      * apply; when it names no view the session's view applies; the
      * session's summary pyramids always back non-Exact resolutions.
-     * submit(TimelineRenderQuery) is the asynchronous form, rendering
-     * into a query-owned framebuffer with the same effective config.
+     *
+     * Blocks until the frame is drawn, so never call it from a task
+     * running on the session's own engine: on a busy or 1-worker pool
+     * the lanes would wait for the worker the caller holds.
      */
     const render::RenderStats &render(const render::TimelineConfig &config,
                                       render::Framebuffer &fb);
 
-    /** Naive (per-event) rendering baseline with the same semantics. */
+    /** Naive (per-event) rendering baseline with the same semantics,
+     *  drawn serially on the calling thread (the Fig 20 baseline). */
     const render::RenderStats &
     renderNaive(const render::TimelineConfig &config,
                 render::Framebuffer &fb);

@@ -1,9 +1,9 @@
 /**
  * @file
- * The rendering face of session::Session: each timeline pass
- * constructs its own renderer over the session's trace and runs the
- * effective config that the async TimelineRenderQuery executor runs
- * too; counter overlays go through the cached indexes.
+ * The rendering face of session::Session: a timeline render is the
+ * TimelineRenderQuery executor's lane fan-out, waited on; the naive
+ * baseline constructs its own renderer and runs the same effective
+ * config serially; counter overlays go through the cached indexes.
  */
 
 #include "session/session.h"
@@ -32,9 +32,13 @@ const render::RenderStats &
 Session::render(const render::TimelineConfig &config,
                 render::Framebuffer &fb)
 {
-    render::TimelineRenderer renderer(*trace_);
-    renderer.render(effectiveConfig(config, filters_), fb);
-    renderStats_ = renderer.stats();
+    TimelineRenderQuery query;
+    query.config = config;
+    query.width = fb.width();
+    query.height = fb.height();
+    TimelineRenderResult result = submit(query).take();
+    fb = std::move(result.fb);
+    renderStats_ = result.stats;
     return renderStats_;
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/rng.h"
 #include "filter/task_filter.h"
 #include "render/timeline_renderer.h"
@@ -206,6 +208,88 @@ TEST(Renderer, HeatmapUsesConfiguredRange)
     TimelineRenderer renderer(tr);
     renderer.render(config, fb);
     EXPECT_EQ(fb.pixel(0, 0), heatmapShade(0, 0, 10, 10));
+}
+
+/** True when @p a and @p b hold the same pixels. */
+bool
+sameFrame(const Framebuffer &a, const Framebuffer &b)
+{
+    const std::size_t n = static_cast<std::size_t>(a.width()) * a.height();
+    return a.width() == b.width() && a.height() == b.height() &&
+           std::equal(a.data(), a.data() + n, b.data());
+}
+
+TEST(Renderer, NonHeatmapModesIgnoreTheHeatmapRange)
+{
+    trace::Trace tr = randomTrace(21);
+    Rng rng(4);
+    for (int m = 0; m <= static_cast<int>(TimelineMode::NumaHeatmap); m++) {
+        const auto mode = static_cast<TimelineMode>(m);
+        if (mode == TimelineMode::Heatmap)
+            continue;
+        TimelineConfig config;
+        config.mode = mode;
+        Framebuffer reference(150, 32);
+        TimelineRenderer renderer(tr);
+        renderer.render(config, reference);
+        const RenderStats reference_stats = renderer.stats();
+        for (int i = 0; i < 4; i++) {
+            // Adaptive, explicit, inverted and huge ranges alike.
+            config.heatmapMin = rng.nextBounded(200);
+            config.heatmapMax = i == 0 ? 0 : rng.nextBounded(1u << 30);
+            Framebuffer fb(150, 32);
+            renderer.render(config, fb);
+            EXPECT_TRUE(sameFrame(fb, reference))
+                << "mode " << m << " range ["
+                << config.heatmapMin << ", " << config.heatmapMax << "]";
+            EXPECT_EQ(renderer.stats().rectOps, reference_stats.rectOps);
+            EXPECT_EQ(renderer.stats().eventsVisited,
+                      reference_stats.eventsVisited);
+        }
+    }
+}
+
+TEST(Renderer, AdaptiveHeatmapSpansTheVisibleTaskDurations)
+{
+    trace::Trace tr = randomTrace(17);
+    const TimeInterval span = tr.span();
+    const TimeInterval view{span.start + span.duration() / 3,
+                            span.end - span.duration() / 4};
+    filter::TaskTypeFilter only_alpha({0x1});
+    for (bool filtered : {false, true}) {
+        const filter::TaskFilter *filter =
+            filtered ? &only_alpha : nullptr;
+        // The shortest and longest task the frame shows.
+        TimeStamp lo = ~TimeStamp{0}, hi = 0;
+        for (const trace::TaskInstance &task : tr.taskInstances()) {
+            if (!task.interval.overlaps(view) ||
+                (filter && !filter->matches(tr, task)))
+                continue;
+            lo = std::min(lo, task.duration());
+            hi = std::max(hi, task.duration());
+        }
+        ASSERT_LT(lo, hi);
+
+        TimelineConfig adaptive;
+        adaptive.mode = TimelineMode::Heatmap;
+        adaptive.view = view;
+        adaptive.taskFilter = filter;
+        TimelineConfig fixed = adaptive;
+        fixed.heatmapMin = lo;
+        fixed.heatmapMax = hi;
+
+        TimelineRenderer renderer(tr);
+        Framebuffer adaptive_fb(211, 48);
+        Framebuffer fixed_fb(211, 48);
+        renderer.render(adaptive, adaptive_fb);
+        renderer.render(fixed, fixed_fb);
+        EXPECT_TRUE(sameFrame(adaptive_fb, fixed_fb))
+            << (filtered ? "filtered" : "unfiltered");
+        renderer.renderNaive(adaptive, adaptive_fb);
+        renderer.renderNaive(fixed, fixed_fb);
+        EXPECT_TRUE(sameFrame(adaptive_fb, fixed_fb))
+            << (filtered ? "filtered naive" : "unfiltered naive");
+    }
 }
 
 TEST(Renderer, NumaReadModeColorsByDominantNode)

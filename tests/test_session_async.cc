@@ -10,21 +10,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "base/rng.h"
 #include "base/thread_pool.h"
+#include "filter/task_filter.h"
 #include "render/framebuffer.h"
+#include "render/timeline_renderer.h"
 #include "session/query.h"
 #include "session/query_engine.h"
 #include "session/session.h"
 #include "session/session_group.h"
 #include "trace/state.h"
+#include "trace_builder.h"
 
 namespace aftermath {
 namespace session {
@@ -436,6 +442,38 @@ TEST(SessionAsync, AsyncWarmupMatchesSyncWarmup)
     }
 }
 
+/** Assert @p a and @p b hold the same pixels, naming the first
+ *  differing one. */
+void
+expectSameFrame(const render::Framebuffer &a, const render::Framebuffer &b,
+                const std::string &what)
+{
+    ASSERT_EQ(a.width(), b.width()) << what;
+    ASSERT_EQ(a.height(), b.height()) << what;
+    const std::size_t n = static_cast<std::size_t>(a.width()) * a.height();
+    const auto mismatch = std::mismatch(a.data(), a.data() + n, b.data());
+    if (mismatch.first != a.data() + n) {
+        const std::size_t at =
+            static_cast<std::size_t>(mismatch.first - a.data());
+        FAIL() << what << ": pixel (" << at % a.width() << ", "
+               << at / a.width() << ") differs";
+    }
+}
+
+/** Assert two renders of one frame counted the same work. */
+void
+expectSameRenderStats(const render::RenderStats &a,
+                      const render::RenderStats &b, const std::string &what)
+{
+    EXPECT_EQ(a.rectOps, b.rectOps) << what;
+    EXPECT_EQ(a.lineOps, b.lineOps) << what;
+    EXPECT_EQ(a.eventsVisited, b.eventsVisited) << what;
+    EXPECT_EQ(a.resolution.nodesTouched, b.resolution.nodesTouched) << what;
+    EXPECT_EQ(a.resolution.exact, b.resolution.exact) << what;
+    EXPECT_EQ(a.resolution.granularityNs, b.resolution.granularityNs)
+        << what;
+}
+
 TEST(SessionAsync, SubmitRenderMatchesSynchronousRender)
 {
     trace::Trace tr = denseTrace();
@@ -443,21 +481,201 @@ TEST(SessionAsync, SubmitRenderMatchesSynchronousRender)
     render::TimelineConfig config;
 
     render::Framebuffer sync_fb(80, 30);
-    session.render(config, sync_fb);
+    const render::RenderStats sync_stats = session.render(config, sync_fb);
 
     TimelineRenderQuery query;
     query.config = config;
     query.width = 80;
     query.height = 30;
     TimelineRenderResult result = session.submit(query).take();
-    ASSERT_EQ(result.fb.width(), 80u);
-    ASSERT_EQ(result.fb.height(), 30u);
-    for (std::uint32_t y = 0; y < 30; y += 2) {
-        for (std::uint32_t x = 0; x < 80; x += 3)
-            ASSERT_EQ(result.fb.pixel(x, y), sync_fb.pixel(x, y))
-                << "(" << x << ", " << y << ")";
-    }
+    expectSameFrame(result.fb, sync_fb, "submit vs render");
+    expectSameRenderStats(result.stats, sync_stats, "submit vs render");
     EXPECT_GT(result.stats.totalOps(), 0u);
+}
+
+/**
+ * The render equality matrix: Session::render, submit(TimelineRenderQuery)
+ * and a direct serial TimelineRenderer::render of the same effective
+ * config draw byte-identical frames with equal counts, in every mode, at
+ * Exact and Pixels resolution, with and without a task filter, at 1/2/4/8
+ * workers. The 5-row frame stacks the 8 lanes on shared rows.
+ */
+TEST(SessionAsync, RenderPathsAgreeAcrossModesFiltersAndWorkers)
+{
+    test_support::RandomTraceOptions options;
+    options.cpus = 8;
+    options.statesPerCpu = 120;
+    const trace::Trace tr = test_support::buildRandomTrace(11, options);
+    const TimeInterval span = tr.span();
+    const TimeInterval view{span.start + span.duration() / 8,
+                            span.end - span.duration() / 5};
+    filter::FilterSet alpha;
+    alpha.add(std::make_shared<filter::TaskTypeFilter>(
+        std::unordered_set<TaskTypeId>{0x1000}));
+
+    constexpr std::uint32_t kWidth = 97;
+    constexpr int kModes =
+        static_cast<int>(render::TimelineMode::NumaHeatmap) + 1;
+    std::size_t pyramid_frames = 0;
+    for (unsigned workers : {1u, 2u, 4u, 8u}) {
+        Session session = Session::view(tr);
+        session.setConcurrency({workers});
+        session.setView(view);
+        for (bool filtered : {false, true}) {
+            session.setFilters(filtered ? alpha : filter::FilterSet());
+            for (int m = 0; m < kModes; m++) {
+                const auto mode = static_cast<render::TimelineMode>(m);
+                for (bool pixels : {false, true}) {
+                    for (std::uint32_t height : {64u, 5u}) {
+                        const std::uint32_t width = kWidth;
+                        const std::string what =
+                            "workers " + std::to_string(workers) +
+                            (filtered ? " filtered" : "") + " mode " +
+                            std::to_string(m) +
+                            (pixels ? " Pixels " : " Exact ") +
+                            std::to_string(width) + "x" +
+                            std::to_string(height);
+                        const Resolution res = pixels
+                            ? Resolution::pixels(width)
+                            : Resolution{};
+                        render::TimelineConfig config;
+                        config.mode = mode;
+                        config.resolution = res;
+
+                        render::Framebuffer direct_fb(width, height);
+                        render::TimelineConfig direct_config = config;
+                        direct_config.view = view;
+                        direct_config.taskFilter =
+                            filtered ? &alpha : nullptr;
+                        direct_config.pyramids = session.pyramids().get();
+                        render::TimelineRenderer direct(tr);
+                        direct.render(direct_config, direct_fb);
+
+                        render::Framebuffer sync_fb(width, height);
+                        const render::RenderStats sync_stats =
+                            session.render(config, sync_fb);
+
+                        TimelineRenderQuery query;
+                        query.config.mode = mode;
+                        query.context.resolution = res;
+                        query.width = width;
+                        query.height = height;
+                        TimelineRenderResult async =
+                            session.submit(query).take();
+
+                        expectSameFrame(sync_fb, direct_fb,
+                                        what + ": render vs direct");
+                        expectSameFrame(async.fb, direct_fb,
+                                        what + ": submit vs direct");
+                        expectSameRenderStats(sync_stats, direct.stats(),
+                                              what + ": render vs direct");
+                        expectSameRenderStats(async.stats, direct.stats(),
+                                              what + ": submit vs direct");
+                        if (!direct.stats().resolution.exact)
+                            pyramid_frames++;
+                    }
+                }
+            }
+        }
+    }
+    // Unfiltered State frames at Pixels take the pyramid path: one per
+    // frame size and worker count.
+    EXPECT_EQ(pyramid_frames, 2u * 4u);
+}
+
+/**
+ * Accepts every task; its first call bumps @p domain's generation, as a
+ * view change would, while the render that consults it draws a lane.
+ */
+class BumpOnFirstMatch : public filter::TaskFilter
+{
+  public:
+    explicit BumpOnFirstMatch(std::shared_ptr<GenerationDomain> domain)
+        : domain_(std::move(domain))
+    {}
+
+    bool
+    matches(const trace::Trace &,
+            const trace::TaskInstance &) const override
+    {
+        if (!bumped_.exchange(true))
+            domain_->bumpGeneration();
+        return true;
+    }
+
+    std::string describe() const override { return "bump on first match"; }
+
+  private:
+    std::shared_ptr<GenerationDomain> domain_;
+    mutable std::atomic<bool> bumped_{false};
+};
+
+TEST(SessionAsync, RenderGoingStaleBetweenLanesPublishesNoFrame)
+{
+    test_support::RandomTraceOptions options;
+    options.cpus = 8;
+    const trace::Trace tr = test_support::buildRandomTrace(5, options);
+    for (unsigned workers : {1u, 2u, 4u}) {
+        Session session = Session::view(tr);
+        session.setConcurrency({workers});
+        BumpOnFirstMatch bump(session.generationDomain());
+        TimelineRenderQuery query;
+        query.config.taskFilter = &bump;
+        query.width = 120;
+        query.height = 64;
+        auto ticket = session.submit(query);
+        std::atomic<int> callbacks{0};
+        std::atomic<bool> cancelled{false};
+        ticket.onComplete([&](QueryStatus status) {
+            cancelled.store(status == QueryStatus::Cancelled);
+            callbacks.fetch_add(1);
+        });
+        EXPECT_EQ(ticket.wait(), QueryStatus::Cancelled)
+            << "workers " << workers;
+        // The callback runs after the terminal transition wakes wait().
+        while (callbacks.load() == 0)
+            std::this_thread::yield();
+        EXPECT_EQ(callbacks.load(), 1);
+        EXPECT_TRUE(cancelled.load());
+
+        // The session no longer changes: a sync render draws it whole.
+        render::Framebuffer fb(120, 64);
+        const render::RenderStats stats = session.render({}, fb);
+        render::Framebuffer direct_fb(120, 64);
+        render::TimelineRenderer direct(tr);
+        direct.render({}, direct_fb);
+        expectSameFrame(fb, direct_fb, "after the cancelled render");
+        expectSameRenderStats(stats, direct.stats(),
+                              "after the cancelled render");
+    }
+}
+
+TEST(SessionAsync, SyncRenderOnAnUnchangedSessionReturnsTheFullFrame)
+{
+    test_support::RandomTraceOptions options;
+    options.cpus = 8;
+    const trace::Trace tr = test_support::buildRandomTrace(9, options);
+    render::TimelineConfig config;
+    config.mode = render::TimelineMode::Heatmap;
+    render::Framebuffer direct_fb(150, 40);
+    render::TimelineRenderer direct(tr);
+    direct.render(config, direct_fb);
+
+    Session session = Session::view(tr);
+    session.setConcurrency({2});
+    // Background work on the same engine yields to the render's lanes
+    // and never cancels them.
+    auto scan = session.submit(AnomalyScanQuery{});
+    auto warmup = session.submit(WarmupQuery{});
+    for (int i = 0; i < 10; i++) {
+        render::Framebuffer fb(150, 40);
+        const render::RenderStats stats = session.render(config, fb);
+        expectSameFrame(fb, direct_fb, "sync render " + std::to_string(i));
+        expectSameRenderStats(stats, direct.stats(),
+                              "sync render " + std::to_string(i));
+    }
+    scan.wait();
+    warmup.wait();
 }
 
 TEST(SessionGroupAsync, VariantsShareTheGroupEngine)
