@@ -101,22 +101,18 @@ main()
                 static_cast<unsigned long long>(first_half.tasksStarted),
                 durations.numBins());
 
-    // 5c. Traces also load asynchronously: submit a TraceLoadQuery, keep
-    //     querying the current trace while the file decodes on the
-    //     session's pool, then open the result in a new session. A
-    //     session is bound to its trace for life.
-    session::TraceLoadQuery load;
-    load.path = "quickstart.ostv";
-    auto load_ticket = session.submit(load);
-    session::TraceLoadResult reloaded = load_ticket.take();
-    if (!reloaded.ok) {
-        std::fprintf(stderr, "async load failed: %s\n",
-                     reloaded.error.c_str());
+    // 5c. A session is bound to its trace for life: to analyse another
+    //     trace, read it and open it in a new session. Here that is
+    //     the file step 4 wrote.
+    trace::ReadResult reread =
+        trace::readTraceFile("quickstart.ostv", read_options);
+    if (!reread.ok) {
+        std::fprintf(stderr, "reload failed: %s\n", reread.error.c_str());
         return 1;
     }
-    Session reopened(reloaded.trace);
-    std::printf("async reload: %zu bytes -> %u cpus, opened\n",
-                reloaded.bytesRead, reopened.trace().numCpus());
+    Session reopened(std::move(reread.trace));
+    std::printf("reload: %zu bytes -> %u cpus, opened\n", reread.bytesRead,
+                reopened.trace().numCpus());
 
     // 6. Task graph reconstruction from the trace's memory accesses.
     graph::TaskGraph tg = graph::TaskGraph::reconstruct(reopened.trace());

@@ -62,8 +62,7 @@
  *                           rank lower.
  *   kDecodePipeline (410)   trace reader scan→decode lane queues.
  *   kTicketState (500)      per-query completion state (TicketState).
- *   kTaskState (510)        leaf completion gates: TaskHandle state,
- *                           parallelFor join gates.
+ *   kTaskState (510)        base::ThreadPool::parallelFor join gates.
  *
  * The registry is the one place the order lives; the acquisition-order
  * rationale is documented with the owning classes. When adding a new

@@ -49,99 +49,12 @@ ThreadPool::submit(std::function<void()> task, TaskPriority priority)
     wake_.notifyOne();
 }
 
-bool
-TaskHandle::tryCancel()
-{
-    if (!shared_)
-        return false;
-    MutexLock lock(shared_->mutex);
-    if (shared_->state != State::Queued)
-        return false;
-    shared_->state = State::Skipped;
-    shared_->cv.notifyAll();
-    return true;
-}
-
-bool
-TaskHandle::done() const
-{
-    if (!shared_)
-        return false;
-    MutexLock lock(shared_->mutex);
-    return shared_->state == State::Finished ||
-           shared_->state == State::Skipped;
-}
-
-bool
-TaskHandle::skipped() const
-{
-    if (!shared_)
-        return false;
-    MutexLock lock(shared_->mutex);
-    return shared_->state == State::Skipped;
-}
-
-void
-TaskHandle::wait() const
-{
-    if (!shared_)
-        return;
-    MutexLock lock(shared_->mutex);
-    while (shared_->state != State::Finished &&
-           shared_->state != State::Skipped)
-        shared_->cv.wait(lock);
-}
-
-TaskHandle
-ThreadPool::submitTracked(std::function<void()> task, TaskPriority priority)
-{
-    auto shared = std::make_shared<TaskHandle::Shared>();
-    submit(
-        [shared, task = std::move(task)] {
-            {
-                MutexLock lock(shared->mutex);
-                if (shared->state == TaskHandle::State::Skipped)
-                    return; // Cancelled while queued; never run.
-                shared->state = TaskHandle::State::Running;
-            }
-            task();
-            MutexLock lock(shared->mutex);
-            shared->state = TaskHandle::State::Finished;
-            shared->cv.notifyAll();
-        },
-        priority);
-    return TaskHandle(shared);
-}
-
 void
 ThreadPool::wait()
 {
     MutexLock lock(mutex_);
     while (!highQueue_.empty() || !queue_.empty() || running_ > 0)
         idle_.wait(lock);
-}
-
-bool
-ThreadPool::runOneHighPriorityTask()
-{
-    std::function<void()> task;
-    {
-        MutexLock lock(mutex_);
-        if (highQueue_.empty())
-            return false;
-        task = std::move(highQueue_.front());
-        highQueue_.pop_front();
-        highQueued_.fetch_sub(1, std::memory_order_release);
-        running_++;
-    }
-    task();
-    {
-        MutexLock lock(mutex_);
-        running_--;
-        if (highQueue_.empty() && queue_.empty() && running_ == 0)
-            idle_.notifyAll();
-    }
-    return true;
 }
 
 void

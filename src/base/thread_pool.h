@@ -36,7 +36,8 @@ namespace base {
  * Scheduling class of one submitted task. High tasks are popped
  * strictly before Normal tasks; within one class the order is FIFO.
  * The session query engine maps interactive queries to High and
- * background work (warm-up, trace loads) to Normal.
+ * background queries (warm-up, pyramid builds, anomaly scans) to
+ * Normal.
  */
 enum class TaskPriority
 {
@@ -76,58 +77,6 @@ class CancellationToken
     std::shared_ptr<std::atomic<bool>> flag_;
 };
 
-class ThreadPool;
-
-/**
- * Observable handle of one task submitted with submitTracked(): query
- * whether it started or finished, wait for it, and — if it has not been
- * picked up by a worker yet — cancel it before it ever runs. All
- * methods are safe from any thread; a default-constructed handle is
- * inert (valid() is false).
- */
-class TaskHandle
-{
-  public:
-    TaskHandle() = default;
-
-    /** True if the handle tracks a submitted task. */
-    bool valid() const { return shared_ != nullptr; }
-
-    /**
-     * Prevent the task from running if it has not started yet. Returns
-     * true when the task will never execute (it counts as done); false
-     * when it is already running or finished.
-     */
-    bool tryCancel();
-
-    /** True once the task finished or was cancelled before starting. */
-    bool done() const;
-
-    /** True if tryCancel() kept the task from ever running. */
-    bool skipped() const;
-
-    /** Block until the task finished or was skipped. */
-    void wait() const;
-
-  private:
-    friend class ThreadPool;
-
-    enum class State { Queued, Running, Finished, Skipped };
-
-    struct Shared
-    {
-        mutable Mutex mutex{lockrank::kTaskState, "task-handle"};
-        CondVar cv;
-        State state AM_GUARDED_BY(mutex) = State::Queued;
-    };
-
-    explicit TaskHandle(std::shared_ptr<Shared> shared)
-        : shared_(std::move(shared))
-    {}
-
-    std::shared_ptr<Shared> shared_;
-};
-
 /**
  * Fixed-size thread pool with a two-level priority queue.
  *
@@ -143,6 +92,10 @@ class TaskHandle
  * queued High work, the task re-submits its continuation at Normal
  * priority and returns, freeing its worker for the High task. The pool
  * never preempts — yielding is entirely the task's choice.
+ *
+ * A queued task cannot be withdrawn: a task whose work may be abandoned
+ * checks its own CancellationToken when it runs and returns at once if
+ * it was cancelled (the session query engine's fan-out drainers do).
  */
 class ThreadPool
 {
@@ -163,15 +116,6 @@ class ThreadPool
                 TaskPriority priority = TaskPriority::Normal);
 
     /**
-     * Enqueue @p task at @p priority and return a handle that can wait
-     * for it or cancel it while it is still queued. Costs one small
-     * shared allocation over submit(); use for tasks a caller may
-     * abandon (the session query engine's single-task queries).
-     */
-    TaskHandle submitTracked(std::function<void()> task,
-                             TaskPriority priority = TaskPriority::Normal);
-
-    /**
      * True while High tasks are queued and waiting for a worker (a
      * running High task no longer counts). Lock-free; the yield probe
      * of background chunk loops.
@@ -181,18 +125,6 @@ class ThreadPool
     {
         return highQueued_.load(std::memory_order_acquire) > 0;
     }
-
-    /**
-     * Pop and run one queued High task on the calling thread; false
-     * when none is waiting. This is the donation form of yielding: a
-     * long-running Normal task whose state is expensive to re-submit
-     * (a trace load holding a mapped file and parse cursors) calls
-     * this at chunk boundaries instead of abandoning its worker —
-     * interactive work runs immediately, on the donor's thread, and
-     * the donor resumes where it left off. The task counts as running
-     * for wait() exactly as if a worker had popped it.
-     */
-    bool runOneHighPriorityTask();
 
     /** Block until both queues are empty and no task is running. */
     void wait();

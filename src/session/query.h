@@ -8,8 +8,11 @@
  * make that promise expressible in the API — a query is a small value
  * describing *what* to compute, handed to Session::submit(), which
  * returns a QueryTicket immediately and executes the work on the shared
- * worker pool (see session/query_engine.h). Every spec mirrors one
- * synchronous Session method and produces a bit-identical result.
+ * worker pool as one fan-out job (see session/query_engine.h). Every
+ * spec mirrors one synchronous Session method and produces a
+ * bit-identical result. Every spec cancels alike: ticket.cancel()
+ * completes a query still queued as Cancelled at once, and stops a
+ * running one at its next chunk boundary.
  *
  * ## The QueryContext contract
  *
@@ -24,8 +27,8 @@
  *    inside it).
  *  - priority: the scheduling class; each spec's QueryContext default
  *    matches its role (render/stats/histogram/task-list/extrema are
- *    Interactive; warm-up, anomaly scans, trace loads and pyramid
- *    builds are Background).
+ *    Interactive; warm-up, anomaly scans and pyramid builds are
+ *    Background).
  *  - resolution: how much error the caller tolerates
  *    (base/resolution.h). Resolution::Exact — the default — keeps
  *    every result bit-identical to the historical scan. Under
@@ -48,9 +51,7 @@
 #define AFTERMATH_SESSION_QUERY_H
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "base/resolution.h"
@@ -60,7 +61,6 @@
 #include "render/render_stats.h"
 #include "render/timeline_renderer.h"
 #include "stats/anomaly.h"
-#include "trace/format.h"
 #include "trace/trace.h"
 
 namespace aftermath {
@@ -317,58 +317,6 @@ struct AnomalyScanQuery
 
     /** Detector thresholds and the per-kind cap. */
     stats::AnomalyScanOptions options;
-};
-
-/**
- * Load a trace off the interaction path: the two-phase parallel reader
- * (trace/reader.h) runs on the engine's pool and the finished trace
- * comes back through the ticket, ready to open as a new
- * Session(result.trace) — executors never mutate the session, so the
- * loading session and its queries stay valid beside the new one.
- *
- * Exactly one source must be set: a file path, or a shared in-memory
- * byte buffer (kept alive by the executor until completion). Like
- * warm-up, a load is generation-immune — view and filter mutations
- * do not cancel it; ticket.cancel() does, cooperatively at the next
- * frame-run boundary (the ticket completes Cancelled, no result).
- *
- * Background by default: a load queues behind interactive work, and
- * while running its frame-scan loop drains queued Interactive tasks at
- * batch boundaries (the scan polls between frame runs), so even a
- * single-worker engine stays responsive during a long load.
- */
-struct TraceLoadQuery
-{
-    QueryContext context{std::nullopt, QueryPriority::Background,
-                         Resolution{}};
-
-    /** File to load; used when @p bytes is null. */
-    std::string path;
-
-    /** In-memory stream to load; takes precedence over @p path. */
-    std::shared_ptr<const std::vector<std::uint8_t>> bytes;
-
-    /** Decode workers of the parallel phase; 0 = the engine's count. */
-    unsigned workers = 0;
-};
-
-/** Outcome of a TraceLoadQuery (mirrors trace::ReadResult). */
-struct TraceLoadResult
-{
-    /** True if the trace parsed and finalized. */
-    bool ok = false;
-
-    /** Diagnostic when !ok (carries byte offset + frame kind). */
-    std::string error;
-
-    /** The loaded trace when ok; open it with Session(trace). */
-    std::shared_ptr<const trace::Trace> trace;
-
-    /** Encoding found in the trace header. */
-    trace::Encoding encoding = trace::Encoding::Raw;
-
-    /** Total bytes consumed. */
-    std::size_t bytesRead = 0;
 };
 
 } // namespace session

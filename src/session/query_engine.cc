@@ -9,10 +9,9 @@
  * destruction is safe with queries in flight. No executor ever blocks
  * on the pool, so a 1-worker pool cannot deadlock.
  *
- * Every query runs in one of two shapes. A single-task query is one
- * tracked pool task (submitTask()); while queued it is
- * dequeue-cancellable through its handle. A fan-out query (FanOutJob,
- * started by launchFanOut()) splits into independent chunks under one
+ * Every query that reaches the pool runs as one FanOutJob, started by
+ * launchFanOut(); a query with nothing to split is a one-chunk job
+ * (launchOneChunk()). A job splits into independent chunks under one
  * contract:
  *
  *  - claim: up to one drainer task per worker claims chunk indices
@@ -41,7 +40,6 @@
 #include "session/session.h"
 #include "stats/anomaly.h"
 #include "stats/histogram.h"
-#include "trace/reader.h"
 
 namespace aftermath {
 namespace session {
@@ -104,13 +102,6 @@ QueryEngine::liveWorkers() const
     return pool_ ? pool_->numWorkers() : 0;
 }
 
-bool
-QueryEngine::hasInteractiveWork() const
-{
-    base::MutexLock lock(poolMutex_);
-    return pool_ && pool_->hasHighPriorityWork();
-}
-
 namespace {
 
 /** The pool scheduling class of one query priority. */
@@ -141,45 +132,6 @@ completedTicket(const GenerationDomain &domain, Result value)
     auto state = newTicketState<Result>(domain);
     state->status = QueryStatus::Done;
     state->result.emplace(std::move(value));
-    return QueryTicket<Result>(std::move(state));
-}
-
-// -- Single-task queries -------------------------------------------------
-
-/**
- * Run @p body as one tracked pool task at @p priority that completes
- * @p state. The task marks the ticket running and cancels it if it went
- * stale while queued; otherwise @p body gets the ticket and the pool it
- * runs on and returns the result, or nullopt to cancel. The stored
- * handle makes a still-queued task dequeue-cancellable.
- */
-template <typename Result, typename Body>
-QueryTicket<Result>
-submitTask(QueryEngine &engine,
-           std::shared_ptr<detail::TicketState<Result>> state,
-           QueryPriority priority, Body body)
-{
-    base::TaskHandle handle;
-    engine.withPool([&](base::ThreadPool &pool) {
-        // The pool outlives the task (it runs on that pool, and the
-        // pool drains before destruction), so the raw pointer is safe.
-        handle = pool.submitTracked(
-            [state, body = std::move(body), pool_ptr = &pool] {
-                state->markRunning();
-                std::optional<Result> result;
-                if (!state->stale())
-                    result = body(*state, *pool_ptr);
-                if (result)
-                    state->complete(std::move(*result));
-                else
-                    state->completeCancelled();
-            },
-            toTaskPriority(priority));
-    });
-    {
-        base::MutexLock lock(state->mutex);
-        state->handle = handle;
-    }
     return QueryTicket<Result>(std::move(state));
 }
 
@@ -279,6 +231,26 @@ launchFanOut(QueryEngine &engine,
                         toTaskPriority(priority));
     });
     return QueryTicket<Result>(std::move(state));
+}
+
+/**
+ * Run @p body as a one-chunk FanOutJob whose partial is the result:
+ * @p body fills it and returns false when it saw the query go stale.
+ */
+template <typename Result, typename Body>
+QueryTicket<Result>
+launchOneChunk(QueryEngine &engine,
+               std::shared_ptr<detail::TicketState<Result>> state,
+               QueryPriority priority, Body body)
+{
+    return launchFanOut<Result>(
+        engine, std::move(state), priority, 1,
+        [body = std::move(body)](std::size_t, Result &out) {
+            return body(out);
+        },
+        [](std::vector<Result> &&partials) {
+            return std::move(partials.front());
+        });
 }
 
 // -- Shared query pieces -------------------------------------------------
@@ -382,18 +354,16 @@ Session::submit(const IntervalStatsQuery &query)
     if (granularity > 0) {
         // Pyramid path: snap the interval outward to the granularity
         // and answer the *snapped* interval exactly from two cells of
-        // each state column per CPU — one tracked task, no fan-out,
-        // and no memo (the memo holds exact answers for requested
-        // intervals only).
+        // each state column per CPU — one chunk, and no memo (the memo
+        // holds exact answers for requested intervals only).
         TimeInterval snapped = pyramids_->snap(interval, granularity);
         const bool exact = snapped.start == interval.start &&
                            snapped.end == interval.end;
-        return submitTask(
+        return launchOneChunk(
             *engine_, newTicketState<stats::IntervalStats>(*domain_),
             query.context.priority,
             [trace = trace_, pyramids = pyramids_, snapped, granularity,
-             exact](auto &, base::ThreadPool &) {
-                stats::IntervalStats out;
+             exact](stats::IntervalStats &out) {
                 out.interval = snapped;
                 std::uint64_t cells = 0;
                 auto range = pyramids->leafRange(snapped);
@@ -405,7 +375,7 @@ Session::submit(const IntervalStatsQuery &query)
                 out.resolution.exact = exact;
                 out.resolution.nodesTouched = cells;
                 out.resolution.granularityNs = granularity;
-                return out;
+                return true;
             });
     }
     {
@@ -454,15 +424,17 @@ Session::submit(const TaskListQuery &query)
     // generation, so panning the view never cancels it.
     state->generation = domain_->filterGeneration();
     state->live = domain_->filterGenerationCell();
-    return submitTask(
-        *engine_, std::move(state), query.context.priority,
-        [trace = trace_, memo = memo_,
+    return launchOneChunk(
+        *engine_, state, query.context.priority,
+        [state, trace = trace_, memo = memo_,
          filters = std::make_shared<const filter::FilterSet>(filters_),
-         generation](auto &state, base::ThreadPool &) {
-            auto list = scanTaskList(*trace, *filters, state);
-            if (list)
-                publishTaskList(*memo, generation, *list);
-            return list;
+         generation](List &out) {
+            auto list = scanTaskList(*trace, *filters, *state);
+            if (!list)
+                return false;
+            publishTaskList(*memo, generation, *list);
+            out = std::move(*list);
+            return true;
         });
 }
 
@@ -491,12 +463,10 @@ Session::submit(const HistogramQuery &query)
         TimeInterval snapped = pyramids_->snap(*restrict_to, granularity);
         const bool exact = snapped.start == restrict_to->start &&
                            snapped.end == restrict_to->end;
-        return submitTask(
+        return launchOneChunk(
             *engine_, std::move(state), query.context.priority,
             [trace = trace_, pyramids = pyramids_, filters, snapped,
-             granularity, exact, num_bins](
-                auto &state,
-                base::ThreadPool &) -> std::optional<stats::Histogram> {
+             granularity, exact, num_bins](stats::Histogram &out) {
                 auto range = pyramids->taskStartRange(snapped);
                 const List &by_start = pyramids->tasksByStart();
                 std::vector<double> durations;
@@ -507,13 +477,10 @@ Session::submit(const HistogramQuery &query)
                         durations.push_back(
                             static_cast<double>(task->duration()));
                 }
-                if (state.stale())
-                    return std::nullopt;
-                stats::Histogram h =
-                    stats::Histogram::fromValues(durations, num_bins);
-                h.resolution.exact = exact;
-                h.resolution.granularityNs = granularity;
-                return h;
+                out = stats::Histogram::fromValues(durations, num_bins);
+                out.resolution.exact = exact;
+                out.resolution.granularityNs = granularity;
+                return true;
             });
     }
     std::uint64_t generation;
@@ -524,18 +491,16 @@ Session::submit(const HistogramQuery &query)
         if (const List *hit = memo_->taskList.tryGet(generation))
             cached = std::make_shared<const List>(*hit);
     }
-    return submitTask(
-        *engine_, std::move(state), query.context.priority,
-        [trace = trace_, memo = memo_, filters, cached, generation,
-         num_bins, restrict_to](
-            auto &state,
-            base::ThreadPool &) -> std::optional<stats::Histogram> {
+    return launchOneChunk(
+        *engine_, state, query.context.priority,
+        [state, trace = trace_, memo = memo_, filters, cached, generation,
+         num_bins, restrict_to](stats::Histogram &out) {
             const List *tasks = cached.get();
             List computed;
             if (!tasks) {
-                auto list = scanTaskList(*trace, *filters, state);
+                auto list = scanTaskList(*trace, *filters, *state);
                 if (!list)
-                    return std::nullopt;
+                    return false;
                 computed = std::move(*list);
                 // The scan is the expensive half; share it with later
                 // tasks()/histogram() calls of the same generation (the
@@ -552,9 +517,8 @@ Session::submit(const HistogramQuery &query)
                     continue;
                 durations.push_back(static_cast<double>(task->duration()));
             }
-            if (state.stale())
-                return std::nullopt;
-            return stats::Histogram::fromValues(durations, num_bins);
+            out = stats::Histogram::fromValues(durations, num_bins);
+            return true;
         });
 }
 
@@ -569,13 +533,14 @@ Session::submit(const CounterExtremaQuery &query)
     if (const TimeStamp granularity =
             pyramids_->granularityFor(query.context.resolution, interval))
         interval = pyramids_->snap(interval, granularity);
-    return submitTask(*engine_, newTicketState<index::MinMax>(*domain_),
-                      query.context.priority,
-                      [cache = counterIndexes_, cpu = query.cpu,
-                       counter = query.counter,
-                       interval](auto &, base::ThreadPool &) {
-                          return cache->query(cpu, counter, interval);
-                      });
+    return launchOneChunk(*engine_, newTicketState<index::MinMax>(*domain_),
+                          query.context.priority,
+                          [cache = counterIndexes_, cpu = query.cpu,
+                           counter = query.counter,
+                           interval](index::MinMax &out) {
+                              out = cache->query(cpu, counter, interval);
+                              return true;
+                          });
 }
 
 QueryTicket<Session::WarmupStats>
@@ -717,57 +682,6 @@ Session::submit(const PyramidBuildQuery &query)
             PyramidBuildStats out = summary;
             out.cpusBuilt = countBuilt(built);
             return out;
-        });
-}
-
-QueryTicket<TraceLoadResult>
-Session::submit(const TraceLoadQuery &query)
-{
-    AFTERMATH_ASSERT(query.bytes != nullptr || !query.path.empty(),
-                     "trace load query needs a source");
-    auto state = newTicketState<TraceLoadResult>(*domain_);
-    // A load's product is handed back to the driving thread, never
-    // published into shared caches, so view and filter mutations
-    // cannot make it stale: generation-immune, explicit cancel only.
-    state->live = nullptr;
-    trace::ReadOptions options;
-    options.workers =
-        query.workers == 0 ? engine_->workers() : query.workers;
-    // Bridge ticket.cancel() into the reader's cooperative poll (the
-    // token copies share one flag).
-    options.cancel = state->cancel;
-    return submitTask(
-        *engine_, std::move(state), query.context.priority,
-        [options, bytes = query.bytes, path = query.path](
-            auto &,
-            base::ThreadPool &pool) -> std::optional<TraceLoadResult> {
-            // The load's serial frame scan can occupy a worker for the
-            // whole file; drain queued interactive tasks at the
-            // reader's poll boundaries so even a 1-worker engine stays
-            // responsive.
-            trace::ReadOptions run_options = options;
-            run_options.yield = [&pool] {
-                while (pool.hasHighPriorityWork() &&
-                       pool.runOneHighPriorityTask()) {
-                }
-            };
-            // The reader spins up its own decode pool: a pool task must
-            // not parallelFor() on its own pool, and a 1-worker engine
-            // would serialize the decode otherwise.
-            trace::ReadResult read =
-                bytes ? trace::readTrace(*bytes, run_options)
-                      : trace::readTraceFile(path, run_options);
-            if (read.cancelled)
-                return std::nullopt;
-            TraceLoadResult result;
-            result.ok = read.ok;
-            result.error = std::move(read.error);
-            result.encoding = read.encoding;
-            result.bytesRead = read.bytesRead;
-            if (read.ok)
-                result.trace = std::make_shared<const trace::Trace>(
-                    std::move(read.trace));
-            return result;
         });
 }
 

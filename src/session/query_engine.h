@@ -3,16 +3,18 @@
  * The asynchronous query plane behind session::Session::submit().
  *
  * Session::submit(spec) returns a QueryTicket immediately and executes
- * the query on the QueryEngine's shared base::ThreadPool. A ticket is a
- * future with a status and a cancel: wait()/result() block until the
- * query finished, cancel() requests cooperative abandonment, and every
- * view or filter mutation bumps the session's GenerationDomain so
- * stale in-flight queries cancel at the next chunk boundary instead of
- * wasting cores on a view the user already left. A domain is the unit
- * of cancellation: sessions default to their engine's domain (one
- * driving context, the historical behaviour), while the trace-serving
- * daemon gives every client its own domain over one shared engine so
- * client A panning its view never cancels client B's queries.
+ * the query on the QueryEngine's shared base::ThreadPool as one fan-out
+ * job (see query_engine.cc). A ticket is a future with a status and a
+ * cancel: wait()/result() block until the query finished; cancel()
+ * completes a still-queued query Cancelled at once and stops a running
+ * one at its next chunk boundary; and every view or filter mutation
+ * bumps the session's GenerationDomain so stale in-flight queries
+ * cancel at the next chunk boundary instead of wasting cores on a view
+ * the user already left. A domain is the unit of cancellation:
+ * sessions default to their engine's domain (one driving context, the
+ * historical behaviour), while the trace-serving daemon gives every
+ * client its own domain over one shared engine so client A panning its
+ * view never cancels client B's queries.
  *
  * The two-queue contract: every spec carries a QueryPriority, and the
  * engine drains the Interactive queue strictly before the Background
@@ -27,9 +29,7 @@
  * build, one per-CPU scan), never by the whole storm. The claim-cursor
  * protocol makes yielding invisible in the results: continuations
  * resume exactly where the job left off, and the merged output stays
- * bit-identical to a serial run. Single-task Background queries (trace
- * loads) queue behind interactive work but hold their worker once
- * running.
+ * bit-identical to a serial run.
  *
  * Pool lifetime: the pool starts lazily on the first submission — a
  * session that never queries, or whose engine a daemon binding
@@ -70,11 +70,10 @@
  * StatsMemo::mutex (kStatsMemo, 190), SessionMemo::mutex
  * (kSessionMemo, 200), the CounterIndexCache shards
  * (kCounterIndexShard, 300), the TracePyramids shards (kPyramidShard,
- * 305), and the leaf completion states TicketState (kTicketState, 500) /
- * TaskHandle (kTaskState, 510) — is acquired on its own or strictly
- * after the ones above it in rank order, never the other way around;
- * the two memo ranks are never held together (executors publish into
- * one memo at a time).
+ * 305), and the leaf completion state TicketState (kTicketState, 500)
+ * — is acquired on its own or strictly after the ones above it in rank
+ * order, never the other way around; the two memo ranks are never held
+ * together (executors publish into one memo at a time).
  */
 
 #ifndef AFTERMATH_SESSION_QUERY_ENGINE_H
@@ -211,9 +210,6 @@ struct TicketState
     std::optional<Result> result AM_GUARDED_BY(mutex);
     base::CancellationToken cancel;
 
-    /** Set for single-task queries only. */
-    base::TaskHandle handle AM_GUARDED_BY(mutex);
-
     /**
      * Invoked exactly once on the terminal transition (Done or
      * Cancelled), *after* the state mutex is released — so a callback
@@ -332,22 +328,17 @@ class QueryTicket
     }
 
     /**
-     * Request cooperative cancellation. A query still queued is
-     * cancelled immediately (it never runs); a running query stops at
-     * its next chunk boundary. A query that already completed keeps
-     * its result.
+     * Request cancellation. A query no worker picked up yet completes
+     * Cancelled before this returns (its queued drainers later see the
+     * token and run nothing); a running query stops at its next chunk
+     * boundary. A query that already completed keeps its result.
      */
     void
     cancel()
     {
         AFTERMATH_ASSERT(state_ != nullptr, "cancel() on an empty ticket");
         state_->cancel.requestCancel();
-        base::TaskHandle handle;
-        {
-            base::MutexLock lock(state_->mutex);
-            handle = state_->handle;
-        }
-        if (handle.valid() && handle.tryCancel())
+        if (status() == QueryStatus::Pending)
             state_->completeCancelled();
     }
 
@@ -544,13 +535,6 @@ class QueryEngine
      * submission), workers() otherwise. The probe of the lazy start.
      */
     unsigned liveWorkers() const;
-
-    /**
-     * True while interactive (High) work is queued and waiting for a
-     * worker. Background chunk loops poll the pool-level equivalent
-     * (base::ThreadPool::hasHighPriorityWork()) directly.
-     */
-    bool hasInteractiveWork() const;
 
   private:
     /** Start the pool if it is not running. */

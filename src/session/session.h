@@ -260,15 +260,6 @@ class Session
     submit(const AnomalyScanQuery &query);
 
     /**
-     * Load a trace asynchronously through the two-phase parallel
-     * reader (trace/reader.h) and return its ticket; the driving
-     * thread opens the result as a new Session(result.trace). Like
-     * warm-up, the load is generation-immune — only ticket.cancel()
-     * stops it (cooperatively, at the next frame-run boundary).
-     */
-    QueryTicket<TraceLoadResult> submit(const TraceLoadQuery &query);
-
-    /**
      * The session's query engine (generation counter + worker pool).
      * Exposed for pool introspection and for tests that need to
      * control worker scheduling; replace it with setQueryEngine().

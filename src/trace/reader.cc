@@ -41,6 +41,7 @@
 #include "base/mutex.h"
 #include "base/string_util.h"
 #include "base/thread_annotations.h"
+#include "base/thread_pool.h"
 
 namespace aftermath {
 namespace trace {
@@ -361,9 +362,7 @@ struct LaneDecode
 void
 decodeRun(const std::vector<std::uint8_t> &bytes, Encoding encoding,
           const std::vector<std::uint64_t> &stretches, Trace &trace,
-          std::size_t lane, LaneDecode &state,
-          const base::CancellationToken &cancel,
-          std::atomic<bool> &cancelled)
+          std::size_t lane, LaneDecode &state)
 {
     if (state.failed())
         return;
@@ -372,19 +371,12 @@ decodeRun(const std::vector<std::uint8_t> &bytes, Encoding encoding,
                                 : nullptr;
     ByteReader reader(bytes);
     FrameDecoder decoder(reader, encoding, state.registers);
-    std::size_t frames_seen = 0;
     for (std::uint64_t stretch : stretches) {
         reader.seek(static_cast<std::size_t>(stretch &
                                              kStretchOffsetMask));
         const std::size_t count =
             static_cast<std::size_t>(stretch >> kStretchCountShift);
         for (std::size_t k = 0; k < count; k++) {
-            if ((frames_seen++ & 0x3ff) == 0 &&
-                (cancelled.load(std::memory_order_relaxed) ||
-                 cancel.cancelled())) {
-                cancelled.store(true, std::memory_order_relaxed);
-                return;
-            }
             const std::size_t offset = reader.offset();
             FrameType type = static_cast<FrameType>(reader.readU8());
             decodeLaneFrame(type, reader, decoder, trace, timeline);
@@ -433,14 +425,14 @@ struct DecodePipeline
                       "decode-pipeline"};
     std::vector<LaneQueue> queues AM_GUARDED_BY(mutex);
     std::vector<LaneDecode> decode;
+    /** Set by a failed scan: pumps stop at their next batch. */
     std::atomic<bool> cancelled{false};
 };
 
 void
 pumpLane(const std::shared_ptr<DecodePipeline> &pipeline,
          const std::vector<std::uint8_t> &bytes, Encoding encoding,
-         Trace &trace, std::size_t lane,
-         const base::CancellationToken &cancel)
+         Trace &trace, std::size_t lane)
 {
     for (;;) {
         std::vector<std::uint64_t> batch;
@@ -456,7 +448,7 @@ pumpLane(const std::shared_ptr<DecodePipeline> &pipeline,
             queue.pending.pop_front();
         }
         decodeRun(bytes, encoding, batch, trace, lane,
-                  pipeline->decode[lane], cancel, pipeline->cancelled);
+                  pipeline->decode[lane]);
     }
 }
 
@@ -531,9 +523,8 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
             auto p = pipeline;
             Trace *t = &trace;
             const std::vector<std::uint8_t> *b = &bytes;
-            base::CancellationToken cancel = options.cancel;
-            pool->submit([p, b, encoding, t, lane, cancel] {
-                pumpLane(p, *b, encoding, *t, lane, cancel);
+            pool->submit([p, b, encoding, t, lane] {
+                pumpLane(p, *b, encoding, *t, lane);
             });
         }
     };
@@ -583,8 +574,8 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
     const std::size_t size = bytes.size();
 
     // The one fail path of the scan. The decode pumps hold pointers
-    // into result.trace, so a failed or cancelled scan parks them
-    // before `result` leaves the function.
+    // into result.trace, so a failed scan parks them before `result`
+    // leaves the function.
     auto fail = [&](std::string error) {
         result.error = std::move(error);
         if (pipeline) {
@@ -602,18 +593,8 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
     // a repeated lane frame advances it without touching the reader,
     // which is re-seated on it before decoding anything.
     std::size_t pos = reader.offset();
-    std::size_t scanned = 0;
     bool done = false;
     while (!done) {
-        // Every 4096 scanned frames: donate the thread, poll cancellation.
-        if ((++scanned & 0xfff) == 0) {
-            if (options.yield)
-                options.yield();
-            if (options.cancel.cancelled()) {
-                result.cancelled = true;
-                return fail("trace load cancelled");
-            }
-        }
         const std::size_t offset = pos;
         if (prefix_len != 0 && size - offset >= 8) {
             std::uint64_t head;
@@ -657,10 +638,8 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                 // so that its corruption outranks the ordering error.
                 if (!layout.perCpu) {
                     LaneDecode frame;
-                    std::atomic<bool> stop{false};
                     decodeRun(bytes, encoding, {packStretch(offset, 1)},
-                              trace, lane, frame,
-                              base::CancellationToken(), stop);
+                              trace, lane, frame);
                     if (frame.failed())
                         return fail_corrupt(type, offset);
                     if (type != FrameType::TaskInstance)
@@ -785,14 +764,7 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
         pipeline = std::make_shared<DecodePipeline>(runs.size());
         for (std::size_t lane = 0; lane < runs.size(); lane++)
             decodeRun(bytes, encoding, runs[lane], trace, lane,
-                      pipeline->decode[lane], options.cancel,
-                      pipeline->cancelled);
-    }
-    if (pipeline->cancelled.load(std::memory_order_relaxed) ||
-        options.cancel.cancelled()) {
-        result.cancelled = true;
-        result.error = "trace load cancelled";
-        return result;
+                      pipeline->decode[lane]);
     }
 
     // Every lane's decode state is quiescent now (no pump is left

@@ -32,20 +32,18 @@
  * Bit-identity guarantee: the materialized Trace, the diagnostics (which
  * carry the failing frame's byte offset and kind), and bytesRead are
  * identical at every worker count — workers only changes wall-clock
- * time. Cancellation (ReadOptions::cancel) is cooperative and observed
- * at batch boundaries in both phases; a cancelled load returns
- * ok == false with cancelled == true and no usable trace.
+ * time. A load runs to completion on the calling thread and cannot be
+ * cancelled; to open a trace off the interaction path, read it on a
+ * thread of its own and open the result in a new session::Session.
  */
 
 #ifndef AFTERMATH_TRACE_READER_H
 #define AFTERMATH_TRACE_READER_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "base/thread_pool.h"
 #include "trace/format.h"
 #include "trace/trace.h"
 
@@ -61,30 +59,12 @@ struct ReadOptions
      * result is bit-identical at every setting.
      */
     unsigned workers = 1;
-
-    /**
-     * Cooperative cancellation: requestCancel() from any thread stops
-     * the load at the next frame-run boundary. The default token never
-     * cancels.
-     */
-    base::CancellationToken cancel;
-
-    /**
-     * Invoked at the same frame-run boundaries the cancel token is
-     * polled at (every 4096 scanned frames). A background trace load
-     * sets this to donate its thread to queued interactive work
-     * (base::ThreadPool::runOneHighPriorityTask()) so a load never
-     * delays a just-submitted query by more than one scan batch. Must
-     * not re-enter the reader; null means never yield.
-     */
-    std::function<void()> yield;
 };
 
 /** Outcome of reading a trace stream. */
 struct ReadResult
 {
     bool ok = false;     ///< True if the trace parsed and finalized.
-    bool cancelled = false; ///< True if ReadOptions::cancel stopped the load.
     std::string error;   ///< Diagnostic when !ok (byte offset + frame kind).
     Trace trace;         ///< The materialized trace when ok.
     Encoding encoding = Encoding::Raw; ///< Encoding found in the header.

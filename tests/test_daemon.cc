@@ -13,8 +13,8 @@
  * Determinism: tests that need requests to *stay* in flight park the
  * engine's only worker on a WorkerGate (a pool task blocked on a
  * future) so submitted queries sit queued until the test releases it.
- * Queued single-task queries are dequeue-cancellable, so cancellation
- * outcomes are exact, not racy.
+ * Cancelling a queued query of any kind completes it Cancelled at
+ * once, so cancellation outcomes are exact, not racy.
  */
 
 #include <gtest/gtest.h>
@@ -589,7 +589,7 @@ TEST(Daemon, CancelFrameAbandonsQueuedQuery)
 
     // The Cancel frame is acked Ok; the target answers Cancelled on its
     // own request id (deterministic: the query is queued, so the cancel
-    // dequeues it before it can run).
+    // completes it before it can run).
     EXPECT_TRUE(client.asyncCancel(future.requestId()).get().ok());
     EXPECT_EQ(future.get().status, Status::Cancelled);
 

@@ -234,22 +234,6 @@ TEST(ThreadPoolPriority, HasHighPriorityWorkTracksQueuedHighTasks)
     EXPECT_FALSE(pool.hasHighPriorityWork());
 }
 
-TEST(ThreadPoolPriority, TrackedHighTaskCancelsWhileQueued)
-{
-    base::ThreadPool pool(1);
-    auto gate = std::make_shared<Gate>();
-    pool.submit([gate] { gate->block(); });
-    gate->awaitEntered();
-    std::atomic<bool> ran{false};
-    base::TaskHandle handle = pool.submitTracked(
-        [&ran] { ran.store(true); }, base::TaskPriority::High);
-    EXPECT_TRUE(handle.tryCancel());
-    gate->release();
-    pool.wait();
-    EXPECT_FALSE(ran.load());
-    EXPECT_TRUE(handle.skipped());
-}
-
 /** State of the deterministic yield handshake below. */
 struct YieldState
 {
@@ -317,8 +301,6 @@ TEST(QueryPriorityDefaults, SpecsCarryTheirRole)
     EXPECT_EQ(TimelineRenderQuery{}.context.priority,
               QueryPriority::Interactive);
     EXPECT_EQ(WarmupQuery{}.context.priority, QueryPriority::Background);
-    EXPECT_EQ(TraceLoadQuery{}.context.priority,
-              QueryPriority::Background);
 }
 
 TEST(QueryPriorityTest, InteractiveOvertakesBackgroundStorm)
@@ -349,11 +331,18 @@ TEST(QueryPriorityTest, InteractiveOvertakesBackgroundStorm)
     QueryTicket<stats::IntervalStats> interactive =
         session.submit(IntervalStatsQuery{
             TimeInterval{span.start + 1, span.end}});
-    EXPECT_TRUE(session.queryEngine()->hasInteractiveWork());
+    auto interactive_queued = [&session] {
+        bool queued = false;
+        session.queryEngine()->withPool([&queued](base::ThreadPool &pool) {
+            queued = pool.hasHighPriorityWork();
+        });
+        return queued;
+    };
+    EXPECT_TRUE(interactive_queued());
 
     gate1->release();
     EXPECT_EQ(interactive.wait(), QueryStatus::Done);
-    EXPECT_FALSE(session.queryEngine()->hasInteractiveWork());
+    EXPECT_FALSE(interactive_queued());
     expectStatsEqual(
         interactive.result(),
         serialIntervalStats(tr, {span.start + 1, span.end}));

@@ -3,8 +3,8 @@
  * Tests of the asynchronous query plane: Session::submit() tickets,
  * cancellation and generation semantics (stale in-flight queries report
  * Cancelled), bit-identity between submitted queries and the
- * synchronous wrappers, thread-pool task handles, and SessionGroup's
- * submitAll fan-out. Built with TSan in CI to keep the concurrency
+ * synchronous wrappers, the queued-cancel contract every query kind
+ * shares, and SessionGroup's submitAll fan-out. Built with TSan in CI to keep the concurrency
  * race-free.
  */
 
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,6 +24,7 @@
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "filter/task_filter.h"
+#include "index/summary_pyramid.h"
 #include "render/framebuffer.h"
 #include "render/timeline_renderer.h"
 #include "session/query.h"
@@ -137,37 +139,6 @@ occupyWorker(Session &session, const std::shared_ptr<Gate> &gate)
     });
     while (!gate->entered.load(std::memory_order_acquire))
         std::this_thread::yield();
-}
-
-TEST(TaskHandle, TrackedTaskRunsAndReportsDone)
-{
-    base::ThreadPool pool(2);
-    std::atomic<bool> ran{false};
-    base::TaskHandle handle = pool.submitTracked(
-        [&] { ran.store(true, std::memory_order_relaxed); });
-    handle.wait();
-    EXPECT_TRUE(handle.done());
-    EXPECT_FALSE(handle.skipped());
-    EXPECT_TRUE(ran.load());
-    // A finished task can no longer be cancelled.
-    EXPECT_FALSE(handle.tryCancel());
-}
-
-TEST(TaskHandle, TryCancelWhileQueuedSkipsTheTask)
-{
-    base::ThreadPool pool(1);
-    auto gate = std::make_shared<Gate>();
-    pool.submit([gate] { gate->block(); });
-    std::atomic<bool> ran{false};
-    base::TaskHandle handle = pool.submitTracked(
-        [&] { ran.store(true, std::memory_order_relaxed); });
-    EXPECT_TRUE(handle.tryCancel());
-    EXPECT_TRUE(handle.skipped());
-    EXPECT_TRUE(handle.done());
-    gate->release();
-    pool.wait();
-    EXPECT_FALSE(ran.load());
-    EXPECT_FALSE(handle.tryCancel()); // Already skipped.
 }
 
 TEST(CancellationToken, CopiesShareOneFlag)
@@ -343,21 +314,84 @@ TEST(SessionAsync, GenerationBumpCancelsStaleInFlightQueries)
               serialIntervalStats(tr, {0, 60}).timeInState);
 }
 
-TEST(SessionAsync, SingleTaskQueriesCancelInstantlyWhileQueued)
+/** A submitted query of any kind, as the cancel-contract table sees it. */
+struct SubmittedQuery
+{
+    std::function<QueryStatus()> status;
+    std::function<void()> cancel;
+    std::function<void(std::function<void(QueryStatus)>)> onComplete;
+};
+
+/** A table row's submit step: submit @p spec, type-erase the ticket. */
+template <typename Spec>
+std::function<SubmittedQuery(Session &)>
+submitting(Spec spec)
+{
+    return [spec](Session &session) {
+        auto ticket = session.submit(spec);
+        return SubmittedQuery{
+            [ticket] { return ticket.status(); },
+            [ticket]() mutable { ticket.cancel(); },
+            [ticket](std::function<void(QueryStatus)> fn) mutable {
+                ticket.onComplete(std::move(fn));
+            }};
+    };
+}
+
+TEST(SessionAsync, QueuedQueriesCancelInstantly)
 {
     trace::Trace tr = denseTrace();
-    Session session = Session::view(tr);
-    auto gate = std::make_shared<Gate>();
-    occupyWorker(session, gate);
+    const TimeInterval span = tr.span();
+    const QueryContext pixels{span, QueryPriority::Interactive,
+                              Resolution::pixels(16)};
+    // The Pixels rows must take the pyramid path.
+    ASSERT_GT(Session::view(tr).sharedCaches().pyramids->granularityFor(
+                  pixels.resolution, span),
+              0u);
+    const std::vector<
+        std::pair<const char *, std::function<SubmittedQuery(Session &)>>>
+        rows = {
+            {"exact interval stats", submitting(IntervalStatsQuery{{span}})},
+            {"pixels interval stats", submitting(IntervalStatsQuery{pixels})},
+            {"task list", submitting(TaskListQuery{})},
+            {"exact histogram", submitting(HistogramQuery{{span}, 8})},
+            {"pixels histogram", submitting(HistogramQuery{pixels, 8})},
+            {"counter extrema",
+             submitting(CounterExtremaQuery{{span}, 0, 1})},
+            {"render", submitting(TimelineRenderQuery{})},
+            {"warm-up", submitting(WarmupQuery{})},
+            {"pyramid build", submitting(PyramidBuildQuery{})},
+            {"anomaly scan", submitting(AnomalyScanQuery{})},
+        };
+    for (const auto &[name, submit] : rows) {
+        SCOPED_TRACE(name);
+        Session session = Session::view(tr); // 1 worker by default.
+        auto gate = std::make_shared<Gate>();
+        occupyWorker(session, gate);
 
-    // Tracked single-task queries dequeue on cancel: Cancelled is
-    // observable before the worker is even free again.
-    auto ticket = session.submit(TaskListQuery{});
-    ticket.cancel();
-    EXPECT_EQ(ticket.status(), QueryStatus::Cancelled);
-    gate->release();
-    session.queryEngine()->drain();
-    EXPECT_EQ(session.cacheStats().taskList.builds, 0u);
+        SubmittedQuery query = submit(session);
+        ASSERT_EQ(query.status(), QueryStatus::Pending);
+        auto fired = std::make_shared<std::atomic<int>>(0);
+        query.onComplete([fired](QueryStatus status) {
+            EXPECT_EQ(status, QueryStatus::Cancelled);
+            fired->fetch_add(1);
+        });
+        // Cancelled is observable, and the callback has run, while the
+        // sole worker is still parked.
+        query.cancel();
+        EXPECT_EQ(query.status(), QueryStatus::Cancelled);
+        EXPECT_EQ(fired->load(), 1);
+
+        gate->release();
+        session.queryEngine()->drain();
+        EXPECT_EQ(query.status(), QueryStatus::Cancelled);
+        EXPECT_EQ(fired->load(), 1);
+        const SessionCacheStats stats = session.cacheStats();
+        EXPECT_EQ(stats.counterIndex.builds, 0u);
+        EXPECT_EQ(stats.intervalStats.builds, 0u);
+        EXPECT_EQ(stats.taskList.builds, 0u);
+        EXPECT_EQ(session.sharedCaches().pyramids->size(), 0u);
+    }
 }
 
 TEST(SessionAsync, ViewBumpDoesNotCancelFilterKeyedQueries)

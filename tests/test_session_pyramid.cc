@@ -6,22 +6,20 @@
  * bit-identical at every worker count, the trace-global task index
  * answers by its definitions on leaf-aligned intervals (hostile
  * wrapped task intervals and a span ending at 2^64 - 1 included),
- * pyramids share through SharedCaches, and the cooperative-yield
- * plumbing (ThreadPool::runOneHighPriorityTask, ReadOptions::yield)
- * behaves. Built with TSan and ASan+UBSan in CI.
+ * pyramids share through SharedCaches, and a trace read back with
+ * readTrace answers through a session opened over it. Built with TSan
+ * and ASan+UBSan in CI.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "base/resolution.h"
 #include "base/rng.h"
-#include "base/thread_pool.h"
 #include "daemon/client.h"
 #include "daemon/server.h"
 #include "index/summary_pyramid.h"
@@ -840,60 +838,6 @@ TEST(SummaryPyramid, RenderAtPixelsResolutionReportsProvenance)
         session.render(exact_config, exact_fb);
     EXPECT_TRUE(exact_stats.resolution.exact);
     EXPECT_EQ(exact_stats.resolution.granularityNs, 0u);
-}
-
-TEST(SummaryPyramid, ThreadPoolRunsOneHighPriorityTaskOnDonorThread)
-{
-    base::ThreadPool pool(1);
-    // Park the only worker so High submissions stay queued. Wait until
-    // it is parked: a worker that has not dequeued the park task yet
-    // would take the High task first.
-    std::atomic<bool> parked{false};
-    std::atomic<bool> release{false};
-    std::atomic<bool> ran{false};
-    pool.submit([&parked, &release] {
-        parked.store(true, std::memory_order_release);
-        while (!release.load(std::memory_order_acquire))
-            std::this_thread::yield();
-    });
-    while (!parked.load(std::memory_order_acquire))
-        std::this_thread::yield();
-    pool.submit([&ran] { ran.store(true, std::memory_order_release); },
-                base::TaskPriority::High);
-
-    // The donor (this thread) runs the queued High task directly.
-    EXPECT_TRUE(pool.hasHighPriorityWork());
-    EXPECT_TRUE(pool.runOneHighPriorityTask());
-    EXPECT_TRUE(ran.load(std::memory_order_acquire));
-    EXPECT_FALSE(pool.hasHighPriorityWork());
-    EXPECT_FALSE(pool.runOneHighPriorityTask());
-    release.store(true, std::memory_order_release);
-    pool.wait();
-}
-
-TEST(SummaryPyramid, ReaderYieldHookFiresAtScanBatchBoundaries)
-{
-    RandomTraceOptions opts;
-    opts.cpus = 4;
-    opts.statesPerCpu = 1'200; // Comfortably over one 4096-frame batch.
-    trace::Trace tr = buildRandomTrace(53, opts);
-    std::vector<std::uint8_t> bytes =
-        trace::writeTrace(tr, trace::Encoding::Compact);
-
-    std::atomic<std::uint64_t> yields{0};
-    trace::ReadOptions options;
-    options.yield = [&yields] {
-        yields.fetch_add(1, std::memory_order_relaxed);
-    };
-    trace::ReadResult result = trace::readTrace(bytes, options);
-    ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_GT(yields.load(), 0u);
-
-    // The hook is observational: the decoded trace is unchanged.
-    trace::ReadResult plain = trace::readTrace(bytes);
-    ASSERT_TRUE(plain.ok) << plain.error;
-    EXPECT_EQ(result.trace.taskInstances().size(),
-              plain.trace.taskInstances().size());
 }
 
 TEST(SummaryPyramid, DaemonCarriesResolutionAndProvenanceOverTheWire)

@@ -3,21 +3,17 @@
  * Property and robustness tests of the two-phase parallel trace reader:
  * writer->reader round-trip bit-identity across encodings and CPU
  * counts, serial == parallel decode equality at every worker count, a
- * full corruption sweep (every truncation, every single-byte flip),
- * offset-bearing diagnostics, cooperative cancellation, and the
- * asynchronous TraceLoadQuery plane. The parallel-decode tests run
- * under TSan in CI.
+ * full corruption sweep (every truncation, every single-byte flip) and
+ * offset-bearing diagnostics. The parallel-decode tests run under TSan
+ * in CI.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <vector>
 
 #include "base/buffer.h"
-#include "base/thread_pool.h"
-#include "session/session.h"
 #include "trace/reader.h"
 #include "trace/writer.h"
 #include "trace_builder.h"
@@ -399,7 +395,6 @@ TEST(ReaderCorruption, SampledCorruptionIsIdenticalAtEveryWorkerCount)
                         continue;
                     }
                     EXPECT_EQ(result.ok, serial.ok) << "workers " << workers;
-                    EXPECT_EQ(result.cancelled, serial.cancelled);
                     EXPECT_EQ(result.error, serial.error);
                     EXPECT_EQ(result.bytesRead, serial.bytesRead);
                     EXPECT_EQ(reencoded, serial_reencoded)
@@ -454,118 +449,6 @@ TEST(ReaderRoundTrip, OverlongCpuIdsKeepFrameBoundaries)
         EXPECT_EQ(result.bytesRead, bytes.size());
         EXPECT_EQ(result.trace.cpu(0).states().size(), 201u);
     }
-}
-
-// ---- Cancellation ------------------------------------------------------
-
-TEST(ReaderCancellation, PreCancelledTokenStopsTheLoad)
-{
-    std::vector<std::uint8_t> bytes = smallTraceBytes(Encoding::Compact);
-    ReadOptions options;
-    options.workers = 2;
-    options.cancel.requestCancel();
-    ReadResult result = readTrace(bytes, options);
-    EXPECT_FALSE(result.ok);
-    EXPECT_TRUE(result.cancelled);
-    EXPECT_NE(result.error.find("cancelled"), std::string::npos);
-}
-
-TEST(ReaderCancellation, ValidLoadIsNotCancelled)
-{
-    std::vector<std::uint8_t> bytes = smallTraceBytes(Encoding::Raw);
-    ReadOptions options;
-    ReadResult result = readTrace(bytes, options);
-    EXPECT_TRUE(result.ok);
-    EXPECT_FALSE(result.cancelled);
-}
-
-// ---- The asynchronous TraceLoadQuery plane -----------------------------
-
-TEST(TraceLoadQuery, LoadsATraceToOpenInANewSession)
-{
-    RandomTraceOptions options;
-    options.cpus = 6;
-    options.statesPerCpu = 30;
-    Trace next = buildRandomTrace(23, options);
-    auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
-        writeTrace(next, Encoding::Compact));
-
-    Session session(buildRandomTrace(1, {.cpus = 2}));
-    session.setConcurrency({2});
-    session::TraceLoadQuery query;
-    query.bytes = bytes;
-    auto ticket = session.submit(query);
-    session::TraceLoadResult result = ticket.take();
-    ASSERT_TRUE(result.ok) << result.error;
-    ASSERT_NE(result.trace, nullptr);
-    EXPECT_EQ(result.encoding, Encoding::Compact);
-    EXPECT_EQ(result.bytesRead, bytes->size());
-    expectTracesEqual(next, *result.trace);
-
-    // The driving thread opens the loaded trace in a new session.
-    Session next_session(result.trace);
-    EXPECT_EQ(next_session.trace().numCpus(), 6u);
-    EXPECT_GT(next_session.intervalStats().tasksStarted, 0u);
-    EXPECT_EQ(session.trace().numCpus(), 2u);
-}
-
-TEST(TraceLoadQuery, ReportsReadErrors)
-{
-    auto garbage = std::make_shared<const std::vector<std::uint8_t>>(
-        std::vector<std::uint8_t>{'n', 'o', 'p', 'e', 0, 1, 2, 3});
-    Session session(buildRandomTrace(1, {.cpus = 2}));
-    session::TraceLoadQuery query;
-    query.bytes = garbage;
-    session::TraceLoadResult result = session.submit(query).take();
-    EXPECT_FALSE(result.ok);
-    EXPECT_EQ(result.trace, nullptr);
-    EXPECT_NE(result.error.find("magic"), std::string::npos);
-}
-
-TEST(TraceLoadQuery, ReportsMissingFile)
-{
-    Session session(buildRandomTrace(1, {.cpus = 2}));
-    session::TraceLoadQuery query;
-    query.path = "/nonexistent/aftermath_load.ostv";
-    session::TraceLoadResult result = session.submit(query).take();
-    EXPECT_FALSE(result.ok);
-    EXPECT_NE(result.error.find("cannot open"), std::string::npos);
-}
-
-TEST(TraceLoadQuery, QueuedLoadCancelsBeforeRunning)
-{
-    Session session(buildRandomTrace(1, {.cpus = 2}));
-    session.setConcurrency({1});
-    // Occupy the single engine worker so the load stays queued.
-    std::atomic<bool> release{false};
-    session.queryEngine()->withPool([&](base::ThreadPool &pool) {
-        pool.submit([&] {
-            while (!release.load(std::memory_order_acquire)) {}
-        });
-    });
-    auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
-        smallTraceBytes(Encoding::Raw));
-    session::TraceLoadQuery query;
-    query.bytes = bytes;
-    auto ticket = session.submit(query);
-    ticket.cancel();
-    release.store(true, std::memory_order_release);
-    EXPECT_EQ(ticket.wait(), session::QueryStatus::Cancelled);
-}
-
-TEST(TraceLoadQuery, GenerationBumpsDoNotCancelALoad)
-{
-    auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
-        smallTraceBytes(Encoding::Compact));
-    Session session(buildRandomTrace(1, {.cpus = 2}));
-    session::TraceLoadQuery query;
-    query.bytes = bytes;
-    auto ticket = session.submit(query);
-    // View and filter mutations must not invalidate the load.
-    session.setView({0, 10});
-    session.clearFilters();
-    session::TraceLoadResult result = ticket.take();
-    EXPECT_TRUE(result.ok) << result.error;
 }
 
 } // namespace
