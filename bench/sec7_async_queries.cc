@@ -8,8 +8,9 @@
  * aggregation is a full scan, exactly the stall the asynchronous query
  * plane moves off the interaction path. This bench measures the cold
  * interval-statistics scan of the 192-CPU seidel trace at 1/2/4/8
- * workers through Session::submit()'s parallel executor (per-CPU and
- * task-chunk partial sums merged at the end), verifies the parallel
+ * workers through Session::submit()'s parallel executor (per-CPU
+ * partial sums merged at the end, task counts from the task index),
+ * verifies the parallel
  * result is bit-identical to the serial one, requires — on >= 4
  * hardware threads — a >= 2x speedup at >= 4 workers, and measures how
  * fast an in-flight query reacts to cancel() and to a view-generation

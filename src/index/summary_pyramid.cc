@@ -25,9 +25,11 @@ SummaryPyramid::SummaryPyramid(const trace::Trace &trace, CpuId cpu,
         return ev.interval.end > ev.interval.start &&
                ev.interval.start < domain_end;
     };
-    for (const trace::StateEvent &ev : states)
+    for (const trace::StateEvent &ev : states) {
         if (occupies(ev))
             stateIds_.push_back(ev.state);
+        zeroDurationStates_ |= ev.interval.end == ev.interval.start;
+    }
     std::sort(stateIds_.begin(), stateIds_.end());
     stateIds_.erase(std::unique(stateIds_.begin(), stateIds_.end()),
                     stateIds_.end());
@@ -180,41 +182,51 @@ TracePyramids::TracePyramids(const trace::Trace &trace)
         leafCount_--;
 
     // The task index, a counting sort over leaves: a task's start leaf
-    // and the leaf boundary at or after its end are all the order that
-    // a leaf-aligned count or range needs. A task's end (start +
-    // duration, which can wrap on hostile input) is covered by the
-    // span, but its start need not be: starts at or past the domain
-    // end go into one trailing bucket, leaf leafCount_, that no
-    // aligned range reaches. g0 is a power of two, so shifts divide.
-    const int shift = std::countr_zero(g0_);
-    const TimeStamp in_leaf = g0_ - 1;
-    auto start_leaf = [&](const trace::TaskInstance &task) {
-        return std::min<std::uint64_t>(task.interval.start >> shift,
-                                       leafCount_);
-    };
+    // and its end leaf are all the order that a count or a range
+    // needs. Starts at or past the domain end (a task whose start +
+    // duration wrapped, on hostile input) go into the trailing bucket.
+    // Such a wrapped task's end lies below its start, so "ended by t"
+    // does not imply "started before t" for it: its end stays out of
+    // the end counts, and the queries test it directly. A task ending
+    // in its start bucket is found through tasksByStart_, so only the
+    // ends of tasks crossing into a later bucket are stored.
+    shift_ = std::countr_zero(g0_);
     const std::vector<trace::TaskInstance> &instances =
         trace.taskInstances();
-    startsBefore_.assign(leafCount_ + 2, 0);
-    endsBy_.assign(leafCount_ + 1, 0);
+    startsBucketBefore_.assign(leafCount_ + 2, 0);
+    endsBucketBefore_.assign(leafCount_ + 2, 0);
+    crossingBucketBefore_.assign(leafCount_ + 2, 0);
     for (const trace::TaskInstance &task : instances) {
-        startsBefore_[start_leaf(task) + 1]++;
-        // ceil(end / g0) without forming end + g0 - 1, which can wrap.
-        const TimeStamp end = task.interval.end;
-        const std::uint64_t boundary =
-            (end >> shift) + ((end & in_leaf) != 0 ? 1 : 0);
-        if (boundary <= leafCount_)
-            endsBy_[boundary]++;
+        const std::uint64_t start_bucket = bucketOf(task.interval.start);
+        startsBucketBefore_[start_bucket + 1]++;
+        if (task.interval.end < task.interval.start) {
+            wrapped_.push_back(&task);
+            continue;
+        }
+        const std::uint64_t end_bucket = bucketOf(task.interval.end);
+        endsBucketBefore_[end_bucket + 1]++;
+        if (end_bucket != start_bucket)
+            crossingBucketBefore_[end_bucket + 1]++;
     }
-    std::partial_sum(startsBefore_.begin(), startsBefore_.end(),
-                     startsBefore_.begin());
-    std::partial_sum(endsBy_.begin(), endsBy_.end(), endsBy_.begin());
+    for (std::vector<std::uint64_t> *counts :
+         {&startsBucketBefore_, &endsBucketBefore_, &crossingBucketBefore_})
+        std::partial_sum(counts->begin(), counts->end(), counts->begin());
 
-    // Scatter in trace order, so each bucket keeps trace order.
-    std::vector<std::uint64_t> next(startsBefore_.begin(),
-                                    startsBefore_.end() - 1);
+    // Scatter in trace order, so each start bucket keeps trace order.
+    std::vector<std::uint64_t> next_start(startsBucketBefore_.begin(),
+                                          startsBucketBefore_.end() - 1);
+    std::vector<std::uint64_t> next_crossing(
+        crossingBucketBefore_.begin(), crossingBucketBefore_.end() - 1);
     tasksByStart_.resize(instances.size());
-    for (const trace::TaskInstance &task : instances)
-        tasksByStart_[next[start_leaf(task)]++] = &task;
+    crossingEnds_.resize(crossingBucketBefore_.back());
+    for (const trace::TaskInstance &task : instances) {
+        const std::uint64_t start_bucket = bucketOf(task.interval.start);
+        tasksByStart_[next_start[start_bucket]++] = &task;
+        const std::uint64_t end_bucket = bucketOf(task.interval.end);
+        if (task.interval.end >= task.interval.start &&
+            end_bucket != start_bucket)
+            crossingEnds_[next_crossing[end_bucket]++] = task.interval.end;
+    }
 }
 
 const SummaryPyramid &
@@ -241,6 +253,16 @@ TracePyramids::getOrNull(CpuId cpu, bool *built)
         if (built)
             *built = true;
     }
+    return shard.pyramid.get();
+}
+
+const SummaryPyramid *
+TracePyramids::getIfBuilt(CpuId cpu) const
+{
+    if (cpu >= shards_.size())
+        return nullptr;
+    const Shard &shard = shards_[cpu];
+    base::MutexLock lock(shard.mutex);
     return shard.pyramid.get();
 }
 
@@ -313,42 +335,93 @@ TracePyramids::leafRange(const TimeInterval &interval) const
             std::min(interval.end / g0_, leafCount_)};
 }
 
-std::pair<std::uint64_t, std::uint64_t>
-TracePyramids::alignedBoundaries(const TimeInterval &interval) const
+std::uint64_t
+TracePyramids::startsBefore(TimeStamp t) const
 {
-    AFTERMATH_ASSERT(interval.start % g0_ == 0 && interval.end % g0_ == 0 &&
-                         interval.start <= interval.end &&
-                         interval.end <= domainEnd(),
-                     "task index query over [%llu, %llu), which is not "
-                     "leaf-aligned inside the domain",
-                     static_cast<unsigned long long>(interval.start),
-                     static_cast<unsigned long long>(interval.end));
-    return {interval.start / g0_, interval.end / g0_};
+    const std::uint64_t bucket = bucketOf(t);
+    std::uint64_t count = startsBucketBefore_[bucket];
+    // Every task of t's bucket starts at or past the bucket's first
+    // instant, bucket * g0 (the domain end for the trailing bucket).
+    if (t > bucket << shift_)
+        for (std::uint64_t i = startsBucketBefore_[bucket];
+             i < startsBucketBefore_[bucket + 1]; i++)
+            count += tasksByStart_[i]->interval.start < t ? 1 : 0;
+    return count;
+}
+
+std::uint64_t
+TracePyramids::endsBy(TimeStamp t) const
+{
+    if (t == std::numeric_limits<TimeStamp>::max())
+        return endsBucketBefore_.back();
+    // #{end <= t} = #{end < below}.
+    const TimeStamp below = t + 1;
+    const std::uint64_t bucket = bucketOf(below);
+    std::uint64_t count = endsBucketBefore_[bucket];
+    if (below > bucket << shift_) {
+        // The ends in below's bucket: of tasks that also start in it,
+        for (std::uint64_t i = startsBucketBefore_[bucket];
+             i < startsBucketBefore_[bucket + 1]; i++) {
+            const TimeInterval &task = tasksByStart_[i]->interval;
+            count += task.start <= task.end && task.end < below ? 1 : 0;
+        }
+        // and of tasks that start in an earlier one.
+        for (std::uint64_t i = crossingBucketBefore_[bucket];
+             i < crossingBucketBefore_[bucket + 1]; i++)
+            count += crossingEnds_[i] < below ? 1 : 0;
+    }
+    return count;
 }
 
 std::uint64_t
 TracePyramids::tasksStartedIn(const TimeInterval &interval) const
 {
-    auto [a, b] = alignedBoundaries(interval);
-    return startsBefore_[b] - startsBefore_[a];
+    return interval.empty() ? 0
+                            : startsBefore(interval.end) -
+                                  startsBefore(interval.start);
 }
 
 std::uint64_t
 TracePyramids::tasksOverlapping(const TimeInterval &interval) const
 {
-    // #{start < end} - #{end <= start}: exactly the tasks whose
-    // interval overlaps [start, end), including the spanning tasks an
-    // empty interval still intersects.
-    auto [a, b] = alignedBoundaries(interval);
-    return startsBefore_[b] - endsBy_[a];
+    const TimeStamp a = interval.start;
+    const TimeStamp b = interval.end;
+    // A task with start <= end overlaps [a, b) iff start < b and
+    // end > a. For a < b, a task ending by a also starts before b, so
+    // #{start < b} - #{end <= a} counts exactly those (unsigned
+    // arithmetic: the difference of the two counts stays exact).
+    std::uint64_t count = startsBefore(b) - endsBy(a);
+    if (b <= a) {
+        // Empty or inverted: add back the tasks ending by a that do
+        // not start before b, which all start in [b, a].
+        const std::uint64_t last = startsBucketBefore_[bucketOf(a) + 1];
+        for (std::uint64_t i = startsBucketBefore_[bucketOf(b)]; i < last;
+             i++) {
+            const TimeInterval &task = tasksByStart_[i]->interval;
+            if (task.start >= b && task.start <= task.end && task.end <= a)
+                count++;
+        }
+    }
+    // Wrapped tasks: take back their starts counted above and count
+    // them by the predicate.
+    for (const trace::TaskInstance *task : wrapped_) {
+        if (task->interval.start < b)
+            count--;
+        if (task->interval.overlaps(interval))
+            count++;
+    }
+    return count;
 }
 
 std::pair<std::size_t, std::size_t>
 TracePyramids::taskStartRange(const TimeInterval &interval) const
 {
-    auto [a, b] = alignedBoundaries(interval);
-    return {static_cast<std::size_t>(startsBefore_[a]),
-            static_cast<std::size_t>(startsBefore_[b])};
+    if (interval.empty())
+        return {0, 0};
+    return {static_cast<std::size_t>(
+                startsBucketBefore_[bucketOf(interval.start)]),
+            static_cast<std::size_t>(
+                startsBucketBefore_[bucketOf(interval.end - 1) + 1])};
 }
 
 } // namespace index

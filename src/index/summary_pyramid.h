@@ -28,21 +28,30 @@
  * trace-global task index of TracePyramids, counter extrema from the
  * per-(cpu, counter) index::CounterIndex. The result reports the
  * snapped interval and a ResolutionInfo provenance.
- * Resolution::Exact never touches this structure.
  *
- * The task index is a counting sort over the same leaves: per leaf
- * boundary, the number of tasks starting before it and the number
- * ending at or before it, plus every task bucketed by start leaf. For a
- * leaf-aligned interval the task counts and the set of tasks starting
- * inside it are then two array lookups each, and the build is two
- * linear passes with no comparison sort.
+ * Resolution::Exact reads this structure but never builds it: exact
+ * interval stats take the whole leaves inside the requested interval
+ * from an already-built pyramid (stats::intervalStateChunk) and scan
+ * only the two partial edges, and take their task counts from the
+ * task index. The answer is the scan's, bit for bit.
+ *
+ * The task index is a counting sort over the same leaves: every task
+ * bucketed by start leaf, the ends of the tasks that cross into a
+ * later leaf bucketed by end leaf, and per leaf the number of task
+ * starts and of task ends in the leaves before it. The number of task
+ * starts before any instant t, or of task ends at or before it, is
+ * then one prefix lookup plus a scan of the buckets of t's leaf, so the
+ * task counts of any interval cost O(tasks in two leaves). The build
+ * is two linear passes with no comparison sort.
  *
  * One caveat for bit-identity: the exact scan records a zero-valued
  * occupancy entry for a zero-duration state event inside the interval
  * (its slice includes the event, its overlap is zero); the pyramid
- * only records states with nonzero occupancy. Traces without
- * zero-duration state events — every writer in this repo — are
- * unaffected.
+ * only records states with nonzero occupancy. Pyramid (Budget/Pixels)
+ * answers therefore omit such keys, and an exact query answers a CPU
+ * that has zero-duration state events by the scan alone. Traces
+ * without zero-duration state events — every writer in this repo —
+ * are unaffected.
  *
  * TracePyramids is the lazily-built, per-CPU-sharded store shared
  * across every session viewing one trace (Session::SharedCaches), the
@@ -54,6 +63,7 @@
 #ifndef AFTERMATH_INDEX_SUMMARY_PYRAMID_H
 #define AFTERMATH_INDEX_SUMMARY_PYRAMID_H
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -83,6 +93,12 @@ class SummaryPyramid
 
     TimeStamp leafGranularity() const { return g0_; }
     std::uint64_t leafCount() const { return leafCount_; }
+
+    /**
+     * True when the CPU has a zero-duration state event, whose
+     * zero-valued key the exact scan records and occupancy() omits.
+     */
+    bool hasZeroDurationStates() const { return zeroDurationStates_; }
 
     /**
      * Exact state occupancy over the aligned leaf range
@@ -143,6 +159,7 @@ class SummaryPyramid
 
     TimeStamp g0_;
     std::uint64_t leafCount_;
+    bool zeroDurationStates_ = false;
     std::vector<std::uint32_t> stateIds_; ///< Sorted; slot order of columns_.
     /** One column per state, cells in increasing leaf order. */
     std::vector<std::vector<Cell>> columns_;
@@ -152,12 +169,12 @@ class SummaryPyramid
  * The shared, per-CPU-sharded pyramid store of one trace. One leaf
  * granularity g0 for every CPU (chosen from the trace span), per-CPU
  * pyramids built lazily under per-shard locks (rank kPyramidShard),
- * plus the trace-global task index by leaf, built eagerly: cumulative
- * task-start and task-end counts per leaf boundary and the tasks
- * bucketed by start leaf. They make the interval task counts
- * (tasksStarted / tasksOverlapping) and the histogram's task selection
- * O(1) for any leaf-aligned interval, which is the only kind they
- * accept.
+ * plus the trace-global task index by leaf, built eagerly: the tasks
+ * bucketed by start leaf and the leaf-crossing task ends bucketed by
+ * end leaf, with per-leaf prefix counts. They answer the interval task counts
+ * (tasksStarted / tasksOverlapping) of any interval exactly, as the
+ * scan defines them, at the cost of the tasks in two leaves, and
+ * select the histogram's candidate tasks by start leaf.
  */
 class TracePyramids
 {
@@ -193,6 +210,14 @@ class TracePyramids
     /** Like get(), but returns nullptr for out-of-range CPU ids. */
     const SummaryPyramid *getOrNull(CpuId cpu, bool *built = nullptr);
 
+    /**
+     * The pyramid of @p cpu if one is already built, else nullptr
+     * (also for out-of-range ids). Never builds: the exact path uses
+     * what is there. Thread-safe; a non-null result stays valid for
+     * this object's lifetime.
+     */
+    const SummaryPyramid *getIfBuilt(CpuId cpu) const;
+
     /** Number of pyramids currently built. */
     std::size_t size() const;
 
@@ -217,17 +242,18 @@ class TracePyramids
     std::pair<std::uint64_t, std::uint64_t>
     leafRange(const TimeInterval &interval) const;
 
-    // The task-index queries below take a leaf-aligned @p interval
-    // inside the domain, as snap() returns it (both edges multiples of
-    // g0, start <= end <= domainEnd()), and panic on any other.
+    // The task-index queries below take any interval: unaligned,
+    // empty, inverted or reaching past domainEnd().
 
     /** Tasks (trace-wide) whose start lies inside @p interval. */
     std::uint64_t tasksStartedIn(const TimeInterval &interval) const;
 
     /**
-     * Tasks (trace-wide) overlapping @p interval: the tasks starting
-     * before its end less those ending at or before its start, in
-     * unsigned arithmetic.
+     * Tasks (trace-wide) whose interval overlaps @p interval, by
+     * TimeInterval::overlaps(): the tasks starting before its end less
+     * those ending at or before its start. Tasks whose end wrapped
+     * below their start, and the tasks an empty or inverted interval
+     * separates, are counted by the predicate itself.
      */
     std::uint64_t tasksOverlapping(const TimeInterval &interval) const;
 
@@ -243,18 +269,26 @@ class TracePyramids
 
     /**
      * Index range [first, last) into tasksByStart() of the tasks whose
-     * start lies inside @p interval.
+     * start leaf meets @p interval (empty for an empty interval): every
+     * task starting inside it, plus, unless the interval is
+     * leaf-aligned, tasks of its edge leaves starting outside it, which
+     * callers drop by TimeInterval::contains().
      */
     std::pair<std::size_t, std::size_t>
     taskStartRange(const TimeInterval &interval) const;
 
   private:
-    /**
-     * Leaf boundaries {start / g0, end / g0} of a leaf-aligned
-     * @p interval inside the domain; panics on any other interval.
-     */
-    std::pair<std::uint64_t, std::uint64_t>
-    alignedBoundaries(const TimeInterval &interval) const;
+    /** Bucket of time @p t: its leaf, or leafCount_ past the domain. */
+    std::uint64_t bucketOf(TimeStamp t) const
+    {
+        return std::min<std::uint64_t>(t >> shift_, leafCount_);
+    }
+
+    /** Tasks starting before @p t (wrapped ones included). */
+    std::uint64_t startsBefore(TimeStamp t) const;
+
+    /** Tasks with start <= end ending at or before @p t. */
+    std::uint64_t endsBy(TimeStamp t) const;
 
     /**
      * One CPU's slot, guarded by its own lock. Shards share one rank
@@ -269,16 +303,24 @@ class TracePyramids
 
     const trace::Trace &trace_;
     TimeStamp g0_ = 1;
+    int shift_ = 0; ///< log2(g0_): g0 is a power of two.
     std::uint64_t leafCount_ = 1;
     std::vector<Shard> shards_; ///< One per CPU; never resized.
 
-    // Immutable after construction: the trace-global task index.
-    /** [k]: tasks starting before leaf boundary k, k <= leafCount + 1
-     *  (the last entry counts the trailing past-the-domain bucket). */
-    std::vector<std::uint64_t> startsBefore_;
-    /** [k]: tasks ending at or before leaf boundary k, k <= leafCount. */
-    std::vector<std::uint64_t> endsBy_;
+    // Immutable after construction: the trace-global task index. Its
+    // buckets are the leaves plus one trailing bucket, leafCount_, for
+    // times at or past the domain end; [k] of a prefix array counts
+    // the entries in the buckets before k, k <= leafCount_ + 1.
+    std::vector<std::uint64_t> startsBucketBefore_;
     std::vector<const trace::TaskInstance *> tasksByStart_;
+    /** Ends of the tasks with start <= end, counted by end bucket. */
+    std::vector<std::uint64_t> endsBucketBefore_;
+    /** The ends of those whose end bucket follows their start bucket,
+     *  bucketed by end bucket (the others are in tasksByStart_). */
+    std::vector<std::uint64_t> crossingBucketBefore_;
+    std::vector<TimeStamp> crossingEnds_;
+    /** Tasks whose end wrapped below their start (hostile input). */
+    std::vector<const trace::TaskInstance *> wrapped_;
 };
 
 } // namespace index

@@ -166,16 +166,19 @@ struct WarmupStats
 };
 
 /**
- * Aggregate statistics of one interval (Session::intervalStats). The
- * cold exact scan executes in parallel: per-CPU state chunks and
- * task-array chunks produce partial sums merged at the end (exact
- * integer sums, so the result is bit-identical to the serial scan at
- * any worker count). Memoized results answer as already-completed
- * tickets. Under Resolution::Budget/Pixels the interval snaps to the
- * pyramid granularity and the snapped interval is answered exactly
- * from two cells of each state column per CPU and two lookups in the
- * trace-global task index; the result's interval and resolution fields
- * report what was actually computed.
+ * Aggregate statistics of one interval (Session::intervalStats). A
+ * cold exact query runs one chunk per CPU, whose state times come from
+ * the whole leaves of the CPU's pyramid when it is already built (the
+ * query never builds one) plus a scan of the two partial edge leaves,
+ * or from a scan of the whole interval otherwise; the task counts come
+ * from the trace-global task index. All are exact integer sums, so the
+ * result is bit-identical to the serial scan at any worker count and
+ * whichever pyramids are built, provenance included. Memoized results
+ * answer as already-completed tickets. Under Resolution::Budget/Pixels
+ * the interval snaps to the pyramid granularity and the snapped
+ * interval is answered exactly from two cells of each state column per
+ * CPU and the trace-global task index; the result's interval and
+ * resolution fields report what was actually computed.
  */
 struct IntervalStatsQuery
 {
@@ -185,10 +188,10 @@ struct IntervalStatsQuery
 /**
  * Duration histogram of the tasks passing the active filters. When
  * context.interval is set, only tasks *starting* inside it are binned
- * (the interval-stats tasksStarted notion); under Budget/Pixels the
- * interval snaps to the pyramid granularity and the selection is the
- * pyramid's bucket range of tasks starting in the snapped interval
- * (tasks bucketed by start leaf) instead of a full list scan.
+ * (the interval-stats tasksStarted notion), selected from the task
+ * index's start-leaf buckets that meet the interval instead of a full
+ * list scan; under Budget/Pixels the interval first snaps to the
+ * pyramid granularity.
  */
 struct HistogramQuery
 {

@@ -256,33 +256,37 @@ launchOneChunk(QueryEngine &engine,
 // -- Shared query pieces -------------------------------------------------
 
 /**
- * Chunk @p i of the interval-statistics scan of @p interval: chunks
- * below numCpus() scan one CPU's states, the rest one run of
- * @p task_chunk_size task instances each. All sums are exact integers,
- * so merging the chunks is bit-identical to the serial scan however
- * they are grouped.
+ * CPU @p cpu's share of the exact interval statistics of @p interval:
+ * its state times, from its pyramid's whole leaves when that pyramid
+ * is already built (this never builds one) and by scan otherwise.
  */
 stats::IntervalStats
-statsChunk(const trace::Trace &trace, const TimeInterval &interval,
-           std::size_t task_chunk_size, std::size_t i)
+exactStateChunk(const trace::Trace &trace,
+                const index::TracePyramids &pyramids,
+                const TimeInterval &interval, CpuId cpu)
 {
-    if (i < trace.numCpus())
-        return stats::intervalStateChunk(trace.cpu(static_cast<CpuId>(i)),
-                                         interval);
-    const auto &instances = trace.taskInstances();
-    std::size_t begin = (i - trace.numCpus()) * task_chunk_size;
-    std::size_t end = std::min(instances.size(), begin + task_chunk_size);
-    return stats::intervalTaskChunk(instances.data() + begin,
-                                    instances.data() + end, interval);
+    return stats::intervalStateChunk(trace.cpu(cpu), interval,
+                                     pyramids.getIfBuilt(cpu));
 }
 
-/** How many statsChunk() chunks cover @p trace. */
-std::size_t
-statsChunkCount(const trace::Trace &trace, std::size_t task_chunk_size)
+/**
+ * The exact interval statistics of @p interval: the per-CPU state
+ * partials merged (exact integer sums, so in any order) plus the task
+ * counts of the trace-global task index. Whichever way each CPU was
+ * answered, the provenance is the exact scan's.
+ */
+stats::IntervalStats
+mergeExactStats(const index::TracePyramids &pyramids,
+                const TimeInterval &interval,
+                const std::vector<stats::IntervalStats> &partials)
 {
-    return trace.numCpus() +
-           (trace.taskInstances().size() + task_chunk_size - 1) /
-               task_chunk_size;
+    stats::IntervalStats merged;
+    merged.interval = interval;
+    for (const stats::IntervalStats &partial : partials)
+        merged.mergeFrom(partial);
+    merged.tasksStarted = pyramids.tasksStartedIn(interval);
+    merged.tasksOverlapping = pyramids.tasksOverlapping(interval);
+    return merged;
 }
 
 /** Memoize @p computed under its interval. */
@@ -384,25 +388,21 @@ Session::submit(const IntervalStatsQuery &query)
                 std::make_pair(interval.start, interval.end)))
             return completedTicket(*domain_, stats::IntervalStats(*hit));
     }
-    // Enough task chunks to load every worker a few times over, but no
-    // micro-chunks: the claim cursor should stay noise.
-    const std::size_t task_chunk_size = std::max<std::size_t>(
-        4096, trace_->taskInstances().size() /
-                  (static_cast<std::size_t>(engine_->workers()) * 4));
+    // One chunk per CPU; the task counts cost two leaves' worth of the
+    // task index, so the merge takes them.
     return launchFanOut<stats::IntervalStats>(
         *engine_, newTicketState<stats::IntervalStats>(*domain_),
-        query.context.priority, statsChunkCount(*trace_, task_chunk_size),
-        [trace = trace_, interval, task_chunk_size](
-            std::size_t i, stats::IntervalStats &out) {
-            out = statsChunk(*trace, interval, task_chunk_size, i);
+        query.context.priority, trace_->numCpus(),
+        [trace = trace_, pyramids = pyramids_,
+         interval](std::size_t i, stats::IntervalStats &out) {
+            out = exactStateChunk(*trace, *pyramids, interval,
+                                  static_cast<CpuId>(i));
             return true;
         },
-        [memo = statsMemo_,
+        [memo = statsMemo_, pyramids = pyramids_,
          interval](std::vector<stats::IntervalStats> &&partials) {
-            stats::IntervalStats merged;
-            merged.interval = interval;
-            for (const stats::IntervalStats &partial : partials)
-                merged.mergeFrom(partial);
+            stats::IntervalStats merged =
+                mergeExactStats(*pyramids, interval, partials);
             publishStats(*memo, merged);
             return merged;
         });
@@ -449,37 +449,41 @@ Session::submit(const HistogramQuery &query)
     state->live = domain_->filterGenerationCell();
     auto filters = std::make_shared<const filter::FilterSet>(filters_);
     const std::uint32_t num_bins = query.numBins;
-    const std::optional<TimeInterval> &restrict_to = query.context.interval;
-    const TimeStamp granularity =
-        restrict_to ? pyramids_->granularityFor(query.context.resolution,
-                                                *restrict_to)
-                    : 0;
-    if (granularity > 0) {
-        // Pyramid path: snap the interval and select the tasks starting
-        // inside it as one range of the start-leaf buckets — O(matches)
-        // instead of a full list scan. Bin edges (min/max) and counts
-        // are order-independent, so the result equals the exact path's
-        // histogram of the snapped interval bit for bit.
-        TimeInterval snapped = pyramids_->snap(*restrict_to, granularity);
-        const bool exact = snapped.start == restrict_to->start &&
-                           snapped.end == restrict_to->end;
+    if (const std::optional<TimeInterval> &restrict_to =
+            query.context.interval) {
+        // Restricted: the tasks starting inside the interval (under
+        // Budget/Pixels, the snapped one), selected from the start-leaf
+        // buckets that meet it, so the cost follows the interval, not
+        // the trace. Bin edges (min/max) and counts are
+        // order-independent, so the histogram equals the one of a full
+        // filtered scan bit for bit.
+        TimeInterval selected = *restrict_to;
+        ResolutionInfo provenance;
+        if (const TimeStamp granularity = pyramids_->granularityFor(
+                query.context.resolution, selected)) {
+            selected = pyramids_->snap(selected, granularity);
+            provenance.exact = selected == *restrict_to;
+            provenance.granularityNs = granularity;
+        }
         return launchOneChunk(
-            *engine_, std::move(state), query.context.priority,
-            [trace = trace_, pyramids = pyramids_, filters, snapped,
-             granularity, exact, num_bins](stats::Histogram &out) {
-                auto range = pyramids->taskStartRange(snapped);
+            *engine_, state, query.context.priority,
+            [state, trace = trace_, pyramids = pyramids_, filters,
+             selected, provenance, num_bins](stats::Histogram &out) {
+                auto [first, last] = pyramids->taskStartRange(selected);
                 const List &by_start = pyramids->tasksByStart();
                 std::vector<double> durations;
-                durations.reserve(range.second - range.first);
-                for (std::size_t i = range.first; i < range.second; i++) {
+                durations.reserve(last - first);
+                for (std::size_t i = first; i < last; i++) {
+                    if (((i - first) & 0xfff) == 0 && state->stale())
+                        return false;
                     const trace::TaskInstance *task = by_start[i];
-                    if (filters->matches(*trace, *task))
+                    if (selected.contains(task->interval.start) &&
+                        filters->matches(*trace, *task))
                         durations.push_back(
                             static_cast<double>(task->duration()));
                 }
                 out = stats::Histogram::fromValues(durations, num_bins);
-                out.resolution.exact = exact;
-                out.resolution.granularityNs = granularity;
+                out.resolution = provenance;
                 return true;
             });
     }
@@ -494,7 +498,7 @@ Session::submit(const HistogramQuery &query)
     return launchOneChunk(
         *engine_, state, query.context.priority,
         [state, trace = trace_, memo = memo_, filters, cached, generation,
-         num_bins, restrict_to](stats::Histogram &out) {
+         num_bins](stats::Histogram &out) {
             const List *tasks = cached.get();
             List computed;
             if (!tasks) {
@@ -503,20 +507,14 @@ Session::submit(const HistogramQuery &query)
                     return false;
                 computed = std::move(*list);
                 // The scan is the expensive half; share it with later
-                // tasks()/histogram() calls of the same generation (the
-                // published list is unrestricted; the interval only
-                // narrows the binned values).
+                // tasks()/histogram() calls of the same generation.
                 publishTaskList(*memo, generation, computed);
                 tasks = &computed;
             }
             std::vector<double> durations;
             durations.reserve(tasks->size());
-            for (const trace::TaskInstance *task : *tasks) {
-                if (restrict_to &&
-                    !restrict_to->contains(task->interval.start))
-                    continue;
+            for (const trace::TaskInstance *task : *tasks)
                 durations.push_back(static_cast<double>(task->duration()));
-            }
             out = stats::Histogram::fromValues(durations, num_bins);
             return true;
         });
@@ -607,7 +605,7 @@ Session::submit(const WarmupQuery &query)
         *engine_, state, query.context.priority,
         list_unit + (do_task_list ? 1 : 0),
         [state, trace = trace_, cache = counterIndexes_,
-         stats_memo = statsMemo_, memo = memo_,
+         pyramids = pyramids_, stats_memo = statsMemo_, memo = memo_,
          filters = std::make_shared<const filter::FilterSet>(filters_),
          pairs, stats_unit, list_unit, stats_interval,
          filter_generation](std::size_t i, std::size_t &built) {
@@ -621,17 +619,16 @@ Session::submit(const WarmupQuery &query)
                 return true;
             }
             if (i < list_unit) {
-                // One serial scan (warm-up is already off the
-                // interactive path; the pairs dominate the work).
-                const std::size_t all = std::max<std::size_t>(
-                    1, trace->taskInstances().size());
-                const std::size_t chunks = statsChunkCount(*trace, all);
-                stats::IntervalStats merged;
-                merged.interval = stats_interval;
-                for (std::size_t c = 0; c < chunks; c++)
-                    merged.mergeFrom(
-                        statsChunk(*trace, stats_interval, all, c));
-                publishStats(*stats_memo, merged);
+                // The per-CPU chunks run serially (warm-up is already
+                // off the interactive path; the pairs dominate the
+                // work).
+                std::vector<stats::IntervalStats> partials;
+                for (CpuId c = 0; c < trace->numCpus(); c++)
+                    partials.push_back(exactStateChunk(
+                        *trace, *pyramids, stats_interval, c));
+                publishStats(*stats_memo,
+                             mergeExactStats(*pyramids, stats_interval,
+                                             partials));
                 return true;
             }
             auto list = scanTaskList(*trace, *filters, *state);

@@ -36,14 +36,14 @@
  *
  * The synchronous query methods are thin wrappers that check the memo,
  * then submit-and-wait — results are bit-identical to the tickets'.
- * The cold interval-statistics scan parallelizes across per-CPU and
- * task-array chunks (exact integer partial sums merged in order), so
- * cold queries scale with the Concurrency knob. One caveat inherited
- * from the memo contract: with a bounded stats memo
- * (setStatsCacheCapacity), references returned by intervalStats() can
- * be evicted by *asynchronous* publishes too, so don't hold them across
- * in-flight submissions. Distinct sessions not sharing an engine are
- * fully independent.
+ * A cold exact interval-statistics query runs one chunk per CPU
+ * (exact integer partial sums merged in order) and takes its task
+ * counts from the task index, so cold queries scale with the
+ * Concurrency knob. One caveat inherited from the memo contract: with
+ * a bounded stats memo (setStatsCacheCapacity), references returned by
+ * intervalStats() can be evicted by *asynchronous* publishes too, so
+ * don't hold them across in-flight submissions. Distinct sessions not
+ * sharing an engine are fully independent.
  */
 
 #ifndef AFTERMATH_SESSION_SESSION_H

@@ -1,5 +1,7 @@
 #include "stats/interval_stats.h"
 
+#include <algorithm>
+
 namespace aftermath {
 namespace stats {
 
@@ -44,36 +46,52 @@ IntervalStats::mergeFrom(const IntervalStats &other)
     tasksStarted += other.tasksStarted;
 }
 
-IntervalStats
-intervalStateChunk(const trace::CpuTimeline &cpu,
-                   const TimeInterval &interval)
+namespace {
+
+/** Add each state event's overlap with @p interval to @p into. */
+void
+scanStateTime(const trace::CpuTimeline &cpu, const TimeInterval &interval,
+              std::map<std::uint32_t, TimeStamp> &into)
 {
-    IntervalStats partial;
-    partial.interval = interval;
     const auto &states = cpu.states();
     trace::SliceRange slice = cpu.stateSlice(interval);
     for (std::size_t i = slice.first; i < slice.last; i++) {
         const trace::StateEvent &ev = states[i];
-        partial.timeInState[ev.state] +=
-            ev.interval.overlapDuration(interval);
+        into[ev.state] += ev.interval.overlapDuration(interval);
     }
-    return partial;
 }
 
+} // namespace
+
 IntervalStats
-intervalTaskChunk(const trace::TaskInstance *first,
-                  const trace::TaskInstance *last,
-                  const TimeInterval &interval)
+intervalStateChunk(const trace::CpuTimeline &cpu,
+                   const TimeInterval &interval,
+                   const index::SummaryPyramid *pyramid)
 {
     IntervalStats partial;
     partial.interval = interval;
-    for (const trace::TaskInstance *task = first; task != last; task++) {
-        if (task->interval.overlaps(interval)) {
-            partial.tasksOverlapping++;
-            if (interval.contains(task->interval.start))
-                partial.tasksStarted++;
-        }
+    // Whole leaves [first, last) inside the interval: none without a
+    // usable pyramid, or for an interval shorter than a leaf.
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+    TimeStamp g0 = 1;
+    if (pyramid && !pyramid->hasZeroDurationStates()) {
+        g0 = pyramid->leafGranularity();
+        first = interval.start / g0 + (interval.start % g0 != 0 ? 1 : 0);
+        last = std::min(interval.end / g0, pyramid->leafCount());
     }
+    if (first >= last) {
+        scanStateTime(cpu, interval, partial.timeInState);
+        return partial;
+    }
+    // The whole leaves hold exact sums of positive overlaps, and the
+    // edge scans add the rest. Without zero-duration events, every key
+    // the full scan would record has positive time, in the leaves or
+    // in an edge, so the keys agree too.
+    std::uint64_t cells = 0;
+    pyramid->occupancy(first, last, partial.timeInState, cells);
+    scanStateTime(cpu, {interval.start, first * g0}, partial.timeInState);
+    scanStateTime(cpu, {last * g0, interval.end}, partial.timeInState);
     return partial;
 }
 

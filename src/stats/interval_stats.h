@@ -6,12 +6,12 @@
  * user-selected interval from the timeline (paper section II-A group 2):
  * per-state time breakdown, average parallelism and task counts.
  *
- * The stats of one interval decompose into independent partial sums —
- * one per CPU's state array plus disjoint chunks of the task-instance
- * array — merged with mergeFrom(). Every quantity is an exact integer
- * sum, so any partition and merge order reproduces the serial scan
- * bit for bit; the session's parallel interval-statistics executor is
- * built on intervalStateChunk()/intervalTaskChunk().
+ * The state times of one interval decompose into independent partial
+ * sums, one per CPU, merged with mergeFrom(). Every quantity is an
+ * exact integer sum, so any partition and merge order reproduces the
+ * serial scan bit for bit. The session's interval-statistics executor
+ * runs intervalStateChunk() once per CPU and takes the task counts
+ * from the trace-global task index (index/summary_pyramid.h).
  */
 
 #ifndef AFTERMATH_STATS_INTERVAL_STATS_H
@@ -23,6 +23,7 @@
 #include "base/resolution.h"
 #include "base/time_interval.h"
 #include "base/types.h"
+#include "index/summary_pyramid.h"
 #include "trace/trace.h"
 
 namespace aftermath {
@@ -36,7 +37,7 @@ struct IntervalStats
     std::map<std::uint32_t, TimeStamp> timeInState;
     /** Tasks whose execution overlaps the interval. */
     std::uint64_t tasksOverlapping = 0;
-    /** Tasks that started within the interval. */
+    /** Tasks whose start lies within the interval, whatever their end. */
     std::uint64_t tasksStarted = 0;
 
     /**
@@ -69,20 +70,18 @@ struct IntervalStats
 };
 
 /**
- * Partial interval statistics of one CPU: the per-state time overlap of
- * @p cpu's state events with @p interval (task counts untouched).
+ * Partial interval statistics of one CPU: the exact per-state time
+ * overlap of @p cpu's state events with @p interval, recording a state
+ * key (possibly zero-valued) for every event the interval's slice
+ * holds; task counts untouched. When @p pyramid (the CPU's pyramid if
+ * built, else null) is non-null and the CPU has no zero-duration state
+ * event, the whole leaves inside the interval answer from its
+ * cumulative cells and only the two partial edge sub-intervals are
+ * scanned; otherwise the whole interval is.
  */
 IntervalStats intervalStateChunk(const trace::CpuTimeline &cpu,
-                                 const TimeInterval &interval);
-
-/**
- * Partial interval statistics of the task instances in [@p first,
- * @p last): overlap and start counts within @p interval (state times
- * untouched).
- */
-IntervalStats intervalTaskChunk(const trace::TaskInstance *first,
-                                const trace::TaskInstance *last,
-                                const TimeInterval &interval);
+                                 const TimeInterval &interval,
+                                 const index::SummaryPyramid *pyramid);
 
 } // namespace stats
 } // namespace aftermath

@@ -4,8 +4,8 @@
  * are bit-identical to the exact scan over the snapped interval,
  * snapping stays within the requested budget, Resolution::Exact is
  * bit-identical at every worker count, the trace-global task index
- * answers by its definitions on leaf-aligned intervals (hostile
- * wrapped task intervals and a span ending at 2^64 - 1 included),
+ * answers as the scan does over any interval (hostile wrapped task
+ * intervals and a span ending at 2^64 - 1 included),
  * pyramids share through SharedCaches, and a trace read back with
  * readTrace answers through a session opened over it. Built with TSan
  * and ASan+UBSan in CI.
@@ -36,6 +36,7 @@ namespace {
 
 using test_support::buildRandomTrace;
 using test_support::RandomTraceOptions;
+using test_support::withTasks;
 
 /** The serial exact interval scan, as ground truth. */
 stats::IntervalStats
@@ -145,9 +146,9 @@ naiveOccupancyOver(const trace::Trace &tr, CpuId cpu, TimeStamp g0,
 }
 
 /**
- * The task-index answers over [a, b) by their definitions, from the
- * raw task array in unsigned arithmetic: #{start in [a, b)}, #{start <
- * b} - #{end <= a}, and the tasks starting in [a, b) in trace order.
+ * The task-index answers over [a, b) by the scan's definitions, from
+ * the raw task array: #{start in [a, b)}, #{task overlaps [a, b)}, and
+ * the tasks starting in [a, b) in trace order.
  */
 struct NaiveTaskIndex
 {
@@ -160,50 +161,62 @@ NaiveTaskIndex
 naiveTaskIndex(const trace::Trace &tr, const TimeInterval &interval)
 {
     NaiveTaskIndex out;
-    std::uint64_t starts_before_end = 0;
-    std::uint64_t ends_by_start = 0;
     for (const trace::TaskInstance &task : tr.taskInstances()) {
-        if (task.interval.start >= interval.start &&
-            task.interval.start < interval.end) {
+        if (interval.contains(task.interval.start)) {
             out.started++;
             out.startingIn.push_back(&task);
         }
-        if (task.interval.start < interval.end)
-            starts_before_end++;
-        if (task.interval.end <= interval.start)
-            ends_by_start++;
+        if (task.interval.overlaps(interval))
+            out.overlapping++;
     }
-    out.overlapping = starts_before_end - ends_by_start;
     return out;
 }
 
 /**
- * Leaf-aligned intervals over @p pyramids' domain: every ordered pair
- * of a set of boundaries holding the domain's edges, its first and
- * last leaves, its middle and random boundaries (so empty intervals,
- * single leaves and the whole domain are all in).
+ * Intervals over @p pyramids' domain: every ordered pair, inverted
+ * ones included, of a set of instants holding the domain's edges, its
+ * first and last leaves, its middle and random leaf boundaries, points
+ * one off a boundary and inside a leaf, and points past the domain end
+ * up to the last timestamp. So empty, inverted, single-leaf, unaligned,
+ * past-domain and whole-domain intervals are all in.
  */
 std::vector<TimeInterval>
-leafAlignedGrid(const index::TracePyramids &pyramids, Rng &rng)
+intervalGrid(const index::TracePyramids &pyramids, Rng &rng)
 {
     const std::uint64_t leaves = pyramids.leafCount();
-    std::vector<std::uint64_t> bounds = {0, 1, leaves / 3, leaves / 2,
-                                         leaves - 1, leaves};
-    for (int i = 0; i < 14; i++)
-        bounds.push_back(rng.nextBounded(leaves + 1));
-    std::sort(bounds.begin(), bounds.end());
-    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
-    std::vector<TimeInterval> out;
     const TimeStamp g0 = pyramids.leafGranularity();
-    for (std::size_t i = 0; i < bounds.size(); i++)
-        for (std::size_t j = i; j < bounds.size(); j++)
-            out.push_back({bounds[i] * g0, bounds[j] * g0});
+    const TimeStamp dom = pyramids.domainEnd();
+    std::vector<TimeStamp> points;
+    for (std::uint64_t leaf : std::vector<std::uint64_t>{
+             0, 1, leaves / 3, leaves / 2, leaves - 1, leaves})
+        points.push_back(leaf * g0);
+    for (int i = 0; i < 8; i++)
+        points.push_back(rng.nextBounded(leaves + 1) * g0);
+    for (int i = 0; i < 8; i++) {
+        const TimeStamp at = rng.nextBounded(leaves) * g0;
+        points.push_back(at + 1);
+        points.push_back(at + rng.nextBounded(g0));
+        if (at > 0)
+            points.push_back(at - 1);
+    }
+    for (TimeStamp past : {dom + 1, dom + g0 + 3, ~TimeStamp{0}})
+        if (past > dom)
+            points.push_back(past);
+    std::sort(points.begin(), points.end());
+    points.erase(std::unique(points.begin(), points.end()), points.end());
+    std::vector<TimeInterval> out;
+    for (TimeStamp a : points)
+        for (TimeStamp b : points)
+            out.push_back({a, b});
     return out;
 }
 
 /**
  * Every task-index answer of @p pyramids over every interval of
- * @p grid equals naiveTaskIndex() over @p tr.
+ * @p grid equals naiveTaskIndex() over @p tr, and its start range is
+ * the start leaves meeting the interval: exactly the tasks starting in
+ * it once filtered by contains(), and nothing more when the interval is
+ * leaf-aligned inside the domain.
  */
 void
 expectTaskIndexMatchesNaive(const trace::Trace &tr,
@@ -211,6 +224,7 @@ expectTaskIndexMatchesNaive(const trace::Trace &tr,
                             const std::vector<TimeInterval> &grid)
 {
     const auto &by_start = pyramids.tasksByStart();
+    const TimeStamp g0 = pyramids.leafGranularity();
     for (const TimeInterval &iv : grid) {
         NaiveTaskIndex expect = naiveTaskIndex(tr, iv);
         EXPECT_EQ(pyramids.tasksStartedIn(iv), expect.started)
@@ -220,12 +234,18 @@ expectTaskIndexMatchesNaive(const trace::Trace &tr,
         auto [first, last] = pyramids.taskStartRange(iv);
         ASSERT_LE(first, last);
         ASSERT_LE(last, by_start.size());
-        std::vector<const trace::TaskInstance *> got(
-            by_start.begin() + static_cast<std::ptrdiff_t>(first),
-            by_start.begin() + static_cast<std::ptrdiff_t>(last));
+        std::vector<const trace::TaskInstance *> got;
+        for (std::size_t i = first; i < last; i++)
+            if (iv.contains(by_start[i]->interval.start))
+                got.push_back(by_start[i]);
         std::sort(got.begin(), got.end());
         EXPECT_EQ(got, expect.startingIn)
             << "[" << iv.start << ", " << iv.end << ")";
+        if (iv.start % g0 == 0 && iv.end % g0 == 0 &&
+            iv.end <= pyramids.domainEnd()) {
+            EXPECT_EQ(last - first, got.size())
+                << "[" << iv.start << ", " << iv.end << ")";
+        }
     }
 }
 
@@ -251,28 +271,6 @@ expectTasksBucketedByStartLeaf(const trace::Trace &tr,
             ASSERT_LT(by_start[i - 1], by_start[i]) << i;
         }
     }
-}
-
-/**
- * A copy of @p base's topology, task types and task instances with
- * @p extra appended after them, finalized. State events are not
- * copied: the task index reads only the tasks and the span.
- */
-trace::Trace
-withTasks(const trace::Trace &base,
-          const std::vector<trace::TaskInstance> &extra)
-{
-    trace::Trace tr;
-    tr.setTopology(base.topology());
-    for (const auto &[id, type] : base.taskTypes())
-        tr.addTaskType(type);
-    for (const trace::TaskInstance &task : base.taskInstances())
-        tr.addTaskInstance(task);
-    for (const trace::TaskInstance &task : extra)
-        tr.addTaskInstance(task);
-    std::string err;
-    EXPECT_TRUE(tr.finalize(err)) << err;
-    return tr;
 }
 
 TEST(SummaryPyramid, BudgetAnswersEqualExactScanOfSnappedInterval)
@@ -543,7 +541,7 @@ TEST(SummaryPyramid, OccupancyMatchesNaivePerEventReference)
     }
 }
 
-TEST(SummaryPyramid, TaskIndexMatchesNaiveCountsOverLeafAlignedIntervals)
+TEST(SummaryPyramid, TaskIndexMatchesNaiveCountsOverAnyInterval)
 {
     // Random traces plus tasks starting and ending exactly on leaf
     // boundaries, zero-duration tasks on and off boundaries, a task
@@ -605,7 +603,7 @@ TEST(SummaryPyramid, TaskIndexMatchesNaiveCountsOverLeafAlignedIntervals)
                 ASSERT_EQ(pyramids.leafGranularity(), g0);
                 expectTasksBucketedByStartLeaf(tr, pyramids);
                 expectTaskIndexMatchesNaive(tr, pyramids,
-                                            leafAlignedGrid(pyramids, rng));
+                                            intervalGrid(pyramids, rng));
             }
         }
     }
@@ -613,69 +611,27 @@ TEST(SummaryPyramid, TaskIndexMatchesNaiveCountsOverLeafAlignedIntervals)
 
 TEST(SummaryPyramid, WrappedTaskIntervalsBuildCleanlyAndCountByDefinition)
 {
-    // The reader computes a task's end as start + duration, which can
-    // wrap: such a task starts far past the span, which covers ends
-    // only. Write marker tasks, patch their raw start and duration
-    // fields into wrapping ones, and read the bytes back.
-    trace::Trace base = buildRandomTrace(61);
-    struct Patch
-    {
-        TimeStamp start;
-        TimeStamp duration;
-    };
-    const std::vector<Patch> patches = {
-        {~0ull - 100, 151},                   // Ends at 50.
-        {~0ull, 1},                           // Ends at 0.
-        {1ull << 63, (1ull << 63) + 7},       // Ends at 7.
-        {~0ull - 5, 5 + 1 + base.span().end}, // Ends at the span end.
-    };
-    std::vector<trace::TaskInstance> markers;
-    TaskInstanceId next_id = base.taskInstances().size();
-    for (std::size_t i = 0; i < patches.size(); i++) {
-        const TimeStamp start = 0x5a5a5a5a00000000ull + i;
-        markers.push_back({next_id++, base.taskInstances().front().type, 0,
-                           {start, start + 0x1234 + i}});
-    }
-    std::vector<std::uint8_t> bytes = trace::writeTrace(
-        withTasks(base, markers), trace::Encoding::Raw);
-    auto le = [](TimeStamp v) {
-        std::vector<std::uint8_t> out(8);
-        for (int b = 0; b < 8; b++)
-            out[static_cast<std::size_t>(b)] =
-                static_cast<std::uint8_t>(v >> (8 * b));
-        return out;
-    };
-    for (std::size_t i = 0; i < patches.size(); i++) {
-        std::vector<std::uint8_t> field = le(markers[i].interval.start);
-        std::vector<std::uint8_t> duration =
-            le(markers[i].interval.duration());
-        field.insert(field.end(), duration.begin(), duration.end());
-        auto at = std::search(bytes.begin(), bytes.end(), field.begin(),
-                              field.end());
-        ASSERT_NE(at, bytes.end()) << "marker " << i;
-        std::vector<std::uint8_t> patched = le(patches[i].start);
-        duration = le(patches[i].duration);
-        patched.insert(patched.end(), duration.begin(), duration.end());
-        std::copy(patched.begin(), patched.end(), at);
-    }
-    trace::ReadResult read = trace::readTrace(bytes);
-    ASSERT_TRUE(read.ok) << read.error;
-    const trace::Trace &tr = read.trace;
-    std::size_t wrapped = 0;
-    for (const trace::TaskInstance &task : tr.taskInstances())
-        wrapped += task.interval.start > task.interval.end;
-    ASSERT_EQ(wrapped, patches.size());
-    ASSERT_EQ(tr.span().end, base.span().end);
+    // A wrapped task starts far past the span, which covers ends only.
+    const trace::Trace tr =
+        test_support::buildWrappedTaskTrace(buildRandomTrace(61));
+    ASSERT_EQ(tr.span().end, buildRandomTrace(61).span().end);
 
     index::TracePyramids pyramids(tr);
-    for (const Patch &patch : patches)
-        ASSERT_GE(patch.start, pyramids.domainEnd());
+    std::size_t wrapped = 0;
+    for (const trace::TaskInstance &task : tr.taskInstances()) {
+        if (task.interval.start > task.interval.end) {
+            wrapped++;
+            ASSERT_GE(task.interval.start, pyramids.domainEnd());
+        }
+    }
+    ASSERT_EQ(wrapped, test_support::kWrappedTasks);
     expectTasksBucketedByStartLeaf(tr, pyramids);
     Rng rng(67);
-    expectTaskIndexMatchesNaive(tr, pyramids,
-                                leafAlignedGrid(pyramids, rng));
+    expectTaskIndexMatchesNaive(tr, pyramids, intervalGrid(pyramids, rng));
 
-    // The query plane answers over them without fault too.
+    // The query plane answers over them as the scan does: a Pixels
+    // answer equals the scan of its snapped interval, and so does the
+    // exact answer of that interval.
     Session session = Session::view(tr);
     stats::IntervalStats approx =
         session
@@ -683,8 +639,14 @@ TEST(SummaryPyramid, WrappedTaskIntervalsBuildCleanlyAndCountByDefinition)
                                         QueryPriority::Interactive,
                                         Resolution::pixels(16)}})
             .take();
-    EXPECT_EQ(approx.tasksStarted,
-              pyramids.tasksStartedIn(approx.interval));
+    const stats::IntervalStats scan =
+        serialIntervalStats(tr, approx.interval);
+    expectSameAggregates(approx, scan);
+    stats::IntervalStats exact =
+        session.submit(IntervalStatsQuery{{approx.interval}}).take();
+    EXPECT_EQ(exact.timeInState, scan.timeInState);
+    EXPECT_EQ(exact.tasksStarted, scan.tasksStarted);
+    EXPECT_EQ(exact.tasksOverlapping, scan.tasksOverlapping);
 }
 
 TEST(SummaryPyramid, SpanEndingAtTheLastTimestampAnswersOverTheDomain)
@@ -762,24 +724,6 @@ TEST(SummaryPyramid, SpanEndingAtTheLastTimestampAnswersOverTheDomain)
         EXPECT_LE(snapped.start, top.start) << gran;
         EXPECT_EQ(snapped.end, pyramids.domainEnd()) << gran;
     }
-}
-
-TEST(SummaryPyramidDeathTest, TaskIndexRejectsIntervalsNotLeafAligned)
-{
-    testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    RandomTraceOptions opts;
-    opts.statesPerCpu = 3000; // Leaves wider than one time unit.
-    trace::Trace tr = buildRandomTrace(71, opts);
-    index::TracePyramids pyramids(tr);
-    const TimeStamp g0 = pyramids.leafGranularity();
-    ASSERT_GT(g0, 1u);
-    const TimeStamp dom = pyramids.domainEnd();
-    EXPECT_DEATH(pyramids.tasksStartedIn({1, 2 * g0}), "not leaf-aligned");
-    EXPECT_DEATH(pyramids.tasksOverlapping({0, g0 + 1}),
-                 "not leaf-aligned");
-    EXPECT_DEATH(pyramids.taskStartRange({0, dom + g0}),
-                 "not leaf-aligned");
-    EXPECT_DEATH(pyramids.tasksStartedIn({2 * g0, g0}), "not leaf-aligned");
 }
 
 TEST(SummaryPyramid, BuildQueryIsIdempotentAndAttributed)

@@ -6,7 +6,9 @@
  * hand-rolling one: buildRandomTrace() produces a randomized but valid
  * trace (CPU count, event/counter density and the task/discrete/comm
  * mix are knobs), buildDenseTrace() produces the counter-heavy trace
- * the session warm-up tests exercise, and expectTracesEqual() asserts
+ * the session warm-up tests exercise, withTasks() and
+ * wrappedTaskTraceBytes() append ordinary or hostile tasks to a trace,
+ * and expectTracesEqual() asserts
  * two traces are identical record by record — the round-trip oracle of
  * the format and reader tests.
  */
@@ -16,14 +18,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "base/rng.h"
 #include "base/types.h"
 #include "trace/state.h"
+#include "trace/reader.h"
 #include "trace/topology.h"
 #include "trace/trace.h"
+#include "trace/writer.h"
 
 namespace aftermath {
 namespace test_support {
@@ -51,6 +57,13 @@ struct RandomTraceOptions
      * no draw is made, so existing seeds keep their traces.
      */
     double zeroDurationProbability = 0.0;
+
+    /**
+     * When nonzero, the state id of every zero-duration event that is
+     * not a task execution: a state that then has events but never
+     * any time.
+     */
+    std::uint32_t zeroDurationState = 0;
 
     /** Probability of a discrete event per state. */
     double discreteProbability = 0.3;
@@ -116,11 +129,12 @@ buildRandomTrace(std::uint64_t seed, const RandomTraceOptions &options = {})
                     tr.addMemAccess({task, 0x100000 + task * 0x1000, 64,
                                      rng.nextBool(0.5)});
             }
-            tr.cpu(c).addState(
-                {{t, end},
-                 is_task ? 0u : static_cast<std::uint32_t>(
-                     1 + rng.nextBounded(4)),
-                 task});
+            std::uint32_t state =
+                is_task ? 0u
+                        : static_cast<std::uint32_t>(1 + rng.nextBounded(4));
+            if (!is_task && end == t && options.zeroDurationState != 0)
+                state = options.zeroDurationState;
+            tr.cpu(c).addState({{t, end}, state, task});
             if (options.counters > 0) {
                 ctr += static_cast<std::int64_t>(rng.nextBounded(1000)) -
                        200;
@@ -235,6 +249,104 @@ buildTopOfTimeTrace()
     std::string err;
     EXPECT_TRUE(tr.finalize(err)) << err;
     return tr;
+}
+
+/**
+ * A copy of @p base's topology, state descriptions, task types, state
+ * events and task instances with @p extra appended after them,
+ * finalized. Counters, discrete, comm and memory records are not
+ * copied: the interval stats and the task index read none of them.
+ */
+inline trace::Trace
+withTasks(const trace::Trace &base,
+          const std::vector<trace::TaskInstance> &extra)
+{
+    trace::Trace tr;
+    tr.setTopology(base.topology());
+    for (const auto &desc : trace::coreStateDescriptions())
+        tr.addStateDescription(desc);
+    for (const auto &[id, type] : base.taskTypes())
+        tr.addTaskType(type);
+    for (CpuId c = 0; c < base.numCpus(); c++)
+        for (const trace::StateEvent &ev : base.cpu(c).states())
+            tr.cpu(c).addState(ev);
+    for (const trace::TaskInstance &task : base.taskInstances())
+        tr.addTaskInstance(task);
+    for (const trace::TaskInstance &task : extra)
+        tr.addTaskInstance(task);
+    std::string err;
+    EXPECT_TRUE(tr.finalize(err)) << err;
+    return tr;
+}
+
+/** Tasks buildWrappedTaskTrace() adds. */
+constexpr std::size_t kWrappedTasks = 4;
+
+/**
+ * Trace bytes holding @p base plus kWrappedTasks tasks whose end wraps
+ * below their start, a shape only hostile bytes produce: the reader
+ * computes a task's end as start + duration (and the writer, which
+ * writes duration() of such a task as 0, cannot produce it). Writes
+ * marker tasks and patches their raw start and duration fields into
+ * wrapping ones. The wrapped tasks end at 50, 0, 7 and @p base's span
+ * end, and start far past it.
+ */
+inline std::vector<std::uint8_t>
+wrappedTaskTraceBytes(const trace::Trace &base)
+{
+    struct Patch
+    {
+        TimeStamp start;
+        TimeStamp duration;
+    };
+    const Patch patches[kWrappedTasks] = {
+        {~0ull - 100, 151},
+        {~0ull, 1},
+        {1ull << 63, (1ull << 63) + 7},
+        {~0ull - 5, 5 + 1 + base.span().end},
+    };
+    std::vector<trace::TaskInstance> markers;
+    TaskInstanceId next_id = base.taskInstances().size();
+    for (std::size_t i = 0; i < kWrappedTasks; i++) {
+        const TimeStamp start = 0x5a5a5a5a00000000ull + i;
+        markers.push_back({next_id++, base.taskInstances().front().type, 0,
+                           {start, start + 0x1234 + i}});
+    }
+    std::vector<std::uint8_t> bytes = trace::writeTrace(
+        withTasks(base, markers), trace::Encoding::Raw);
+    auto le = [](TimeStamp v) {
+        std::vector<std::uint8_t> out(8);
+        for (int b = 0; b < 8; b++)
+            out[static_cast<std::size_t>(b)] =
+                static_cast<std::uint8_t>(v >> (8 * b));
+        return out;
+    };
+    for (std::size_t i = 0; i < kWrappedTasks; i++) {
+        std::vector<std::uint8_t> field = le(markers[i].interval.start);
+        std::vector<std::uint8_t> duration =
+            le(markers[i].interval.duration());
+        field.insert(field.end(), duration.begin(), duration.end());
+        auto at = std::search(bytes.begin(), bytes.end(), field.begin(),
+                              field.end());
+        if (at == bytes.end()) {
+            ADD_FAILURE() << "marker " << i << " not found";
+            return bytes;
+        }
+        std::vector<std::uint8_t> patched = le(patches[i].start);
+        duration = le(patches[i].duration);
+        patched.insert(patched.end(), duration.begin(), duration.end());
+        std::copy(patched.begin(), patched.end(), at);
+    }
+    return bytes;
+}
+
+/** The trace of wrappedTaskTraceBytes(@p base), read back. */
+inline trace::Trace
+buildWrappedTaskTrace(const trace::Trace &base)
+{
+    trace::ReadResult read = trace::readTrace(wrappedTaskTraceBytes(base));
+    EXPECT_TRUE(read.ok) << read.error;
+    return std::move(read.trace);
 }
 
 /** Assert every record of @p a equals the corresponding one of @p b. */
