@@ -146,8 +146,8 @@ main()
         serial_stats.tasksStarted == parallel_stats.tasksStarted;
 
     // Cancellation latency: how long a running cold query needs to
-    // notice cancel() and complete as Cancelled. Distinct intervals
-    // defeat the memo so every submission really scans.
+    // notice cancel() and complete as Cancelled. Every submission
+    // computes; the intervals differ only so that no two are alike.
     TimeInterval span = tr.span();
     double cancel_total = 0.0;
     int cancel_samples = 0;

@@ -4,20 +4,21 @@
  *
  * The daemon's promise is that one engine can serve many viewers of one
  * trace without the viewers feeling each other: clients that open the
- * same trace file share its caches (daemon/server.h), so once any
- * client has paid a cold interval scan, every client's repeat of it is
- * a memo hit whose cost is the wire round trip plus dispatch — not a
- * rescan. This bench measures exactly that contract: it serves one
- * seidel trace from an in-process daemon::Server, warms a fixed set of
- * probe intervals through one client, verifies the served results are
- * bit-identical to a local Session (same encoder, byte-for-byte), and
- * then drives 1, 8 and 64 concurrent clients issuing Interactive
- * interval-statistics requests over those intervals, recording the p50
- * and p95 per-request latency at each fan-in.
+ * same trace file share its pyramids and counter indexes
+ * (daemon/server.h), and every request computes its answer from them,
+ * so a request costs the wire round trip, dispatch and a query that
+ * scales with the interval's edges — not with other clients. This bench
+ * measures exactly that contract: it serves one seidel trace from an
+ * in-process daemon::Server, queries a fixed set of probe intervals
+ * through one client, verifies the served results are bit-identical to
+ * a local Session (same encoder, byte-for-byte), and then drives 1, 8
+ * and 64 concurrent clients issuing Interactive interval-statistics
+ * requests over those intervals, recording the p50 and p95
+ * per-request latency at each fan-in.
  *
  * The committed baseline (bench/baselines/sec7_daemon_clients.json)
- * gates the 64-client p95: a regression that turns warm queries back
- * into scans, or serializes the connection planes behind one lock,
+ * gates the 64-client p95: a regression that turns queries back into
+ * full scans, or serializes the connection planes behind one lock,
  * shows up as a p95 collapse long before it hits the generous ceiling.
  * Results land in bench-out/BENCH_sec7_daemon_clients.json for the CI
  * gate (tools/check_bench.py) and the perf trajectory.

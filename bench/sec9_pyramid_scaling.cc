@@ -157,8 +157,8 @@ measure(const trace::Trace &tr, int reps)
 
     // The exact path, near-whole-span and unaligned: whole leaves come
     // from the built pyramids and only the two edge leaves are scanned,
-    // so it must stay flat too. Memoized exact results would time the
-    // cache, not the query; every query probes a distinct subinterval.
+    // so it must stay flat too. Every query probes a distinct,
+    // unaligned subinterval, so the timing covers both edge scans.
     TimeStamp probe = 0;
     out.exact_stats_s = p95(reps, [&] {
                             for (int i = 0; i < kStatsBatch; i++, probe++)

@@ -8,13 +8,13 @@
  * counter attribution and timeline renderings through one object. The
  * session owns the shared analysis state the paper's interactivity
  * depends on — the active filter set and view interval — and lazily
- * builds and memoizes the per-(CPU, counter) min/max search trees and
- * per-interval statistics so repeated queries cost far less than a
- * rescan (paper sections II-A, VI-B).
+ * builds the per-(CPU, counter) min/max search trees and per-CPU
+ * summary pyramids so queries cost far less than a rescan (paper
+ * sections II-A, VI-B).
  *
  *   Session session(std::move(trace));      // or Session::view(trace)
  *   session.setFilters(filters);            // shared by stats + render
- *   auto &stats = session.intervalStats();  // memoized
+ *   auto stats = session.intervalStats();   // exact, per CPU in parallel
  *   auto mm = session.counterExtrema(cpu, counter, interval); // indexed
  *   session.render(config, framebuffer);    // lanes in parallel
  *

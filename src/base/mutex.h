@@ -46,10 +46,6 @@
  *                           across lazy pool start + enqueue
  *                           (withPool) and across a resize's drain
  *                           and join (setWorkers).
- *   kStatsMemo (190)        session::StatsMemo::mutex — the
- *                           filter-independent memo (interval stats,
- *                           warmed pairs) shared across every client
- *                           viewing one trace.
  *   kSessionMemo (200)      session::SessionMemo::mutex — per-client
  *                           filter-keyed memo state shared with
  *                           executors.
@@ -94,7 +90,6 @@ inline constexpr int kDaemonServer = 40;
 inline constexpr int kDaemonConnection = 50;
 inline constexpr int kDaemonClient = 60;
 inline constexpr int kQueryEngine = 100;
-inline constexpr int kStatsMemo = 190;
 inline constexpr int kSessionMemo = 200;
 inline constexpr int kCounterIndexShard = 300;
 inline constexpr int kPyramidShard = 305;

@@ -49,6 +49,16 @@ CounterIndexCache::query(CpuId cpu, CounterId counter,
     return get(cpu, counter).query(interval);
 }
 
+bool
+CounterIndexCache::contains(CpuId cpu, CounterId counter) const
+{
+    if (!trace_.hasCpu(cpu))
+        return false;
+    const Shard &shard = shards_[cpu];
+    base::MutexLock lock(shard.mutex);
+    return shard.entries.count(counter) != 0;
+}
+
 std::size_t
 CounterIndexCache::size() const
 {

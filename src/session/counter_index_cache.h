@@ -69,6 +69,12 @@ class CounterIndexCache
     index::MinMax query(CpuId cpu, CounterId counter,
                         const TimeInterval &interval);
 
+    /**
+     * Whether the index of @p counter on @p cpu is already built.
+     * Builds nothing and counts nothing; false for unknown CPUs.
+     */
+    bool contains(CpuId cpu, CounterId counter) const;
+
     /** Number of indexes currently built. */
     std::size_t size() const;
 

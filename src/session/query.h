@@ -38,8 +38,7 @@
  *    answer the *snapped* interval exactly, at a cost that does not
  *    grow with the events inside it; results carry a ResolutionInfo
  *    provenance
- *    telling approximate answers from exact ones. Approximate results
- *    are never memoized.
+ *    telling approximate answers from exact ones.
  *
  * Construct specs with nested braces or designated initializers —
  * `IntervalStatsQuery{{interval}}`,
@@ -125,11 +124,10 @@ struct QueryContext
 
 /**
  * What a warm-up prefetches. Warm-up is incremental: (cpu, counter)
- * pairs already warmed by an earlier warm-up of the same session are
- * skipped, and the interval statistics / task list units are skipped
- * when the current view's (or filter generation's) entry is already
- * memoized — so a re-warm-up after a view change rebuilds only what
- * the new view needs.
+ * pairs whose index the session's index cache already holds are
+ * skipped, whoever built them, and the task-list unit is skipped when
+ * the live filter generation's list is already memoized — so a
+ * re-warm-up builds only what is missing.
  */
 struct WarmupPolicy
 {
@@ -142,7 +140,9 @@ struct WarmupPolicy
      */
     std::vector<CounterId> counters;
 
-    /** Memoize the interval statistics of the current view. */
+    /** No effect: interval statistics are computed per query, so
+     *  there is nothing to prefetch. Kept because the wire format and
+     *  the scripted-session benchmark (e2ebench/) still carry it. */
     bool intervalStats = true;
 
     /** Cache the task list of the active filters. */
@@ -158,7 +158,7 @@ struct WarmupStats
     /** Indexes newly built by this call. */
     std::size_t indexesBuilt = 0;
 
-    /** Pairs skipped because an earlier warm-up already covered them. */
+    /** Pairs skipped because their index was already built. */
     std::size_t indexesSkipped = 0;
 
     /** Worker threads available to the executing pool. */
@@ -166,15 +166,15 @@ struct WarmupStats
 };
 
 /**
- * Aggregate statistics of one interval (Session::intervalStats). A
- * cold exact query runs one chunk per CPU, whose state times come from
+ * Aggregate statistics of one interval (Session::intervalStats). An
+ * exact query runs one chunk per CPU, whose state times come from
  * the whole leaves of the CPU's pyramid when it is already built (the
  * query never builds one) plus a scan of the two partial edge leaves,
  * or from a scan of the whole interval otherwise; the task counts come
  * from the trace-global task index. All are exact integer sums, so the
  * result is bit-identical to the serial scan at any worker count and
- * whichever pyramids are built, provenance included. Memoized results
- * answer as already-completed tickets. Under Resolution::Budget/Pixels
+ * whichever pyramids are built, provenance included. Nothing is
+ * memoized: every query computes. Under Resolution::Budget/Pixels
  * the interval snaps to the pyramid granularity and the snapped
  * interval is answered exactly from two cells of each state column per
  * CPU and the trace-global task index; the result's interval and

@@ -4,10 +4,12 @@
  * overloads and the worker-side code they fan out.
  *
  * Executors capture shared ownership of everything they read — the
- * trace, the sharded index cache, filter snapshots, the SessionMemo —
- * and never the Session itself, so sessions stay movable and
- * destruction is safe with queries in flight. No executor ever blocks
- * on the pool, so a 1-worker pool cannot deadlock.
+ * trace, the sharded index cache, the pyramid store, filter snapshots,
+ * the SessionMemo — and never the Session itself, so sessions stay
+ * movable and destruction is safe with queries in flight. No executor
+ * ever blocks on the pool, so a 1-worker pool cannot deadlock. The
+ * task list is the only result an executor memoizes; every other
+ * query computes its answer from the trace and its indexes.
  *
  * Every query that reaches the pool runs as one FanOutJob, started by
  * launchFanOut(); a query with nothing to split is a one-chunk job
@@ -124,7 +126,8 @@ newTicketState(const GenerationDomain &domain)
     return state;
 }
 
-/** An already-Done ticket (memo fast path; never touches the pool). */
+/** An already-Done ticket (a memo hit or an empty query; never
+ *  touches the pool). */
 template <typename Result>
 QueryTicket<Result>
 completedTicket(const GenerationDomain &domain, Result value)
@@ -256,50 +259,6 @@ launchOneChunk(QueryEngine &engine,
 // -- Shared query pieces -------------------------------------------------
 
 /**
- * CPU @p cpu's share of the exact interval statistics of @p interval:
- * its state times, from its pyramid's whole leaves when that pyramid
- * is already built (this never builds one) and by scan otherwise.
- */
-stats::IntervalStats
-exactStateChunk(const trace::Trace &trace,
-                const index::TracePyramids &pyramids,
-                const TimeInterval &interval, CpuId cpu)
-{
-    return stats::intervalStateChunk(trace.cpu(cpu), interval,
-                                     pyramids.getIfBuilt(cpu));
-}
-
-/**
- * The exact interval statistics of @p interval: the per-CPU state
- * partials merged (exact integer sums, so in any order) plus the task
- * counts of the trace-global task index. Whichever way each CPU was
- * answered, the provenance is the exact scan's.
- */
-stats::IntervalStats
-mergeExactStats(const index::TracePyramids &pyramids,
-                const TimeInterval &interval,
-                const std::vector<stats::IntervalStats> &partials)
-{
-    stats::IntervalStats merged;
-    merged.interval = interval;
-    for (const stats::IntervalStats &partial : partials)
-        merged.mergeFrom(partial);
-    merged.tasksStarted = pyramids.tasksStartedIn(interval);
-    merged.tasksOverlapping = pyramids.tasksOverlapping(interval);
-    return merged;
-}
-
-/** Memoize @p computed under its interval. */
-void
-publishStats(StatsMemo &memo, const stats::IntervalStats &computed)
-{
-    base::MutexLock lock(memo.mutex);
-    memo.stats.insertOrGet(
-        std::make_pair(computed.interval.start, computed.interval.end),
-        stats::IntervalStats(computed));
-}
-
-/**
  * Scan the trace's task instances against @p filters in insertion
  * order, polling @p state for staleness every few thousand instances.
  * Returns nullopt when the query went stale mid-scan.
@@ -358,8 +317,7 @@ Session::submit(const IntervalStatsQuery &query)
     if (granularity > 0) {
         // Pyramid path: snap the interval outward to the granularity
         // and answer the *snapped* interval exactly from two cells of
-        // each state column per CPU — one chunk, and no memo (the memo
-        // holds exact answers for requested intervals only).
+        // each state column per CPU, in one chunk.
         TimeInterval snapped = pyramids_->snap(interval, granularity);
         const bool exact = snapped.start == interval.start &&
                            snapped.end == interval.end;
@@ -382,28 +340,30 @@ Session::submit(const IntervalStatsQuery &query)
                 return true;
             });
     }
-    {
-        base::MutexLock lock(statsMemo_->mutex);
-        if (const stats::IntervalStats *hit = statsMemo_->stats.tryGet(
-                std::make_pair(interval.start, interval.end)))
-            return completedTicket(*domain_, stats::IntervalStats(*hit));
-    }
-    // One chunk per CPU; the task counts cost two leaves' worth of the
-    // task index, so the merge takes them.
+    // One chunk per CPU: its state times, from its pyramid's whole
+    // leaves when that pyramid is already built (this never builds one)
+    // and by scan otherwise. The merge sums the partials (exact integer
+    // sums, so in any order) and takes the task counts from the task
+    // index, two leaves' worth of work. Whichever way each CPU was
+    // answered, the provenance is the exact scan's.
     return launchFanOut<stats::IntervalStats>(
         *engine_, newTicketState<stats::IntervalStats>(*domain_),
         query.context.priority, trace_->numCpus(),
         [trace = trace_, pyramids = pyramids_,
          interval](std::size_t i, stats::IntervalStats &out) {
-            out = exactStateChunk(*trace, *pyramids, interval,
-                                  static_cast<CpuId>(i));
+            const auto cpu = static_cast<CpuId>(i);
+            out = stats::intervalStateChunk(trace->cpu(cpu), interval,
+                                            pyramids->getIfBuilt(cpu));
             return true;
         },
-        [memo = statsMemo_, pyramids = pyramids_,
+        [pyramids = pyramids_,
          interval](std::vector<stats::IntervalStats> &&partials) {
-            stats::IntervalStats merged =
-                mergeExactStats(*pyramids, interval, partials);
-            publishStats(*memo, merged);
+            stats::IntervalStats merged;
+            merged.interval = interval;
+            for (const stats::IntervalStats &partial : partials)
+                merged.mergeFrom(partial);
+            merged.tasksStarted = pyramids->tasksStartedIn(interval);
+            merged.tasksOverlapping = pyramids->tasksOverlapping(interval);
             return merged;
         });
 }
@@ -546,70 +506,58 @@ Session::submit(const WarmupQuery &query)
 {
     auto state = newTicketState<WarmupStats>(*domain_);
     // Warm-up products are view-independent (indexes) or keyed by
-    // interval / filter generation, so generation bumps don't invalidate
-    // them: warm-up cancels only explicitly.
+    // filter generation, so generation bumps don't invalidate them:
+    // warm-up cancels only explicitly.
     state->live = nullptr;
-    const TimeInterval stats_interval = view();
     WarmupStats summary;
     summary.workers = engine_->workers();
     auto pairs =
         std::make_shared<std::vector<std::pair<CpuId, CounterId>>>();
-    bool do_stats = false;
-    bool do_task_list = false;
-    std::uint64_t filter_generation;
 
+    // The index cache is the one record of what is built: a pair it
+    // already holds (built by an earlier warm-up, even a cancelled one,
+    // or by a query) is skipped without a counted lookup.
     const WarmupPolicy &policy = query.policy;
-    // The two memos lock sequentially (never nested): warmed pairs and
-    // the stats memo live in the shared StatsMemo, the filter
-    // generation and task list in the per-context SessionMemo.
-    {
-        base::MutexLock lock(statsMemo_->mutex);
-        if (policy.counterIndexes) {
-            for (CpuId c = 0; c < trace_->numCpus(); c++) {
-                for (CounterId id : trace_->cpu(c).counterIds()) {
-                    if (!policy.counters.empty() &&
-                        std::find(policy.counters.begin(),
-                                  policy.counters.end(),
-                                  id) == policy.counters.end())
-                        continue;
-                    if (statsMemo_->warmedPairs.count({c, id})) {
-                        summary.indexesSkipped++;
-                        continue;
-                    }
-                    pairs->emplace_back(c, id);
+    if (policy.counterIndexes) {
+        for (CpuId c = 0; c < trace_->numCpus(); c++) {
+            for (CounterId id : trace_->cpu(c).counterIds()) {
+                if (!policy.counters.empty() &&
+                    std::find(policy.counters.begin(),
+                              policy.counters.end(),
+                              id) == policy.counters.end())
+                    continue;
+                if (counterIndexes_->contains(c, id)) {
+                    summary.indexesSkipped++;
+                    continue;
                 }
+                pairs->emplace_back(c, id);
             }
         }
-        // Already-memoized stats / task-list entries need no unit; the
-        // lookups count hits, keeping warm-up observable like the old
-        // eager revisit did.
-        if (policy.intervalStats)
-            do_stats = statsMemo_->stats.tryGet(std::make_pair(
-                           stats_interval.start, stats_interval.end)) ==
-                       nullptr;
     }
+    summary.indexesVisited = pairs->size();
+    std::uint64_t filter_generation;
+    bool do_task_list = false;
     {
+        // An already-memoized task list needs no unit; the lookup
+        // counts a hit, keeping warm-up observable.
         base::MutexLock lock(memo_->mutex);
         filter_generation = memo_->filterGeneration;
         if (policy.taskList)
             do_task_list =
                 memo_->taskList.tryGet(filter_generation) == nullptr;
     }
-    summary.indexesVisited = pairs->size();
 
-    // Units: one per (cpu, counter) pair, then the optional interval-
-    // statistics unit, then the optional task-list unit.
-    const std::size_t stats_unit = pairs->size();
-    const std::size_t list_unit = stats_unit + (do_stats ? 1 : 0);
+    // Units: one per (cpu, counter) pair, then the optional task-list
+    // unit.
+    const std::size_t list_unit = pairs->size();
     return launchFanOut<std::size_t>(
         *engine_, state, query.context.priority,
         list_unit + (do_task_list ? 1 : 0),
-        [state, trace = trace_, cache = counterIndexes_,
-         pyramids = pyramids_, stats_memo = statsMemo_, memo = memo_,
+        [state, trace = trace_, cache = counterIndexes_, memo = memo_,
          filters = std::make_shared<const filter::FilterSet>(filters_),
-         pairs, stats_unit, list_unit, stats_interval,
+         pairs, list_unit,
          filter_generation](std::size_t i, std::size_t &built) {
-            if (i < stats_unit) {
+            if (i < list_unit) {
                 bool constructed = false;
                 cache->get((*pairs)[i].first, (*pairs)[i].second,
                            &constructed);
@@ -618,33 +566,14 @@ Session::submit(const WarmupQuery &query)
                 built = constructed ? 1 : 0;
                 return true;
             }
-            if (i < list_unit) {
-                // The per-CPU chunks run serially (warm-up is already
-                // off the interactive path; the pairs dominate the
-                // work).
-                std::vector<stats::IntervalStats> partials;
-                for (CpuId c = 0; c < trace->numCpus(); c++)
-                    partials.push_back(exactStateChunk(
-                        *trace, *pyramids, stats_interval, c));
-                publishStats(*stats_memo,
-                             mergeExactStats(*pyramids, stats_interval,
-                                             partials));
-                return true;
-            }
             auto list = scanTaskList(*trace, *filters, *state);
             if (list)
                 publishTaskList(*memo, filter_generation, *list);
             return list.has_value();
         },
-        // Only a completed warm-up records its pairs as warmed: after a
-        // cancel, indexes already built stay cached (they answer
-        // lazily), and the next warm-up revisits them cheaply.
-        [summary, stats_memo = statsMemo_,
-         pairs](std::vector<std::size_t> &&built) {
+        [summary](std::vector<std::size_t> &&built) {
             WarmupStats out = summary;
             out.indexesBuilt = countBuilt(built);
-            base::MutexLock lock(stats_memo->mutex);
-            stats_memo->warmedPairs.insert(pairs->begin(), pairs->end());
             return out;
         });
 }

@@ -38,15 +38,15 @@
  *
  * Executors never touch the Session object itself — they capture shared
  * ownership of everything they read (the trace, the sharded index
- * cache, a filter snapshot, the pyramid store, the memos) so sessions
- * stay movable and destruction is safe with queries in flight (the
- * engine's pool drains before it dies). Completed results publish into
- * the memos under their mutexes, so asynchronous queries warm the same
- * caches the synchronous wrappers serve hits from. Memoized state is
- * split by invalidation scope: the filter-independent StatsMemo
- * (interval statistics, warmed index pairs) is shareable across every
- * client viewing one trace, while the filter-keyed SessionMemo (task
- * list, filter generation) stays per driving context.
+ * cache, a filter snapshot, the pyramid store, the task-list memo) so
+ * sessions stay movable and destruction is safe with queries in flight
+ * (the engine's pool drains before it dies). The per-trace structures
+ * (counter indexes, pyramids) are shareable across every client
+ * viewing one trace. The one memoized result, the filter-keyed task
+ * list in SessionMemo, stays per driving context; a completed task-list
+ * query publishes into it under its mutex, so asynchronous queries warm
+ * the entry the synchronous wrappers serve hits from. Interval
+ * statistics are computed on every query and never remembered.
  *
  * ## Lock order
  *
@@ -66,14 +66,12 @@
  * completion callbacks run with *no* lock held (they fire after
  * TicketState::mutex is released), so a callback may re-enter the
  * daemon's low-ranked locks to enqueue a response without inverting
- * the order. Every other mutex in the plane —
- * StatsMemo::mutex (kStatsMemo, 190), SessionMemo::mutex
+ * the order. Every other mutex in the plane — SessionMemo::mutex
  * (kSessionMemo, 200), the CounterIndexCache shards
  * (kCounterIndexShard, 300), the TracePyramids shards (kPyramidShard,
  * 305), and the leaf completion state TicketState (kTicketState, 500)
  * — is acquired on its own or strictly after the ones above it in rank
- * order, never the other way around; the two memo ranks are never held
- * together (executors publish into one memo at a time).
+ * order, never the other way around.
  */
 
 #ifndef AFTERMATH_SESSION_QUERY_ENGINE_H
@@ -84,7 +82,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -95,7 +92,6 @@
 #include "base/time_interval.h"
 #include "base/types.h"
 #include "session/query_cache.h"
-#include "stats/interval_stats.h"
 #include "trace/trace.h"
 
 namespace aftermath {
@@ -420,26 +416,6 @@ class QueryTicket
 
   private:
     std::shared_ptr<detail::TicketState<Result>> state_;
-};
-
-/**
- * Filter-independent memoized query state, guarded by one mutex: the
- * per-interval statistics memo and the set of (cpu, counter) pairs
- * previous warm-ups covered (the incremental re-warm-up bookkeeping).
- * Everything here is keyed by values that don't depend on a driving
- * context's filters, so one StatsMemo is shareable across every client
- * viewing the same trace (the daemon's shared-cache plane): client A's
- * cold stats scan warms the memo client B then hits. Heap-allocated
- * and captured by shared_ptr so executors survive session moves and
- * destruction.
- */
-struct StatsMemo
-{
-    mutable base::Mutex mutex{base::lockrank::kStatsMemo, "stats-memo"};
-    MemoCache<std::pair<TimeStamp, TimeStamp>, stats::IntervalStats>
-        stats AM_GUARDED_BY(mutex);
-    std::set<std::pair<CpuId, CounterId>> warmedPairs
-        AM_GUARDED_BY(mutex);
 };
 
 /**

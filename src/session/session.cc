@@ -61,7 +61,6 @@ Session::freshCaches(const std::shared_ptr<const trace::Trace> &trace)
     // instances.
     SharedCaches caches;
     caches.counterIndexes = std::make_shared<CounterIndexCache>(*trace);
-    caches.statsMemo = std::make_shared<StatsMemo>();
     caches.pyramids = std::make_shared<index::TracePyramids>(*trace);
     return caches;
 }
@@ -78,15 +77,13 @@ Session::Session(std::shared_ptr<const trace::Trace> trace,
                  const SharedCaches &caches)
     : trace_(std::move(trace)),
       counterIndexes_(caches.counterIndexes),
-      statsMemo_(caches.statsMemo),
       memo_(std::make_shared<SessionMemo>()),
       pyramids_(caches.pyramids),
       engine_(std::make_shared<QueryEngine>(1)),
       domain_(engine_->defaultDomain())
 {
     AFTERMATH_ASSERT(trace_ != nullptr, "session over a null trace");
-    AFTERMATH_ASSERT(counterIndexes_ != nullptr && statsMemo_ != nullptr &&
-                         pyramids_ != nullptr,
+    AFTERMATH_ASSERT(counterIndexes_ != nullptr && pyramids_ != nullptr,
                      "session over incomplete shared caches");
 }
 
@@ -104,8 +101,8 @@ Session::setFilters(filter::FilterSet filters)
     filters_ = std::move(filters);
     {
         base::MutexLock lock(memo_->mutex);
-        // Only filter-dependent caches go; indexes and interval
-        // statistics are filter-independent and survive.
+        // Only filter-dependent caches go; indexes and pyramids are
+        // filter-independent and survive.
         memo_->filterGeneration++;
         memo_->taskList.clear();
     }
@@ -167,7 +164,6 @@ Session::sharedCaches() const
 {
     SharedCaches out;
     out.counterIndexes = counterIndexes_;
-    out.statsMemo = statsMemo_;
     out.pyramids = pyramids_;
     return out;
 }
@@ -199,32 +195,13 @@ Session::scanForAnomalies(const stats::AnomalyScanOptions &options)
     return submit(query).take();
 }
 
-void
-Session::setStatsCacheCapacity(std::size_t capacity)
-{
-    base::MutexLock lock(statsMemo_->mutex);
-    statsMemo_->stats.setCapacity(capacity);
-}
-
-const stats::IntervalStats &
+stats::IntervalStats
 Session::intervalStats(const TimeInterval &interval)
 {
-    auto key = std::make_pair(interval.start, interval.end);
-    {
-        base::MutexLock lock(statsMemo_->mutex);
-        if (const stats::IntervalStats *hit = statsMemo_->stats.tryGet(key))
-            return *hit;
-    }
-    // Cold: submit-and-wait. The executor publishes under the same key
-    // on completion, so insertOrGet almost always finds the entry and
-    // merely returns the cached reference.
-    stats::IntervalStats result =
-        submit(IntervalStatsQuery{{interval}}).take();
-    base::MutexLock lock(statsMemo_->mutex);
-    return statsMemo_->stats.insertOrGet(key, std::move(result));
+    return submit(IntervalStatsQuery{{interval}}).take();
 }
 
-const stats::IntervalStats &
+stats::IntervalStats
 Session::intervalStats()
 {
     return intervalStats(view());
@@ -340,10 +317,6 @@ Session::cacheStats() const
 {
     SessionCacheStats out;
     out.counterIndex = counterIndexes_->counters();
-    {
-        base::MutexLock lock(statsMemo_->mutex);
-        out.intervalStats = statsMemo_->stats.counters();
-    }
     base::MutexLock lock(memo_->mutex);
     out.taskList = memo_->taskList.counters();
     return out;

@@ -21,8 +21,8 @@
  *    and runs the query on the engine's worker pool. Tickets are safe
  *    from any thread (status/wait/result/cancel), so a UI thread can
  *    submit, keep painting, and collect the result when it lands.
- *    Completed results publish into the session's memo caches, which
- *    are internally locked for exactly this producer path.
+ *    A completed task list publishes into the session's task-list
+ *    memo, which is internally locked for exactly this producer path.
  *
  * Every mutation of the shared state (view, filters) bumps the
  * engine's generation counters; in-flight stale queries observe the
@@ -34,16 +34,14 @@
  * them — and warm-up tickets cancel only explicitly (their
  * products are keyed or view-independent).
  *
- * The synchronous query methods are thin wrappers that check the memo,
- * then submit-and-wait — results are bit-identical to the tickets'.
- * A cold exact interval-statistics query runs one chunk per CPU
- * (exact integer partial sums merged in order) and takes its task
- * counts from the task index, so cold queries scale with the
- * Concurrency knob. One caveat inherited from the memo contract: with
- * a bounded stats memo (setStatsCacheCapacity), references returned by
- * intervalStats() can be evicted by *asynchronous* publishes too, so
- * don't hold them across in-flight submissions. Distinct sessions not
- * sharing an engine are fully independent.
+ * The synchronous query methods are thin wrappers that submit and
+ * wait (tasks() first checks its memo) — results are bit-identical to
+ * the tickets'. An exact interval-statistics query is computed every
+ * time, never remembered: it runs one chunk per CPU (exact integer
+ * partial sums merged in order), answering whole leaves from built
+ * pyramids and scanning only the edges, and takes its task counts from
+ * the task index. Distinct sessions not sharing an engine are fully
+ * independent.
  */
 
 #ifndef AFTERMATH_SESSION_SESSION_H
@@ -85,7 +83,9 @@ struct SessionCacheStats
     /** Per-(cpu, counter) min/max index cache. */
     CacheCounters counterIndex;
 
-    /** Per-interval statistics cache. */
+    /** Always zero: interval statistics are computed on every query,
+     *  so there is no stats cache to count. Kept because the
+     *  scripted-session benchmark (e2ebench/) still reads it. */
     CacheCounters intervalStats;
 
     /** Filtered task list cache. */
@@ -111,8 +111,8 @@ struct SessionCacheStats
  *    guarantees it outlives the session).
  *
  * All caches but one are lazy: nothing is indexed until the first
- * query needs it — unless warmup() prefetches the structures for the
- * current view off the query path. The exception is the pyramid
+ * query needs it — unless warmup() prefetches the counter indexes and
+ * the task list off the query path. The exception is the pyramid
  * store's trace-global task index, built with the session in two
  * linear passes over the task instances. setFilters() invalidates
  * only filter-dependent caches (the task list). Counters are
@@ -134,8 +134,8 @@ class Session
     /**
      * Parallelism knob of the session's query engine. One worker by
      * default, so queries of existing callers execute on a single
-     * background thread; raising it parallelizes cold interval-stats
-     * scans and warm-up index construction.
+     * background thread; raising it parallelizes exact interval-stats
+     * queries, renders and warm-up index construction.
      */
     struct Concurrency
     {
@@ -155,15 +155,13 @@ class Session
     /**
      * The lazily-built caches that are shareable across every session
      * (every daemon client) viewing the *same* trace: the sharded
-     * counter-index cache, the filter-independent stats memo and the
-     * summary pyramids. The filter-keyed
+     * counter-index cache and the summary pyramids. The filter-keyed
      * SessionMemo is deliberately absent — it never crosses driving
      * contexts.
      */
     struct SharedCaches
     {
         std::shared_ptr<CounterIndexCache> counterIndexes;
-        std::shared_ptr<StatsMemo> statsMemo;
         std::shared_ptr<index::TracePyramids> pyramids;
     };
 
@@ -195,8 +193,8 @@ class Session
     /**
      * Replace the active filter set; filter-dependent caches (the task
      * list) are invalidated, filter-independent ones (counter indexes,
-     * interval statistics) survive. Bumps the query generation: stale
-     * in-flight queries cancel.
+     * pyramids) survive. Bumps the query generation: stale in-flight
+     * queries cancel.
      */
     void setFilters(filter::FilterSet filters);
 
@@ -223,12 +221,11 @@ class Session
     /**
      * Submit a query for execution on the engine's worker pool and
      * return its ticket immediately. Results are bit-identical to the
-     * matching synchronous method, and memoizable results (interval
-     * statistics, the task list) publish into the session's memo on
-     * completion, so an async query warms the same cache later
-     * synchronous calls hit. An interval-stats or task-list query whose
-     * result is already memoized returns an already-Done ticket without
-     * touching the pool.
+     * matching synchronous method. A completed task list publishes into
+     * the session's task-list memo, so an async query warms the entry
+     * later tasks() calls hit, and a task-list query whose list is
+     * already memoized returns an already-Done ticket without touching
+     * the pool. Every other query computes its result.
      */
     QueryTicket<stats::IntervalStats> submit(const IntervalStatsQuery &query);
     QueryTicket<stats::Histogram> submit(const HistogramQuery &query);
@@ -326,12 +323,11 @@ class Session
      * Prefetch the search structures @p policy names so later queries
      * never pay a build on the interactive path: the per-(CPU, counter)
      * min/max indexes (constructed concurrently across CPUs when the
-     * Concurrency knob allows), the interval statistics of the current
-     * view, and the filtered task list. Incremental: pairs covered by
-     * an earlier warm-up and already-memoized stats/task-list entries
-     * are skipped, so a re-warm-up after a view change rebuilds only
-     * what the new view needs. submit(WarmupQuery) is the asynchronous
-     * form — a UI thread warms up without blocking.
+     * Concurrency knob allows) and the filtered task list.
+     * Incremental: pairs whose index the cache already holds, and a
+     * task list already memoized for the live filters, are skipped, so
+     * a re-warm-up builds only what is missing. submit(WarmupQuery) is
+     * the asynchronous form — a UI thread warms up without blocking.
      */
     WarmupStats warmup(const WarmupPolicy &policy);
 
@@ -341,27 +337,14 @@ class Session
     // -- Statistics --------------------------------------------------------
 
     /**
-     * Aggregate statistics of @p interval across all CPUs, memoized per
-     * interval. By default entries are never evicted: the reference
-     * stays valid for the session's lifetime, and memory grows with
-     * the number of *distinct* intervals queried. Callers issuing
-     * unbounded streams of unique intervals (continuous zooming) should
-     * bound the memo with setStatsCacheCapacity(); the reference then
-     * stays valid only until the entry's eviction — and asynchronous
-     * publishes evict too, so don't hold references across in-flight
-     * submissions.
+     * Exact aggregate statistics of @p interval across all CPUs:
+     * submit(IntervalStatsQuery) at Interactive priority, waited on.
+     * Computed on every call; nothing is remembered per interval.
      */
-    const stats::IntervalStats &intervalStats(const TimeInterval &interval);
+    stats::IntervalStats intervalStats(const TimeInterval &interval);
 
     /** Interval statistics of the current view. */
-    const stats::IntervalStats &intervalStats();
-
-    /**
-     * Bound the interval-statistics memo to the @p capacity most
-     * recently queried intervals (LRU eviction); 0 restores the default
-     * unbounded mode. Shrinking evicts immediately.
-     */
-    void setStatsCacheCapacity(std::size_t capacity);
+    stats::IntervalStats intervalStats();
 
     /** Duration histogram of the tasks passing the active filters. */
     stats::Histogram histogram(std::uint32_t num_bins);
@@ -512,8 +495,7 @@ class Session
     // Shared with in-flight executors (shared_ptr so sessions stay
     // movable and destruction-safe with queries in flight).
     std::shared_ptr<CounterIndexCache> counterIndexes_;
-    std::shared_ptr<StatsMemo> statsMemo_; ///< Shareable across clients.
-    std::shared_ptr<SessionMemo> memo_;    ///< Per driving context.
+    std::shared_ptr<SessionMemo> memo_; ///< Per driving context.
     std::shared_ptr<index::TracePyramids> pyramids_;
     std::shared_ptr<QueryEngine> engine_;
     std::shared_ptr<GenerationDomain> domain_; ///< Never null.

@@ -154,7 +154,12 @@ TraceWriter::taskInstance(const TaskInstance &instance)
     writeValue(instance.type);
     writeValue32(instance.cpu);
     writeValue(instance.interval.start);
-    writeValue(instance.interval.duration());
+    // The modular difference, not duration(): the reader adds it back
+    // with wrap-around, so a task read with its end wrapped below its
+    // start (hostile bytes) round-trips too. Equal to duration() for
+    // every ordinary task. State events need no such care: finalize
+    // rejects inverted ones.
+    writeValue(instance.interval.end - instance.interval.start);
 }
 
 void

@@ -1,23 +1,27 @@
 /**
  * @file
- * The reference oracle of exact interval statistics and the exact
- * interval-restricted histogram: a naive serial computation over the
- * raw trace arrays (no cache, pyramid, task index or pool), compared
- * by encoded bytes, provenance included, with every path the query
- * plane answers by — exact queries over cold, half-built and fully
- * built pyramids at 1/2/4/8 workers, through the in-process daemon,
- * and racing a pyramid build (run under TSan in CI) — and, with zero
- * keys dropped, with Budget/Pixels answers over their snapped interval.
+ * The reference oracle of exact interval statistics, the exact
+ * interval-restricted histogram, counter extrema and the filtered task
+ * list: a naive serial computation over the raw trace arrays (no
+ * cache, pyramid, index, memo or pool), compared by encoded bytes,
+ * provenance included, with every path the query plane answers by —
+ * exact queries over cold, half-built and fully built pyramids at
+ * 1/2/4/8 workers, the synchronous wrappers, through the in-process
+ * daemon, and racing a pyramid build (run under TSan in CI) — and,
+ * with zero keys dropped, with Budget/Pixels answers over their
+ * snapped interval.
  *
  * Traces: zero-duration states and tasks, zero-duration tasks on leaf
  * boundaries, tasks whose end wrapped below their start, and a span
  * ending at 2^64 - 1. Intervals: leaf-aligned, unaligned, inside one
- * leaf, zero-length, inverted and past the pyramid domain.
+ * leaf, zero-length, inverted and past the pyramid domain. Counter
+ * queries also name unknown CPUs and unsampled counters.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,8 +30,10 @@
 #include "base/resolution.h"
 #include "base/rng.h"
 #include "daemon/client.h"
+#include "daemon/protocol.h"
 #include "daemon/server.h"
 #include "filter/task_filter.h"
+#include "index/counter_index.h"
 #include "index/summary_pyramid.h"
 #include "session/query.h"
 #include "session/session.h"
@@ -86,6 +92,36 @@ oracleHistogram(const trace::Trace &tr, const filter::FilterSet &filters,
     return stats::Histogram::fromValues(durations, bins);
 }
 
+/** The oracle extrema: the samples of @p counter in [a, b) on @p cpu. */
+index::MinMax
+oracleExtrema(const trace::Trace &tr, CpuId cpu, CounterId counter,
+              const TimeInterval &interval)
+{
+    index::MinMax out;
+    if (!tr.hasCpu(cpu))
+        return out;
+    for (const trace::CounterSample &sample :
+         tr.cpu(cpu).counterSamples(counter)) {
+        if (sample.time < interval.start || sample.time >= interval.end)
+            continue;
+        out.min = out.valid ? std::min(out.min, sample.value) : sample.value;
+        out.max = out.valid ? std::max(out.max, sample.value) : sample.value;
+        out.valid = true;
+    }
+    return out;
+}
+
+/** The oracle task list: a filtered scan in insertion order. */
+std::vector<const trace::TaskInstance *>
+oracleTasks(const trace::Trace &tr, const filter::FilterSet &filters)
+{
+    std::vector<const trace::TaskInstance *> out;
+    for (const trace::TaskInstance &task : tr.taskInstances())
+        if (filters.matches(tr, task))
+            out.push_back(&task);
+    return out;
+}
+
 Bytes
 bytesOf(const stats::IntervalStats &s)
 {
@@ -100,6 +136,32 @@ bytesOf(const stats::Histogram &h)
     ByteWriter w;
     stats::encodeHistogram(h, w);
     return w.take();
+}
+
+Bytes
+bytesOf(const index::MinMax &m)
+{
+    ByteWriter w;
+    stats::encodeMinMax(m, w);
+    return w.take();
+}
+
+Bytes
+bytesOf(const std::vector<daemon::TaskRow> &rows)
+{
+    ByteWriter w;
+    daemon::encodeTaskRows(rows, w);
+    return w.take();
+}
+
+/** The wire rows of @p tasks. */
+std::vector<daemon::TaskRow>
+rowsOf(const std::vector<const trace::TaskInstance *> &tasks)
+{
+    std::vector<daemon::TaskRow> rows;
+    for (const trace::TaskInstance *task : tasks)
+        rows.push_back({task->id, task->type, task->cpu, task->interval});
+    return rows;
 }
 
 /** @p s without its zero-valued state keys and its provenance. */
@@ -230,6 +292,47 @@ shortTasks()
     filter::FilterSet filters;
     filters.add(std::make_shared<filter::DurationFilter>(0, 50));
     return filters;
+}
+
+/**
+ * The (cpu, counter) pairs a counter query names on @p tr: every
+ * counter sampled on each CPU plus one never sampled, on every CPU and
+ * on two unknown ones.
+ */
+std::vector<std::pair<CpuId, CounterId>>
+counterPairs(const trace::Trace &tr)
+{
+    constexpr CounterId kUnsampled = 999;
+    std::vector<std::pair<CpuId, CounterId>> out;
+    for (CpuId c = 0; c < tr.numCpus(); c++) {
+        for (CounterId id : tr.cpu(c).counterIds())
+            out.emplace_back(c, id);
+        out.emplace_back(c, kUnsampled);
+    }
+    out.emplace_back(tr.numCpus(), 0);
+    out.emplace_back(kInvalidCpu, 0);
+    return out;
+}
+
+/** True if @p tr samples @p counter on @p cpu. */
+bool
+sampled(const trace::Trace &tr, CpuId cpu, CounterId counter)
+{
+    return tr.hasCpu(cpu) && !tr.cpu(cpu).counterSamples(counter).empty();
+}
+
+/** The task-filter sets the task-list oracle cycles through. */
+std::vector<std::vector<daemon::FilterSpec>>
+filterSpecs()
+{
+    daemon::FilterSpec short_tasks;
+    short_tasks.kind = daemon::FilterSpec::Kind::Duration;
+    short_tasks.min = 0;
+    short_tasks.max = 50;
+    daemon::FilterSpec cpus;
+    cpus.kind = daemon::FilterSpec::Kind::Cpu;
+    cpus.ids = {0, 2};
+    return {{}, {short_tasks}, {short_tasks, cpus}, {cpus}, {}};
 }
 
 /** How many of @p tr's pyramids a session builds before querying. */
@@ -397,6 +500,166 @@ TEST(QueryOracle, BudgetAndPixelsMatchOracleOfSnappedInterval)
                 EXPECT_EQ(hist.resolution.exact, snapped == iv);
             }
         }
+    }
+}
+
+TEST(QueryOracle, CounterExtremaMatchOracleAtEveryResolution)
+{
+    std::size_t valid_answers = 0;
+    for (const Case &c : traceMatrix()) {
+        const trace::Trace &tr = *c.trace;
+        const std::vector<TimeInterval> intervals = intervalMatrix(tr, 17);
+        const auto pairs = counterPairs(tr);
+        for (unsigned workers : {1u, 2u, 4u, 8u}) {
+            Session session(c.trace);
+            session.setConcurrency({workers});
+            const index::TracePyramids &pyramids = *session.pyramids();
+            Rng rng(17);
+            for (const TimeInterval &iv : intervals) {
+                for (const auto &[cpu, counter] : pairs) {
+                    const std::string where =
+                        c.name + " cpu " + std::to_string(cpu) +
+                        " counter " + std::to_string(counter) + " " +
+                        describe(iv) + " workers " + std::to_string(workers);
+                    const index::MinMax oracle =
+                        oracleExtrema(tr, cpu, counter, iv);
+                    valid_answers += oracle.valid ? 1 : 0;
+                    const Bytes expect = bytesOf(oracle);
+                    EXPECT_EQ(bytesOf(session
+                                          .submit(CounterExtremaQuery{
+                                              {iv}, cpu, counter})
+                                          .take()),
+                              expect)
+                        << where;
+                    EXPECT_EQ(bytesOf(session.counterExtrema(cpu, counter,
+                                                             iv)),
+                              expect)
+                        << where;
+                    for (const Resolution &res :
+                         {Resolution::budget(1 + rng.nextBounded(
+                                                     std::max<TimeStamp>(
+                                                         iv.duration(), 1))),
+                          Resolution::pixels(1 + static_cast<std::uint32_t>(
+                                                     rng.nextBounded(64)))}) {
+                        const TimeStamp g = pyramids.granularityFor(res, iv);
+                        const TimeInterval answered =
+                            g == 0 ? iv : pyramids.snap(iv, g);
+                        EXPECT_EQ(bytesOf(session
+                                              .submit(CounterExtremaQuery{
+                                                  {iv,
+                                                   QueryPriority::Interactive,
+                                                   res},
+                                                  cpu, counter})
+                                              .take()),
+                                  bytesOf(oracleExtrema(tr, cpu, counter,
+                                                        answered)))
+                            << where << " snapped to " << describe(answered);
+                    }
+                }
+            }
+            // Unknown CPUs and unsampled counters built nothing: one
+            // index per sampled pair at most.
+            std::size_t sampled_pairs = 0;
+            for (const auto &[cpu, counter] : pairs)
+                sampled_pairs += sampled(tr, cpu, counter) ? 1 : 0;
+            EXPECT_EQ(session.sharedCaches().counterIndexes->size(),
+                      sampled_pairs)
+                << c.name;
+            EXPECT_EQ(session.cacheStats().counterIndex.builds,
+                      sampled_pairs)
+                << c.name;
+        }
+    }
+    // The matrix holds sampled counters, not only invalid answers.
+    EXPECT_GT(valid_answers, 1000u);
+}
+
+TEST(QueryOracle, TaskListMatchesOracleAcrossFilterChanges)
+{
+    for (const Case &c : traceMatrix()) {
+        const trace::Trace &tr = *c.trace;
+        for (unsigned workers : {1u, 2u, 4u, 8u}) {
+            Session session(c.trace);
+            session.setConcurrency({workers});
+            int step = 0;
+            for (const auto &specs : filterSpecs()) {
+                session.setFilters(daemon::materializeFilters(specs));
+                const auto expect = oracleTasks(tr, session.filters());
+                const std::string where = c.name + " step " +
+                                          std::to_string(step++) +
+                                          " workers " +
+                                          std::to_string(workers);
+                // Cold submit, then the sync wrapper (memo hit), then a
+                // submit answered from the memo.
+                EXPECT_EQ(session.submit(TaskListQuery{}).take(), expect)
+                    << where;
+                EXPECT_EQ(session.tasks(), expect) << where;
+                EXPECT_EQ(session.submit(TaskListQuery{}).take(), expect)
+                    << where;
+            }
+            // A warm-up's task list is the same list.
+            session.setFilters(daemon::materializeFilters(filterSpecs()[1]));
+            WarmupPolicy policy;
+            policy.counterIndexes = false;
+            session.warmup(policy);
+            EXPECT_EQ(session.tasks(), oracleTasks(tr, session.filters()))
+                << c.name;
+        }
+    }
+}
+
+TEST(QueryOracle, DaemonCounterExtremaAndTaskListMatchOracle)
+{
+    daemon::Server server(daemon::Server::Options{2, 16});
+    daemon::Client client;
+    std::string error;
+    ASSERT_TRUE(client.adopt(server.connectInProcess(), error)) << error;
+    for (const Case &c : traceMatrix()) {
+        daemon::OpenTraceRequest open;
+        open.bytes = c.bytes;
+        daemon::Reply<daemon::OpenTraceReply> opened =
+            client.openTrace(open);
+        ASSERT_TRUE(opened.ok()) << c.name << ": " << opened.message;
+        const std::uint64_t id = opened.value.traceId;
+        const trace::Trace &tr = *c.trace;
+        const index::TracePyramids pyramids(tr);
+        for (const TimeInterval &iv : intervalMatrix(tr, 19)) {
+            for (const auto &[cpu, counter] : counterPairs(tr)) {
+                for (const Resolution &res :
+                     {Resolution(), Resolution::pixels(32)}) {
+                    daemon::CounterExtremaRequest request;
+                    request.head.traceId = id;
+                    request.cpu = cpu;
+                    request.counter = counter;
+                    request.interval = iv;
+                    request.resolution = res;
+                    daemon::Reply<index::MinMax> remote =
+                        client.counterExtrema(request);
+                    ASSERT_TRUE(remote.ok()) << remote.message;
+                    const TimeStamp g = pyramids.granularityFor(res, iv);
+                    const TimeInterval answered =
+                        g == 0 ? iv : pyramids.snap(iv, g);
+                    EXPECT_EQ(bytesOf(remote.value),
+                              bytesOf(oracleExtrema(tr, cpu, counter,
+                                                    answered)))
+                        << c.name << " cpu " << cpu << " counter "
+                        << counter << " " << describe(iv);
+                }
+            }
+        }
+        for (const auto &specs : filterSpecs()) {
+            ASSERT_TRUE(client.setFilters(id, specs).ok()) << c.name;
+            daemon::TaskListRequest request;
+            request.head.traceId = id;
+            daemon::Reply<std::vector<daemon::TaskRow>> remote =
+                client.taskList(request);
+            ASSERT_TRUE(remote.ok()) << remote.message;
+            EXPECT_EQ(bytesOf(remote.value),
+                      bytesOf(rowsOf(oracleTasks(
+                          tr, daemon::materializeFilters(specs)))))
+                << c.name << " " << specs.size() << " filters";
+        }
+        client.closeTrace(id);
     }
 }
 

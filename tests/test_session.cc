@@ -101,17 +101,17 @@ TEST(Session, CounterExtremaUnknownCpuOrCounterIsInvalid)
     EXPECT_FALSE(session.counterExtrema(0, 999, {0, 100}).valid);
 }
 
-TEST(Session, IntervalStatsMemoizedPerInterval)
+TEST(Session, IntervalStatsRepeatQueriesAnswerIdentically)
 {
     Session session(smallTrace());
-    const stats::IntervalStats &a = session.intervalStats({0, 100});
-    const stats::IntervalStats &b = session.intervalStats({0, 100});
-    EXPECT_EQ(&a, &b); // Same cached object.
-    EXPECT_EQ(session.cacheStats().intervalStats.builds, 1u);
-    EXPECT_EQ(session.cacheStats().intervalStats.hits, 1u);
-
-    session.intervalStats({0, 50});
-    EXPECT_EQ(session.cacheStats().intervalStats.builds, 2u);
+    const stats::IntervalStats a = session.intervalStats({0, 100});
+    const stats::IntervalStats half = session.intervalStats({0, 50});
+    const stats::IntervalStats b = session.intervalStats({0, 100});
+    EXPECT_EQ(b.interval, a.interval);
+    EXPECT_EQ(b.timeInState, a.timeInState);
+    EXPECT_EQ(b.tasksOverlapping, a.tasksOverlapping);
+    EXPECT_EQ(b.tasksStarted, a.tasksStarted);
+    EXPECT_EQ(half.interval, TimeInterval(0, 50));
 
     EXPECT_EQ(a.timeInState.at(kExec), 160u);
     EXPECT_EQ(a.timeInState.at(kIdle), 40u);

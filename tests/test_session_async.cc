@@ -189,22 +189,6 @@ TEST(SessionAsync, SubmitWithoutIntervalUsesTheCurrentView)
               serialIntervalStats(tr, {0, 90}).timeInState);
 }
 
-TEST(SessionAsync, AsyncResultWarmsTheSyncMemo)
-{
-    trace::Trace tr = denseTrace();
-    Session session = Session::view(tr);
-    TimeInterval iv{5, 150};
-    session.submit(IntervalStatsQuery{iv}).wait();
-    EXPECT_EQ(session.cacheStats().intervalStats.builds, 1u);
-    // The synchronous wrapper now hits: no rebuild.
-    session.intervalStats(iv);
-    EXPECT_EQ(session.cacheStats().intervalStats.builds, 1u);
-    EXPECT_GE(session.cacheStats().intervalStats.hits, 1u);
-    // And a second submit answers as an already-Done ticket.
-    auto ticket = session.submit(IntervalStatsQuery{iv});
-    EXPECT_EQ(ticket.status(), QueryStatus::Done);
-}
-
 TEST(SessionAsync, SubmitHistogramAndTaskListMatchSyncWrappers)
 {
     trace::Trace tr = denseTrace();

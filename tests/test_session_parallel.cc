@@ -1,10 +1,9 @@
 /**
  * @file
  * Tests of the parallel session engine: the thread pool, concurrent
- * index warm-up (bit-identical to serial), warm-up idempotence, the
- * bounded stats memo, and SessionGroup's delta queries and shared-
- * framebuffer rendering. Built with TSan in CI to keep the concurrency
- * race-free.
+ * index warm-up (bit-identical to serial), warm-up idempotence, and
+ * SessionGroup's delta queries and shared-framebuffer rendering. Built
+ * with TSan in CI to keep the concurrency race-free.
  */
 
 #include <gtest/gtest.h>
@@ -14,15 +13,16 @@
 #include <thread>
 #include <vector>
 
+#include "base/buffer.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "render/color.h"
 #include "render/framebuffer.h"
 #include "session/compare.h"
 #include "session/counter_index_cache.h"
-#include "session/query_cache.h"
 #include "session/session.h"
 #include "session/session_group.h"
+#include "stats/export.h"
 #include "stats/regression.h"
 #include "trace/state.h"
 #include "trace_builder.h"
@@ -47,6 +47,15 @@ denseTrace(std::uint32_t cpus = 8, std::uint32_t counters = 3,
     options.samples = samples;
     options.scale = scale;
     return test_support::buildDenseTrace(options);
+}
+
+/** Wire bytes of interval statistics: bit-for-bit comparison. */
+std::vector<std::uint8_t>
+bytesOf(const stats::IntervalStats &s)
+{
+    ByteWriter w;
+    stats::encodeIntervalStats(s, w);
+    return w.take();
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
@@ -156,13 +165,16 @@ TEST(SessionParallel, RepeatedWarmupIsIncrementallySkipped)
     EXPECT_EQ(initial.indexesSkipped, 0u);
     SessionCacheStats first = session.cacheStats();
     EXPECT_EQ(first.counterIndex.builds, 4u * 2u);
-    EXPECT_EQ(first.intervalStats.builds, 1u);
     EXPECT_EQ(first.taskList.builds, 1u);
+    // Warm-up leaves interval statistics to the query: the answer
+    // equals a cold session's.
+    const auto span_stats = bytesOf(Session::view(tr).intervalStats());
+    EXPECT_EQ(bytesOf(session.intervalStats()), span_stats);
 
     for (int i = 0; i < 3; i++) {
-        // Incremental re-warm-up: covered pairs are skipped outright
-        // (the index cache is not even consulted), memoized stats and
-        // task-list entries answer as hits.
+        // Incremental re-warm-up: built pairs are skipped outright
+        // (no counted index-cache lookup), the memoized task list
+        // answers as a hit.
         Session::WarmupStats repeat = session.warmup();
         EXPECT_EQ(repeat.indexesVisited, 0u);
         EXPECT_EQ(repeat.indexesSkipped, 4u * 2u);
@@ -171,21 +183,35 @@ TEST(SessionParallel, RepeatedWarmupIsIncrementallySkipped)
     SessionCacheStats later = session.cacheStats();
     EXPECT_EQ(later.counterIndex.builds, first.counterIndex.builds);
     EXPECT_EQ(later.counterIndex.hits, first.counterIndex.hits);
-    EXPECT_EQ(later.intervalStats.builds, first.intervalStats.builds);
     EXPECT_EQ(later.taskList.builds, first.taskList.builds);
-    EXPECT_GT(later.intervalStats.hits, first.intervalStats.hits);
     EXPECT_GT(later.taskList.hits, first.taskList.hits);
+    EXPECT_EQ(bytesOf(session.intervalStats()), span_stats);
 
-    // A view change re-warms only what the new view needs: the stats
-    // of the new interval, no index revisits.
+    // A view change re-warms nothing: no index revisits, and the new
+    // view's statistics equal a cold session's.
     session.setView({0, 120});
     Session::WarmupStats after_zoom = session.warmup();
     EXPECT_EQ(after_zoom.indexesVisited, 0u);
     EXPECT_EQ(after_zoom.indexesSkipped, 4u * 2u);
-    EXPECT_EQ(session.cacheStats().intervalStats.builds,
-              first.intervalStats.builds + 1);
+    EXPECT_EQ(bytesOf(session.intervalStats()),
+              bytesOf(Session::view(tr).intervalStats({0, 120})));
     EXPECT_EQ(session.cacheStats().counterIndex.builds,
               first.counterIndex.builds);
+}
+
+TEST(SessionParallel, WarmupSkipsIndexesAQueryAlreadyBuilt)
+{
+    trace::Trace tr = denseTrace(4, 2, 300);
+    Session session = Session::view(tr);
+    // The index cache is the one record of what is built: indexes a
+    // query built are skipped like those of an earlier warm-up.
+    session.counterExtrema(0, 0, tr.span());
+    session.counterExtrema(2, 1, tr.span());
+    Session::WarmupStats stats = session.warmup();
+    EXPECT_EQ(stats.indexesSkipped, 2u);
+    EXPECT_EQ(stats.indexesVisited, 4u * 2u - 2u);
+    EXPECT_EQ(stats.indexesBuilt, 4u * 2u - 2u);
+    EXPECT_EQ(session.cacheStats().counterIndex.builds, 4u * 2u);
 }
 
 TEST(SessionParallel, WarmupPolicyRestrictsCounters)
@@ -211,49 +237,6 @@ TEST(SessionParallel, HardwareDefaultWorkersWarmsUp)
     Session::WarmupStats stats = session.warmup();
     EXPECT_EQ(stats.indexesVisited, 8u);
     EXPECT_GE(stats.workers, 1u);
-}
-
-TEST(MemoCache, LruCapacityEvictsLeastRecentlyUsed)
-{
-    MemoCache<int, int> cache;
-    cache.setCapacity(2);
-    auto build = [](int v) { return [v] { return v; }; };
-    cache.getOrBuild(1, build(10));
-    cache.getOrBuild(2, build(20));
-    cache.getOrBuild(1, build(10)); // 1 becomes most recently used.
-    cache.getOrBuild(3, build(30)); // Evicts 2.
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.counters().evictions, 1u);
-    EXPECT_EQ(cache.counters().builds, 3u);
-
-    cache.getOrBuild(2, build(20)); // Rebuild; evicts 1 (LRU).
-    EXPECT_EQ(cache.counters().builds, 4u);
-    cache.getOrBuild(3, build(30));
-    EXPECT_EQ(cache.counters().hits, 2u); // 1 earlier + this one.
-
-    cache.setCapacity(1); // Shrink evicts immediately.
-    EXPECT_EQ(cache.size(), 1u);
-    cache.setCapacity(0); // Unbounded again.
-    cache.getOrBuild(5, build(50));
-    cache.getOrBuild(6, build(60));
-    EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST(SessionParallel, StatsCacheCapacityBoundsMemo)
-{
-    trace::Trace tr = denseTrace(2, 1, 100);
-    Session session = Session::view(tr);
-    session.setStatsCacheCapacity(2);
-    session.intervalStats({0, 10});
-    session.intervalStats({0, 20});
-    session.intervalStats({0, 30}); // Evicts {0, 10}.
-    EXPECT_EQ(session.cacheStats().intervalStats.builds, 3u);
-
-    session.intervalStats({0, 30}); // Hit.
-    EXPECT_EQ(session.cacheStats().intervalStats.hits, 1u);
-    session.intervalStats({0, 10}); // Evicted: rebuilt.
-    EXPECT_EQ(session.cacheStats().intervalStats.builds, 4u);
-    EXPECT_EQ(session.cacheStats().intervalStats.evictions, 2u);
 }
 
 /** Two variants whose counter values and task lengths differ. */

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "index/summary_pyramid.h"
 #include "trace/reader.h"
 #include "trace/writer.h"
 #include "trace_builder.h"
@@ -53,6 +54,24 @@ TEST(Format, CompactIsSmallerThanRaw)
     auto compact = writeTrace(tr, Encoding::Compact);
     EXPECT_LT(compact.size(), raw.size() / 2)
         << "compact " << compact.size() << " vs raw " << raw.size();
+}
+
+TEST(Format, WrappedTaskIntervalsRoundTrip)
+{
+    // A task whose end wraps below its start (hostile bytes) must come
+    // back as read: writing its duration as 0 would move it far past
+    // the span and the pyramid domain end up to about 2^64.
+    const Trace wrapped =
+        test_support::buildWrappedTaskTrace(buildRandomTrace(61));
+    const TimeStamp domain_end =
+        index::TracePyramids(wrapped).domainEnd();
+    for (Encoding encoding : {Encoding::Raw, Encoding::Compact}) {
+        ReadResult result = readTrace(writeTrace(wrapped, encoding));
+        ASSERT_TRUE(result.ok) << result.error;
+        expectTracesEqual(wrapped, result.trace);
+        EXPECT_EQ(index::TracePyramids(result.trace).domainEnd(),
+                  domain_end);
+    }
 }
 
 TEST(Format, FileRoundTrip)

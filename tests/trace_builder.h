@@ -252,10 +252,10 @@ buildTopOfTimeTrace()
 }
 
 /**
- * A copy of @p base's topology, state descriptions, task types, state
- * events and task instances with @p extra appended after them,
- * finalized. Counters, discrete, comm and memory records are not
- * copied: the interval stats and the task index read none of them.
+ * A copy of @p base's topology, state descriptions, task types,
+ * counters (descriptions and samples), state events and task instances
+ * with @p extra appended after them, finalized. Discrete, comm and
+ * memory records are not copied: no query the oracle checks reads them.
  */
 inline trace::Trace
 withTasks(const trace::Trace &base,
@@ -267,9 +267,16 @@ withTasks(const trace::Trace &base,
         tr.addStateDescription(desc);
     for (const auto &[id, type] : base.taskTypes())
         tr.addTaskType(type);
-    for (CpuId c = 0; c < base.numCpus(); c++)
+    for (const auto &[id, name] : base.counters())
+        tr.addCounterDescription({id, name});
+    for (CpuId c = 0; c < base.numCpus(); c++) {
         for (const trace::StateEvent &ev : base.cpu(c).states())
             tr.cpu(c).addState(ev);
+        for (CounterId id : base.cpu(c).counterIds())
+            for (const trace::CounterSample &sample :
+                 base.cpu(c).counterSamples(id))
+                tr.cpu(c).addCounterSample(id, sample);
+    }
     for (const trace::TaskInstance &task : base.taskInstances())
         tr.addTaskInstance(task);
     for (const trace::TaskInstance &task : extra)
@@ -285,10 +292,9 @@ constexpr std::size_t kWrappedTasks = 4;
 /**
  * Trace bytes holding @p base plus kWrappedTasks tasks whose end wraps
  * below their start, a shape only hostile bytes produce: the reader
- * computes a task's end as start + duration (and the writer, which
- * writes duration() of such a task as 0, cannot produce it). Writes
- * marker tasks and patches their raw start and duration fields into
- * wrapping ones. The wrapped tasks end at 50, 0, 7 and @p base's span
+ * computes a task's end as start + duration. Writes marker tasks and
+ * patches their raw start and duration fields into wrapping ones, so
+ * the bytes do not depend on how the writer encodes such a task. The wrapped tasks end at 50, 0, 7 and @p base's span
  * end, and start far past it.
  */
 inline std::vector<std::uint8_t>
