@@ -9,7 +9,9 @@
  * 1/2/4/8 workers, the synchronous wrappers, through the in-process
  * daemon, and racing a pyramid build (run under TSan in CI) — and,
  * with zero keys dropped, with Budget/Pixels answers over their
- * snapped interval.
+ * snapped interval. Timeline frames have a per-pixel oracle of their
+ * own (oracleFrame()), checked against sync, async and daemon-decoded
+ * frames at 1/2/4/8 workers.
  *
  * Traces: zero-duration states and tasks, zero-duration tasks on leaf
  * boundaries, tasks whose end wrapped below their start, and a span
@@ -22,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,12 +38,18 @@
 #include "filter/task_filter.h"
 #include "index/counter_index.h"
 #include "index/summary_pyramid.h"
+#include "render/color.h"
+#include "render/framebuffer.h"
+#include "render/layout.h"
+#include "render/timeline_renderer.h"
 #include "session/query.h"
 #include "session/session.h"
 #include "stats/export.h"
 #include "stats/histogram.h"
 #include "stats/interval_stats.h"
+#include "trace/numa.h"
 #include "trace/reader.h"
+#include "trace/state.h"
 #include "trace/writer.h"
 #include "trace_builder.h"
 
@@ -333,6 +342,328 @@ filterSpecs()
     cpus.kind = daemon::FilterSpec::Kind::Cpu;
     cpus.ids = {0, 2};
     return {{}, {short_tasks}, {short_tasks, cpus}, {cpus}, {}};
+}
+
+/** An expected frame: its pixels and the operations drawing it takes. */
+struct OracleFrame
+{
+    render::Framebuffer fb{1, 1};
+    std::uint64_t rectOps = 0;
+    bool pyramids = false;
+};
+
+constexpr std::uint32_t kExecState =
+    static_cast<std::uint32_t>(trace::CoreState::TaskExec);
+
+render::Rgba
+laneBackground(CpuId cpu)
+{
+    return (cpu % 2) ? render::kBackgroundAlt : render::kBackground;
+}
+
+/** The task-coloured modes' colour of task @p id (nullopt: none). */
+std::optional<render::Rgba>
+oracleTaskColor(const trace::Trace &tr, const render::TimelineConfig &config,
+                TaskInstanceId id)
+{
+    const trace::TaskInstance *task = tr.taskInstance(id);
+    if (!task)
+        return std::nullopt;
+    switch (config.mode) {
+    case render::TimelineMode::Heatmap:
+        return render::heatmapShade(task->duration(), config.heatmapMin,
+                                    config.heatmapMax, config.heatmapShades);
+    case render::TimelineMode::TypeMap: {
+        std::size_t index = 0;
+        for (const auto &[type, info] : tr.taskTypes()) {
+            if (type == task->type)
+                return render::taskTypeColor(index);
+            index++;
+        }
+        return render::taskTypeColor(0);
+    }
+    default: {
+        const NodeId node =
+            trace::summarizeTaskAccesses(
+                tr, id, config.mode == render::TimelineMode::NumaWrite)
+                .dominantNode();
+        return node == kInvalidNode ? render::Rgba{120, 120, 120, 255}
+                                    : render::numaNodeColor(node);
+    }
+    }
+}
+
+/** Share of a task's accessed bytes on nodes other than @p cpu's. */
+double
+oracleRemoteFraction(const trace::Trace &tr, TaskInstanceId id, CpuId cpu)
+{
+    const trace::NumaAccessSummary reads =
+        trace::summarizeTaskAccesses(tr, id, false);
+    const trace::NumaAccessSummary writes =
+        trace::summarizeTaskAccesses(tr, id, true);
+    const NodeId local = tr.topology().nodeOfCpu(cpu);
+    const std::uint64_t total = reads.totalBytes() + writes.totalBytes();
+    if (total == 0)
+        return 0.0;
+    std::uint64_t local_bytes = 0;
+    if (local < reads.bytesPerNode.size())
+        local_bytes += reads.bytesPerNode[local];
+    if (local < writes.bytesPerNode.size())
+        local_bytes += writes.bytesPerNode[local];
+    return static_cast<double>(total - local_bytes) /
+           static_cast<double>(total);
+}
+
+/**
+ * The colour of one pixel of an exact frame: every event of the lane
+ * is read, and the predominant state (State), the remote fraction
+ * weighted by coverage (NumaHeatmap) or the predominant visible task
+ * (the task-coloured modes) decides. Ties go to the first to reach the
+ * winning time; filtered-out task executions count as uncovered.
+ */
+render::Rgba
+oraclePixel(const trace::Trace &tr, const render::TimelineConfig &config,
+            CpuId cpu, const TimeInterval &pixel)
+{
+    const render::Rgba background = laneBackground(cpu);
+    if (pixel.empty())
+        return background;
+    auto visible = [&](TaskInstanceId id) {
+        if (!config.taskFilter)
+            return true;
+        const trace::TaskInstance *task = tr.taskInstance(id);
+        return task && config.taskFilter->matches(tr, *task);
+    };
+    std::map<std::uint32_t, TimeStamp> per_state;
+    std::uint32_t best_state = 0;
+    TaskInstanceId best_task = kInvalidTaskInstance;
+    TimeStamp best = 0;
+    double weight = 0.0, remote = 0.0;
+    for (const trace::StateEvent &ev : tr.cpu(cpu).states()) {
+        const TimeStamp overlap = ev.interval.overlapDuration(pixel);
+        if (overlap == 0)
+            continue;
+        const bool exec =
+            ev.state == kExecState && ev.task != kInvalidTaskInstance;
+        if (exec && !visible(ev.task))
+            continue;
+        if (config.mode == render::TimelineMode::State) {
+            TimeStamp &time = per_state[ev.state];
+            time += overlap;
+            if (time > best) {
+                best = time;
+                best_state = ev.state;
+            }
+        } else if (!exec) {
+            continue;
+        } else if (config.mode == render::TimelineMode::NumaHeatmap) {
+            weight += static_cast<double>(overlap);
+            remote += static_cast<double>(overlap) *
+                      oracleRemoteFraction(tr, ev.task, cpu);
+        } else if (overlap > best) {
+            best = overlap;
+            best_task = ev.task;
+        }
+    }
+    switch (config.mode) {
+    case render::TimelineMode::State:
+        return best == 0 ? background : render::stateColor(best_state);
+    case render::TimelineMode::NumaHeatmap:
+        return weight == 0.0 ? background
+                             : render::numaHeatShade(remote / weight);
+    default:
+        if (best_task == kInvalidTaskInstance)
+            return background;
+        return oracleTaskColor(tr, config, best_task).value_or(background);
+    }
+}
+
+/**
+ * The bands of one pyramid column: the column's occupancy recomputed
+ * from the events (naiveOccupancyOver), each state's share of the lane
+ * height in state order, rows by largest-remainder rounding of the
+ * covered share, and lane background below.
+ */
+std::vector<std::pair<std::uint32_t, render::Rgba>>
+oracleBands(const trace::Trace &tr, CpuId cpu, TimeStamp g0,
+            TimeStamp domain_end, const TimeInterval &pixel,
+            std::uint32_t height)
+{
+    std::vector<std::pair<std::uint32_t, render::Rgba>> out;
+    if (pixel.empty()) {
+        out.emplace_back(height, laneBackground(cpu));
+        return out;
+    }
+    const auto occupancy =
+        test_support::naiveOccupancyOver(tr, cpu, g0, domain_end, pixel);
+    const double total = static_cast<double>(pixel.duration());
+    const double lane = static_cast<double>(height);
+    std::vector<double> exact;
+    std::vector<std::uint32_t> rows;
+    double covered = 0.0;
+    for (const auto &[state, time] : occupancy) {
+        const double share = std::min((time / total) * lane, lane);
+        exact.push_back(share);
+        rows.push_back(static_cast<std::uint32_t>(share));
+        covered += share;
+    }
+    const auto covered_rows =
+        static_cast<std::uint32_t>(std::min(covered + 0.5, lane));
+    std::uint32_t assigned = 0;
+    for (std::uint32_t r : rows)
+        assigned += r;
+    while (assigned < covered_rows && !rows.empty()) {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < rows.size(); i++)
+            if (exact[i] - rows[i] > exact[best] - rows[best])
+                best = i;
+        rows[best]++;
+        assigned++;
+    }
+    std::uint32_t y = 0;
+    for (std::size_t i = 0; i < rows.size(); i++) {
+        const std::uint32_t n = std::min(rows[i], height - y);
+        if (n == 0)
+            continue;
+        out.emplace_back(n, render::stateColor(occupancy[i].first));
+        y += n;
+    }
+    if (y < height)
+        out.emplace_back(height - y, laneBackground(cpu));
+    return out;
+}
+
+/**
+ * The frame @p config draws on @p tr at @p width x @p height, pixel by
+ * pixel and lane by lane in lane order (lanes sharing rows overwrite),
+ * with its rectOps: one per run of equal pixels of an exact lane, one
+ * per band of a pyramid column. An unfiltered State frame at a
+ * non-Exact resolution whose pixels span a pyramid leaf or more is a
+ * pyramid frame. An adaptive heatmap range spans the visible tasks
+ * overlapping the view.
+ */
+OracleFrame
+oracleFrame(const trace::Trace &tr, render::TimelineConfig config,
+            std::uint32_t width, std::uint32_t height)
+{
+    OracleFrame out;
+    out.fb = render::Framebuffer(width, height, render::kBackground);
+    const TimeInterval view = config.view.empty() ? tr.span() : config.view;
+    if (view.empty())
+        return out;
+    if (config.mode == render::TimelineMode::Heatmap &&
+        config.heatmapMax == 0) {
+        bool any = false;
+        TimeStamp lo = 0, hi = 1;
+        for (const trace::TaskInstance &task : tr.taskInstances()) {
+            if (!task.interval.overlaps(view) ||
+                (config.taskFilter &&
+                 !config.taskFilter->matches(tr, task)))
+                continue;
+            lo = any ? std::min(lo, task.duration()) : task.duration();
+            hi = any ? std::max(hi, task.duration()) : task.duration();
+            any = true;
+        }
+        config.heatmapMin = lo;
+        config.heatmapMax = std::max(hi, lo + 1);
+    }
+    const render::TimelineLayout layout(view, width, height, tr.numCpus());
+    const index::TracePyramids pyramids(tr);
+    out.pyramids = config.mode == render::TimelineMode::State &&
+                   !config.taskFilter &&
+                   config.resolution.kind != Resolution::Kind::Exact &&
+                   view.duration() / width >= pyramids.leafGranularity();
+    for (CpuId cpu = 0; cpu < tr.numCpus(); cpu++) {
+        const std::uint32_t top = layout.laneTop(cpu);
+        const std::uint32_t lane = layout.laneHeight();
+        std::optional<render::Rgba> previous;
+        for (std::uint32_t x = 0; x < width; x++) {
+            const TimeInterval pixel = layout.pixelInterval(x);
+            if (out.pyramids) {
+                std::uint32_t y = top;
+                for (const auto &[rows, color] :
+                     oracleBands(tr, cpu, pyramids.leafGranularity(),
+                                 pyramids.domainEnd(), pixel, lane)) {
+                    out.fb.fillRect(x, y, 1, rows, color);
+                    out.rectOps++;
+                    y += rows;
+                }
+                continue;
+            }
+            const render::Rgba color = oraclePixel(tr, config, cpu, pixel);
+            out.fb.fillRect(x, top, 1, lane, color);
+            if (color != previous)
+                out.rectOps++;
+            previous = color;
+        }
+    }
+    return out;
+}
+
+/** The first pixel where @p got differs from @p expect, or "". */
+std::string
+firstDifference(const render::Framebuffer &got,
+                const render::Framebuffer &expect)
+{
+    if (got.width() != expect.width() || got.height() != expect.height())
+        return "size " + std::to_string(got.width()) + "x" +
+               std::to_string(got.height());
+    for (std::uint32_t y = 0; y < got.height(); y++)
+        for (std::uint32_t x = 0; x < got.width(); x++)
+            if (got.pixel(x, y) != expect.pixel(x, y))
+                return "pixel (" + std::to_string(x) + ", " +
+                       std::to_string(y) + ")";
+    return "";
+}
+
+/** One frame request of the frame matrix. */
+struct FrameCase
+{
+    render::TimelineMode mode;
+    bool filtered;
+    bool pixels; ///< Pixels(width) resolution, else Exact.
+    TimeInterval view;
+    std::uint32_t width;
+    std::uint32_t height;
+
+    std::string name() const;
+};
+
+std::string
+FrameCase::name() const
+{
+    return "mode " + std::to_string(static_cast<int>(mode)) +
+           (filtered ? " filtered" : "") + (pixels ? " Pixels " : " Exact ") +
+           describe(view) + " " + std::to_string(width) + "x" +
+           std::to_string(height);
+}
+
+/**
+ * Every mode, filtered and not, Exact and Pixels, over the whole span,
+ * its middle third and a 40-unit deep zoom (pixels finer than a leaf),
+ * at 61x23 (rows no lane covers) and 61x3 (lanes stacked on shared
+ * rows).
+ */
+std::vector<FrameCase>
+frameMatrix(const trace::Trace &tr)
+{
+    const TimeInterval span = tr.span();
+    const TimeStamp third = span.duration() / 3;
+    const std::vector<TimeInterval> views = {
+        span,
+        {span.start + third, span.start + 2 * third},
+        {span.start + third, span.start + third + 40}};
+    constexpr int kModes =
+        static_cast<int>(render::TimelineMode::NumaHeatmap) + 1;
+    std::vector<FrameCase> out;
+    for (bool filtered : {false, true})
+        for (int m = 0; m < kModes; m++)
+            for (bool pixels : {false, true})
+                for (const TimeInterval &view : views)
+                    for (std::uint32_t height : {23u, 3u})
+                        out.push_back({static_cast<render::TimelineMode>(m),
+                                       filtered, pixels, view, 61, height});
+    return out;
 }
 
 /** How many of @p tr's pyramids a session builds before querying. */
@@ -699,6 +1030,131 @@ TEST(QueryOracle, ExactCountsAZeroDurationTaskStartingAtTheIntervalStart)
     EXPECT_EQ(budget.interval, interval);
     EXPECT_EQ(budget.tasksStarted, exact.tasksStarted);
     EXPECT_EQ(budget.tasksOverlapping, exact.tasksOverlapping);
+}
+
+/** Assert @p fb and @p stats are the frame @p expect, naming @p what. */
+void
+expectOracleFrame(const render::Framebuffer &fb,
+                  const render::RenderStats &stats, const OracleFrame &expect,
+                  const std::string &what)
+{
+    EXPECT_EQ(firstDifference(fb, expect.fb), "") << what;
+    EXPECT_EQ(stats.rectOps, expect.rectOps) << what;
+    EXPECT_EQ(stats.resolution.exact, !expect.pyramids) << what;
+}
+
+TEST(QueryOracle, LocalFramesMatchOracleAtEveryWorkerCount)
+{
+    const filter::FilterSet filters =
+        daemon::materializeFilters(filterSpecs()[1]);
+    for (const Case &c : traceMatrix()) {
+        const trace::Trace &tr = *c.trace;
+        const std::vector<FrameCase> frames = frameMatrix(tr);
+        std::vector<OracleFrame> expect;
+        std::size_t pyramid_frames = 0;
+        for (const FrameCase &f : frames) {
+            render::TimelineConfig config;
+            config.mode = f.mode;
+            config.view = f.view;
+            config.taskFilter = f.filtered ? &filters : nullptr;
+            if (f.pixels)
+                config.resolution = Resolution::pixels(f.width);
+            expect.push_back(oracleFrame(tr, config, f.width, f.height));
+            pyramid_frames += expect.back().pyramids;
+        }
+        // Both frame sizes at the two wider views take the pyramids.
+        EXPECT_EQ(pyramid_frames, 4u) << c.name;
+        for (unsigned workers : {1u, 2u, 4u, 8u}) {
+            Session session(c.trace);
+            session.setConcurrency({workers});
+            for (std::size_t i = 0; i < frames.size(); i++) {
+                const FrameCase &f = frames[i];
+                const std::string what = c.name + " " + f.name() +
+                                         " workers " +
+                                         std::to_string(workers);
+                session.setFilters(f.filtered ? filters
+                                              : filter::FilterSet());
+                render::TimelineConfig config;
+                config.mode = f.mode;
+                config.view = f.view;
+                if (f.pixels)
+                    config.resolution = Resolution::pixels(f.width);
+                render::Framebuffer sync(f.width, f.height,
+                                         render::Rgba{1, 2, 3, 4});
+                const render::RenderStats sync_stats =
+                    session.render(config, sync);
+                expectOracleFrame(sync, sync_stats, expect[i],
+                                  what + " sync");
+
+                TimelineRenderQuery query;
+                query.config = config;
+                query.width = f.width;
+                query.height = f.height;
+                TimelineRenderResult async = session.submit(query).take();
+                expectOracleFrame(async.fb, async.stats, expect[i],
+                                  what + " async");
+            }
+        }
+    }
+}
+
+TEST(QueryOracle, DaemonFramesMatchOracleAtEveryWorkerCount)
+{
+    const std::vector<daemon::FilterSpec> specs = filterSpecs()[1];
+    const filter::FilterSet filters = daemon::materializeFilters(specs);
+    for (unsigned workers : {1u, 2u, 4u, 8u}) {
+        daemon::Server server(daemon::Server::Options{workers, 16});
+        daemon::Client client;
+        std::string error;
+        ASSERT_TRUE(client.adopt(server.connectInProcess(), error)) << error;
+        for (const Case &c : traceMatrix()) {
+            daemon::OpenTraceRequest open;
+            open.bytes = c.bytes;
+            daemon::Reply<daemon::OpenTraceReply> opened =
+                client.openTrace(open);
+            ASSERT_TRUE(opened.ok()) << c.name << ": " << opened.message;
+            const std::uint64_t id = opened.value.traceId;
+            bool filtered = false;
+            for (const FrameCase &f : frameMatrix(*c.trace)) {
+                const std::string what = c.name + " " + f.name() +
+                                         " workers " +
+                                         std::to_string(workers);
+                if (f.filtered != filtered) {
+                    filtered = f.filtered;
+                    ASSERT_TRUE(client
+                                    .setFilters(id, filtered
+                                                        ? specs
+                                                        : std::vector<
+                                                              daemon::
+                                                                  FilterSpec>())
+                                    .ok());
+                }
+                daemon::TimelineRenderRequest request;
+                request.head.traceId = id;
+                request.mode = static_cast<std::uint8_t>(f.mode);
+                request.view = f.view;
+                request.width = f.width;
+                request.height = f.height;
+                if (f.pixels)
+                    request.resolution = Resolution::pixels(f.width);
+                daemon::Reply<daemon::RenderReply> remote =
+                    client.timelineRender(request);
+                ASSERT_TRUE(remote.ok()) << what << ": " << remote.message;
+
+                render::TimelineConfig config;
+                config.mode = f.mode;
+                config.view = f.view;
+                config.taskFilter = f.filtered ? &filters : nullptr;
+                config.resolution = request.resolution;
+                expectOracleFrame(remote.value.fb, remote.value.stats,
+                                  oracleFrame(*c.trace, config, f.width,
+                                              f.height),
+                                  what + " daemon");
+            }
+            client.closeTrace(id);
+        }
+        server.stop();
+    }
 }
 
 } // namespace

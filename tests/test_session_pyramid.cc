@@ -35,6 +35,8 @@ namespace session {
 namespace {
 
 using test_support::buildRandomTrace;
+using test_support::naiveOccupancy;
+using test_support::naiveOccupancyOver;
 using test_support::RandomTraceOptions;
 using test_support::withTasks;
 
@@ -90,59 +92,6 @@ randomInterval(Rng &rng, const TimeInterval &span)
     TimeStamp start = span.start + rng.nextBounded(len);
     TimeStamp end = start + 1 + rng.nextBounded(len - (start - span.start));
     return {start, end};
-}
-
-/**
- * Time per state of @p cpu's events inside @p range, summed event by
- * event; states with zero time are absent.
- */
-std::map<std::uint32_t, TimeStamp>
-naiveOccupancy(const trace::Trace &tr, CpuId cpu, const TimeInterval &range)
-{
-    std::map<std::uint32_t, TimeStamp> out;
-    for (const trace::StateEvent &ev : tr.cpu(cpu).states()) {
-        TimeStamp t = ev.interval.overlapDuration(range);
-        if (t > 0)
-            out[ev.state] += t;
-    }
-    return out;
-}
-
-/**
- * SummaryPyramid::occupancyOver recomputed from the events: a partly
- * covered leaf at either edge adds its occupancy scaled by the covered
- * fraction, the whole leaves between add their exact time, and the
- * doubles add in that order (leading, trailing, whole).
- */
-std::vector<std::pair<std::uint32_t, double>>
-naiveOccupancyOver(const trace::Trace &tr, CpuId cpu, TimeStamp g0,
-                   TimeStamp domain_end, const TimeInterval &interval)
-{
-    std::map<std::uint32_t, double> acc;
-    TimeStamp start = std::min(interval.start, domain_end);
-    TimeStamp end = std::min(interval.end, domain_end);
-    auto addPartialLeaf = [&](TimeStamp leaf_start, TimeStamp covered) {
-        double fraction =
-            static_cast<double>(covered) / static_cast<double>(g0);
-        for (const auto &[state, t] :
-             naiveOccupancy(tr, cpu, {leaf_start, leaf_start + g0}))
-            acc[state] += static_cast<double>(t) * fraction;
-    };
-    if (start < end && start % g0 != 0) {
-        TimeStamp leaf_start = start / g0 * g0;
-        addPartialLeaf(leaf_start, std::min(end, leaf_start + g0) - start);
-        start = std::min(leaf_start + g0, end);
-    }
-    if (start < end && end % g0 != 0) {
-        TimeStamp leaf_start = end / g0 * g0;
-        addPartialLeaf(leaf_start, end - leaf_start);
-        end = leaf_start;
-    }
-    if (start < end) {
-        for (const auto &[state, t] : naiveOccupancy(tr, cpu, {start, end}))
-            acc[state] += static_cast<double>(t);
-    }
-    return {acc.begin(), acc.end()};
 }
 
 /**

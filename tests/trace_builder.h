@@ -8,7 +8,8 @@
  * mix are knobs), buildDenseTrace() produces the counter-heavy trace
  * the session warm-up tests exercise, withTasks() and
  * wrappedTaskTraceBytes() append ordinary or hostile tasks to a trace,
- * and expectTracesEqual() asserts
+ * naiveOccupancy() and naiveOccupancyOver() recompute pyramid
+ * occupancy from the raw events, and expectTracesEqual() asserts
  * two traces are identical record by record — the round-trip oracle of
  * the format and reader tests.
  */
@@ -20,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -249,6 +251,59 @@ buildTopOfTimeTrace()
     std::string err;
     EXPECT_TRUE(tr.finalize(err)) << err;
     return tr;
+}
+
+/**
+ * Time per state of @p cpu's events inside @p range, summed event by
+ * event; states with zero time are absent.
+ */
+inline std::map<std::uint32_t, TimeStamp>
+naiveOccupancy(const trace::Trace &tr, CpuId cpu, const TimeInterval &range)
+{
+    std::map<std::uint32_t, TimeStamp> out;
+    for (const trace::StateEvent &ev : tr.cpu(cpu).states()) {
+        TimeStamp t = ev.interval.overlapDuration(range);
+        if (t > 0)
+            out[ev.state] += t;
+    }
+    return out;
+}
+
+/**
+ * SummaryPyramid::occupancyOver recomputed from the events: a partly
+ * covered leaf at either edge adds its occupancy scaled by the covered
+ * fraction, the whole leaves between add their exact time, and the
+ * doubles add in that order (leading, trailing, whole).
+ */
+inline std::vector<std::pair<std::uint32_t, double>>
+naiveOccupancyOver(const trace::Trace &tr, CpuId cpu, TimeStamp g0,
+                   TimeStamp domain_end, const TimeInterval &interval)
+{
+    std::map<std::uint32_t, double> acc;
+    TimeStamp start = std::min(interval.start, domain_end);
+    TimeStamp end = std::min(interval.end, domain_end);
+    auto addPartialLeaf = [&](TimeStamp leaf_start, TimeStamp covered) {
+        double fraction =
+            static_cast<double>(covered) / static_cast<double>(g0);
+        for (const auto &[state, t] :
+             naiveOccupancy(tr, cpu, {leaf_start, leaf_start + g0}))
+            acc[state] += static_cast<double>(t) * fraction;
+    };
+    if (start < end && start % g0 != 0) {
+        TimeStamp leaf_start = start / g0 * g0;
+        addPartialLeaf(leaf_start, std::min(end, leaf_start + g0) - start);
+        start = std::min(leaf_start + g0, end);
+    }
+    if (start < end && end % g0 != 0) {
+        TimeStamp leaf_start = end / g0 * g0;
+        addPartialLeaf(leaf_start, end - leaf_start);
+        end = leaf_start;
+    }
+    if (start < end) {
+        for (const auto &[state, t] : naiveOccupancy(tr, cpu, {start, end}))
+            acc[state] += static_cast<double>(t);
+    }
+    return {acc.begin(), acc.end()};
 }
 
 /**
