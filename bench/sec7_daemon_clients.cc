@@ -14,7 +14,10 @@
  * a local Session (same encoder, byte-for-byte), and then drives 1, 8
  * and 64 concurrent clients issuing Interactive interval-statistics
  * requests over those intervals, recording the p50 and p95
- * per-request latency at each fan-in.
+ * per-request latency at each fan-in. Last, one client repeats a
+ * whole-span 1920x1080 Pixels(1920) timeline render, and the bench
+ * reports the render round trip's absolute throughput: frames/s and
+ * reply MiB/s (ungated).
  *
  * The committed baseline (bench/baselines/sec7_daemon_clients.json)
  * gates the 64-client p95: a regression that turns queries back into
@@ -42,6 +45,7 @@ using Clock = std::chrono::steady_clock;
 
 constexpr int kProbeIntervals = 16;
 constexpr int kRequestsPerClient = 200;
+constexpr int kRenderRoundTrips = 40;
 
 /** The probe intervals: @p kProbeIntervals slices of the trace span. */
 std::vector<TimeInterval>
@@ -162,6 +166,63 @@ measureFanIn(daemon::Server &server, const std::string &trace_path,
     return result;
 }
 
+struct RenderThroughput
+{
+    double framesPerS = 0.0;
+    double replyBytes = 0.0; ///< One reply body, status byte excluded.
+    bool identical = false;  ///< Decoded frame equals the local one.
+};
+
+/**
+ * Time kRenderRoundTrips whole-span 1920x1080 Pixels(1920) renders
+ * through one client, back to back. The reply size is the encoding of
+ * the same frame's lane images from @p local, which the daemon's reply
+ * equals byte for byte.
+ */
+RenderThroughput
+measureRender(daemon::Server &server, const std::string &trace_path,
+              Session &local)
+{
+    daemon::Client client;
+    connect(server, client);
+    const daemon::OpenTraceReply opened = openShared(client, trace_path);
+    daemon::TimelineRenderRequest request;
+    request.head.traceId = opened.traceId;
+    request.view = opened.span;
+    request.width = 1920;
+    request.height = 1080;
+    request.resolution = Resolution::pixels(1920);
+
+    session::TimelineRenderQuery query;
+    query.config.view = opened.span;
+    query.width = request.width;
+    query.height = request.height;
+    query.context.resolution = request.resolution;
+    const session::TimelineRenderResult frame = local.submit(query).take();
+    query.asLanes = true;
+    const session::TimelineRenderResult lanes = local.submit(query).take();
+    ByteWriter reply;
+    daemon::encodeRenderReply(lanes.image, lanes.stats, reply);
+
+    RenderThroughput out;
+    daemon::Reply<daemon::RenderReply> served = client.timelineRender(request);
+    if (!served.ok())
+        fatal("render failed: %s", served.message.c_str());
+    const std::size_t pixels = std::size_t{1920} * 1080;
+    out.identical = std::equal(served.value.fb.data(),
+                               served.value.fb.data() + pixels,
+                               frame.fb.data());
+    auto start = Clock::now();
+    for (int i = 0; i < kRenderRoundTrips; i++)
+        if (!client.timelineRender(request).ok())
+            fatal("render failed");
+    const double wall_s =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    out.framesPerS = kRenderRoundTrips / std::max(wall_s, 1e-9);
+    out.replyBytes = static_cast<double>(reply.size());
+    return out;
+}
+
 } // namespace
 
 int
@@ -243,6 +304,19 @@ main()
                    strFormat("p50 %.3f ms, p95 %.3f ms, %.0f req/s",
                              fan.p50_ms, fan.p95_ms, fan.qps));
     }
+
+    RenderThroughput render = measureRender(server, trace_path, local);
+    const double reply_mib_s =
+        render.framesPerS * render.replyBytes / (1024.0 * 1024.0);
+    json.add("render_identical", render.identical ? 1 : 0);
+    json.add("render_frames_s", render.framesPerS, "1/s");
+    json.add("render_reply_bytes", render.replyBytes, "B");
+    json.add("render_reply_mib_s", reply_mib_s, "MiB/s");
+    bench::row("1920x1080 render",
+               strFormat("%.1f frames/s, %.0f-byte replies, %.1f MiB/s, "
+                         "identical to local: %s",
+                         render.framesPerS, render.replyBytes, reply_mib_s,
+                         render.identical ? "yes" : "NO"));
 
     server.stop();
     daemon::Server::Stats stats = server.stats();

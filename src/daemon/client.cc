@@ -222,7 +222,9 @@ Client::handshake(std::string &error)
         error = "malformed HelloAck";
         return false;
     }
-    if (ack.version < 1 || ack.version > kProtocolVersion) {
+    // Replies are decoded in this build's layout only (a v2 server's
+    // render replies are pixel runs, not lane images).
+    if (ack.version != kProtocolVersion) {
         error = "server selected unsupported protocol version";
         return false;
     }

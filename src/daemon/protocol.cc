@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace aftermath {
@@ -512,11 +513,10 @@ decodeTimelineRenderRequest(ByteReader &r, TimelineRenderRequest &out)
     out.height = r.readU32();
     if (!r.ok())
         return false;
-    // Four bytes per pixel must fit one response frame.
+    // The reply's worst-case encoding must fit one response frame.
     std::uint64_t pixels =
         static_cast<std::uint64_t>(out.width) * out.height;
-    if (out.width == 0 || out.height == 0 ||
-        pixels > kMaxFrameBytes / 4) {
+    if (out.width == 0 || out.height == 0 || pixels > kMaxRenderPixels) {
         r.markFailed();
         return false;
     }
@@ -624,68 +624,214 @@ decodeWarmupStats(ByteReader &r, session::WarmupStats &out)
     return r.ok();
 }
 
+namespace {
+
+/**
+ * The colors of one render reply in first-use order: a color's first
+ * use sends it (code 0, then RGBA), later uses send its 1-based code.
+ * Frames use few colors, so the lookup scans a short list; past
+ * kScanned colors it switches to a hash map.
+ */
+class PaletteWriter
+{
+  public:
+    void
+    write(const render::Rgba &color, ByteWriter &w)
+    {
+        const std::uint32_t key = static_cast<std::uint32_t>(color.r) |
+                                  static_cast<std::uint32_t>(color.g) << 8 |
+                                  static_cast<std::uint32_t>(color.b) << 16 |
+                                  static_cast<std::uint32_t>(color.a) << 24;
+        const std::size_t code = find(key);
+        w.writeVarint(code);
+        if (code != 0)
+            return;
+        w.writeU8(color.r);
+        w.writeU8(color.g);
+        w.writeU8(color.b);
+        w.writeU8(color.a);
+        keys_.push_back(key);
+        if (keys_.size() > kScanned)
+            for (std::size_t i = codes_.size(); i < keys_.size(); i++)
+                codes_.emplace(keys_[i], i + 1);
+    }
+
+  private:
+    static constexpr std::size_t kScanned = 16;
+
+    /** The code of @p key, or 0 when it has none yet. */
+    std::size_t
+    find(std::uint32_t key) const
+    {
+        if (keys_.size() > kScanned) {
+            auto it = codes_.find(key);
+            return it == codes_.end() ? 0 : it->second;
+        }
+        for (std::size_t i = 0; i < keys_.size(); i++)
+            if (keys_[i] == key)
+                return i + 1;
+        return 0;
+    }
+
+    std::vector<std::uint32_t> keys_;
+    std::unordered_map<std::uint32_t, std::size_t> codes_;
+};
+
+/** Read one color: a new palette entry, or a code of an earlier one. */
+bool
+readColor(ByteReader &r, std::vector<render::Rgba> &palette,
+          render::Rgba &out)
+{
+    const std::uint64_t code = r.readVarint();
+    if (!r.ok())
+        return false;
+    if (code == 0) {
+        out.r = r.readU8();
+        out.g = r.readU8();
+        out.b = r.readU8();
+        out.a = r.readU8();
+        palette.push_back(out);
+        return r.ok();
+    }
+    if (code > palette.size()) {
+        r.markFailed();
+        return false;
+    }
+    out = palette[code - 1];
+    return true;
+}
+
+/**
+ * Read spans until their lengths sum to @p extent exactly; a zero
+ * length or one past the extent fails.
+ */
+bool
+readSpans(ByteReader &r, std::uint32_t extent,
+          std::vector<render::Rgba> &palette,
+          std::vector<render::Span> &out)
+{
+    for (std::uint32_t filled = 0; filled < extent;) {
+        const std::uint64_t length = r.readVarint();
+        if (!r.ok() || length == 0 || length > extent - filled) {
+            r.markFailed();
+            return false;
+        }
+        render::Span span{static_cast<std::uint32_t>(length), {}};
+        if (!readColor(r, palette, span.color))
+            return false;
+        out.push_back(span);
+        filled += span.length;
+    }
+    return true;
+}
+
+/** Read the frame-image part of a render reply, validated. */
+bool
+readFrameImage(ByteReader &r, render::FrameImage &out)
+{
+    out.width = r.readU32();
+    out.height = r.readU32();
+    const std::uint64_t lanes = r.readVarint();
+    if (!r.ok())
+        return false;
+    // Sizes first, before anything is allocated: the frame must be one
+    // a request may ask for, and every lane takes at least three bytes
+    // (kind, one span's length and color code).
+    if (out.width == 0 || out.height == 0 ||
+        static_cast<std::uint64_t>(out.width) * out.height >
+            kMaxRenderPixels ||
+        lanes > r.remaining() / 3) {
+        r.markFailed();
+        return false;
+    }
+    out.lanes.resize(lanes);
+    if (lanes == 0)
+        return true;
+    const render::TimelineLayout layout = out.layout();
+    std::vector<render::Rgba> palette;
+    for (render::LaneImage &lane : out.lanes) {
+        const std::uint8_t kind = r.readU8();
+        if (!r.ok() || kind > 1) {
+            r.markFailed();
+            return false;
+        }
+        lane.columns = kind == 1;
+        if (!lane.columns) {
+            if (!readSpans(r, layout.width(), palette, lane.spans))
+                return false;
+            continue;
+        }
+        for (std::uint32_t x = 0; x < layout.width(); x++)
+            if (!readSpans(r, layout.laneHeight(), palette, lane.spans))
+                return false;
+    }
+    return true;
+}
+
+} // namespace
+
+void
+encodeRenderReply(const render::FrameImage &image,
+                  const render::RenderStats &stats, ByteWriter &w)
+{
+    w.writeU32(image.width);
+    w.writeU32(image.height);
+    w.writeVarint(image.lanes.size());
+    PaletteWriter palette;
+    for (const render::LaneImage &lane : image.lanes) {
+        w.writeU8(lane.columns ? 1 : 0);
+        for (const render::Span &span : lane.spans) {
+            w.writeVarint(span.length);
+            palette.write(span.color, w);
+        }
+    }
+    w.writeVarint(stats.rectOps);
+    w.writeVarint(stats.lineOps);
+    w.writeVarint(stats.eventsVisited);
+    writeResolutionInfo(stats.resolution, w);
+}
+
 void
 encodeRenderReply(const RenderReply &reply, ByteWriter &w)
 {
+    // One full-height lane whose columns are the framebuffer's
+    // vertical runs.
     const render::Framebuffer &fb = reply.fb;
-    w.writeU32(fb.width());
-    w.writeU32(fb.height());
-    // RGBA runs in row-major order, spanning row boundaries. Timeline
-    // frames aggregate equal adjacent pixels, so runs are long.
-    const render::Rgba *px = fb.data();
-    const std::size_t total =
-        static_cast<std::size_t>(fb.width()) * fb.height();
-    for (std::size_t i = 0; i < total;) {
-        std::size_t run = 1;
-        while (i + run < total && px[i + run] == px[i])
-            run++;
-        w.writeVarint(run);
-        w.writeU8(px[i].r);
-        w.writeU8(px[i].g);
-        w.writeU8(px[i].b);
-        w.writeU8(px[i].a);
-        i += run;
+    render::FrameImage image{fb.width(), fb.height(), {{true, {}}}};
+    std::vector<render::Span> &spans = image.lanes.front().spans;
+    for (std::uint32_t x = 0; x < fb.width(); x++) {
+        const render::Rgba *px = fb.data() + x;
+        render::Span run{1, px[0]};
+        for (std::uint32_t y = 1; y < fb.height(); y++) {
+            const render::Rgba &color =
+                px[static_cast<std::size_t>(y) * fb.width()];
+            if (color == run.color) {
+                run.length++;
+                continue;
+            }
+            spans.push_back(run);
+            run = {1, color};
+        }
+        spans.push_back(run);
     }
-    w.writeVarint(reply.stats.rectOps);
-    w.writeVarint(reply.stats.lineOps);
-    w.writeVarint(reply.stats.eventsVisited);
-    writeResolutionInfo(reply.stats.resolution, w);
+    encodeRenderReply(image, reply.stats, w);
 }
 
 bool
 decodeRenderReply(ByteReader &r, RenderReply &out)
 {
-    std::uint32_t width = r.readU32();
-    std::uint32_t height = r.readU32();
-    if (!r.ok())
+    render::FrameImage image;
+    if (!readFrameImage(r, image))
         return false;
-    std::uint64_t total = static_cast<std::uint64_t>(width) * height;
-    if (width == 0 || height == 0 || total > kMaxFrameBytes / 4) {
-        r.markFailed();
-        return false;
-    }
-    out.fb = render::Framebuffer(width, height);
-    std::uint64_t i = 0;
-    while (i < total) {
-        std::uint64_t run = r.readVarint();
-        render::Rgba color;
-        color.r = r.readU8();
-        color.g = r.readU8();
-        color.b = r.readU8();
-        color.a = r.readU8();
-        if (!r.ok())
-            return false;
-        if (run == 0 || run > total - i) {
-            r.markFailed();
-            return false;
-        }
-        std::fill_n(out.fb.data() + i, run, color);
-        i += run;
-    }
     out.stats.rectOps = r.readVarint();
     out.stats.lineOps = r.readVarint();
     out.stats.eventsVisited = r.readVarint();
-    return readResolutionInfo(r, out.stats.resolution);
+    if (!readResolutionInfo(r, out.stats.resolution))
+        return false;
+    out.fb = render::Framebuffer(image.width, image.height,
+                                 render::Framebuffer::Unfilled{});
+    render::rasterize(image, out.fb);
+    return true;
 }
 
 // -- Response envelope ----------------------------------------------------

@@ -42,7 +42,9 @@
  * negotiates down: the server answers HelloAck carrying the version it
  * selected — min(client, server), always kProtocolVersion — and its
  * admission cap (the per-client in-flight limit, so clients can size
- * their pipelines). No other frame is valid before the handshake
+ * their pipelines). daemon::Client likewise decodes only its own
+ * version's layout, so it refuses a HelloAck selecting another (an
+ * older server). No other frame is valid before the handshake
  * completes.
  *
  * ## Requests and responses
@@ -86,6 +88,7 @@
 #include "base/types.h"
 #include "filter/task_filter.h"
 #include "render/framebuffer.h"
+#include "render/lane_image.h"
 #include "render/render_stats.h"
 #include "session/query.h"
 #include "trace/trace.h"
@@ -101,12 +104,31 @@ inline constexpr std::uint32_t kMagic = 0x414D4431;
  * resolution request field (base/resolution.h) to interval-stats,
  * histogram, counter-extrema and timeline-render requests, an optional
  * interval on histogram requests, and resolution provenance on the
- * render reply.
+ * render reply. Version 3 replaced the render reply's pixel runs with
+ * lane images (render/lane_image.h), drawn by the client.
  */
-inline constexpr std::uint32_t kProtocolVersion = 2;
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /** Hard upper bound on one frame's payload (16 MiB). */
 inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
+
+/**
+ * Worst-case render-reply bytes per pixel: a one-pixel span takes a
+ * one-byte length and a color of at most five bytes (a new palette
+ * entry), and a lane-kind byte adds at most one byte per row while
+ * lanes do not share rows.
+ */
+inline constexpr std::uint32_t kRenderReplyBytesPerPixel = 7;
+
+/**
+ * Largest width x height a render request may ask for: the worst-case
+ * reply of a frame whose lanes do not share rows, with the frame head,
+ * the status byte and the reply's fixed fields (under 128 bytes in
+ * all), fits one frame. A frame with more lanes than rows can still
+ * exceed it; the server answers such a request with Status::Error.
+ */
+inline constexpr std::uint32_t kMaxRenderPixels =
+    (kMaxFrameBytes - 128) / kRenderReplyBytesPerPixel;
 
 /** Payload bytes before the body: type (1) + request id (8). */
 inline constexpr std::size_t kFrameHeaderBytes = 9;
@@ -339,11 +361,33 @@ void encodeWarmupStats(const session::WarmupStats &s, ByteWriter &w);
 bool decodeWarmupStats(ByteReader &r, session::WarmupStats &out);
 
 /**
- * Encoded framebuffer rows: width, height, then the pixels as RGBA
- * runs (varint run length + 4 color bytes) in row-major order. Runs
- * may span row boundaries; their lengths must sum to width * height
- * exactly. Timeline frames aggregate adjacent equal pixels by
- * construction, so RLE routinely beats raw by 10x or more.
+ * A decoded render reply: the frame, rasterized from its lane images,
+ * and the render's operation counts.
+ *
+ *     render-reply := width height lanes lane* stats
+ *     width        := u32 LE                ; >= 1
+ *     height       := u32 LE                ; >= 1, width * height
+ *                                           ; <= kMaxRenderPixels
+ *     lanes        := varint                ; 0 = all background
+ *     lane         := 0x00 span+            ; exact: runs of columns
+ *                                           ; summing to width, each
+ *                                           ; drawn down the lane
+ *                   | 0x01 column{width}    ; pyramid: per column
+ *     column       := span+                 ; bands from the lane top,
+ *                                           ; summing to lane height
+ *     span         := length color
+ *     length       := varint                ; >= 1
+ *     color        := 0x00 r g b a          ; new palette entry (u8 x4)
+ *                   | varint k              ; k >= 1: palette entry k - 1
+ *     stats        := rectOps lineOps eventsVisited resolution-info
+ *
+ * Lane i of n fills the rows of lane i of a width x height
+ * render::TimelineLayout of n lanes, in lane order; rows no lane covers
+ * are background (render::rasterize). The palette holds the colors in
+ * first-use order, so a frame of few colors costs about two bytes per
+ * span. The decoder checks the sizes before allocating anything, and
+ * rejects spans that miss their sum, unknown lane kinds and palette
+ * codes past the entries sent so far.
  */
 struct RenderReply
 {
@@ -351,7 +395,18 @@ struct RenderReply
     render::RenderStats stats;
 };
 
+/** Encode a frame's lane images (the server's reply, no pixels). */
+void encodeRenderReply(const render::FrameImage &image,
+                       const render::RenderStats &stats, ByteWriter &w);
+
+/**
+ * Encode a drawn frame in the same grammar: one full-height lane whose
+ * columns are the framebuffer's vertical runs. Equal frames encode to
+ * equal bytes, whichever way they were drawn.
+ */
 void encodeRenderReply(const RenderReply &reply, ByteWriter &w);
+
+/** Decode a reply and rasterize it into @p out.fb. */
 bool decodeRenderReply(ByteReader &r, RenderReply &out);
 
 // -- Response envelope ----------------------------------------------------

@@ -122,13 +122,11 @@ constexpr auto kQueryRoutes = std::make_tuple(
             spec.width = q.width;
             spec.height = q.height;
             spec.context.resolution = q.resolution;
+            spec.asLanes = true; // Shipped as lane images, never drawn.
             return spec;
         },
         [](const session::TimelineRenderResult &result, ByteWriter &w) {
-            RenderReply reply;
-            reply.fb = result.fb;
-            reply.stats = result.stats;
-            encodeRenderReply(reply, w);
+            encodeRenderReply(result.image, result.stats, w);
         }},
     QueryRoute<AnomalyScanRequest, session::AnomalyScanQuery,
                std::vector<stats::Anomaly>>{
@@ -301,6 +299,13 @@ class Server::Connection
             if (status == QueryStatus::Done) {
                 w.writeU8(static_cast<std::uint8_t>(Status::Ok));
                 encode(ticket.result(), w);
+                // writeFrame would refuse an oversized reply and the
+                // writer would hang up; answer an error instead.
+                if (w.size() > kMaxFrameBytes - kFrameHeaderBytes) {
+                    w.take();
+                    encodeFailure(Status::Error, 0,
+                                  "reply exceeds kMaxFrameBytes", w);
+                }
             } else {
                 encodeFailure(Status::Cancelled, 0, "", w);
             }

@@ -18,6 +18,14 @@ Framebuffer::Framebuffer(std::uint32_t width, std::uint32_t height,
     pixels_.assign(static_cast<std::size_t>(width) * height, fill);
 }
 
+Framebuffer::Framebuffer(std::uint32_t width, std::uint32_t height, Unfilled)
+    : width_(width), height_(height)
+{
+    AFTERMATH_ASSERT(width > 0 && height > 0,
+                     "framebuffer must have positive dimensions");
+    pixels_.resize(static_cast<std::size_t>(width) * height);
+}
+
 void
 Framebuffer::clear(const Rgba &color)
 {

@@ -11,8 +11,10 @@
 #define AFTERMATH_RENDER_FRAMEBUFFER_H
 
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "render/color.h"
@@ -27,6 +29,18 @@ class Framebuffer
     /** Create a buffer filled with @p fill. */
     Framebuffer(std::uint32_t width, std::uint32_t height,
                 const Rgba &fill = kBackground);
+
+    /** Tag of the constructor that leaves the pixels unwritten. */
+    struct Unfilled
+    {};
+
+    /**
+     * Create a buffer without writing its pixels, for a frame the
+     * rasterizer is about to cover whole (render/lane_image.h): an 8 MiB
+     * frame then costs one pass over its pixels, not two. Write every
+     * pixel before reading any.
+     */
+    Framebuffer(std::uint32_t width, std::uint32_t height, Unfilled);
 
     std::uint32_t width() const { return width_; }
     std::uint32_t height() const { return height_; }
@@ -81,9 +95,33 @@ class Framebuffer
     std::uint64_t countPixels(const Rgba &color) const;
 
   private:
+    /**
+     * std::allocator, except that value-initialization (resize())
+     * writes nothing: Rgba is an implicit-lifetime aggregate, so the
+     * allocation itself holds the pixels.
+     */
+    template <typename T>
+    struct UnfilledAllocator : std::allocator<T>
+    {
+        template <typename U>
+        struct rebind
+        {
+            using other = UnfilledAllocator<U>;
+        };
+
+        void construct(T *) noexcept {}
+
+        template <typename... Args>
+        void
+        construct(T *p, Args &&...args)
+        {
+            ::new (static_cast<void *>(p)) T(std::forward<Args>(args)...);
+        }
+    };
+
     std::uint32_t width_;
     std::uint32_t height_;
-    std::vector<Rgba> pixels_;
+    std::vector<Rgba, UnfilledAllocator<Rgba>> pixels_;
 };
 
 } // namespace render

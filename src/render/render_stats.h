@@ -21,7 +21,14 @@ namespace render {
 /** Counts of primitive drawing operations issued. */
 struct RenderStats
 {
-    std::uint64_t rectOps = 0;   ///< fillRect calls.
+    /**
+     * Rectangles drawn: one per span of a lane image
+     * (render/lane_image.h), that is one per run of equal columns of an
+     * exact lane and one per band of each pyramid column, however the
+     * rasterizer then writes them; fillRect calls of the naive
+     * baseline. Adjacent identical pyramid columns are not merged.
+     */
+    std::uint64_t rectOps = 0;
     std::uint64_t lineOps = 0;   ///< drawLine/drawVLine calls.
     std::uint64_t eventsVisited = 0; ///< Trace events inspected.
 

@@ -166,10 +166,9 @@ TimelineRenderer::usePyramids(const TimelineConfig &config,
 void
 TimelineRenderer::renderPyramidLane(const TimelineConfig &config,
                                     const TimelineLayout &layout,
-                                    CpuId cpu, Framebuffer &fb)
+                                    CpuId cpu, LaneImage &lane)
 {
     const index::SummaryPyramid &pyramid = config.pyramids->get(cpu);
-    const std::uint32_t top = layout.laneTop(cpu);
     const std::uint32_t height = layout.laneHeight();
     std::uint64_t cells = 0;
 
@@ -181,11 +180,11 @@ TimelineRenderer::renderPyramidLane(const TimelineConfig &config,
     };
     index::SummaryPyramid::Sweep sweep;
     std::vector<Band> bands;
+    lane.columns = true;
     for (std::uint32_t x = 0; x < layout.width(); x++) {
         TimeInterval pixel = layout.pixelInterval(x);
         if (pixel.empty()) {
-            fb.fillRect(x, top, 1, height, laneBackground(cpu));
-            stats_.rectOps++;
+            lane.spans.push_back({height, laneBackground(cpu)});
             continue;
         }
         pyramid.occupancyOver(pixel, sweep, cells);
@@ -221,20 +220,16 @@ TimelineRenderer::renderPyramidLane(const TimelineConfig &config,
             best->rows++;
             assigned++;
         }
-        std::uint32_t y = top;
+        std::uint32_t y = 0;
         for (const Band &b : bands) {
-            std::uint32_t rows =
-                std::min(b.rows, top + height - y);
+            std::uint32_t rows = std::min(b.rows, height - y);
             if (rows == 0)
                 continue;
-            fb.fillRect(x, y, 1, rows, stateColor(b.state));
-            stats_.rectOps++;
+            lane.spans.push_back({rows, stateColor(b.state)});
             y += rows;
         }
-        if (y < top + height) {
-            fb.fillRect(x, y, 1, top + height - y, laneBackground(cpu));
-            stats_.rectOps++;
-        }
+        if (y < height)
+            lane.spans.push_back({height - y, laneBackground(cpu)});
     }
     stats_.resolution.nodesTouched += cells;
 }
@@ -336,16 +331,23 @@ TimelineRenderer::resolveInterval(const TimelineConfig &config, CpuId cpu,
 void
 TimelineRenderer::resolveLane(const TimelineConfig &config,
                               const TimelineLayout &layout, CpuId cpu,
-                              std::vector<Rgba> &row)
+                              LaneImage &lane)
 {
     const auto &states = trace_.cpu(cpu).states();
     trace::SliceRange slice = trace_.cpu(cpu).stateSlice(layout.view());
 
+    // Equal adjacent pixels join one run (paper section VI-B.b).
+    auto append = [&lane](const Rgba &color) {
+        if (!lane.spans.empty() && lane.spans.back().color == color)
+            lane.spans.back().length++;
+        else
+            lane.spans.push_back({1, color});
+    };
     std::size_t ptr = slice.first;
     for (std::uint32_t x = 0; x < layout.width(); x++) {
         TimeInterval pixel = layout.pixelInterval(x);
         if (pixel.empty()) {
-            row[x] = laneBackground(cpu);
+            append(laneBackground(cpu));
             continue;
         }
         // Advance past events entirely before this pixel; state ends are
@@ -356,7 +358,7 @@ TimelineRenderer::resolveLane(const TimelineConfig &config,
         std::size_t end = ptr;
         while (end < slice.last && states[end].interval.start < pixel.end)
             end++;
-        row[x] = resolveInterval(config, cpu, states, ptr, end, pixel);
+        append(resolveInterval(config, cpu, states, ptr, end, pixel));
     }
 }
 
@@ -384,50 +386,36 @@ TimelineRenderer::planFrame(const TimelineConfig &config,
     return frame;
 }
 
-void
-TimelineRenderer::renderLane(const FramePlan &frame, CpuId cpu,
-                             Framebuffer &fb)
+LaneImage
+TimelineRenderer::renderLane(const FramePlan &frame, CpuId cpu)
 {
     // The caches are per lane, so a lane draws the same whether its
     // renderer drew other lanes before or not.
     taskColorCache_.clear();
     remoteFractionCache_.clear();
-    const TimelineLayout &layout = frame.layout;
-    if (frame.pyramids) {
-        renderPyramidLane(frame.config, layout, cpu, fb);
-        return;
-    }
-
-    row_.resize(layout.width());
-    resolveLane(frame.config, layout, cpu, row_);
-
-    // Aggregate runs of identical adjacent pixels into one rectangle
-    // (paper section VI-B.b).
-    std::uint32_t top = layout.laneTop(cpu);
-    std::uint32_t height = layout.laneHeight();
-    std::uint32_t x = 0;
-    while (x < layout.width()) {
-        std::uint32_t run_end = x + 1;
-        while (run_end < layout.width() && row_[run_end] == row_[x])
-            run_end++;
-        fb.fillRect(x, top, run_end - x, height, row_[x]);
-        stats_.rectOps++;
-        x = run_end;
-    }
+    LaneImage lane;
+    if (frame.pyramids)
+        renderPyramidLane(frame.config, frame.layout, cpu, lane);
+    else
+        resolveLane(frame.config, frame.layout, cpu, lane);
+    stats_.rectOps += lane.spans.size();
+    return lane;
 }
 
 void
 TimelineRenderer::render(const TimelineConfig &config, Framebuffer &fb)
 {
     stats_.reset();
-    fb.clear(kBackground);
     std::optional<FramePlan> frame =
         planFrame(config, fb.width(), fb.height());
-    if (!frame)
+    if (!frame) {
+        fb.clear(kBackground);
         return;
+    }
     stats_.resolution = frame->resolution();
+    fillUncoveredRows(frame->layout, fb);
     for (CpuId cpu = 0; cpu < trace_.numCpus(); cpu++)
-        renderLane(*frame, cpu, fb);
+        rasterizeLane(renderLane(*frame, cpu), frame->layout, cpu, fb);
 }
 
 void

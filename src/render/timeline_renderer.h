@@ -5,9 +5,13 @@
  * The timeline shows the activity of each processor over time (paper
  * section II-B): state mode, task-duration heatmap, task-type map, NUMA
  * read/write maps and the NUMA heatmap. Rendering follows the paper's
- * optimizations (section VI-B): every pixel is drawn exactly once with the
- * predominant color of its interval, and runs of equal-colored adjacent
- * pixels are aggregated into single rectangle fills.
+ * optimizations (section VI-B): every pixel is resolved exactly once to
+ * the predominant color of its interval, and runs of equal-colored
+ * adjacent pixels are aggregated into single spans. A lane renders to a
+ * lane image (render/lane_image.h), not to pixels: exact lanes are
+ * constant down the lane, so they are runs of columns; pyramid lanes are
+ * bands per column. One rasterizer draws lane images into framebuffers,
+ * row by row; the daemon ships them undrawn.
  */
 
 #ifndef AFTERMATH_RENDER_TIMELINE_RENDERER_H
@@ -23,6 +27,7 @@
 #include "filter/task_filter.h"
 #include "render/color.h"
 #include "render/framebuffer.h"
+#include "render/lane_image.h"
 #include "render/layout.h"
 #include "render/render_stats.h"
 #include "trace/trace.h"
@@ -92,8 +97,8 @@ struct TimelineConfig
  * drawn (TimelineRenderer::planFrame): the config with an adaptive
  * heatmap range resolved to explicit bounds, the layout, and whether
  * the lanes are drawn from the summary pyramids. Lanes of one plan may
- * be drawn by different renderers on different threads; each lane
- * writes only its own framebuffer rows.
+ * be rendered by different renderers on different threads, and each
+ * lane image rasterizes into its own framebuffer rows only.
  */
 struct FramePlan
 {
@@ -107,15 +112,15 @@ struct FramePlan
 };
 
 /**
- * Renders a trace's timeline into a framebuffer.
+ * Renders a trace's timeline into lane images and framebuffers.
  *
  * The renderer is independent of any particular framebuffer: construct it
  * over a trace and pass the target buffer to each render call. It keeps
  * the task-type palette index, built by one pass over the trace's task
- * types at construction, and per-lane color caches. A frame is drawn
+ * types at construction, and per-lane color caches. A frame is rendered
  * lane by lane through renderLane(): render() walks the lanes of one
- * plan serially, and session::Session fans them out over its engine's
- * workers, one renderer per lane, into one framebuffer.
+ * plan serially and rasterizes each, and session::Session fans them out
+ * over its engine's workers, one renderer per lane.
  */
 class TimelineRenderer
 {
@@ -126,8 +131,8 @@ class TimelineRenderer
     /**
      * Render into @p fb with the paper's optimizations: per-pixel
      * predominant color resolution and aggregation of equal adjacent
-     * pixels into single rectangles. Clears @p fb, plans the frame and
-     * draws every lane in order with renderLane().
+     * pixels into single spans. Plans the frame, fills the rows no lane
+     * covers, and rasterizes every lane's renderLane() image in order.
      */
     void render(const TimelineConfig &config, Framebuffer &fb);
 
@@ -142,13 +147,13 @@ class TimelineRenderer
                                        std::uint32_t height) const;
 
     /**
-     * Draw lane @p cpu of @p frame into its rows of @p fb (a buffer of
-     * the planned dimensions, cleared to the background) and add the
-     * lane's operation counts to stats(). A frame with fewer rows than
-     * lanes stacks lanes on shared rows; draw those in lane order on one
-     * thread.
+     * The image of lane @p cpu of @p frame: runs of columns for an
+     * exact lane, bands per column for a pyramid lane. Adds the lane's
+     * operation counts to stats(), one rectOp per span. A frame with
+     * fewer rows than lanes stacks lanes on shared rows; rasterize
+     * those in lane order on one thread.
      */
-    void renderLane(const FramePlan &frame, CpuId cpu, Framebuffer &fb);
+    LaneImage renderLane(const FramePlan &frame, CpuId cpu);
 
     /**
      * Render naively into @p fb: one rectangle per visible event, drawn
@@ -176,18 +181,18 @@ class TimelineRenderer
                      const TimelineLayout &layout) const;
 
     /**
-     * Pyramid-backed lane: every pixel column drawn as sub-pixel
-     * vertical bands of the column's state occupancy (largest-remainder
+     * Pyramid-backed lane: every pixel column as sub-pixel vertical
+     * bands of the column's state occupancy (largest-remainder
      * rounding, states in id order, uncovered time as lane background).
      */
     void renderPyramidLane(const TimelineConfig &config,
                            const TimelineLayout &layout, CpuId cpu,
-                           Framebuffer &fb);
+                           LaneImage &lane);
 
-    /** Resolve every pixel column color of one CPU lane. */
+    /** Resolve every pixel column color of one CPU lane into runs. */
     void resolveLane(const TimelineConfig &config,
                      const TimelineLayout &layout, CpuId cpu,
-                     std::vector<Rgba> &row);
+                     LaneImage &lane);
 
     /** Predominant-color resolution over a slice of state events. */
     Rgba resolveInterval(const TimelineConfig &config, CpuId cpu,
@@ -222,7 +227,6 @@ class TimelineRenderer
     const trace::Trace &trace_;
     RenderStats stats_;
 
-    std::vector<Rgba> row_; ///< One lane's pixel colors (exact lanes).
     std::unordered_map<TaskInstanceId, Rgba> taskColorCache_;
     std::unordered_map<TaskInstanceId, double> remoteFractionCache_;
     std::unordered_map<TaskTypeId, std::size_t> typeIndexCache_;

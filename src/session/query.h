@@ -268,11 +268,13 @@ struct PyramidBuildStats
 /**
  * Render the timeline into a query-owned framebuffer of the given
  * dimensions. Session filters and view are injected at submit time when
- * the config names none; Session::render() is this query, waited on. A
- * config that names a taskFilter must keep it alive until the ticket
- * completes. The executor is a fan-out with one chunk per CPU lane, so
- * a view or filter change cancels the render at the next lane boundary
- * and no partly drawn frame is ever published.
+ * the config names none; Session::render() is this query, waited on,
+ * drawing into the caller's buffer. A config that names a taskFilter
+ * must keep it alive until the ticket completes. The executor is a
+ * fan-out with one chunk per CPU lane, each rendering its lane image
+ * and rasterizing it into its own rows, so a view or filter change
+ * cancels the render at the next lane boundary and no partly drawn
+ * frame is ever published.
  * A non-Exact context.resolution overrides the config's resolution
  * field, letting remote and async callers request pyramid-backed
  * rendering without touching the render config.
@@ -284,14 +286,23 @@ struct TimelineRenderQuery
     render::TimelineConfig config;
     std::uint32_t width = 640;
     std::uint32_t height = 360;
+
+    /**
+     * Deliver the lane images (TimelineRenderResult::image) instead of
+     * pixels: nothing is rasterized and no framebuffer is allocated.
+     * The daemon encodes these for its clients to draw.
+     */
+    bool asLanes = false;
 };
 
 /** The finished frame and operation counts of a TimelineRenderQuery. */
 struct TimelineRenderResult
 {
     // 1x1 placeholder (Framebuffer has no empty state); the executor
-    // replaces it with the width x height frame before completion.
+    // replaces it with the width x height frame before completion,
+    // unless the query asked for lanes or drew into a caller's buffer.
     render::Framebuffer fb{1, 1};
+    render::FrameImage image; ///< The lane images, when asLanes.
     render::RenderStats stats;
 };
 

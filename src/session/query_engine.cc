@@ -614,6 +614,13 @@ Session::submit(const PyramidBuildQuery &query)
 QueryTicket<TimelineRenderResult>
 Session::submit(const TimelineRenderQuery &query)
 {
+    return submitRender(query, nullptr);
+}
+
+QueryTicket<TimelineRenderResult>
+Session::submitRender(const TimelineRenderQuery &query,
+                      render::Framebuffer *into)
+{
     AFTERMATH_ASSERT(query.width > 0 && query.height > 0,
                      "render query needs positive dimensions");
     // Snapshot the session's filters on the heap: the async render must
@@ -626,14 +633,19 @@ Session::submit(const TimelineRenderQuery &query)
     if (query.context.resolution.kind != Resolution::Kind::Exact)
         config.resolution = query.context.resolution;
     // One chunk per lane. The first chunk to run plans the frame (an
-    // adaptive heatmap's task scan included) and allocates it; every
-    // chunk then draws its lane into the lane's own rows, with its own
-    // renderer, and returns the lane's counts.
+    // adaptive heatmap's task scan included) and readies its target:
+    // the rows of the framebuffer that no lane covers, or the slots of
+    // the lane images. Every chunk then renders its lane with its own
+    // renderer and rasterizes it into the lane's own rows, or stores
+    // it, and returns the lane's counts.
     struct Frame
     {
         std::once_flag planned;
         std::optional<render::FramePlan> plan;
-        std::optional<render::Framebuffer> fb;
+        bool asLanes = false;
+        render::Framebuffer *target = nullptr; ///< Pixels go here.
+        std::optional<render::Framebuffer> owned;
+        render::FrameImage image;
 
         void
         prepare(const trace::Trace &trace,
@@ -643,11 +655,27 @@ Session::submit(const TimelineRenderQuery &query)
             std::call_once(planned, [&] {
                 plan = render::TimelineRenderer(trace).planFrame(
                     config, width, height);
-                fb.emplace(width, height);
+                if (asLanes) {
+                    image.width = width;
+                    image.height = height;
+                    if (plan)
+                        image.lanes.resize(trace.numCpus());
+                    return;
+                }
+                // The lanes cover their rows; only the rest is filled.
+                if (!target)
+                    target = &owned.emplace(
+                        width, height, render::Framebuffer::Unfilled{});
+                if (plan)
+                    render::fillUncoveredRows(plan->layout, *target);
+                else
+                    target->clear(render::kBackground);
             });
         }
     };
     auto frame = std::make_shared<Frame>();
+    frame->asLanes = query.asLanes;
+    frame->target = into;
     // The trace, filters and pyramids captures keep config's pointers
     // valid even if the session dies mid-render.
     return launchFanOut<render::RenderStats>(
@@ -669,8 +697,14 @@ Session::submit(const TimelineRenderQuery &query)
                 return true;
             render::TimelineRenderer renderer(*trace);
             for (CpuId c = lane;
-                 c < trace->numCpus() && layout.laneTop(c) == top; c++)
-                renderer.renderLane(*frame->plan, c, *frame->fb);
+                 c < trace->numCpus() && layout.laneTop(c) == top; c++) {
+                render::LaneImage image =
+                    renderer.renderLane(*frame->plan, c);
+                if (frame->asLanes)
+                    frame->image.lanes[c] = std::move(image);
+                else
+                    render::rasterizeLane(image, layout, c, *frame->target);
+            }
             out = renderer.stats();
             return true;
         },
@@ -680,7 +714,9 @@ Session::submit(const TimelineRenderQuery &query)
             // background.
             frame->prepare(*trace, config, width, height);
             TimelineRenderResult result;
-            result.fb = std::move(*frame->fb);
+            if (frame->owned)
+                result.fb = std::move(*frame->owned);
+            result.image = std::move(frame->image);
             if (frame->plan)
                 result.stats.resolution = frame->plan->resolution();
             for (const render::RenderStats &lane : lanes)

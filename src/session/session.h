@@ -428,9 +428,11 @@ class Session
 
     /**
      * Render the timeline into @p fb: submit(TimelineRenderQuery) at
-     * @p fb's dimensions, waited on, with the frame moved into @p fb.
-     * The lanes fan out over the engine's workers, each drawn by its
-     * own renderer into its own rows, so the frame and its counts are
+     * @p fb's dimensions, waited on, with every lane rasterized
+     * straight into @p fb (rows no lane covers are filled with the
+     * background; nothing else is allocated or cleared). The lanes fan
+     * out over the engine's workers, each rendered by its own renderer
+     * into its own rows, so the frame and its counts are
      * those of one serial TimelineRenderer::render at any worker count.
      * When @p config names no task filter the session's active filters
      * apply; when it names no view the session's view applies; the
@@ -478,6 +480,14 @@ class Session
     SessionCacheStats cacheStats() const;
 
   private:
+    /**
+     * submit(TimelineRenderQuery), rasterizing into @p into when it is
+     * set (it must outlive the ticket), into a query-owned frame when
+     * it is not, and not at all when the query asks for lanes.
+     */
+    QueryTicket<TimelineRenderResult>
+    submitRender(const TimelineRenderQuery &query, render::Framebuffer *into);
+
     /**
      * The config every render runs with: @p filters when @p config
      * names no task filter (and the set is nonempty), the session's

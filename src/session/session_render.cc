@@ -1,7 +1,8 @@
 /**
  * @file
  * The rendering face of session::Session: a timeline render is the
- * TimelineRenderQuery executor's lane fan-out, waited on; the naive
+ * TimelineRenderQuery executor's lane fan-out, waited on, drawing into
+ * the caller's framebuffer; the naive
  * baseline constructs its own renderer and runs the same effective
  * config serially; counter overlays go through the cached indexes.
  */
@@ -36,9 +37,7 @@ Session::render(const render::TimelineConfig &config,
     query.config = config;
     query.width = fb.width();
     query.height = fb.height();
-    TimelineRenderResult result = submit(query).take();
-    fb = std::move(result.fb);
-    renderStats_ = result.stats;
+    renderStats_ = submitRender(query, &fb).take().stats;
     return renderStats_;
 }
 

@@ -20,6 +20,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
@@ -30,6 +31,9 @@
 #include "daemon/server.h"
 #include "daemon/wire.h"
 #include "render/framebuffer.h"
+#include "render/lane_image.h"
+#include "session/session.h"
+#include "trace/state.h"
 #include "trace/writer.h"
 #include "trace_builder.h"
 
@@ -147,30 +151,33 @@ TEST(DaemonProtocol, RejectsBadMagicAndAnswersWithError)
     server.stop();
 }
 
-TEST(DaemonProtocol, V1HelloIsRejectedAndCloses)
+TEST(DaemonProtocol, OlderHellosAreRejectedAndClose)
 {
-    // Every request decoder reads the current layout, so a server that
-    // acked an older client would fail its first query instead.
+    // Every request decoder reads the current layout, and a v2 client
+    // would read v3 render replies as pixel runs, so a server that
+    // acked an older client would fail its queries instead.
     Server server(Server::Options{1, 16});
-    Socket socket = server.connectInProcess();
-    setReadTimeout(socket.fd(), 10);
+    for (std::uint32_t version : {1u, kProtocolVersion - 1}) {
+        Socket socket = server.connectInProcess();
+        setReadTimeout(socket.fd(), 10);
 
-    Handshake hello;
-    hello.version = 1;
-    ByteWriter w;
-    encodeHandshake(hello, w);
-    ASSERT_TRUE(writeFrame(socket.fd(), MsgType::Hello, 0, w.take()));
+        Handshake hello;
+        hello.version = version;
+        ByteWriter w;
+        encodeHandshake(hello, w);
+        ASSERT_TRUE(writeFrame(socket.fd(), MsgType::Hello, 0, w.take()));
 
-    Frame frame;
-    ASSERT_EQ(readFrame(socket.fd(), frame), FrameReadStatus::Ok);
-    EXPECT_EQ(frame.type, MsgType::Response);
-    ByteReader r(frame.body);
-    ResponseHead head;
-    ASSERT_TRUE(decodeResponseHead(r, head));
-    EXPECT_EQ(head.status, Status::Error);
-    EXPECT_FALSE(head.message.empty());
+        Frame frame;
+        ASSERT_EQ(readFrame(socket.fd(), frame), FrameReadStatus::Ok);
+        EXPECT_EQ(frame.type, MsgType::Response);
+        ByteReader r(frame.body);
+        ResponseHead head;
+        ASSERT_TRUE(decodeResponseHead(r, head));
+        EXPECT_EQ(head.status, Status::Error) << "version " << version;
+        EXPECT_FALSE(head.message.empty());
 
-    EXPECT_EQ(readFrame(socket.fd(), frame), FrameReadStatus::Eof);
+        EXPECT_EQ(readFrame(socket.fd(), frame), FrameReadStatus::Eof);
+    }
     expectServerStillServes(server);
     server.stop();
 }
@@ -195,6 +202,31 @@ TEST(DaemonProtocol, NewerClientVersionNegotiatesDownToServers)
     ASSERT_TRUE(decodeHandshake(r, ack));
     EXPECT_EQ(ack.version, kProtocolVersion); // min(client, server).
     server.stop();
+}
+
+TEST(DaemonProtocol, ClientRefusesAnAckOfAnotherVersion)
+{
+    // An older server acks its own version; its render replies are not
+    // lane images, so the client must not go on.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    Socket server_end(fds[1]);
+    std::thread older_server([fd = server_end.fd()] {
+        Frame hello;
+        if (readFrame(fd, hello) != FrameReadStatus::Ok)
+            return;
+        Handshake ack;
+        ack.version = kProtocolVersion - 1;
+        ack.inflightCap = 4;
+        ByteWriter w;
+        encodeHandshake(ack, w);
+        writeFrame(fd, MsgType::HelloAck, 0, w.take());
+    });
+    Client client;
+    std::string error;
+    EXPECT_FALSE(client.adopt(Socket(fds[0]), error));
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+    older_server.join();
 }
 
 TEST(DaemonProtocol, OversizedLengthPrefixAnswersErrorAndCloses)
@@ -404,54 +436,270 @@ TEST(DaemonProtocol, AnomalyScanRequestRoundTripsAndValidates)
     EXPECT_TRUE(rejects(bad));
 }
 
-TEST(DaemonProtocol, RenderReplyRunsSpanRowsAndMatchGoldenBytes)
+/**
+ * A 3x5 frame of two lanes (rows 0-1 and 2-3; row 4 is uncovered): an
+ * exact lane of runs "A A B", and a pyramid lane whose columns hold
+ * bands B/C, A and C. Colors A, B and C enter the palette on first use.
+ */
+const std::vector<std::uint8_t> kGoldenReply = {
+    3, 0, 0, 0, 5, 0, 0, 0, // width, height (u32 LE)
+    2,                      // lanes
+    0,                      // lane 0: exact
+    2, 0, 1, 2, 3, 255,     //   run 2 of A (new: palette 1)
+    1, 0, 9, 8, 7, 6,       //   run 1 of B (new: palette 2)
+    1,                      // lane 1: pyramid
+    1, 2,                   //   column 0: band 1 of B,
+    1, 0, 0, 0, 0, 0,       //             band 1 of C (new: palette 3)
+    2, 1,                   //   column 1: band 2 of A
+    2, 3,                   //   column 2: band 2 of C
+    7, 0, 0xac, 0x02,       // rectOps, lineOps, eventsVisited
+    0, 1, 0x80, 0x01};      // exact, nodesTouched, granularityNs
+
+/** Offsets into kGoldenReply of the fields the rejection tests edit. */
+constexpr std::size_t kLanesAt = 8;
+constexpr std::size_t kLane0RunAt = 10;
+constexpr std::size_t kLane1KindAt = 22;
+constexpr std::size_t kColumn1BandAt = 31;
+constexpr std::size_t kColumn2CodeAt = 34;
+
+/** True when @p bytes decode as one whole render reply. */
+bool
+decodesWhole(const std::vector<std::uint8_t> &bytes, RenderReply &out)
 {
-    // A 3x2 frame, rows "A A B" and "B B C": the B run crosses the row
-    // boundary, so the codec must see one run of 3, not two runs.
+    ByteReader r(bytes);
+    return decodeRenderReply(r, out) && r.atEnd();
+}
+
+TEST(DaemonProtocol, RenderReplyLanesMatchGoldenBytes)
+{
     const render::Rgba a{1, 2, 3, 255};
     const render::Rgba b{9, 8, 7, 6};
     const render::Rgba c{0, 0, 0, 0};
-    RenderReply reply;
-    reply.fb = render::Framebuffer(3, 2, b);
-    reply.fb.setPixel(0, 0, a);
-    reply.fb.setPixel(1, 0, a);
-    reply.fb.setPixel(2, 1, c);
-    reply.stats.rectOps = 5;
-    reply.stats.eventsVisited = 300;
-    reply.stats.resolution.exact = false;
-    reply.stats.resolution.nodesTouched = 1;
-    reply.stats.resolution.granularityNs = 128;
-
+    render::FrameImage image;
+    image.width = 3;
+    image.height = 5;
+    image.lanes = {{false, {{2, a}, {1, b}}},
+                   {true, {{1, b}, {1, c}, {2, a}, {2, c}}}};
+    render::RenderStats stats;
+    stats.rectOps = 7;
+    stats.eventsVisited = 300;
+    stats.resolution.exact = false;
+    stats.resolution.nodesTouched = 1;
+    stats.resolution.granularityNs = 128;
     ByteWriter w;
-    encodeRenderReply(reply, w);
-    const std::vector<std::uint8_t> golden = {
-        3, 0, 0, 0, 2, 0, 0, 0, // width, height (u32 LE)
-        2, 1, 2, 3, 255,        // run 2 of A
-        3, 9, 8, 7, 6,          // run 3 of B, across the row boundary
-        1, 0, 0, 0, 0,          // run 1 of C
-        5, 0, 0xac, 0x02,       // rectOps, lineOps, eventsVisited
-        0, 1, 0x80, 0x01};      // exact, nodesTouched, granularityNs
-    EXPECT_EQ(w.data(), golden);
+    encodeRenderReply(image, stats, w);
+    EXPECT_EQ(w.data(), kGoldenReply);
 
-    ByteReader r(golden);
     RenderReply back;
-    ASSERT_TRUE(decodeRenderReply(r, back));
-    EXPECT_TRUE(r.atEnd());
-    for (std::int64_t y = 0; y < 2; y++)
-        for (std::int64_t x = 0; x < 3; x++)
-            EXPECT_EQ(back.fb.pixel(x, y), reply.fb.pixel(x, y))
-                << x << "," << y;
+    ASSERT_TRUE(decodesWhole(kGoldenReply, back));
+    const render::Rgba bg = render::kBackground;
+    const std::vector<std::vector<render::Rgba>> rows = {
+        {a, a, b}, {a, a, b}, {b, a, c}, {c, a, c}, {bg, bg, bg}};
+    ASSERT_EQ(back.fb.width(), 3u);
+    ASSERT_EQ(back.fb.height(), 5u);
+    for (std::uint32_t y = 0; y < 5; y++)
+        for (std::uint32_t x = 0; x < 3; x++)
+            EXPECT_EQ(back.fb.pixel(x, y), rows[y][x]) << x << "," << y;
+    EXPECT_EQ(back.stats.rectOps, 7u);
     EXPECT_EQ(back.stats.eventsVisited, 300u);
+    EXPECT_FALSE(back.stats.resolution.exact);
     EXPECT_EQ(back.stats.resolution.granularityNs, 128u);
 
-    // A zero-length run and a run past the frame's end are rejected.
-    for (std::uint8_t bad_run : {0, 5}) {
-        std::vector<std::uint8_t> bytes = golden;
-        bytes[13] = bad_run; // The B run.
-        ByteReader br(bytes);
+    // A drawn frame encodes as one full-height lane of its columns'
+    // vertical runs, and decodes back to the same pixels.
+    RenderReply drawn{back.fb, stats};
+    ByteWriter fw;
+    encodeRenderReply(drawn, fw);
+    const std::vector<std::uint8_t> drawn_golden = {
+        3, 0, 0, 0, 5, 0, 0, 0, 1, 1,        // 3x5, one pyramid lane
+        2, 0, 1, 2, 3, 255, 1, 0, 9, 8, 7, 6, // column 0: A A B
+        1, 0, 0, 0, 0, 0, 1, 0, 32, 32, 32, 255, //        C bg
+        4, 1, 1, 4,                           // column 1: A A A A bg
+        2, 2, 2, 3, 1, 4,                     // column 2: B B C C bg
+        7, 0, 0xac, 0x02, 0, 1, 0x80, 0x01};
+    EXPECT_EQ(fw.data(), drawn_golden);
+    RenderReply again;
+    ASSERT_TRUE(decodesWhole(fw.data(), again));
+    EXPECT_EQ(std::vector<render::Rgba>(again.fb.data(),
+                                        again.fb.data() + 15),
+              std::vector<render::Rgba>(back.fb.data(),
+                                        back.fb.data() + 15));
+}
+
+TEST(DaemonProtocol, RenderReplyRejectsSpansLanesAndSizesOffTheLayout)
+{
+    auto edited = [](std::size_t at, std::uint8_t value) {
+        std::vector<std::uint8_t> bytes = kGoldenReply;
+        bytes[at] = value;
+        return bytes;
+    };
+    // A zero-length run of A between lane 0's runs, which otherwise
+    // still sum to the width.
+    std::vector<std::uint8_t> zero_run = kGoldenReply;
+    zero_run.insert(zero_run.begin() + kLane0RunAt + 6, {0, 1});
+    auto sized = [](std::uint32_t width, std::uint32_t height,
+                    std::uint64_t lanes) {
+        ByteWriter w;
+        w.writeU32(width);
+        w.writeU32(height);
+        w.writeVarint(lanes);
+        std::vector<std::uint8_t> bytes = w.take();
+        bytes.insert(bytes.end(), kGoldenReply.begin() + kLanesAt + 1,
+                     kGoldenReply.end());
+        return bytes;
+    };
+    const std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
+        bad = {
+            {"zero-length run", zero_run},
+            {"runs past the width", edited(kLane0RunAt, 3)},
+            {"bands past the lane height", edited(kColumn1BandAt, 3)},
+            {"band rows short of the lane height",
+             edited(kColumn1BandAt, 1)},
+            {"unknown lane kind", edited(kLane1KindAt, 2)},
+            {"palette code past the entries sent", edited(kColumn2CodeAt, 4)},
+            {"one lane more than sent", edited(kLanesAt, 3)},
+            {"one lane fewer than sent", edited(kLanesAt, 1)},
+            {"lanes of another height", sized(3, 7, 2)},
+            {"zero width", sized(0, 5, 2)},
+            {"pixels above the bound", sized(kMaxRenderPixels, 2, 2)},
+            {"largest dimensions", sized(0xFFFFFFFF, 0xFFFFFFFF, 2)},
+            {"more lanes than bytes", sized(3, 5, std::uint64_t{1} << 40)},
+        };
+    for (const auto &[what, bytes] : bad) {
         RenderReply out;
-        EXPECT_FALSE(decodeRenderReply(br, out)) << int(bad_run);
+        EXPECT_FALSE(decodesWhole(bytes, out)) << what;
     }
+    // At the bound the size check passes (the lanes then do not).
+    RenderReply out;
+    const std::vector<std::uint8_t> at_bound = sized(kMaxRenderPixels, 1, 0);
+    ByteReader r(at_bound);
+    EXPECT_TRUE(decodeRenderReply(r, out));
+    EXPECT_EQ(out.fb.width(), kMaxRenderPixels);
+}
+
+TEST(DaemonProtocol, TruncatedAndStormedRenderRepliesNeverCrash)
+{
+    // A real frame: pyramid and exact lanes of a random trace.
+    const trace::Trace tr = test_support::buildRandomTrace(7);
+    session::Session session = session::Session::view(tr);
+    session::TimelineRenderQuery query;
+    query.width = 40;
+    query.height = 9;
+    query.asLanes = true;
+    query.context.resolution = Resolution::pixels(40);
+    session::TimelineRenderResult frame = session.submit(query).take();
+    ASSERT_EQ(frame.image.lanes.size(), tr.numCpus());
+    ByteWriter w;
+    encodeRenderReply(frame.image, frame.stats, w);
+    const std::vector<std::vector<std::uint8_t>> bodies = {kGoldenReply,
+                                                           w.take()};
+
+    for (const std::vector<std::uint8_t> &body : bodies) {
+        RenderReply whole;
+        ASSERT_TRUE(decodesWhole(body, whole));
+        for (std::size_t cut = 0; cut < body.size(); cut++) {
+            std::vector<std::uint8_t> prefix(body.begin(),
+                                             body.begin() + cut);
+            RenderReply out;
+            EXPECT_FALSE(decodesWhole(prefix, out)) << "cut at " << cut;
+        }
+    }
+    std::mt19937_64 rng(20261020);
+    for (int round = 0; round < 4000; round++) {
+        std::vector<std::uint8_t> bytes = bodies[round % 2];
+        const int flips = 1 + static_cast<int>(rng() % 4);
+        for (int i = 0; i < flips; i++)
+            bytes[rng() % bytes.size()] = static_cast<std::uint8_t>(rng());
+        if (round % 5 == 0)
+            bytes.resize(rng() % bytes.size());
+        RenderReply out;
+        ByteReader r(bytes);
+        if (decodeRenderReply(r, out)) {
+            EXPECT_LE(static_cast<std::uint64_t>(out.fb.width()) *
+                          out.fb.height(),
+                      kMaxRenderPixels);
+        }
+    }
+}
+
+/**
+ * A trace of @p cpus CPUs, each in one state over [0, 2^22). A view
+ * half as long as the frame is wide leaves every other pixel column
+ * empty, so the columns alternate between the state and the lane
+ * background: the costliest frame for a run encoding.
+ */
+std::shared_ptr<const std::vector<std::uint8_t>>
+alternatingColumnTrace(std::uint32_t cpus)
+{
+    trace::Trace tr;
+    tr.setTopology(trace::MachineTopology::uniform(1, cpus));
+    for (const auto &desc : trace::coreStateDescriptions())
+        tr.addStateDescription(desc);
+    for (CpuId c = 0; c < cpus; c++)
+        tr.cpu(c).addState(
+            {{0, TimeStamp{1} << 22},
+             static_cast<std::uint32_t>(trace::CoreState::Idle),
+             kInvalidTaskInstance});
+    std::string err;
+    EXPECT_TRUE(tr.finalize(err)) << err;
+    return std::make_shared<const std::vector<std::uint8_t>>(
+        trace::writeTrace(tr));
+}
+
+TEST(DaemonProtocol, RenderRequestsAreBoundedByTheirWorstCaseReply)
+{
+    Server server(Server::Options{2, 16});
+    Client client;
+    std::string error;
+    ASSERT_TRUE(client.adopt(server.connectInProcess(), error)) << error;
+    OpenTraceRequest open;
+    open.bytes = alternatingColumnTrace(4);
+    Reply<OpenTraceReply> opened = client.openTrace(open);
+    ASSERT_TRUE(opened.ok()) << opened.message;
+    auto render = [&](std::uint32_t width, std::uint32_t height) {
+        TimelineRenderRequest request;
+        request.head.traceId = opened.value.traceId;
+        request.view = {0, width / 2};
+        request.width = width;
+        request.height = height;
+        return client.timelineRender(request);
+    };
+
+    // Above the bound: refused as malformed, and the connection stays.
+    // (Pixel runs encoded this 4096x1024 frame to over 16 MiB, which
+    // the server could not send and answered by hanging up.)
+    ASSERT_GT(4096u * 1024u, kMaxRenderPixels);
+    Reply<RenderReply> refused = render(4096, 1024);
+    EXPECT_EQ(refused.status, Status::Error);
+
+    // Within it: drawn, every other column the state.
+    ASSERT_LE(2048u * 1024u, kMaxRenderPixels);
+    Reply<RenderReply> drawn = render(2048, 1024);
+    ASSERT_TRUE(drawn.ok()) << drawn.message;
+    const render::Rgba idle = render::stateColor(
+        static_cast<std::uint32_t>(trace::CoreState::Idle));
+    for (std::uint32_t x : {0u, 1u, 2u, 2047u}) {
+        EXPECT_EQ(drawn.value.fb.pixel(x, 0),
+                  x % 2 ? idle : render::kBackground)
+            << x;
+        EXPECT_EQ(drawn.value.fb.pixel(x, 1023),
+                  x % 2 ? idle : render::kBackgroundAlt)
+            << x;
+    }
+
+    // Four lanes stacked on one row, each of kMaxRenderPixels
+    // alternating runs, encode past the frame bound: the server
+    // answers an error in place of the reply it cannot send.
+    Reply<RenderReply> stacked = render(kMaxRenderPixels, 1);
+    EXPECT_EQ(stacked.status, Status::Error);
+    EXPECT_NE(stacked.message.find("exceeds"), std::string::npos)
+        << stacked.message;
+
+    TaskListRequest tasks;
+    tasks.head.traceId = opened.value.traceId;
+    EXPECT_TRUE(client.taskList(tasks).ok());
+    expectServerStillServes(server);
+    server.stop();
 }
 
 TEST(DaemonProtocol, RequestsBeforeHandshakeAreRejected)
