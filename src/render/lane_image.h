@@ -36,8 +36,6 @@ struct Span
 {
     std::uint32_t length = 0;
     Rgba color;
-
-    constexpr bool operator==(const Span &other) const = default;
 };
 
 /** One CPU lane of a frame, as spans rather than pixels. */
