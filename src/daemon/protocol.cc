@@ -629,8 +629,6 @@ namespace {
 /**
  * The colors of one render reply in first-use order: a color's first
  * use sends it (code 0, then RGBA), later uses send its 1-based code.
- * Frames use few colors, so the lookup scans a short list; past
- * kScanned colors it switches to a hash map.
  */
 class PaletteWriter
 {
@@ -642,38 +640,17 @@ class PaletteWriter
                                   static_cast<std::uint32_t>(color.g) << 8 |
                                   static_cast<std::uint32_t>(color.b) << 16 |
                                   static_cast<std::uint32_t>(color.a) << 24;
-        const std::size_t code = find(key);
-        w.writeVarint(code);
-        if (code != 0)
+        const auto [it, fresh] = codes_.try_emplace(key, codes_.size() + 1);
+        w.writeVarint(fresh ? 0 : it->second);
+        if (!fresh)
             return;
         w.writeU8(color.r);
         w.writeU8(color.g);
         w.writeU8(color.b);
         w.writeU8(color.a);
-        keys_.push_back(key);
-        if (keys_.size() > kScanned)
-            for (std::size_t i = codes_.size(); i < keys_.size(); i++)
-                codes_.emplace(keys_[i], i + 1);
     }
 
   private:
-    static constexpr std::size_t kScanned = 16;
-
-    /** The code of @p key, or 0 when it has none yet. */
-    std::size_t
-    find(std::uint32_t key) const
-    {
-        if (keys_.size() > kScanned) {
-            auto it = codes_.find(key);
-            return it == codes_.end() ? 0 : it->second;
-        }
-        for (std::size_t i = 0; i < keys_.size(); i++)
-            if (keys_[i] == key)
-                return i + 1;
-        return 0;
-    }
-
-    std::vector<std::uint32_t> keys_;
     std::unordered_map<std::uint32_t, std::size_t> codes_;
 };
 

@@ -125,8 +125,14 @@ rasterize(const FrameImage &image, Framebuffer &fb)
     }
     const TimelineLayout layout = image.layout();
     fillUncoveredRows(layout, fb);
+    // Lanes share a top only when the frame has fewer rows than lanes,
+    // where every lane is one row high, so the next lane overdraws this
+    // one whole. Skipping such lanes keeps the drawing within the
+    // frame's pixels however many lanes an image has.
     for (CpuId cpu = 0; cpu < image.lanes.size(); cpu++)
-        rasterizeLane(image.lanes[cpu], layout, cpu, fb);
+        if (cpu + 1 == image.lanes.size() ||
+            layout.laneTop(cpu + 1) != layout.laneTop(cpu))
+            rasterizeLane(image.lanes[cpu], layout, cpu, fb);
 }
 
 } // namespace render

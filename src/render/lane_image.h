@@ -77,7 +77,9 @@ void rasterizeLane(const LaneImage &lane, const TimelineLayout &layout,
 
 /**
  * Draw @p image into @p fb (of the image's dimensions): uncovered rows
- * as background, then every lane in order.
+ * as background, then every lane in order, skipping the lanes the next
+ * lane overdraws whole, so the work stays within the frame's pixels
+ * however many lanes share a row.
  */
 void rasterize(const FrameImage &image, Framebuffer &fb);
 

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -620,6 +622,37 @@ TEST(DaemonProtocol, TruncatedAndStormedRenderRepliesNeverCrash)
                       kMaxRenderPixels);
         }
     }
+}
+
+TEST(DaemonProtocol, StackedLaneRepliesDrawOnlyTheFramesPixels)
+{
+    // One row of the widest frame a request may ask for, under 50,000
+    // exact lanes of one run each: a 300 KB reply. Every lane sits on
+    // the one row, so only the last shows; drawing each lane in full
+    // would be 1.2e11 pixel writes, minutes of work.
+    const render::Rgba hidden{1, 2, 3, 255};
+    const render::Rgba shown{9, 8, 7, 255};
+    constexpr std::size_t kLanes = 50000;
+    render::FrameImage image;
+    image.width = kMaxRenderPixels;
+    image.height = 1;
+    image.lanes.assign(kLanes, {false, {{kMaxRenderPixels, hidden}}});
+    image.lanes.back().spans.front().color = shown;
+    ByteWriter w;
+    encodeRenderReply(image, render::RenderStats{}, w);
+    ASSERT_LT(w.size(), 7 * kLanes);
+
+    const auto start = std::chrono::steady_clock::now();
+    RenderReply out;
+    ASSERT_TRUE(decodesWhole(w.data(), out));
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_LT(took.count(), 10.0);
+    ASSERT_EQ(out.fb.width(), kMaxRenderPixels);
+    ASSERT_EQ(out.fb.height(), 1u);
+    EXPECT_EQ(std::count(out.fb.data(), out.fb.data() + kMaxRenderPixels,
+                         shown),
+              static_cast<std::ptrdiff_t>(kMaxRenderPixels));
 }
 
 /**
