@@ -629,7 +629,7 @@ TEST(DaemonProtocol, StackedLaneRepliesDrawOnlyTheFramesPixels)
     // One row of the widest frame a request may ask for, under 50,000
     // exact lanes of one run each: a 300 KB reply. Every lane sits on
     // the one row, so only the last shows; drawing each lane in full
-    // would be 1.2e11 pixel writes, minutes of work.
+    // would be 1.2e11 pixel writes, tens of seconds of work.
     const render::Rgba hidden{1, 2, 3, 255};
     const render::Rgba shown{9, 8, 7, 255};
     constexpr std::size_t kLanes = 50000;
