@@ -101,6 +101,18 @@ oracleHistogram(const trace::Trace &tr, const filter::FilterSet &filters,
     return stats::Histogram::fromValues(durations, bins);
 }
 
+/** The oracle histogram of every task @p filters accept. */
+stats::Histogram
+oracleHistogram(const trace::Trace &tr, const filter::FilterSet &filters,
+                std::uint32_t bins)
+{
+    std::vector<double> durations;
+    for (const trace::TaskInstance &task : tr.taskInstances())
+        if (filters.matches(tr, task))
+            durations.push_back(static_cast<double>(task.duration()));
+    return stats::Histogram::fromValues(durations, bins);
+}
+
 /** The oracle extrema: the samples of @p counter in [a, b) on @p cpu. */
 index::MinMax
 oracleExtrema(const trace::Trace &tr, CpuId cpu, CounterId counter,
@@ -939,6 +951,77 @@ TEST(QueryOracle, TaskListMatchesOracleAcrossFilterChanges)
     }
 }
 
+TEST(QueryOracle, HistogramWithoutIntervalMatchesOracleAcrossFilterChanges)
+{
+    for (const Case &c : traceMatrix()) {
+        const trace::Trace &tr = *c.trace;
+        for (unsigned workers : {1u, 2u, 4u, 8u}) {
+            Session session(c.trace);
+            session.setConcurrency({workers});
+            int step = 0;
+            for (const auto &specs : filterSpecs()) {
+                session.setFilters(daemon::materializeFilters(specs));
+                const Bytes expect =
+                    bytesOf(oracleHistogram(tr, session.filters(), 11));
+                const std::string where = c.name + " step " +
+                                          std::to_string(step++) +
+                                          " workers " +
+                                          std::to_string(workers);
+                EXPECT_EQ(bytesOf(session.histogram(11)), expect) << where;
+                EXPECT_EQ(bytesOf(session.submit(HistogramQuery{{}, 11})
+                                      .take()),
+                          expect)
+                    << where;
+            }
+        }
+    }
+}
+
+TEST(QueryOracle, FinishedFilterKeyedAnswersBelongToTheirSubmitFilters)
+{
+    for (const Case &c : traceMatrix()) {
+        const trace::Trace &tr = *c.trace;
+        for (unsigned workers : {1u, 2u, 4u, 8u}) {
+            Session session(c.trace);
+            session.setConcurrency({workers});
+            // Submit under every filter set in turn without waiting, so
+            // later steps overtake (and cancel) the earlier tickets.
+            std::vector<QueryTicket<std::vector<const trace::TaskInstance *>>>
+                lists;
+            std::vector<QueryTicket<stats::Histogram>> hists;
+            std::vector<filter::FilterSet> submitted;
+            for (const auto &specs : filterSpecs()) {
+                session.setFilters(daemon::materializeFilters(specs));
+                submitted.push_back(session.filters());
+                lists.push_back(session.submit(TaskListQuery{}));
+                hists.push_back(session.submit(HistogramQuery{{}, 7}));
+            }
+            for (std::size_t i = 0; i < submitted.size(); i++) {
+                const std::string where = c.name + " step " +
+                                          std::to_string(i) + " workers " +
+                                          std::to_string(workers);
+                if (lists[i].wait() == QueryStatus::Done)
+                    EXPECT_EQ(lists[i].result(),
+                              oracleTasks(tr, submitted[i]))
+                        << where;
+                else
+                    EXPECT_EQ(lists[i].status(), QueryStatus::Cancelled)
+                        << where;
+                if (hists[i].wait() == QueryStatus::Done)
+                    EXPECT_EQ(bytesOf(hists[i].result()),
+                              bytesOf(oracleHistogram(tr, submitted[i], 7)))
+                        << where;
+                else
+                    EXPECT_EQ(hists[i].status(), QueryStatus::Cancelled)
+                        << where;
+            }
+            // Nothing moved the filters after the last step.
+            EXPECT_EQ(lists.back().status(), QueryStatus::Done) << c.name;
+            EXPECT_EQ(hists.back().status(), QueryStatus::Done) << c.name;
+        }
+    }
+}
+
 TEST(QueryOracle, DaemonCounterExtremaAndTaskListMatchOracle)
 {
     daemon::Server server(daemon::Server::Options{2, 16});
@@ -988,6 +1071,17 @@ TEST(QueryOracle, DaemonCounterExtremaAndTaskListMatchOracle)
             EXPECT_EQ(bytesOf(remote.value),
                       bytesOf(rowsOf(oracleTasks(
                           tr, daemon::materializeFilters(specs)))))
+                << c.name << " " << specs.size() << " filters";
+
+            daemon::HistogramRequest hist;
+            hist.head.traceId = id;
+            hist.numBins = 13;
+            daemon::Reply<stats::Histogram> remote_hist =
+                client.histogram(hist);
+            ASSERT_TRUE(remote_hist.ok()) << remote_hist.message;
+            EXPECT_EQ(bytesOf(remote_hist.value),
+                      bytesOf(oracleHistogram(
+                          tr, daemon::materializeFilters(specs), 13)))
                 << c.name << " " << specs.size() << " filters";
         }
         client.closeTrace(id);

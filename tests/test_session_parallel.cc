@@ -229,6 +229,25 @@ TEST(SessionParallel, WarmupPolicyRestrictsCounters)
     EXPECT_EQ(session.cacheStats().taskList.total(), 0u);
 }
 
+TEST(SessionParallel, WarmupRestrictionWithDuplicatesAndUnsampledIds)
+{
+    trace::Trace tr = denseTrace(4, 3, 200);
+    Session session = Session::view(tr);
+    Session::WarmupPolicy policy;
+    // Counters 0 and 2 named twice or more, 77 and 999 never sampled.
+    policy.counters = {2, 999, 2, 0, 77, 0, 2};
+    Session::WarmupStats stats = session.warmup(policy);
+    EXPECT_EQ(stats.indexesVisited, 4u * 2u);
+    EXPECT_EQ(stats.indexesBuilt, 4u * 2u);
+    const CounterIndexCache &cache = *session.sharedCaches().counterIndexes;
+    EXPECT_EQ(cache.size(), 4u * 2u);
+    for (CpuId c = 0; c < tr.numCpus(); c++) {
+        EXPECT_TRUE(cache.contains(c, 0)) << c;
+        EXPECT_FALSE(cache.contains(c, 1)) << c;
+        EXPECT_TRUE(cache.contains(c, 2)) << c;
+    }
+}
+
 TEST(SessionParallel, HardwareDefaultWorkersWarmsUp)
 {
     trace::Trace tr = denseTrace(4, 2, 200);
