@@ -76,7 +76,6 @@
 #include "session/compare.h"
 #include "session/counter_index_cache.h"
 #include "session/query.h"
-#include "session/query_cache.h"
 #include "session/query_engine.h"
 #include "session/session.h"
 #include "session/session_group.h"

@@ -46,9 +46,6 @@
  *                           across lazy pool start + enqueue
  *                           (withPool) and across a resize's drain
  *                           and join (setWorkers).
- *   kSessionMemo (200)      session::SessionMemo::mutex — per-client
- *                           filter-keyed memo state shared with
- *                           executors.
  *   kCounterIndexShard (300) one CounterIndexCache shard; shards never
  *                           nest with each other.
  *   kPyramidShard (305)     one index::TracePyramids per-CPU shard;
@@ -90,7 +87,6 @@ inline constexpr int kDaemonServer = 40;
 inline constexpr int kDaemonConnection = 50;
 inline constexpr int kDaemonClient = 60;
 inline constexpr int kQueryEngine = 100;
-inline constexpr int kSessionMemo = 200;
 inline constexpr int kCounterIndexShard = 300;
 inline constexpr int kPyramidShard = 305;
 inline constexpr int kThreadPool = 400;

@@ -2,8 +2,8 @@
  * @file
  * Clang Thread Safety Analysis attribute macros.
  *
- * The locking discipline of the parallel subsystems (engine, session
- * memo, caches, pool) is compiler-checked: every guarded member carries
+ * The locking discipline of the parallel subsystems (engine, caches,
+ * pool) is compiler-checked: every guarded member carries
  * AM_GUARDED_BY, every lock-requiring helper carries AM_REQUIRES, and
  * clang builds run with -Wthread-safety -Werror=thread-safety, so a
  * forgotten lock is a compile error instead of a TSan roll of the dice.

@@ -20,6 +20,7 @@
 #ifndef AFTERMATH_SESSION_COUNTER_INDEX_CACHE_H
 #define AFTERMATH_SESSION_COUNTER_INDEX_CACHE_H
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
@@ -28,11 +29,23 @@
 #include "base/thread_annotations.h"
 #include "base/types.h"
 #include "index/counter_index.h"
-#include "session/query_cache.h"
 #include "trace/trace.h"
 
 namespace aftermath {
 namespace session {
+
+/** Cumulative hit/build counters of one cache. */
+struct CacheCounters
+{
+    /** Queries answered from the cache. */
+    std::uint64_t hits = 0;
+
+    /** Queries that had to construct the value. */
+    std::uint64_t builds = 0;
+
+    /** Total queries observed. */
+    std::uint64_t total() const { return hits + builds; }
+};
 
 /** Lazily built, memoized CounterIndex per (cpu, counter) pair. */
 class CounterIndexCache

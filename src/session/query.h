@@ -123,11 +123,10 @@ struct QueryContext
 };
 
 /**
- * What a warm-up prefetches. Warm-up is incremental: (cpu, counter)
- * pairs whose index the session's index cache already holds are
- * skipped, whoever built them, and the task-list unit is skipped when
- * the live filter generation's list is already memoized — so a
- * re-warm-up builds only what is missing.
+ * What a warm-up prefetches: the counter indexes. Warm-up is
+ * incremental: (cpu, counter) pairs whose index the session's index
+ * cache already holds are skipped, whoever built them, so a re-warm-up
+ * builds only what is missing.
  */
 struct WarmupPolicy
 {
@@ -136,7 +135,8 @@ struct WarmupPolicy
 
     /**
      * Restrict index warm-up to these counter ids; empty means every
-     * counter sampled on each CPU.
+     * counter sampled on each CPU. Duplicates and ids no CPU samples
+     * are ignored.
      */
     std::vector<CounterId> counters;
 
@@ -145,7 +145,9 @@ struct WarmupPolicy
      *  the scripted-session benchmark (e2ebench/) still carry it. */
     bool intervalStats = true;
 
-    /** Cache the task list of the active filters. */
+    /** No effect: task lists are computed per query, so there is
+     *  nothing to prefetch. Kept because the wire format and the
+     *  scripted-session benchmark (e2ebench/) still carry it. */
     bool taskList = true;
 };
 
@@ -186,12 +188,13 @@ struct IntervalStatsQuery
 };
 
 /**
- * Duration histogram of the tasks passing the active filters. When
- * context.interval is set, only tasks *starting* inside it are binned
- * (the interval-stats tasksStarted notion), selected from the task
- * index's start-leaf buckets that meet the interval instead of a full
- * list scan; under Budget/Pixels the interval first snaps to the
- * pyramid granularity.
+ * Duration histogram of the tasks passing the active filters, read
+ * from the task index's start-ordered instances. When context.interval
+ * is set, only tasks *starting* inside it are binned (the
+ * interval-stats tasksStarted notion), selected from the start-leaf
+ * buckets that meet the interval; under Budget/Pixels the interval
+ * first snaps to the pyramid granularity. Without an interval every
+ * filtered task is binned (not only the current view's).
  */
 struct HistogramQuery
 {
@@ -201,7 +204,10 @@ struct HistogramQuery
     std::uint32_t numBins = 20;
 };
 
-/** The task instances passing the active filters (Session::tasks). */
+/**
+ * The task instances passing the active filters (Session::tasks), in
+ * insertion order: one scan of the instances per query.
+ */
 struct TaskListQuery
 {
     QueryContext context;

@@ -4,12 +4,12 @@
  * overloads and the worker-side code they fan out.
  *
  * Executors capture shared ownership of everything they read — the
- * trace, the sharded index cache, the pyramid store, filter snapshots,
- * the SessionMemo — and never the Session itself, so sessions stay
- * movable and destruction is safe with queries in flight. No executor
- * ever blocks on the pool, so a 1-worker pool cannot deadlock. The
- * task list is the only result an executor memoizes; every other
- * query computes its answer from the trace and its indexes.
+ * trace, the sharded index cache, the pyramid store, filter snapshots —
+ * and never the Session itself, so sessions stay movable and
+ * destruction is safe with queries in flight. No executor ever blocks
+ * on the pool, so a 1-worker pool cannot deadlock. No executor
+ * memoizes its result: every query computes its answer from the trace
+ * and its indexes.
  *
  * Every query that reaches the pool runs as one FanOutJob, started by
  * launchFanOut(); a query with nothing to split is a one-chunk job
@@ -126,8 +126,7 @@ newTicketState(const GenerationDomain &domain)
     return state;
 }
 
-/** An already-Done ticket (a memo hit or an empty query; never
- *  touches the pool). */
+/** An already-Done ticket (an empty query; never touches the pool). */
 template <typename Result>
 QueryTicket<Result>
 completedTicket(const GenerationDomain &domain, Result value)
@@ -258,45 +257,6 @@ launchOneChunk(QueryEngine &engine,
 
 // -- Shared query pieces -------------------------------------------------
 
-/**
- * Scan the trace's task instances against @p filters in insertion
- * order, polling @p state for staleness every few thousand instances.
- * Returns nullopt when the query went stale mid-scan.
- */
-template <typename Result>
-std::optional<std::vector<const trace::TaskInstance *>>
-scanTaskList(const trace::Trace &trace, const filter::FilterSet &filters,
-             const detail::TicketState<Result> &state)
-{
-    std::vector<const trace::TaskInstance *> out;
-    const std::vector<trace::TaskInstance> &instances =
-        trace.taskInstances();
-    for (std::size_t i = 0; i < instances.size(); i++) {
-        if ((i & 0xfff) == 0 && state.stale())
-            return std::nullopt;
-        if (filters.matches(trace, instances[i]))
-            out.push_back(&instances[i]);
-    }
-    return out;
-}
-
-/**
- * Publish a freshly computed task list into the memo, unless the
- * filter generation moved on (a stale-keyed entry would outlive the
- * one-live-generation invariant of the cache).
- */
-void
-publishTaskList(SessionMemo &memo, std::uint64_t filter_generation,
-                const std::vector<const trace::TaskInstance *> &list)
-{
-    base::MutexLock lock(memo.mutex);
-    if (memo.filterGeneration != filter_generation)
-        return;
-    memo.taskList.insertOrGet(
-        filter_generation,
-        std::vector<const trace::TaskInstance *>(list));
-}
-
 /** Per-chunk build flags (1 = this job constructed it), summed. */
 std::size_t
 countBuilt(const std::vector<std::size_t> &built)
@@ -372,13 +332,6 @@ QueryTicket<std::vector<const trace::TaskInstance *>>
 Session::submit(const TaskListQuery &query)
 {
     using List = std::vector<const trace::TaskInstance *>;
-    std::uint64_t generation;
-    {
-        base::MutexLock lock(memo_->mutex);
-        generation = memo_->filterGeneration;
-        if (const List *hit = memo_->taskList.tryGet(generation))
-            return completedTicket(*domain_, List(*hit));
-    }
     auto state = newTicketState<List>(*domain_);
     // The task list is view-independent: staleness tracks the filter
     // generation, so panning the view never cancels it.
@@ -386,14 +339,17 @@ Session::submit(const TaskListQuery &query)
     state->live = domain_->filterGenerationCell();
     return launchOneChunk(
         *engine_, state, query.context.priority,
-        [state, trace = trace_, memo = memo_,
-         filters = std::make_shared<const filter::FilterSet>(filters_),
-         generation](List &out) {
-            auto list = scanTaskList(*trace, *filters, *state);
-            if (!list)
-                return false;
-            publishTaskList(*memo, generation, *list);
-            out = std::move(*list);
+        [state, trace = trace_,
+         filters = std::make_shared<const filter::FilterSet>(filters_)](
+            List &out) {
+            const std::vector<trace::TaskInstance> &instances =
+                trace->taskInstances();
+            for (std::size_t i = 0; i < instances.size(); i++) {
+                if ((i & 0xfff) == 0 && state->stale())
+                    return false;
+                if (filters->matches(*trace, instances[i]))
+                    out.push_back(&instances[i]);
+            }
             return true;
         });
 }
@@ -401,81 +357,53 @@ Session::submit(const TaskListQuery &query)
 QueryTicket<stats::Histogram>
 Session::submit(const HistogramQuery &query)
 {
-    using List = std::vector<const trace::TaskInstance *>;
     auto state = newTicketState<stats::Histogram>(*domain_);
-    // Like the task list it is built from, the histogram is
-    // view-independent: staleness tracks the filter generation only.
+    // Like the task list, the histogram is view-independent: staleness
+    // tracks the filter generation only.
     state->generation = domain_->filterGeneration();
     state->live = domain_->filterGenerationCell();
-    auto filters = std::make_shared<const filter::FilterSet>(filters_);
-    const std::uint32_t num_bins = query.numBins;
-    if (const std::optional<TimeInterval> &restrict_to =
-            query.context.interval) {
-        // Restricted: the tasks starting inside the interval (under
-        // Budget/Pixels, the snapped one), selected from the start-leaf
-        // buckets that meet it, so the cost follows the interval, not
-        // the trace. Bin edges (min/max) and counts are
-        // order-independent, so the histogram equals the one of a full
-        // filtered scan bit for bit.
-        TimeInterval selected = *restrict_to;
-        ResolutionInfo provenance;
+    // The candidates are the task index's start-ordered instances: all
+    // of them without an interval; with one, the tasks starting inside
+    // it (under Budget/Pixels, the snapped one), selected from the
+    // start-leaf buckets that meet it, so the cost follows the interval,
+    // not the trace. Bin edges (min/max) and counts are
+    // order-independent, so the histogram equals the one of a filtered
+    // scan in insertion order bit for bit.
+    std::optional<TimeInterval> selected = query.context.interval;
+    ResolutionInfo provenance;
+    if (selected) {
         if (const TimeStamp granularity = pyramids_->granularityFor(
-                query.context.resolution, selected)) {
-            selected = pyramids_->snap(selected, granularity);
-            provenance.exact = selected == *restrict_to;
+                query.context.resolution, *selected)) {
+            selected = pyramids_->snap(*selected, granularity);
+            provenance.exact = selected == query.context.interval;
             provenance.granularityNs = granularity;
         }
-        return launchOneChunk(
-            *engine_, state, query.context.priority,
-            [state, trace = trace_, pyramids = pyramids_, filters,
-             selected, provenance, num_bins](stats::Histogram &out) {
-                auto [first, last] = pyramids->taskStartRange(selected);
-                const List &by_start = pyramids->tasksByStart();
-                std::vector<double> durations;
-                durations.reserve(last - first);
-                for (std::size_t i = first; i < last; i++) {
-                    if (((i - first) & 0xfff) == 0 && state->stale())
-                        return false;
-                    const trace::TaskInstance *task = by_start[i];
-                    if (selected.contains(task->interval.start) &&
-                        filters->matches(*trace, *task))
-                        durations.push_back(
-                            static_cast<double>(task->duration()));
-                }
-                out = stats::Histogram::fromValues(durations, num_bins);
-                out.resolution = provenance;
-                return true;
-            });
-    }
-    std::uint64_t generation;
-    std::shared_ptr<const List> cached;
-    {
-        base::MutexLock lock(memo_->mutex);
-        generation = memo_->filterGeneration;
-        if (const List *hit = memo_->taskList.tryGet(generation))
-            cached = std::make_shared<const List>(*hit);
     }
     return launchOneChunk(
         *engine_, state, query.context.priority,
-        [state, trace = trace_, memo = memo_, filters, cached, generation,
-         num_bins](stats::Histogram &out) {
-            const List *tasks = cached.get();
-            List computed;
-            if (!tasks) {
-                auto list = scanTaskList(*trace, *filters, *state);
-                if (!list)
-                    return false;
-                computed = std::move(*list);
-                // The scan is the expensive half; share it with later
-                // tasks()/histogram() calls of the same generation.
-                publishTaskList(*memo, generation, computed);
-                tasks = &computed;
-            }
+        [state, trace = trace_, pyramids = pyramids_,
+         filters = std::make_shared<const filter::FilterSet>(filters_),
+         selected, provenance,
+         num_bins = query.numBins](stats::Histogram &out) {
+            const std::vector<const trace::TaskInstance *> &by_start =
+                pyramids->tasksByStart();
+            auto [first, last] =
+                selected ? pyramids->taskStartRange(*selected)
+                         : std::pair<std::size_t, std::size_t>(
+                               0, by_start.size());
             std::vector<double> durations;
-            durations.reserve(tasks->size());
-            for (const trace::TaskInstance *task : *tasks)
-                durations.push_back(static_cast<double>(task->duration()));
+            durations.reserve(last - first);
+            for (std::size_t i = first; i < last; i++) {
+                if (((i - first) & 0xfff) == 0 && state->stale())
+                    return false;
+                const trace::TaskInstance *task = by_start[i];
+                if ((!selected || selected->contains(task->interval.start)) &&
+                    filters->matches(*trace, *task))
+                    durations.push_back(
+                        static_cast<double>(task->duration()));
+            }
             out = stats::Histogram::fromValues(durations, num_bins);
+            out.resolution = provenance;
             return true;
         });
 }
@@ -505,9 +433,9 @@ QueryTicket<Session::WarmupStats>
 Session::submit(const WarmupQuery &query)
 {
     auto state = newTicketState<WarmupStats>(*domain_);
-    // Warm-up products are view-independent (indexes) or keyed by
-    // filter generation, so generation bumps don't invalidate them:
-    // warm-up cancels only explicitly.
+    // Warm-up products (indexes) are view- and filter-independent, so
+    // generation bumps don't invalidate them: warm-up cancels only
+    // explicitly.
     state->live = nullptr;
     WarmupStats summary;
     summary.workers = engine_->workers();
@@ -519,12 +447,29 @@ Session::submit(const WarmupQuery &query)
     // or by a query) is skipped without a counted lookup.
     const WarmupPolicy &policy = query.policy;
     if (policy.counterIndexes) {
+        // The counter restriction comes off the wire at up to one id per
+        // byte, so it is read once, marking the sampled ids it names;
+        // each pair then costs one search of the few sampled ids.
+        std::vector<CounterId> sampled;
+        for (CpuId c = 0; c < trace_->numCpus(); c++)
+            for (CounterId id : trace_->cpu(c).counterIds())
+                sampled.push_back(id);
+        std::sort(sampled.begin(), sampled.end());
+        sampled.erase(std::unique(sampled.begin(), sampled.end()),
+                      sampled.end());
+        auto slot = [&](CounterId id) {
+            return std::lower_bound(sampled.begin(), sampled.end(), id) -
+                   sampled.begin();
+        };
+        std::vector<bool> named(sampled.size(), policy.counters.empty());
+        for (CounterId id : policy.counters) {
+            const auto i = slot(id);
+            if (i < std::ssize(sampled) && sampled[i] == id)
+                named[i] = true;
+        }
         for (CpuId c = 0; c < trace_->numCpus(); c++) {
             for (CounterId id : trace_->cpu(c).counterIds()) {
-                if (!policy.counters.empty() &&
-                    std::find(policy.counters.begin(),
-                              policy.counters.end(),
-                              id) == policy.counters.end())
+                if (!named[slot(id)])
                     continue;
                 if (counterIndexes_->contains(c, id)) {
                     summary.indexesSkipped++;
@@ -535,41 +480,17 @@ Session::submit(const WarmupQuery &query)
         }
     }
     summary.indexesVisited = pairs->size();
-    std::uint64_t filter_generation;
-    bool do_task_list = false;
-    {
-        // An already-memoized task list needs no unit; the lookup
-        // counts a hit, keeping warm-up observable.
-        base::MutexLock lock(memo_->mutex);
-        filter_generation = memo_->filterGeneration;
-        if (policy.taskList)
-            do_task_list =
-                memo_->taskList.tryGet(filter_generation) == nullptr;
-    }
 
-    // Units: one per (cpu, counter) pair, then the optional task-list
-    // unit.
-    const std::size_t list_unit = pairs->size();
+    // One unit per (cpu, counter) pair.
     return launchFanOut<std::size_t>(
-        *engine_, state, query.context.priority,
-        list_unit + (do_task_list ? 1 : 0),
-        [state, trace = trace_, cache = counterIndexes_, memo = memo_,
-         filters = std::make_shared<const filter::FilterSet>(filters_),
-         pairs, list_unit,
-         filter_generation](std::size_t i, std::size_t &built) {
-            if (i < list_unit) {
-                bool constructed = false;
-                cache->get((*pairs)[i].first, (*pairs)[i].second,
-                           &constructed);
-                // Per-call attribution: concurrent non-warm-up queries
-                // building indexes never inflate this job's count.
-                built = constructed ? 1 : 0;
-                return true;
-            }
-            auto list = scanTaskList(*trace, *filters, *state);
-            if (list)
-                publishTaskList(*memo, filter_generation, *list);
-            return list.has_value();
+        *engine_, state, query.context.priority, pairs->size(),
+        [cache = counterIndexes_, pairs](std::size_t i, std::size_t &built) {
+            bool constructed = false;
+            cache->get((*pairs)[i].first, (*pairs)[i].second, &constructed);
+            // Per-call attribution: concurrent non-warm-up queries
+            // building indexes never inflate this job's count.
+            built = constructed ? 1 : 0;
+            return true;
         },
         [summary](std::vector<std::size_t> &&built) {
             WarmupStats out = summary;

@@ -38,15 +38,13 @@
  *
  * Executors never touch the Session object itself — they capture shared
  * ownership of everything they read (the trace, the sharded index
- * cache, a filter snapshot, the pyramid store, the task-list memo) so
- * sessions stay movable and destruction is safe with queries in flight
- * (the engine's pool drains before it dies). The per-trace structures
- * (counter indexes, pyramids) are shareable across every client
- * viewing one trace. The one memoized result, the filter-keyed task
- * list in SessionMemo, stays per driving context; a completed task-list
- * query publishes into it under its mutex, so asynchronous queries warm
- * the entry the synchronous wrappers serve hits from. Interval
- * statistics are computed on every query and never remembered.
+ * cache, a filter snapshot, the pyramid store) so sessions stay movable
+ * and destruction is safe with queries in flight (the engine's pool
+ * drains before it dies). The per-trace structures (counter indexes,
+ * pyramids) are shareable across every client viewing one trace. No
+ * answer is remembered: interval statistics, histograms and task lists
+ * are computed on every query from the trace and its indexes, and a
+ * filter-keyed answer reads the filter snapshot taken at submit.
  *
  * ## Lock order
  *
@@ -66,12 +64,11 @@
  * completion callbacks run with *no* lock held (they fire after
  * TicketState::mutex is released), so a callback may re-enter the
  * daemon's low-ranked locks to enqueue a response without inverting
- * the order. Every other mutex in the plane — SessionMemo::mutex
- * (kSessionMemo, 200), the CounterIndexCache shards
- * (kCounterIndexShard, 300), the TracePyramids shards (kPyramidShard,
- * 305), and the leaf completion state TicketState (kTicketState, 500)
- * — is acquired on its own or strictly after the ones above it in rank
- * order, never the other way around.
+ * the order. Every other mutex in the plane — the CounterIndexCache
+ * shards (kCounterIndexShard, 300), the TracePyramids shards
+ * (kPyramidShard, 305), and the leaf completion state TicketState
+ * (kTicketState, 500) — is acquired on its own or strictly after the
+ * ones above it in rank order, never the other way around.
  */
 
 #ifndef AFTERMATH_SESSION_QUERY_ENGINE_H
@@ -83,7 +80,6 @@
 #include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "base/logging.h"
 #include "base/mutex.h"
@@ -91,8 +87,6 @@
 #include "base/thread_pool.h"
 #include "base/time_interval.h"
 #include "base/types.h"
-#include "session/query_cache.h"
-#include "trace/trace.h"
 
 namespace aftermath {
 namespace session {
@@ -416,23 +410,6 @@ class QueryTicket
 
   private:
     std::shared_ptr<detail::TicketState<Result>> state_;
-};
-
-/**
- * Filter-keyed memoized query state of one driving context: the
- * per-filter-generation task list and the live filter generation.
- * Never shared across clients — two clients with different filter sets
- * would poison each other's task lists — so each daemon client (and
- * each local session) owns its own. Heap-allocated and captured by
- * shared_ptr so executors survive session moves and destruction.
- */
-struct SessionMemo
-{
-    mutable base::Mutex mutex{base::lockrank::kSessionMemo,
-                              "session-memo"};
-    MemoCache<std::uint64_t, std::vector<const trace::TaskInstance *>>
-        taskList AM_GUARDED_BY(mutex);
-    std::uint64_t filterGeneration AM_GUARDED_BY(mutex) = 0;
 };
 
 /**

@@ -38,17 +38,6 @@ collectIncreases(const trace::Trace &trace, CounterId counter,
     return out;
 }
 
-/** Task durations as doubles, the histogram observation vector. */
-std::vector<double>
-durationsOf(const std::vector<const trace::TaskInstance *> &tasks)
-{
-    std::vector<double> out;
-    out.reserve(tasks.size());
-    for (const trace::TaskInstance *task : tasks)
-        out.push_back(static_cast<double>(task->duration()));
-    return out;
-}
-
 } // namespace
 
 Session::SharedCaches
@@ -77,7 +66,6 @@ Session::Session(std::shared_ptr<const trace::Trace> trace,
                  const SharedCaches &caches)
     : trace_(std::move(trace)),
       counterIndexes_(caches.counterIndexes),
-      memo_(std::make_shared<SessionMemo>()),
       pyramids_(caches.pyramids),
       engine_(std::make_shared<QueryEngine>(1)),
       domain_(engine_->defaultDomain())
@@ -99,13 +87,6 @@ void
 Session::setFilters(filter::FilterSet filters)
 {
     filters_ = std::move(filters);
-    {
-        base::MutexLock lock(memo_->mutex);
-        // Only filter-dependent caches go; indexes and pyramids are
-        // filter-independent and survive.
-        memo_->filterGeneration++;
-        memo_->taskList.clear();
-    }
     domain_->bumpFilterGeneration();
 }
 
@@ -113,13 +94,6 @@ void
 Session::clearFilters()
 {
     setFilters(filter::FilterSet());
-}
-
-std::uint64_t
-Session::filterGeneration() const
-{
-    base::MutexLock lock(memo_->mutex);
-    return memo_->filterGeneration;
 }
 
 void
@@ -214,14 +188,6 @@ Session::histogram(std::uint32_t num_bins)
         .take();
 }
 
-stats::Histogram
-Session::histogramMatching(const filter::TaskFilter &filter,
-                           std::uint32_t num_bins) const
-{
-    return stats::Histogram::fromValues(durationsOf(tasksMatching(filter)),
-                                        num_bins);
-}
-
 index::MinMax
 Session::counterExtrema(CpuId cpu, CounterId counter,
                         const TimeInterval &interval)
@@ -254,20 +220,10 @@ Session::taskCounterIncreasesMatching(CounterId counter,
     return collectIncreases(*trace_, counter, tasksMatching(filter));
 }
 
-const std::vector<const trace::TaskInstance *> &
+std::vector<const trace::TaskInstance *>
 Session::tasks()
 {
-    std::uint64_t generation;
-    {
-        base::MutexLock lock(memo_->mutex);
-        generation = memo_->filterGeneration;
-        if (const auto *hit = memo_->taskList.tryGet(generation))
-            return *hit;
-    }
-    std::vector<const trace::TaskInstance *> result =
-        submit(TaskListQuery{}).take();
-    base::MutexLock lock(memo_->mutex);
-    return memo_->taskList.insertOrGet(generation, std::move(result));
+    return submit(TaskListQuery{}).take();
 }
 
 std::vector<const trace::TaskInstance *>
@@ -317,8 +273,6 @@ Session::cacheStats() const
 {
     SessionCacheStats out;
     out.counterIndex = counterIndexes_->counters();
-    base::MutexLock lock(memo_->mutex);
-    out.taskList = memo_->taskList.counters();
     return out;
 }
 

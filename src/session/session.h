@@ -21,8 +21,6 @@
  *    and runs the query on the engine's worker pool. Tickets are safe
  *    from any thread (status/wait/result/cancel), so a UI thread can
  *    submit, keep painting, and collect the result when it lands.
- *    A completed task list publishes into the session's task-list
- *    memo, which is internally locked for exactly this producer path.
  *
  * Every mutation of the shared state (view, filters) bumps the
  * engine's generation counters; in-flight stale queries observe the
@@ -32,16 +30,18 @@
  * cancel on any mutation, view-independent but filter-keyed ones (task
  * list, histogram) only on filter mutations — panning never cancels
  * them — and warm-up tickets cancel only explicitly (their
- * products are keyed or view-independent).
+ * products, the counter indexes, are view- and filter-independent).
  *
  * The synchronous query methods are thin wrappers that submit and
- * wait (tasks() first checks its memo) — results are bit-identical to
- * the tickets'. An exact interval-statistics query is computed every
- * time, never remembered: it runs one chunk per CPU (exact integer
- * partial sums merged in order), answering whole leaves from built
- * pyramids and scanning only the edges, and takes its task counts from
- * the task index. Distinct sessions not sharing an engine are fully
- * independent.
+ * wait — results are bit-identical to the tickets'. No answer is
+ * remembered; every query computes from the trace and its search
+ * structures. An exact interval-statistics query runs one chunk per CPU
+ * (exact integer partial sums merged in order), answering whole leaves
+ * from built pyramids and scanning only the edges, and takes its task
+ * counts from the task index. A task list scans the instances in
+ * insertion order; a histogram reads the task index's start-ordered
+ * instances, only the start buckets an interval meets when it has one.
+ * Distinct sessions not sharing an engine are fully independent.
  */
 
 #ifndef AFTERMATH_SESSION_SESSION_H
@@ -68,7 +68,6 @@
 #include "render/timeline_renderer.h"
 #include "session/counter_index_cache.h"
 #include "session/query.h"
-#include "session/query_cache.h"
 #include "session/query_engine.h"
 #include "stats/histogram.h"
 #include "stats/interval_stats.h"
@@ -87,9 +86,6 @@ struct SessionCacheStats
      *  so there is no stats cache to count. Kept because the
      *  scripted-session benchmark (e2ebench/) still reads it. */
     CacheCounters intervalStats;
-
-    /** Filtered task list cache. */
-    CacheCounters taskList;
 
     /** Always zero: every render constructs its own renderer, so there
      *  is no renderer cache to count. Kept because the scripted-session
@@ -111,12 +107,12 @@ struct SessionCacheStats
  *    guarantees it outlives the session).
  *
  * All caches but one are lazy: nothing is indexed until the first
- * query needs it — unless warmup() prefetches the counter indexes and
- * the task list off the query path. The exception is the pyramid
- * store's trace-global task index, built with the session in two
- * linear passes over the task instances. setFilters() invalidates
- * only filter-dependent caches (the task list). Counters are
- * cumulative across invalidations so cache behaviour stays observable.
+ * query needs it — unless warmup() prefetches the counter indexes off
+ * the query path. The exception is the pyramid store's trace-global
+ * task index, built with the session in two linear passes over the
+ * task instances. Every cache is filter-independent, so setFilters()
+ * invalidates none. Counters are cumulative so cache behaviour stays
+ * observable.
  */
 class Session
 {
@@ -155,9 +151,8 @@ class Session
     /**
      * The lazily-built caches that are shareable across every session
      * (every daemon client) viewing the *same* trace: the sharded
-     * counter-index cache and the summary pyramids. The filter-keyed
-     * SessionMemo is deliberately absent — it never crosses driving
-     * contexts.
+     * counter-index cache and the summary pyramids. Both are
+     * filter-independent, so clients with different filters share them.
      */
     struct SharedCaches
     {
@@ -191,10 +186,9 @@ class Session
     const trace::Trace &trace() const { return *trace_; }
 
     /**
-     * Replace the active filter set; filter-dependent caches (the task
-     * list) are invalidated, filter-independent ones (counter indexes,
-     * pyramids) survive. Bumps the query generation: stale in-flight
-     * queries cancel.
+     * Replace the active filter set; the caches (counter indexes,
+     * pyramids) are filter-independent and survive. Bumps the query and
+     * filter generations: stale in-flight queries cancel.
      */
     void setFilters(filter::FilterSet filters);
 
@@ -203,9 +197,6 @@ class Session
 
     /** The active filter set (empty set accepts every task). */
     const filter::FilterSet &filters() const { return filters_; }
-
-    /** Bumped by every setFilters()/clearFilters() call. */
-    std::uint64_t filterGeneration() const;
 
     /**
      * Set the current view interval (the zoom window). Bumps the query
@@ -221,11 +212,9 @@ class Session
     /**
      * Submit a query for execution on the engine's worker pool and
      * return its ticket immediately. Results are bit-identical to the
-     * matching synchronous method. A completed task list publishes into
-     * the session's task-list memo, so an async query warms the entry
-     * later tasks() calls hit, and a task-list query whose list is
-     * already memoized returns an already-Done ticket without touching
-     * the pool. Every other query computes its result.
+     * matching synchronous method. Every query computes its result; a
+     * filter-keyed one (task list, histogram) reads the filters in
+     * force when it was submitted.
      */
     QueryTicket<stats::IntervalStats> submit(const IntervalStatsQuery &query);
     QueryTicket<stats::Histogram> submit(const HistogramQuery &query);
@@ -322,12 +311,11 @@ class Session
     /**
      * Prefetch the search structures @p policy names so later queries
      * never pay a build on the interactive path: the per-(CPU, counter)
-     * min/max indexes (constructed concurrently across CPUs when the
-     * Concurrency knob allows) and the filtered task list.
-     * Incremental: pairs whose index the cache already holds, and a
-     * task list already memoized for the live filters, are skipped, so
-     * a re-warm-up builds only what is missing. submit(WarmupQuery) is
-     * the asynchronous form — a UI thread warms up without blocking.
+     * min/max indexes, constructed concurrently across CPUs when the
+     * Concurrency knob allows. Incremental: pairs whose index the cache
+     * already holds are skipped, so a re-warm-up builds only what is
+     * missing. submit(WarmupQuery) is the asynchronous form — a UI
+     * thread warms up without blocking.
      */
     WarmupStats warmup(const WarmupPolicy &policy);
 
@@ -348,10 +336,6 @@ class Session
 
     /** Duration histogram of the tasks passing the active filters. */
     stats::Histogram histogram(std::uint32_t num_bins);
-
-    /** Duration histogram of the tasks accepted by @p filter. */
-    stats::Histogram histogramMatching(const filter::TaskFilter &filter,
-                                       std::uint32_t num_bins) const;
 
     /**
      * Ranked anomaly scan of the current view, restricted to tasks the
@@ -397,11 +381,11 @@ class Session
     // -- Task iteration ----------------------------------------------------
 
     /**
-     * The task instances passing the active filters, cached until the
-     * filters change. Pointers into the trace's instance
-     * array, in insertion order.
+     * The task instances passing the active filters: submit(TaskListQuery)
+     * at Interactive priority, waited on. Pointers into the trace's
+     * instance array, in insertion order.
      */
-    const std::vector<const trace::TaskInstance *> &tasks();
+    std::vector<const trace::TaskInstance *> tasks();
 
     /** The filtered tasks additionally accepted by @p pred. */
     std::vector<const trace::TaskInstance *> tasks(const TaskPredicate &pred);
@@ -505,7 +489,6 @@ class Session
     // Shared with in-flight executors (shared_ptr so sessions stay
     // movable and destruction-safe with queries in flight).
     std::shared_ptr<CounterIndexCache> counterIndexes_;
-    std::shared_ptr<SessionMemo> memo_; ///< Per driving context.
     std::shared_ptr<index::TracePyramids> pyramids_;
     std::shared_ptr<QueryEngine> engine_;
     std::shared_ptr<GenerationDomain> domain_; ///< Never null.

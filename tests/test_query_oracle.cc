@@ -932,15 +932,14 @@ TEST(QueryOracle, TaskListMatchesOracleAcrossFilterChanges)
                                           std::to_string(step++) +
                                           " workers " +
                                           std::to_string(workers);
-                // Cold submit, then the sync wrapper (memo hit), then a
-                // submit answered from the memo.
+                // Async, then the sync wrapper, then async again.
                 EXPECT_EQ(session.submit(TaskListQuery{}).take(), expect)
                     << where;
                 EXPECT_EQ(session.tasks(), expect) << where;
                 EXPECT_EQ(session.submit(TaskListQuery{}).take(), expect)
                     << where;
             }
-            // A warm-up's task list is the same list.
+            // A warm-up, which prefetches no task list, leaves it alone.
             session.setFilters(daemon::materializeFilters(filterSpecs()[1]));
             WarmupPolicy policy;
             policy.counterIndexes = false;

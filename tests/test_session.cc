@@ -139,9 +139,6 @@ TEST(Session, SetFiltersInvalidatesTaskListButNotIndexes)
 {
     Session session(smallTrace());
     EXPECT_EQ(session.tasks().size(), 2u);
-    EXPECT_EQ(session.cacheStats().taskList.builds, 1u);
-    session.tasks();
-    EXPECT_EQ(session.cacheStats().taskList.hits, 1u);
 
     session.counterExtrema(0, kCtr, {0, 100});
     std::uint64_t index_builds = session.cacheStats().counterIndex.builds;
@@ -149,18 +146,15 @@ TEST(Session, SetFiltersInvalidatesTaskListButNotIndexes)
     filter::FilterSet longer;
     longer.add(std::make_shared<filter::DurationFilter>(90, 1000));
     session.setFilters(longer);
-    EXPECT_EQ(session.filterGeneration(), 1u);
 
     EXPECT_EQ(session.tasks().size(), 1u);
     EXPECT_EQ(session.tasks().front()->id, 1u);
-    EXPECT_EQ(session.cacheStats().taskList.builds, 2u);
 
     // Filter-independent caches survived.
     session.counterExtrema(0, kCtr, {0, 100});
     EXPECT_EQ(session.cacheStats().counterIndex.builds, index_builds);
 
     session.clearFilters();
-    EXPECT_EQ(session.filterGeneration(), 2u);
     EXPECT_EQ(session.tasks().size(), 2u);
 }
 

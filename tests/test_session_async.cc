@@ -373,7 +373,6 @@ TEST(SessionAsync, QueuedQueriesCancelInstantly)
         const SessionCacheStats stats = session.cacheStats();
         EXPECT_EQ(stats.counterIndex.builds, 0u);
         EXPECT_EQ(stats.intervalStats.builds, 0u);
-        EXPECT_EQ(stats.taskList.builds, 0u);
         EXPECT_EQ(session.sharedCaches().pyramids->size(), 0u);
     }
 }

@@ -165,7 +165,6 @@ TEST(SessionParallel, RepeatedWarmupIsIncrementallySkipped)
     EXPECT_EQ(initial.indexesSkipped, 0u);
     SessionCacheStats first = session.cacheStats();
     EXPECT_EQ(first.counterIndex.builds, 4u * 2u);
-    EXPECT_EQ(first.taskList.builds, 1u);
     // Warm-up leaves interval statistics to the query: the answer
     // equals a cold session's.
     const auto span_stats = bytesOf(Session::view(tr).intervalStats());
@@ -173,8 +172,7 @@ TEST(SessionParallel, RepeatedWarmupIsIncrementallySkipped)
 
     for (int i = 0; i < 3; i++) {
         // Incremental re-warm-up: built pairs are skipped outright
-        // (no counted index-cache lookup), the memoized task list
-        // answers as a hit.
+        // (no counted index-cache lookup).
         Session::WarmupStats repeat = session.warmup();
         EXPECT_EQ(repeat.indexesVisited, 0u);
         EXPECT_EQ(repeat.indexesSkipped, 4u * 2u);
@@ -183,8 +181,6 @@ TEST(SessionParallel, RepeatedWarmupIsIncrementallySkipped)
     SessionCacheStats later = session.cacheStats();
     EXPECT_EQ(later.counterIndex.builds, first.counterIndex.builds);
     EXPECT_EQ(later.counterIndex.hits, first.counterIndex.hits);
-    EXPECT_EQ(later.taskList.builds, first.taskList.builds);
-    EXPECT_GT(later.taskList.hits, first.taskList.hits);
     EXPECT_EQ(bytesOf(session.intervalStats()), span_stats);
 
     // A view change re-warms nothing: no index revisits, and the new
@@ -226,7 +222,6 @@ TEST(SessionParallel, WarmupPolicyRestrictsCounters)
     EXPECT_EQ(stats.indexesVisited, 4u);
     EXPECT_EQ(stats.indexesBuilt, 4u);
     EXPECT_EQ(session.cacheStats().intervalStats.total(), 0u);
-    EXPECT_EQ(session.cacheStats().taskList.total(), 0u);
 }
 
 TEST(SessionParallel, WarmupRestrictionWithDuplicatesAndUnsampledIds)

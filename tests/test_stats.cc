@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "base/rng.h"
@@ -226,12 +227,13 @@ TEST_F(TraceStatsTest, ExportTsvFormat)
 
 TEST_F(TraceStatsTest, HistogramOfTaskDurationsWithFilter)
 {
-    filter::FilterSet all;
     session::Session session = session::Session::view(tr);
-    Histogram h = session.histogramMatching(all, 4);
+    Histogram h = session.histogram(4);
     EXPECT_EQ(h.total(), 2u);
-    filter::DurationFilter longer(90, 1000);
-    Histogram h2 = session.histogramMatching(longer, 4);
+    filter::FilterSet longer;
+    longer.add(std::make_shared<filter::DurationFilter>(90, 1000));
+    session.setFilters(longer);
+    Histogram h2 = session.histogram(4);
     EXPECT_EQ(h2.total(), 1u);
 }
 

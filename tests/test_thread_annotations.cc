@@ -190,11 +190,11 @@ TEST(LockRankDeathTest, SameRankAcquisitionAborts)
     if (!Mutex::rankChecksEnabled())
         GTEST_SKIP() << "lock-rank checks compiled out";
     testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    // Two distinct mutexes of one rank model the memo-vs-memo trap
-    // that locking memos one at a time avoids: nesting them is an
+    // Two distinct mutexes of one rank model the shard-vs-shard trap
+    // that visiting shards one at a time avoids: nesting them is an
     // abort, whichever is first.
-    Mutex first(lockrank::kSessionMemo, "test-memo-a");
-    Mutex second(lockrank::kSessionMemo, "test-memo-b");
+    Mutex first(lockrank::kCounterIndexShard, "test-shard-a");
+    Mutex second(lockrank::kCounterIndexShard, "test-shard-b");
     EXPECT_DEATH(
         {
             MutexLock a(first);
