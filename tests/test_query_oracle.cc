@@ -1,9 +1,9 @@
 /**
  * @file
  * The reference oracle of exact interval statistics, the exact
- * interval-restricted histogram, counter extrema and the filtered task
- * list: a naive serial computation over the raw trace arrays (no
- * cache, pyramid, index, memo or pool), compared by encoded bytes,
+ * histogram with and without an interval, counter extrema and the
+ * filtered task list: a naive serial computation over the raw trace
+ * arrays (no cache, pyramid, index or pool), compared by encoded bytes,
  * provenance included, with every path the query plane answers by —
  * exact queries over cold, half-built and fully built pyramids at
  * 1/2/4/8 workers, the synchronous wrappers, through the in-process
