@@ -48,7 +48,7 @@
  *                           and join (setWorkers).
  *   kCounterIndexShard (300) one CounterIndexCache shard; shards never
  *                           nest with each other.
- *   kPyramidShard (305)     one index::TracePyramids per-CPU shard;
+ *   kPyramidShard (305)     one index::TraceIndex per-CPU shard;
  *                           shards never nest with each other.
  *   kThreadPool (400)       base::ThreadPool::mutex_ — every enqueue
  *                           path ends here, so everything above must

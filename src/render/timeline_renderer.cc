@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "base/logging.h"
-#include "index/summary_pyramid.h"
+#include "index/trace_index.h"
 #include "trace/numa.h"
 #include "trace/state.h"
 

@@ -35,7 +35,7 @@
 namespace aftermath {
 
 namespace index {
-class TracePyramids;
+class TraceIndex;
 } // namespace index
 
 namespace render {
@@ -89,7 +89,7 @@ struct TimelineConfig
      * session's own store (the async executor holds a shared
      * reference), replacing any value set here.
      */
-    index::TracePyramids *pyramids = nullptr;
+    index::TraceIndex *pyramids = nullptr;
 };
 
 /**

@@ -38,7 +38,7 @@
 #include <numeric>
 
 #include "filter/task_filter.h"
-#include "index/summary_pyramid.h"
+#include "index/trace_index.h"
 #include "session/session.h"
 #include "stats/anomaly.h"
 #include "stats/histogram.h"
@@ -509,7 +509,7 @@ Session::submit(const PyramidBuildQuery &query)
     PyramidBuildStats summary;
     summary.cpusVisited = trace_->numCpus();
     summary.workers = engine_->workers();
-    // Every CPU is one unit. TracePyramids::get() builds under the CPU's
+    // Every CPU is one unit. TraceIndex::get() builds under the CPU's
     // shard lock, so builds for different CPUs never contend, and a CPU
     // a concurrent resolution-bearing query already built is attributed
     // to that query, not this job. Pyramids built before a cancel stay

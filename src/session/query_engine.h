@@ -65,7 +65,7 @@
  * TicketState::mutex is released), so a callback may re-enter the
  * daemon's low-ranked locks to enqueue a response without inverting
  * the order. Every other mutex in the plane — the CounterIndexCache
- * shards (kCounterIndexShard, 300), the TracePyramids shards
+ * shards (kCounterIndexShard, 300), the TraceIndex shards
  * (kPyramidShard, 305), and the leaf completion state TicketState
  * (kTicketState, 500) — is acquired on its own or strictly after the
  * ones above it in rank order, never the other way around.

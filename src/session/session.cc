@@ -50,7 +50,7 @@ Session::freshCaches(const std::shared_ptr<const trace::Trace> &trace)
     // instances.
     SharedCaches caches;
     caches.counterIndexes = std::make_shared<CounterIndexCache>(*trace);
-    caches.pyramids = std::make_shared<index::TracePyramids>(*trace);
+    caches.pyramids = std::make_shared<index::TraceIndex>(*trace);
     return caches;
 }
 

@@ -58,7 +58,7 @@
 #include "base/types.h"
 #include "filter/task_filter.h"
 #include "index/counter_index.h"
-#include "index/summary_pyramid.h"
+#include "index/trace_index.h"
 #include "metrics/derived_counter.h"
 #include "metrics/task_attribution.h"
 #include "render/counter_overlay.h"
@@ -157,7 +157,7 @@ class Session
     struct SharedCaches
     {
         std::shared_ptr<CounterIndexCache> counterIndexes;
-        std::shared_ptr<index::TracePyramids> pyramids;
+        std::shared_ptr<index::TraceIndex> pyramids;
     };
 
     /**
@@ -288,13 +288,13 @@ class Session
     SharedCaches sharedCaches() const;
 
     /**
-     * The session's summary pyramids (index/summary_pyramid.h):
+     * The session's index store (index/trace_index.h):
      * resolution-aware queries (Resolution::Budget / Pixels) answer
-     * from them, building each CPU's pyramid on first use; a
+     * from its summary pyramids, building each CPU's on first use; a
      * PyramidBuildQuery prefetches them off the interactive path.
      * Never null.
      */
-    const std::shared_ptr<index::TracePyramids> &pyramids() const
+    const std::shared_ptr<index::TraceIndex> &traceIndex() const
     {
         return pyramids_;
     }
@@ -489,7 +489,7 @@ class Session
     // Shared with in-flight executors (shared_ptr so sessions stay
     // movable and destruction-safe with queries in flight).
     std::shared_ptr<CounterIndexCache> counterIndexes_;
-    std::shared_ptr<index::TracePyramids> pyramids_;
+    std::shared_ptr<index::TraceIndex> pyramids_;
     std::shared_ptr<QueryEngine> engine_;
     std::shared_ptr<GenerationDomain> domain_; ///< Never null.
     render::RenderStats renderStats_; ///< Last timeline render's counts.

@@ -37,7 +37,7 @@
 #include "daemon/server.h"
 #include "filter/task_filter.h"
 #include "index/counter_index.h"
-#include "index/summary_pyramid.h"
+#include "index/trace_index.h"
 #include "render/color.h"
 #include "render/framebuffer.h"
 #include "render/layout.h"
@@ -247,7 +247,7 @@ traceMatrix()
     dense.cpus = 3;
     dense.statesPerCpu = 2000;
     trace::Trace base = buildRandomTrace(19, dense);
-    const TimeStamp g0 = index::TracePyramids(base).leafGranularity();
+    const TimeStamp g0 = index::TraceIndex(base).leafGranularity();
     const TimeStamp span_end = base.span().end;
     Rng rng(19);
     std::vector<trace::TaskInstance> extra;
@@ -278,7 +278,7 @@ traceMatrix()
 std::vector<TimeInterval>
 intervalMatrix(const trace::Trace &tr, std::uint64_t seed)
 {
-    const index::TracePyramids pyramids(tr);
+    const index::TraceIndex pyramids(tr);
     const TimeStamp g0 = pyramids.leafGranularity();
     const std::uint64_t leaves = pyramids.leafCount();
     const TimeStamp dom = pyramids.domainEnd();
@@ -580,7 +580,7 @@ oracleFrame(const trace::Trace &tr, render::TimelineConfig config,
         config.heatmapMax = std::max(hi, lo + 1);
     }
     const render::TimelineLayout layout(view, width, height, tr.numCpus());
-    const index::TracePyramids pyramids(tr);
+    const index::TraceIndex pyramids(tr);
     out.pyramids = config.mode == render::TimelineMode::State &&
                    !config.taskFilter &&
                    config.resolution.kind != Resolution::Kind::Exact &&
@@ -705,10 +705,10 @@ TEST(QueryOracle, ExactMatchesOracleOverEveryPyramidStateAndWorkerCount)
                 session.setFilters(shortTasks());
                 if (built == Built::Half)
                     for (CpuId cpu = 0; cpu < tr.numCpus(); cpu += 2)
-                        session.pyramids()->get(cpu);
+                        session.traceIndex()->get(cpu);
                 if (built == Built::All)
                     session.submit(PyramidBuildQuery{}).take();
-                const std::size_t pyramids = session.pyramids()->size();
+                const std::size_t pyramids = session.traceIndex()->size();
                 for (std::size_t i = 0; i < intervals.size(); i++) {
                     const TimeInterval &iv = intervals[i];
                     EXPECT_EQ(bytesOf(session
@@ -726,7 +726,7 @@ TEST(QueryOracle, ExactMatchesOracleOverEveryPyramidStateAndWorkerCount)
                 }
                 // Exact queries read the pyramids there are; they never
                 // build one.
-                EXPECT_EQ(session.pyramids()->size(), pyramids) << c.name;
+                EXPECT_EQ(session.traceIndex()->size(), pyramids) << c.name;
             }
         }
     }
@@ -800,7 +800,7 @@ TEST(QueryOracle, BudgetAndPixelsMatchOracleOfSnappedInterval)
         const trace::Trace &tr = *c.trace;
         Session session(c.trace);
         session.setConcurrency({2});
-        const index::TracePyramids &pyramids = *session.pyramids();
+        const index::TraceIndex &pyramids = *session.traceIndex();
         Rng rng(13);
         for (const TimeInterval &iv : intervalMatrix(tr, 13)) {
             const std::vector<Resolution> resolutions = {
@@ -856,7 +856,7 @@ TEST(QueryOracle, CounterExtremaMatchOracleAtEveryResolution)
         for (unsigned workers : {1u, 2u, 4u, 8u}) {
             Session session(c.trace);
             session.setConcurrency({workers});
-            const index::TracePyramids &pyramids = *session.pyramids();
+            const index::TraceIndex &pyramids = *session.traceIndex();
             Rng rng(17);
             for (const TimeInterval &iv : intervals) {
                 for (const auto &[cpu, counter] : pairs) {
@@ -1035,7 +1035,7 @@ TEST(QueryOracle, DaemonCounterExtremaAndTaskListMatchOracle)
         ASSERT_TRUE(opened.ok()) << c.name << ": " << opened.message;
         const std::uint64_t id = opened.value.traceId;
         const trace::Trace &tr = *c.trace;
-        const index::TracePyramids pyramids(tr);
+        const index::TraceIndex pyramids(tr);
         for (const TimeInterval &iv : intervalMatrix(tr, 19)) {
             for (const auto &[cpu, counter] : counterPairs(tr)) {
                 for (const Resolution &res :
@@ -1092,7 +1092,7 @@ TEST(QueryOracle, ExactCountsAZeroDurationTaskStartingAtTheIntervalStart)
     RandomTraceOptions opts;
     opts.statesPerCpu = 3000; // Leaves wider than one time unit.
     trace::Trace base = buildRandomTrace(5, opts);
-    const TimeStamp g0 = index::TracePyramids(base).leafGranularity();
+    const TimeStamp g0 = index::TraceIndex(base).leafGranularity();
     ASSERT_GT(g0, 1u);
     const TimeStamp t = base.span().end / g0 / 2 * g0;
     const trace::TaskInstance zero{base.taskInstances().size(),

@@ -24,7 +24,7 @@
 #include "base/buffer.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
-#include "index/summary_pyramid.h"
+#include "index/trace_index.h"
 #include "render/framebuffer.h"
 #include "session/query.h"
 #include "session/query_engine.h"
@@ -124,9 +124,9 @@ bytesOf(const std::vector<stats::Anomaly> &findings)
  */
 void
 expectPyramidsBuiltAndIdentical(const trace::Trace &tr,
-                                index::TracePyramids &built)
+                                index::TraceIndex &built)
 {
-    index::TracePyramids fresh(tr);
+    index::TraceIndex fresh(tr);
     const std::uint64_t leaves = fresh.leafCount();
     const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
         {0, leaves}, {leaves / 3, 2 * leaves / 3}, {leaves / 2, leaves}};
@@ -394,7 +394,7 @@ TEST(QueryPriorityTest, BackgroundYieldKeepsResultsBitIdentical)
                   bytesOf(stats::scanForAnomalies(tr)));
         ASSERT_EQ(build.wait(), QueryStatus::Done);
         EXPECT_EQ(build.result().cpusBuilt, tr.numCpus());
-        expectPyramidsBuiltAndIdentical(tr, *session.pyramids());
+        expectPyramidsBuiltAndIdentical(tr, *session.traceIndex());
     }
 }
 

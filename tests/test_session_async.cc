@@ -24,7 +24,7 @@
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "filter/task_filter.h"
-#include "index/summary_pyramid.h"
+#include "index/trace_index.h"
 #include "render/framebuffer.h"
 #include "render/timeline_renderer.h"
 #include "session/query.h"
@@ -564,7 +564,7 @@ TEST(SessionAsync, RenderPathsAgreeAcrossModesFiltersAndWorkers)
                         direct_config.view = view;
                         direct_config.taskFilter =
                             filtered ? &alpha : nullptr;
-                        direct_config.pyramids = session.pyramids().get();
+                        direct_config.pyramids = session.traceIndex().get();
                         render::TimelineRenderer direct(tr);
                         direct.render(direct_config, direct_fb);
 

@@ -22,7 +22,7 @@
 #include "base/rng.h"
 #include "daemon/client.h"
 #include "daemon/server.h"
-#include "index/summary_pyramid.h"
+#include "index/trace_index.h"
 #include "session/query.h"
 #include "session/session.h"
 #include "stats/interval_stats.h"
@@ -130,7 +130,7 @@ naiveTaskIndex(const trace::Trace &tr, const TimeInterval &interval)
  * past-domain and whole-domain intervals are all in.
  */
 std::vector<TimeInterval>
-intervalGrid(const index::TracePyramids &pyramids, Rng &rng)
+intervalGrid(const index::TraceIndex &pyramids, Rng &rng)
 {
     const std::uint64_t leaves = pyramids.leafCount();
     const TimeStamp g0 = pyramids.leafGranularity();
@@ -169,7 +169,7 @@ intervalGrid(const index::TracePyramids &pyramids, Rng &rng)
  */
 void
 expectTaskIndexMatchesNaive(const trace::Trace &tr,
-                            const index::TracePyramids &pyramids,
+                            const index::TraceIndex &pyramids,
                             const std::vector<TimeInterval> &grid)
 {
     const auto &by_start = pyramids.tasksByStart();
@@ -204,7 +204,7 @@ expectTaskIndexMatchesNaive(const trace::Trace &tr,
  */
 void
 expectTasksBucketedByStartLeaf(const trace::Trace &tr,
-                               const index::TracePyramids &pyramids)
+                               const index::TraceIndex &pyramids)
 {
     const auto &by_start = pyramids.tasksByStart();
     ASSERT_EQ(by_start.size(), tr.taskInstances().size());
@@ -245,7 +245,7 @@ TEST(SummaryPyramid, BudgetAnswersEqualExactScanOfSnappedInterval)
                     .take();
 
             const TimeStamp g =
-                session.pyramids()->granularityFor(res, interval);
+                session.traceIndex()->granularityFor(res, interval);
             if (g == 0) {
                 // Budget finer than a leaf: exact fallback.
                 EXPECT_TRUE(approx.resolution.exact);
@@ -265,7 +265,7 @@ TEST(SummaryPyramid, BudgetAnswersEqualExactScanOfSnappedInterval)
             EXPECT_LT(interval.start - approx.interval.start, g);
             EXPECT_LT(approx.interval.end - interval.end, g);
             EXPECT_EQ(approx.interval,
-                      session.pyramids()->snap(interval, g));
+                      session.traceIndex()->snap(interval, g));
 
             // Bit-identical to the exact scan of the snapped interval.
             expectSameAggregates(
@@ -376,9 +376,9 @@ TEST(SummaryPyramid, CounterExtremaMatchExactOverSnappedInterval)
                 .submit(CounterExtremaQuery{
                     {interval, QueryPriority::Interactive, res}, cpu, 0})
                 .take();
-        TimeStamp g = session.pyramids()->granularityFor(res, interval);
+        TimeStamp g = session.traceIndex()->granularityFor(res, interval);
         TimeInterval probe =
-            g == 0 ? interval : session.pyramids()->snap(interval, g);
+            g == 0 ? interval : session.traceIndex()->snap(interval, g);
         index::MinMax exact =
             session.submit(CounterExtremaQuery{{probe}, cpu, 0}).take();
         EXPECT_EQ(approx.valid, exact.valid);
@@ -404,9 +404,9 @@ TEST(SummaryPyramid, HistogramRestrictionMatchesExactOverSnappedInterval)
                 .submit(HistogramQuery{
                     {interval, QueryPriority::Interactive, res}, 12})
                 .take();
-        TimeStamp g = session.pyramids()->granularityFor(res, interval);
+        TimeStamp g = session.traceIndex()->granularityFor(res, interval);
         TimeInterval probe =
-            g == 0 ? interval : session.pyramids()->snap(interval, g);
+            g == 0 ? interval : session.traceIndex()->snap(interval, g);
         stats::Histogram exact =
             session.submit(HistogramQuery{{probe}, 12}).take();
         ASSERT_EQ(approx.numBins(), exact.numBins());
@@ -428,7 +428,7 @@ TEST(SummaryPyramid, OccupancyMatchesNaivePerEventReference)
             opts.statesPerCpu = states;
             opts.zeroDurationProbability = 0.15;
             trace::Trace tr = buildRandomTrace(seed, opts);
-            index::TracePyramids pyramids(tr);
+            index::TraceIndex pyramids(tr);
             const TimeStamp g0 = pyramids.leafGranularity();
             const std::uint64_t leaves = pyramids.leafCount();
             const TimeStamp dom = pyramids.domainEnd();
@@ -513,7 +513,7 @@ TEST(SummaryPyramid, TaskIndexMatchesNaiveCountsOverAnyInterval)
                 const trace::TaskInstance spanning{
                     next_id++, type, 0, {0, span_end}};
                 const TimeStamp g0 =
-                    index::TracePyramids(withTasks(base, {spanning}))
+                    index::TraceIndex(withTasks(base, {spanning}))
                         .leafGranularity();
                 if (tail == 0) {
                     ASSERT_EQ(span_end % g0, 0u);
@@ -548,7 +548,7 @@ TEST(SummaryPyramid, TaskIndexMatchesNaiveCountsOverAnyInterval)
                 trace::Trace tr = withTasks(base, extra);
                 ASSERT_EQ(tr.span().end, span_end);
 
-                index::TracePyramids pyramids(tr);
+                index::TraceIndex pyramids(tr);
                 ASSERT_EQ(pyramids.leafGranularity(), g0);
                 expectTasksBucketedByStartLeaf(tr, pyramids);
                 expectTaskIndexMatchesNaive(tr, pyramids,
@@ -565,7 +565,7 @@ TEST(SummaryPyramid, WrappedTaskIntervalsBuildCleanlyAndCountByDefinition)
         test_support::buildWrappedTaskTrace(buildRandomTrace(61));
     ASSERT_EQ(tr.span().end, buildRandomTrace(61).span().end);
 
-    index::TracePyramids pyramids(tr);
+    index::TraceIndex pyramids(tr);
     std::size_t wrapped = 0;
     for (const trace::TaskInstance &task : tr.taskInstances()) {
         if (task.interval.start > task.interval.end) {
@@ -611,10 +611,10 @@ TEST(SummaryPyramid, SpanEndingAtTheLastTimestampAnswersOverTheDomain)
     ASSERT_EQ(span.end, ~TimeStamp{0});
 
     Session session = Session::view(tr);
-    const index::TracePyramids &pyramids = *session.pyramids();
+    const index::TraceIndex &pyramids = *session.traceIndex();
     const TimeStamp g0 = pyramids.leafGranularity();
     ASSERT_GT(pyramids.leafCount(), 0u);
-    EXPECT_LE(pyramids.leafCount(), index::TracePyramids::kTargetLeaves);
+    EXPECT_LE(pyramids.leafCount(), index::TraceIndex::kTargetLeaves);
     EXPECT_GT(pyramids.domainEnd(), 0u);
     EXPECT_EQ(pyramids.domainEnd() / g0, pyramids.leafCount());
     EXPECT_EQ(pyramids.domainEnd() % g0, 0u);
@@ -693,9 +693,9 @@ TEST(SummaryPyramid, SharedCachesShareOnePyramidStore)
     Session a(tr);
     a.submit(PyramidBuildQuery{}).take();
     Session b(tr, a.sharedCaches());
-    EXPECT_EQ(a.pyramids().get(), b.pyramids().get());
+    EXPECT_EQ(a.traceIndex().get(), b.traceIndex().get());
     // b built no pyramid of its own: a's prefetch serves it.
-    EXPECT_EQ(b.pyramids()->size(), tr->numCpus());
+    EXPECT_EQ(b.traceIndex()->size(), tr->numCpus());
 
     const TimeInterval span = tr->span();
     Resolution res = Resolution::budget(span.duration() / 8);
@@ -720,7 +720,7 @@ TEST(SummaryPyramid, RenderAtPixelsResolutionReportsProvenance)
     const render::RenderStats &stats = session.render(config, fb);
     EXPECT_FALSE(stats.resolution.exact);
     EXPECT_EQ(stats.resolution.granularityNs,
-              session.pyramids()->leafGranularity());
+              session.traceIndex()->leafGranularity());
     EXPECT_GT(stats.resolution.nodesTouched, 0u);
 
     // Exact rendering is untouched by the pyramid plumbing.

@@ -4,7 +4,7 @@
 
 #include <cstdio>
 
-#include "index/summary_pyramid.h"
+#include "index/trace_index.h"
 #include "trace/reader.h"
 #include "trace/writer.h"
 #include "trace_builder.h"
@@ -64,12 +64,12 @@ TEST(Format, WrappedTaskIntervalsRoundTrip)
     const Trace wrapped =
         test_support::buildWrappedTaskTrace(buildRandomTrace(61));
     const TimeStamp domain_end =
-        index::TracePyramids(wrapped).domainEnd();
+        index::TraceIndex(wrapped).domainEnd();
     for (Encoding encoding : {Encoding::Raw, Encoding::Compact}) {
         ReadResult result = readTrace(writeTrace(wrapped, encoding));
         ASSERT_TRUE(result.ok) << result.error;
         expectTracesEqual(wrapped, result.trace);
-        EXPECT_EQ(index::TracePyramids(result.trace).domainEnd(),
+        EXPECT_EQ(index::TraceIndex(result.trace).domainEnd(),
                   domain_end);
     }
 }
