@@ -9,8 +9,8 @@
  * session owns the shared analysis state the paper's interactivity
  * depends on — the active filter set and view interval — and lazily
  * builds the per-(CPU, counter) min/max search trees and per-CPU
- * summary pyramids so queries cost far less than a rescan (paper
- * sections II-A, VI-B).
+ * summary pyramids, kept in one per-trace store (index::TraceIndex),
+ * so queries cost far less than a rescan (paper sections II-A, VI-B).
  *
  *   Session session(std::move(trace));      // or Session::view(trace)
  *   session.setFilters(filters);            // shared by stats + render
@@ -66,15 +66,16 @@
 #include "trace/trace.h"
 #include "trace/writer.h"
 
-// Indexes.
+// Indexes: per-CPU pyramids and counter indexes in one store.
 #include "index/counter_index.h"
+#include "index/summary_pyramid.h"
+#include "index/trace_index.h"
 
 // Filters.
 #include "filter/task_filter.h"
 
 // The session facade (the analysis front door).
 #include "session/compare.h"
-#include "session/counter_index_cache.h"
 #include "session/query.h"
 #include "session/query_engine.h"
 #include "session/session.h"

@@ -46,10 +46,9 @@
  *                           across lazy pool start + enqueue
  *                           (withPool) and across a resize's drain
  *                           and join (setWorkers).
- *   kCounterIndexShard (300) one CounterIndexCache shard; shards never
- *                           nest with each other.
- *   kPyramidShard (305)     one index::TraceIndex per-CPU shard;
- *                           shards never nest with each other.
+ *   kTraceIndexShard (300)  one index::TraceIndex per-CPU shard (that
+ *                           CPU's pyramid and counter indexes); shards
+ *                           never nest with each other.
  *   kThreadPool (400)       base::ThreadPool::mutex_ — every enqueue
  *                           path ends here, so everything above must
  *                           rank lower.
@@ -87,8 +86,7 @@ inline constexpr int kDaemonServer = 40;
 inline constexpr int kDaemonConnection = 50;
 inline constexpr int kDaemonClient = 60;
 inline constexpr int kQueryEngine = 100;
-inline constexpr int kCounterIndexShard = 300;
-inline constexpr int kPyramidShard = 305;
+inline constexpr int kTraceIndexShard = 300;
 inline constexpr int kThreadPool = 400;
 inline constexpr int kDecodePipeline = 410;
 inline constexpr int kTicketState = 500;

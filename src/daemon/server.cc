@@ -15,15 +15,15 @@ using session::QueryStatus;
 
 /**
  * One trace shared across every client that opened the same file: the
- * trace object plus the shareable caches (Session::SharedCaches).
- * Reference-counted under the server mutex; the registry entry dies
- * with the last binding.
+ * trace object plus its index store, which every binding's session
+ * answers from. Reference-counted under the server mutex; the registry
+ * entry dies with the last binding.
  */
 struct Server::SharedTrace
 {
     std::string key; ///< Registry key; empty = private (inline bytes).
     std::shared_ptr<const trace::Trace> trace;
-    session::Session::SharedCaches caches;
+    std::shared_ptr<index::TraceIndex> index;
     std::size_t refs = 0; ///< Guarded by the server mutex.
 };
 
@@ -39,7 +39,8 @@ namespace {
 /**
  * One row of the query dispatch table: the message type, its name in
  * diagnostics, the request decoder, the builder of the session spec
- * (everything but the priority, which the generic path applies), and
+ * (everything but the priority, which the generic path applies; it
+ * takes the decoded request by rvalue, so it can move out of it), and
  * the encoder of the result.
  */
 template <typename Request, typename Spec, typename Result>
@@ -48,7 +49,7 @@ struct QueryRoute
     MsgType type;
     const char *name;
     bool (*decode)(ByteReader &, Request &);
-    Spec (*build)(const Request &);
+    Spec (*build)(Request &&);
     void (*encode)(const Result &, ByteWriter &);
 };
 
@@ -57,7 +58,7 @@ constexpr auto kQueryRoutes = std::make_tuple(
     QueryRoute<IntervalStatsRequest, session::IntervalStatsQuery,
                stats::IntervalStats>{
         MsgType::IntervalStats, "IntervalStats", decodeIntervalStatsRequest,
-        [](const IntervalStatsRequest &q) {
+        [](IntervalStatsRequest &&q) {
             session::IntervalStatsQuery spec;
             spec.context.interval = q.interval;
             spec.context.resolution = q.resolution;
@@ -66,7 +67,7 @@ constexpr auto kQueryRoutes = std::make_tuple(
         stats::encodeIntervalStats},
     QueryRoute<HistogramRequest, session::HistogramQuery, stats::Histogram>{
         MsgType::Histogram, "Histogram", decodeHistogramRequest,
-        [](const HistogramRequest &q) {
+        [](HistogramRequest &&q) {
             session::HistogramQuery spec;
             spec.numBins = q.numBins;
             spec.context.interval = q.interval;
@@ -77,7 +78,7 @@ constexpr auto kQueryRoutes = std::make_tuple(
     QueryRoute<TaskListRequest, session::TaskListQuery,
                std::vector<const trace::TaskInstance *>>{
         MsgType::TaskList, "TaskList", decodeTaskListRequest,
-        [](const TaskListRequest &) { return session::TaskListQuery(); },
+        [](TaskListRequest &&) { return session::TaskListQuery(); },
         [](const std::vector<const trace::TaskInstance *> &tasks,
            ByteWriter &w) {
             std::vector<TaskRow> rows;
@@ -91,7 +92,7 @@ constexpr auto kQueryRoutes = std::make_tuple(
                index::MinMax>{
         MsgType::CounterExtrema, "CounterExtrema",
         decodeCounterExtremaRequest,
-        [](const CounterExtremaRequest &q) {
+        [](CounterExtremaRequest &&q) {
             session::CounterExtremaQuery spec;
             spec.cpu = q.cpu;
             spec.counter = q.counter;
@@ -102,9 +103,9 @@ constexpr auto kQueryRoutes = std::make_tuple(
         stats::encodeMinMax},
     QueryRoute<WarmupRequest, session::WarmupQuery, session::WarmupStats>{
         MsgType::Warmup, "Warmup", decodeWarmupRequest,
-        [](const WarmupRequest &q) {
+        [](WarmupRequest &&q) {
             session::WarmupQuery spec;
-            spec.policy = q.policy;
+            spec.policy = std::move(q.policy);
             return spec;
         },
         encodeWarmupStats},
@@ -112,7 +113,7 @@ constexpr auto kQueryRoutes = std::make_tuple(
                session::TimelineRenderResult>{
         MsgType::TimelineRender, "TimelineRender",
         decodeTimelineRenderRequest,
-        [](const TimelineRenderRequest &q) {
+        [](TimelineRenderRequest &&q) {
             session::TimelineRenderQuery spec;
             spec.config.mode = static_cast<render::TimelineMode>(q.mode);
             spec.config.view = q.view;
@@ -131,7 +132,7 @@ constexpr auto kQueryRoutes = std::make_tuple(
     QueryRoute<AnomalyScanRequest, session::AnomalyScanQuery,
                std::vector<stats::Anomaly>>{
         MsgType::AnomalyScan, "AnomalyScan", decodeAnomalyScanRequest,
-        [](const AnomalyScanRequest &q) {
+        [](AnomalyScanRequest &&q) {
             session::AnomalyScanQuery spec;
             spec.options = q.options;
             spec.context.interval = q.interval;
@@ -517,9 +518,10 @@ Server::Connection::serveQuery(
     Binding *binding = findBinding(frame, q.head.traceId);
     if (!binding || !admit(frame.requestId))
         return true;
-    Spec spec = route.build(q);
+    const WirePriority requested = q.head.priority;
+    Spec spec = route.build(std::move(q));
     spec.context.priority =
-        effectivePriority(q.head.priority, spec.context.priority);
+        effectivePriority(requested, spec.context.priority);
     track<Result>(frame.requestId, binding->session->submit(spec),
                   spec.context.priority == QueryPriority::Background,
                   route.encode);
@@ -569,7 +571,7 @@ Server::Connection::handleOpenTrace(const Frame &frame)
     Binding binding;
     binding.shared = shared;
     binding.session = std::make_unique<session::Session>(shared->trace,
-                                                         shared->caches);
+                                                         shared->index);
     binding.session->setQueryEngine(server_->engine_);
     // Per-client cancellation scope: this client's view/filter
     // mutations cancel only its own stale queries.
@@ -826,7 +828,7 @@ Server::acquireTrace(const OpenTraceRequest &request, std::string &error)
     auto shared = std::make_shared<SharedTrace>();
     shared->trace =
         std::make_shared<const trace::Trace>(std::move(result.trace));
-    shared->caches = session::Session::freshCaches(shared->trace);
+    shared->index = std::make_shared<index::TraceIndex>(*shared->trace);
     shared->refs = 1;
     if (!from_path)
         return shared;

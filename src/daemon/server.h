@@ -9,11 +9,11 @@
  * reader thread — so the session's single-driving-thread contract holds
  * by construction. All sessions share the server's one QueryEngine and
  * worker pool; clients that open the *same* trace file additionally
- * share that trace's caches (counter indexes and summary pyramids):
- * each binding's session is constructed over that trace's one
- * Session::SharedCaches, built once when the trace is first loaded, so
- * an index any client pays for serves them all and a second open
- * builds nothing. No per-interval answer is kept, so a client's
+ * share that trace's index store (index::TraceIndex: counter indexes,
+ * summary pyramids, task index): each binding's session is constructed
+ * over that trace's one store, made once when the trace is first
+ * loaded, so an index any client pays for serves them all and a second
+ * open builds nothing. No per-interval answer is kept, so a client's
  * queries never grow the daemon's memory.
  *
  * Isolation comes from the cancellation plane, not from duplication:

@@ -10,6 +10,29 @@
 namespace aftermath {
 namespace index {
 
+namespace {
+
+/**
+ * *@p slot, built by @p build when it is empty: the one build path of
+ * every per-CPU structure, run under the shard lock. Sets *@p built,
+ * when non-null, to whether this call built it, which is exact even
+ * while other threads build (a warm-up or a pyramid build counts only
+ * its own).
+ */
+template <typename T, typename Build>
+const T &
+buildOnce(std::unique_ptr<T> &slot, bool *built, Build build)
+{
+    const bool missing = slot == nullptr;
+    if (missing)
+        slot = build();
+    if (built)
+        *built = missing;
+    return *slot;
+}
+
+} // namespace
+
 TraceIndex::TraceIndex(const trace::Trace &trace)
     : trace_(trace), shards_(trace.numCpus())
 {
@@ -78,31 +101,24 @@ TraceIndex::TraceIndex(const trace::Trace &trace)
     }
 }
 
+TraceIndex::Shard &
+TraceIndex::shardOf(CpuId cpu)
+{
+    AFTERMATH_ASSERT(cpu < shards_.size(),
+                     "index of cpu %u outside topology (%zu cpus)", cpu,
+                     shards_.size());
+    return shards_[cpu];
+}
+
 const SummaryPyramid &
 TraceIndex::get(CpuId cpu, bool *built)
 {
-    const SummaryPyramid *pyramid = getOrNull(cpu, built);
-    AFTERMATH_ASSERT(pyramid != nullptr,
-                     "pyramid of an out-of-range cpu");
-    return *pyramid;
-}
-
-const SummaryPyramid *
-TraceIndex::getOrNull(CpuId cpu, bool *built)
-{
-    if (built)
-        *built = false;
-    if (cpu >= shards_.size())
-        return nullptr;
-    Shard &shard = shards_[cpu];
+    Shard &shard = shardOf(cpu);
     base::MutexLock lock(shard.mutex);
-    if (!shard.pyramid) {
-        shard.pyramid = std::make_unique<SummaryPyramid>(
-            trace_, cpu, g0_, leafCount_);
-        if (built)
-            *built = true;
-    }
-    return shard.pyramid.get();
+    return buildOnce(shard.pyramid, built, [&] {
+        return std::make_unique<SummaryPyramid>(trace_, cpu, g0_,
+                                                leafCount_);
+    });
 }
 
 const SummaryPyramid *
@@ -115,16 +131,58 @@ TraceIndex::getIfBuilt(CpuId cpu) const
     return shard.pyramid.get();
 }
 
-std::size_t
-TraceIndex::size() const
+const CounterIndex &
+TraceIndex::counterIndex(CpuId cpu, CounterId counter, bool *built)
 {
-    std::size_t count = 0;
+    Shard &shard = shardOf(cpu);
+    base::MutexLock lock(shard.mutex);
+    bool constructed = false;
+    const CounterIndex &index =
+        buildOnce(shard.counterIndexes[counter], &constructed, [&] {
+            return std::make_unique<CounterIndex>(
+                trace_.cpu(cpu).counterSamples(counter));
+        });
+    (constructed ? shard.counterIndexLookups.builds
+                 : shard.counterIndexLookups.hits)++;
+    if (built)
+        *built = constructed;
+    return index;
+}
+
+MinMax
+TraceIndex::counterExtrema(CpuId cpu, CounterId counter,
+                           const TimeInterval &interval)
+{
+    // An unsampled counter has no extrema: answer it without building
+    // or inserting an index, so queries over arbitrary counter ids
+    // (a daemon client's, say) cannot grow the store.
+    if (!trace_.hasCpu(cpu) || trace_.cpu(cpu).counterSamples(counter).empty())
+        return MinMax{};
+    return counterIndex(cpu, counter).query(interval);
+}
+
+bool
+TraceIndex::hasCounterIndex(CpuId cpu, CounterId counter) const
+{
+    if (cpu >= shards_.size())
+        return false;
+    const Shard &shard = shards_[cpu];
+    base::MutexLock lock(shard.mutex);
+    return shard.counterIndexes.count(counter) != 0;
+}
+
+TraceIndex::Counts
+TraceIndex::counts() const
+{
+    Counts total;
     for (const Shard &shard : shards_) {
         base::MutexLock lock(shard.mutex);
-        if (shard.pyramid)
-            count++;
+        total.pyramids += shard.pyramid ? 1 : 0;
+        total.counterIndexes += shard.counterIndexes.size();
+        total.counterIndexLookups.hits += shard.counterIndexLookups.hits;
+        total.counterIndexLookups.builds += shard.counterIndexLookups.builds;
     }
-    return count;
+    return total;
 }
 
 TimeStamp

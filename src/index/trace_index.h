@@ -1,6 +1,7 @@
 /**
  * @file
- * The per-trace index store: summary pyramids and the task index.
+ * The per-trace index store: summary pyramids, counter indexes and the
+ * task index.
  *
  * The task index is a counting sort over the summary pyramids' leaves
  * (index/summary_pyramid.h): every task
@@ -12,11 +13,22 @@
  * task counts of any interval cost O(tasks in two leaves). The build
  * is two linear passes with no comparison sort.
  *
- * TraceIndex is the lazily-built, per-CPU-sharded store shared across
- * every session viewing one trace (Session::SharedCaches), the same
- * idiom as CounterIndexCache: one lock per CPU shard, builds for
- * different CPUs never contend, references stay valid for the
- * store's lifetime, which is the trace's.
+ * The paper keeps one min/max search tree per counter and per core
+ * (section VI-B.c), so any interval's extrema cost O(arity * log n)
+ * instead of a rescan. Those trees (index::CounterIndex) and the
+ * per-CPU summary pyramids are the same kind of structure: per trace,
+ * per CPU, built on first use and kept for the trace's lifetime. So
+ * they share one store. Each CPU has one shard, guarded by one lock,
+ * holding that CPU's pyramid and its counter indexes.
+ *
+ * TraceIndex is shared across every session viewing one trace
+ * (Session::traceIndex(); the daemon holds one per opened trace), so
+ * no consumer ever rebuilds an index another already paid for. Every
+ * structure is filter- and view-independent. Builds run under the
+ * shard lock: builds for different CPUs never contend, but a pyramid
+ * and a counter index of the same CPU build one after the other, and
+ * a lookup on that CPU waits for a build in progress. References stay
+ * valid for the store's lifetime.
  */
 
 #ifndef AFTERMATH_INDEX_TRACE_INDEX_H
@@ -24,6 +36,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -33,22 +46,37 @@
 #include "base/thread_annotations.h"
 #include "base/time_interval.h"
 #include "base/types.h"
+#include "index/counter_index.h"
 #include "index/summary_pyramid.h"
 #include "trace/trace.h"
 
 namespace aftermath {
 namespace index {
 
+/** Cumulative hit/build counters of one cache. */
+struct CacheCounters
+{
+    /** Queries answered from the cache. */
+    std::uint64_t hits = 0;
+
+    /** Queries that had to construct the value. */
+    std::uint64_t builds = 0;
+
+    /** Total queries observed. */
+    std::uint64_t total() const { return hits + builds; }
+};
+
 /**
- * The shared, per-CPU-sharded pyramid store of one trace. One leaf
- * granularity g0 for every CPU (chosen from the trace span), per-CPU
- * pyramids built lazily under per-shard locks (rank kPyramidShard),
- * plus the trace-global task index by leaf, built eagerly: the tasks
- * bucketed by start leaf and the leaf-crossing task ends bucketed by
- * end leaf, with per-leaf prefix counts. They answer the interval task counts
- * (tasksStarted / tasksOverlapping) of any interval exactly, as the
- * scan defines them, at the cost of the tasks in two leaves, and
- * select the histogram's candidate tasks by start leaf.
+ * The shared, per-CPU-sharded index store of one trace. One leaf
+ * granularity g0 for every CPU (chosen from the trace span); per-CPU
+ * pyramids and per-(CPU, counter) min/max indexes, built lazily under
+ * per-shard locks (rank kTraceIndexShard); plus the trace-global task
+ * index by leaf, built eagerly: the tasks bucketed by start leaf and
+ * the leaf-crossing task ends bucketed by end leaf, with per-leaf
+ * prefix counts. They answer the interval task counts (tasksStarted /
+ * tasksOverlapping) of any interval exactly, as the scan defines them,
+ * at the cost of the tasks in two leaves, and select the histogram's
+ * candidate tasks by start leaf.
  */
 class TraceIndex
 {
@@ -56,7 +84,7 @@ class TraceIndex
     /** Target leaf count the granularity is chosen against. */
     static constexpr std::uint64_t kTargetLeaves = 4096;
 
-    /** Pyramids over @p trace, which must stay alive and unchanged. */
+    /** The store of @p trace, which must stay alive and unchanged. */
     explicit TraceIndex(const trace::Trace &trace);
 
     /** Leaf granularity shared by every CPU's pyramid. */
@@ -81,9 +109,6 @@ class TraceIndex
      */
     const SummaryPyramid &get(CpuId cpu, bool *built = nullptr);
 
-    /** Like get(), but returns nullptr for out-of-range CPU ids. */
-    const SummaryPyramid *getOrNull(CpuId cpu, bool *built = nullptr);
-
     /**
      * The pyramid of @p cpu if one is already built, else nullptr
      * (also for out-of-range ids). Never builds: the exact path uses
@@ -92,8 +117,42 @@ class TraceIndex
      */
     const SummaryPyramid *getIfBuilt(CpuId cpu) const;
 
-    /** Number of pyramids currently built. */
-    std::size_t size() const;
+    /**
+     * The min/max index of @p counter on @p cpu, built on first use;
+     * panics on out-of-range ids, and a counter never sampled on the
+     * CPU yields an index over an empty array (every query invalid).
+     * Thread-safe; the reference stays valid for this object's
+     * lifetime. @p built is set as by get(), which lets a warm-up
+     * attribute its own builds while other queries build.
+     */
+    const CounterIndex &counterIndex(CpuId cpu, CounterId counter,
+                                     bool *built = nullptr);
+
+    /**
+     * Extrema of @p counter on @p cpu within @p interval through its
+     * index; invalid for unknown CPUs or unsampled counters, which
+     * neither build nor insert an index.
+     */
+    MinMax counterExtrema(CpuId cpu, CounterId counter,
+                          const TimeInterval &interval);
+
+    /**
+     * Whether the index of @p counter on @p cpu is already built.
+     * Builds nothing and counts nothing; false for unknown CPUs.
+     */
+    bool hasCounterIndex(CpuId cpu, CounterId counter) const;
+
+    /** What the store holds, summed over its shards. */
+    struct Counts
+    {
+        std::size_t pyramids = 0;       ///< Pyramids built.
+        std::size_t counterIndexes = 0; ///< Counter indexes built.
+        /** counterIndex() and counterExtrema() lookups. */
+        CacheCounters counterIndexLookups;
+    };
+
+    /** The store's counts; visits the shards one at a time. */
+    Counts counts() const;
 
     /**
      * The granularity (a power-of-two multiple of g0) the engine
@@ -165,15 +224,24 @@ class TraceIndex
     std::uint64_t endsBy(TimeStamp t) const;
 
     /**
-     * One CPU's slot, guarded by its own lock. Shards share one rank
-     * (kPyramidShard) because no code path holds two at once.
+     * One CPU's slice of the store, guarded by its own lock. Shards
+     * share one rank (kTraceIndexShard) because no code path holds two
+     * at once.
      */
     struct Shard
     {
-        mutable base::Mutex mutex{base::lockrank::kPyramidShard,
-                                  "pyramid-shard"};
+        mutable base::Mutex mutex{base::lockrank::kTraceIndexShard,
+                                  "trace-index-shard"};
         std::unique_ptr<SummaryPyramid> pyramid AM_GUARDED_BY(mutex);
+        // unique_ptr because CounterIndex pins a reference to its
+        // sample array and is neither copyable nor movable.
+        std::map<CounterId, std::unique_ptr<CounterIndex>> counterIndexes
+            AM_GUARDED_BY(mutex);
+        CacheCounters counterIndexLookups AM_GUARDED_BY(mutex);
     };
+
+    /** The shard of @p cpu; panics on out-of-range ids. */
+    Shard &shardOf(CpuId cpu);
 
     const trace::Trace &trace_;
     TimeStamp g0_ = 1;

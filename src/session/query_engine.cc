@@ -4,9 +4,9 @@
  * overloads and the worker-side code they fan out.
  *
  * Executors capture shared ownership of everything they read — the
- * trace, the sharded index cache, the pyramid store, filter snapshots —
- * and never the Session itself, so sessions stay movable and
- * destruction is safe with queries in flight. No executor ever blocks
+ * trace, the sharded index store, filter snapshots — and never the
+ * Session itself, so sessions stay movable and destruction is safe
+ * with queries in flight. No executor ever blocks
  * on the pool, so a 1-worker pool cannot deadlock. No executor
  * memoizes its result: every query computes its answer from the trace
  * and its indexes.
@@ -273,27 +273,27 @@ Session::submit(const IntervalStatsQuery &query)
 {
     TimeInterval interval = query.context.interval.value_or(view());
     const TimeStamp granularity =
-        pyramids_->granularityFor(query.context.resolution, interval);
+        traceIndex_->granularityFor(query.context.resolution, interval);
     if (granularity > 0) {
         // Pyramid path: snap the interval outward to the granularity
         // and answer the *snapped* interval exactly from two cells of
         // each state column per CPU, in one chunk.
-        TimeInterval snapped = pyramids_->snap(interval, granularity);
+        TimeInterval snapped = traceIndex_->snap(interval, granularity);
         const bool exact = snapped.start == interval.start &&
                            snapped.end == interval.end;
         return launchOneChunk(
             *engine_, newTicketState<stats::IntervalStats>(*domain_),
             query.context.priority,
-            [trace = trace_, pyramids = pyramids_, snapped, granularity,
+            [trace = trace_, store = traceIndex_, snapped, granularity,
              exact](stats::IntervalStats &out) {
                 out.interval = snapped;
                 std::uint64_t cells = 0;
-                auto range = pyramids->leafRange(snapped);
+                auto range = store->leafRange(snapped);
                 for (CpuId c = 0; c < trace->numCpus(); c++)
-                    pyramids->get(c).occupancy(range.first, range.second,
-                                               out.timeInState, cells);
-                out.tasksStarted = pyramids->tasksStartedIn(snapped);
-                out.tasksOverlapping = pyramids->tasksOverlapping(snapped);
+                    store->get(c).occupancy(range.first, range.second,
+                                            out.timeInState, cells);
+                out.tasksStarted = store->tasksStartedIn(snapped);
+                out.tasksOverlapping = store->tasksOverlapping(snapped);
                 out.resolution.exact = exact;
                 out.resolution.nodesTouched = cells;
                 out.resolution.granularityNs = granularity;
@@ -309,21 +309,21 @@ Session::submit(const IntervalStatsQuery &query)
     return launchFanOut<stats::IntervalStats>(
         *engine_, newTicketState<stats::IntervalStats>(*domain_),
         query.context.priority, trace_->numCpus(),
-        [trace = trace_, pyramids = pyramids_,
+        [trace = trace_, store = traceIndex_,
          interval](std::size_t i, stats::IntervalStats &out) {
             const auto cpu = static_cast<CpuId>(i);
             out = stats::intervalStateChunk(trace->cpu(cpu), interval,
-                                            pyramids->getIfBuilt(cpu));
+                                            store->getIfBuilt(cpu));
             return true;
         },
-        [pyramids = pyramids_,
+        [store = traceIndex_,
          interval](std::vector<stats::IntervalStats> &&partials) {
             stats::IntervalStats merged;
             merged.interval = interval;
             for (const stats::IntervalStats &partial : partials)
                 merged.mergeFrom(partial);
-            merged.tasksStarted = pyramids->tasksStartedIn(interval);
-            merged.tasksOverlapping = pyramids->tasksOverlapping(interval);
+            merged.tasksStarted = store->tasksStartedIn(interval);
+            merged.tasksOverlapping = store->tasksOverlapping(interval);
             return merged;
         });
 }
@@ -372,23 +372,23 @@ Session::submit(const HistogramQuery &query)
     std::optional<TimeInterval> selected = query.context.interval;
     ResolutionInfo provenance;
     if (selected) {
-        if (const TimeStamp granularity = pyramids_->granularityFor(
+        if (const TimeStamp granularity = traceIndex_->granularityFor(
                 query.context.resolution, *selected)) {
-            selected = pyramids_->snap(*selected, granularity);
+            selected = traceIndex_->snap(*selected, granularity);
             provenance.exact = selected == query.context.interval;
             provenance.granularityNs = granularity;
         }
     }
     return launchOneChunk(
         *engine_, state, query.context.priority,
-        [state, trace = trace_, pyramids = pyramids_,
+        [state, trace = trace_, store = traceIndex_,
          filters = std::make_shared<const filter::FilterSet>(filters_),
          selected, provenance,
          num_bins = query.numBins](stats::Histogram &out) {
             const std::vector<const trace::TaskInstance *> &by_start =
-                pyramids->tasksByStart();
+                store->tasksByStart();
             auto [first, last] =
-                selected ? pyramids->taskStartRange(*selected)
+                selected ? store->taskStartRange(*selected)
                          : std::pair<std::size_t, std::size_t>(
                                0, by_start.size());
             std::vector<double> durations;
@@ -417,14 +417,15 @@ Session::submit(const CounterExtremaQuery &query)
     // leaf-aligned snapped interval. Unknown CPUs and unsampled
     // counters yield an invalid MinMax.
     if (const TimeStamp granularity =
-            pyramids_->granularityFor(query.context.resolution, interval))
-        interval = pyramids_->snap(interval, granularity);
+            traceIndex_->granularityFor(query.context.resolution, interval))
+        interval = traceIndex_->snap(interval, granularity);
     return launchOneChunk(*engine_, newTicketState<index::MinMax>(*domain_),
                           query.context.priority,
-                          [cache = counterIndexes_, cpu = query.cpu,
+                          [store = traceIndex_, cpu = query.cpu,
                            counter = query.counter,
                            interval](index::MinMax &out) {
-                              out = cache->query(cpu, counter, interval);
+                              out = store->counterExtrema(cpu, counter,
+                                                          interval);
                               return true;
                           });
 }
@@ -442,7 +443,7 @@ Session::submit(const WarmupQuery &query)
     auto pairs =
         std::make_shared<std::vector<std::pair<CpuId, CounterId>>>();
 
-    // The index cache is the one record of what is built: a pair it
+    // The index store is the one record of what is built: a pair it
     // already holds (built by an earlier warm-up, even a cancelled one,
     // or by a query) is skipped without a counted lookup.
     const WarmupPolicy &policy = query.policy;
@@ -471,7 +472,7 @@ Session::submit(const WarmupQuery &query)
             for (CounterId id : trace_->cpu(c).counterIds()) {
                 if (!named[slot(id)])
                     continue;
-                if (counterIndexes_->contains(c, id)) {
+                if (traceIndex_->hasCounterIndex(c, id)) {
                     summary.indexesSkipped++;
                     continue;
                 }
@@ -484,9 +485,10 @@ Session::submit(const WarmupQuery &query)
     // One unit per (cpu, counter) pair.
     return launchFanOut<std::size_t>(
         *engine_, state, query.context.priority, pairs->size(),
-        [cache = counterIndexes_, pairs](std::size_t i, std::size_t &built) {
+        [store = traceIndex_, pairs](std::size_t i, std::size_t &built) {
             bool constructed = false;
-            cache->get((*pairs)[i].first, (*pairs)[i].second, &constructed);
+            store->counterIndex((*pairs)[i].first, (*pairs)[i].second,
+                                &constructed);
             // Per-call attribution: concurrent non-warm-up queries
             // building indexes never inflate this job's count.
             built = constructed ? 1 : 0;
@@ -510,18 +512,19 @@ Session::submit(const PyramidBuildQuery &query)
     summary.cpusVisited = trace_->numCpus();
     summary.workers = engine_->workers();
     // Every CPU is one unit. TraceIndex::get() builds under the CPU's
-    // shard lock, so builds for different CPUs never contend, and a CPU
+    // shard lock, so builds for different CPUs never contend (one CPU's
+    // counter-index builds wait for it, and it for them), and a CPU
     // a concurrent resolution-bearing query already built is attributed
     // to that query, not this job. Pyramids built before a cancel stay
     // cached; the next build revisits the remaining CPUs cheaply.
     return launchFanOut<std::size_t>(
         *engine_, std::move(state), query.context.priority,
         trace_->numCpus(),
-        // The trace capture keeps the pyramids' source alive.
-        [trace = trace_, pyramids = pyramids_](std::size_t i,
-                                               std::size_t &built) {
+        // The trace capture keeps the store's source alive.
+        [trace = trace_, store = traceIndex_](std::size_t i,
+                                              std::size_t &built) {
             bool constructed = false;
-            pyramids->get(static_cast<CpuId>(i), &constructed);
+            store->get(static_cast<CpuId>(i), &constructed);
             built = constructed ? 1 : 0;
             return true;
         },
@@ -597,12 +600,12 @@ Session::submitRender(const TimelineRenderQuery &query,
     auto frame = std::make_shared<Frame>();
     frame->asLanes = query.asLanes;
     frame->target = into;
-    // The trace, filters and pyramids captures keep config's pointers
+    // The trace, filters and store captures keep config's pointers
     // valid even if the session dies mid-render.
     return launchFanOut<render::RenderStats>(
         *engine_, newTicketState<TimelineRenderResult>(*domain_),
         query.context.priority, trace_->numCpus(),
-        [trace = trace_, filters, pyramids = pyramids_, config, frame,
+        [trace = trace_, filters, store = traceIndex_, config, frame,
          width = query.width, height = query.height](
             std::size_t i, render::RenderStats &out) {
             frame->prepare(*trace, config, width, height);

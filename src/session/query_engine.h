@@ -38,10 +38,10 @@
  *
  * Executors never touch the Session object itself — they capture shared
  * ownership of everything they read (the trace, the sharded index
- * cache, a filter snapshot, the pyramid store) so sessions stay movable
- * and destruction is safe with queries in flight (the engine's pool
- * drains before it dies). The per-trace structures (counter indexes,
- * pyramids) are shareable across every client viewing one trace. No
+ * store, a filter snapshot) so sessions stay movable and destruction is
+ * safe with queries in flight (the engine's pool drains before it
+ * dies). The index store (counter indexes, pyramids, task index) is
+ * shareable across every client viewing one trace. No
  * answer is remembered: interval statistics, histograms and task lists
  * are computed on every query from the trace and its indexes, and a
  * filter-keyed answer reads the filter snapshot taken at submit.
@@ -64,11 +64,11 @@
  * completion callbacks run with *no* lock held (they fire after
  * TicketState::mutex is released), so a callback may re-enter the
  * daemon's low-ranked locks to enqueue a response without inverting
- * the order. Every other mutex in the plane — the CounterIndexCache
- * shards (kCounterIndexShard, 300), the TraceIndex shards
- * (kPyramidShard, 305), and the leaf completion state TicketState
- * (kTicketState, 500) — is acquired on its own or strictly after the
- * ones above it in rank order, never the other way around.
+ * the order. Every other mutex in the plane — the index::TraceIndex
+ * shards (kTraceIndexShard, 300), one per CPU, each guarding that
+ * CPU's pyramid and counter indexes, and the leaf completion state
+ * TicketState (kTicketState, 500) — is acquired on its own or strictly
+ * after the ones above it in rank order, never the other way around.
  */
 
 #ifndef AFTERMATH_SESSION_QUERY_ENGINE_H

@@ -40,39 +40,24 @@ collectIncreases(const trace::Trace &trace, CounterId counter,
 
 } // namespace
 
-Session::SharedCaches
-Session::freshCaches(const std::shared_ptr<const trace::Trace> &trace)
-{
-    AFTERMATH_ASSERT(trace != nullptr, "session over a null trace");
-    // Every cache but one starts cold. The pyramid store builds its
-    // per-CPU pyramids lazily; its constructor eagerly builds the
-    // trace-global task index, two linear passes over the task
-    // instances.
-    SharedCaches caches;
-    caches.counterIndexes = std::make_shared<CounterIndexCache>(*trace);
-    caches.pyramids = std::make_shared<index::TraceIndex>(*trace);
-    return caches;
-}
-
 Session::Session(trace::Trace trace)
     : Session(std::make_shared<const trace::Trace>(std::move(trace)))
 {}
 
 Session::Session(std::shared_ptr<const trace::Trace> trace)
-    : Session(trace, freshCaches(trace))
+    : Session(trace,
+              trace ? std::make_shared<index::TraceIndex>(*trace) : nullptr)
 {}
 
 Session::Session(std::shared_ptr<const trace::Trace> trace,
-                 const SharedCaches &caches)
+                 std::shared_ptr<index::TraceIndex> index)
     : trace_(std::move(trace)),
-      counterIndexes_(caches.counterIndexes),
-      pyramids_(caches.pyramids),
+      traceIndex_(std::move(index)),
       engine_(std::make_shared<QueryEngine>(1)),
       domain_(engine_->defaultDomain())
 {
     AFTERMATH_ASSERT(trace_ != nullptr, "session over a null trace");
-    AFTERMATH_ASSERT(counterIndexes_ != nullptr && pyramids_ != nullptr,
-                     "session over incomplete shared caches");
+    AFTERMATH_ASSERT(traceIndex_ != nullptr, "session over a null index");
 }
 
 Session
@@ -133,15 +118,6 @@ Session::setGenerationDomain(std::shared_ptr<GenerationDomain> domain)
     domain_ = std::move(domain);
 }
 
-Session::SharedCaches
-Session::sharedCaches() const
-{
-    SharedCaches out;
-    out.counterIndexes = counterIndexes_;
-    out.pyramids = pyramids_;
-    return out;
-}
-
 Session::WarmupStats
 Session::warmup(const WarmupPolicy &policy)
 {
@@ -192,7 +168,7 @@ index::MinMax
 Session::counterExtrema(CpuId cpu, CounterId counter,
                         const TimeInterval &interval)
 {
-    return counterIndexes_->query(cpu, counter, interval);
+    return traceIndex_->counterExtrema(cpu, counter, interval);
 }
 
 index::MinMax
@@ -204,7 +180,7 @@ Session::counterExtrema(CpuId cpu, CounterId counter)
 const index::CounterIndex &
 Session::counterIndex(CpuId cpu, CounterId counter)
 {
-    return counterIndexes_->get(cpu, counter);
+    return traceIndex_->counterIndex(cpu, counter);
 }
 
 std::vector<metrics::TaskCounterIncrease>
@@ -272,7 +248,7 @@ SessionCacheStats
 Session::cacheStats() const
 {
     SessionCacheStats out;
-    out.counterIndex = counterIndexes_->counters();
+    out.counterIndex = traceIndex_->counts().counterIndexLookups;
     return out;
 }
 

@@ -66,7 +66,6 @@
 #include "render/layout.h"
 #include "render/render_stats.h"
 #include "render/timeline_renderer.h"
-#include "session/counter_index_cache.h"
 #include "session/query.h"
 #include "session/query_engine.h"
 #include "stats/histogram.h"
@@ -76,10 +75,12 @@
 namespace aftermath {
 namespace session {
 
+using index::CacheCounters;
+
 /** Snapshot of the hit/build accounting of every session cache. */
 struct SessionCacheStats
 {
-    /** Per-(cpu, counter) min/max index cache. */
+    /** Lookups of the per-(cpu, counter) min/max indexes. */
     CacheCounters counterIndex;
 
     /** Always zero: interval statistics are computed on every query,
@@ -97,22 +98,25 @@ struct SessionCacheStats
  * One interactive analysis session over one finalized trace, bound to
  * it for life: to analyse another trace, construct another session.
  *
- * Construction modes. Every one delegates to the SharedCaches
- * constructor; all others pass it a fresh set from freshCaches():
+ * Construction modes. Every one delegates to the constructor taking
+ * an index store; all others pass it a fresh one:
  *  - Session(trace::Trace) takes ownership of the trace;
  *  - Session(std::shared_ptr<const trace::Trace>) shares it;
- *  - Session(std::shared_ptr<const trace::Trace>, SharedCaches) shares
- *    it and the per-trace caches of another session over it;
+ *  - Session(std::shared_ptr<const trace::Trace>,
+ *    std::shared_ptr<index::TraceIndex>) shares it and the index store
+ *    of another session over it;
  *  - Session::view(trace) borrows a trace owned elsewhere (the caller
  *    guarantees it outlives the session).
  *
- * All caches but one are lazy: nothing is indexed until the first
- * query needs it — unless warmup() prefetches the counter indexes off
- * the query path. The exception is the pyramid store's trace-global
- * task index, built with the session in two linear passes over the
- * task instances. Every cache is filter-independent, so setFilters()
- * invalidates none. Counters are cumulative so cache behaviour stays
- * observable.
+ * The session's search structures live in one per-trace store,
+ * index::TraceIndex (index/trace_index.h): per CPU, the summary
+ * pyramid and the per-counter min/max indexes. They are lazy: nothing
+ * is indexed until the first query needs it — unless warmup() or a
+ * PyramidBuildQuery prefetches it off the query path. The exception is
+ * the store's trace-global task index, built with the store in two
+ * linear passes over the task instances. The store is
+ * filter-independent, so setFilters() invalidates nothing in it. Its
+ * counters are cumulative so cache behaviour stays observable.
  */
 class Session
 {
@@ -149,36 +153,15 @@ class Session
     static Session view(const trace::Trace &trace);
 
     /**
-     * The lazily-built caches that are shareable across every session
-     * (every daemon client) viewing the *same* trace: the sharded
-     * counter-index cache and the summary pyramids. Both are
-     * filter-independent, so clients with different filters share them.
-     */
-    struct SharedCaches
-    {
-        std::shared_ptr<CounterIndexCache> counterIndexes;
-        std::shared_ptr<index::TraceIndex> pyramids;
-    };
-
-    /**
-     * A fresh SharedCaches set over @p trace (never null): builds the
-     * pyramid store's trace-global task index; every other cache
-     * starts cold. The caches reference the trace, which must outlive
-     * them.
-     */
-    static SharedCaches
-    freshCaches(const std::shared_ptr<const trace::Trace> &trace);
-
-    /**
      * A session sharing ownership of @p trace and answering from
-     * @p caches, which must come from freshCaches() or sharedCaches()
-     * over the same trace object; builds no per-trace structure of its
-     * own. The daemon's shared-cache plane: every client viewing one
-     * trace binds one set, so a scan any client paid for serves them
-     * all.
+     * @p index, a store over the same trace object (never null): a new
+     * one, or another session's traceIndex(). Builds no per-trace
+     * structure of its own. The daemon's shared index plane: every
+     * client viewing one trace binds one store, so a build any client
+     * paid for serves them all, whatever their filters.
      */
     Session(std::shared_ptr<const trace::Trace> trace,
-            const SharedCaches &caches);
+            std::shared_ptr<index::TraceIndex> index);
 
     // -- Shared state ------------------------------------------------------
 
@@ -186,8 +169,8 @@ class Session
     const trace::Trace &trace() const { return *trace_; }
 
     /**
-     * Replace the active filter set; the caches (counter indexes,
-     * pyramids) are filter-independent and survive. Bumps the query and
+     * Replace the active filter set; the index store (counter
+     * indexes, pyramids) is filter-independent and survives. Bumps the query and
      * filter generations: stale in-flight queries cancel.
      */
     void setFilters(filter::FilterSet filters);
@@ -281,22 +264,17 @@ class Session
     }
 
     /**
-     * Handles to this session's shareable per-trace caches, for a
-     * second session over the *same* trace to be constructed over. The
-     * returned shared_ptrs stay valid across this session's moves.
-     */
-    SharedCaches sharedCaches() const;
-
-    /**
-     * The session's index store (index/trace_index.h):
-     * resolution-aware queries (Resolution::Budget / Pixels) answer
-     * from its summary pyramids, building each CPU's on first use; a
-     * PyramidBuildQuery prefetches them off the interactive path.
-     * Never null.
+     * The session's index store (index/trace_index.h): counter
+     * queries read its min/max indexes, resolution-aware queries
+     * (Resolution::Budget / Pixels) its summary pyramids, each built on
+     * first use; warmup() and a PyramidBuildQuery prefetch them off the
+     * interactive path. Never null. A second session over the *same*
+     * trace can be constructed over it; the handle stays valid across
+     * this session's moves.
      */
     const std::shared_ptr<index::TraceIndex> &traceIndex() const
     {
-        return pyramids_;
+        return traceIndex_;
     }
 
     // -- Warm-up and concurrency -------------------------------------------
@@ -312,7 +290,7 @@ class Session
      * Prefetch the search structures @p policy names so later queries
      * never pay a build on the interactive path: the per-(CPU, counter)
      * min/max indexes, constructed concurrently across CPUs when the
-     * Concurrency knob allows. Incremental: pairs whose index the cache
+     * Concurrency knob allows. Incremental: pairs whose index the store
      * already holds are skipped, so a re-warm-up builds only what is
      * missing. submit(WarmupQuery) is the asynchronous form — a UI
      * thread warms up without blocking.
@@ -353,7 +331,7 @@ class Session
      * Extrema of @p counter on @p cpu within @p interval via the cached
      * min/max index (built on first use). Invalid result for unknown
      * CPUs or counters never sampled on the CPU. Answered directly from
-     * the thread-safe index cache — the per-pixel-column hot path pays
+     * the thread-safe index store — the per-pixel-column hot path pays
      * no submit round-trip; submit(CounterExtremaQuery) reads the same
      * structure, so both forms are identical by construction.
      */
@@ -488,8 +466,7 @@ class Session
 
     // Shared with in-flight executors (shared_ptr so sessions stay
     // movable and destruction-safe with queries in flight).
-    std::shared_ptr<CounterIndexCache> counterIndexes_;
-    std::shared_ptr<index::TraceIndex> pyramids_;
+    std::shared_ptr<index::TraceIndex> traceIndex_;
     std::shared_ptr<QueryEngine> engine_;
     std::shared_ptr<GenerationDomain> domain_; ///< Never null.
     render::RenderStats renderStats_; ///< Last timeline render's counts.

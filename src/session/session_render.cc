@@ -25,7 +25,7 @@ Session::effectiveConfig(const render::TimelineConfig &config,
     // a store of another trace would answer for the wrong events. The
     // async executor captures it, so it outlives the session if need
     // be.
-    effective.pyramids = pyramids_.get();
+    effective.pyramids = traceIndex_.get();
     return effective;
 }
 

@@ -708,7 +708,8 @@ TEST(QueryOracle, ExactMatchesOracleOverEveryPyramidStateAndWorkerCount)
                         session.traceIndex()->get(cpu);
                 if (built == Built::All)
                     session.submit(PyramidBuildQuery{}).take();
-                const std::size_t pyramids = session.traceIndex()->size();
+                const std::size_t pyramids =
+                    session.traceIndex()->counts().pyramids;
                 for (std::size_t i = 0; i < intervals.size(); i++) {
                     const TimeInterval &iv = intervals[i];
                     EXPECT_EQ(bytesOf(session
@@ -726,7 +727,8 @@ TEST(QueryOracle, ExactMatchesOracleOverEveryPyramidStateAndWorkerCount)
                 }
                 // Exact queries read the pyramids there are; they never
                 // build one.
-                EXPECT_EQ(session.traceIndex()->size(), pyramids) << c.name;
+                EXPECT_EQ(session.traceIndex()->counts().pyramids, pyramids)
+                    << c.name;
             }
         }
     }
@@ -905,7 +907,7 @@ TEST(QueryOracle, CounterExtremaMatchOracleAtEveryResolution)
             std::size_t sampled_pairs = 0;
             for (const auto &[cpu, counter] : pairs)
                 sampled_pairs += sampled(tr, cpu, counter) ? 1 : 0;
-            EXPECT_EQ(session.sharedCaches().counterIndexes->size(),
+            EXPECT_EQ(session.traceIndex()->counts().counterIndexes,
                       sampled_pairs)
                 << c.name;
             EXPECT_EQ(session.cacheStats().counterIndex.builds,

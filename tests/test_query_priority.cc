@@ -438,12 +438,12 @@ TEST(PoolLifecycle, SessionConstructionStartsNoWorker)
 
 TEST(PoolLifecycle, BindingLeavesItsDiscardedEngineUnstarted)
 {
-    // The daemon's binding sequence: a session over shared caches is
+    // The daemon's binding sequence: a session over a shared store is
     // pointed at the server's engine and its own domain, so the engine
     // it was constructed with must never have started a thread.
     auto tr = std::make_shared<const trace::Trace>(denseTrace());
     auto server_engine = std::make_shared<QueryEngine>(2);
-    Session session(tr, Session::freshCaches(tr));
+    Session session(tr, std::make_shared<index::TraceIndex>(*tr));
     std::shared_ptr<QueryEngine> discarded = session.queryEngine();
     session.setQueryEngine(server_engine);
     session.setGenerationDomain(std::make_shared<GenerationDomain>());

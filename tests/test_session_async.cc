@@ -241,7 +241,7 @@ TEST(SessionAsync, UnsampledCounterExtremaDoNotGrowIndexCache)
 {
     trace::Trace tr = denseTrace(); // Counters 0 and 1 are sampled.
     Session session = Session::view(tr);
-    const CounterIndexCache &cache = *session.sharedCaches().counterIndexes;
+    const index::TraceIndex &store = *session.traceIndex();
     const TimeInterval span = tr.span();
 
     std::vector<QueryTicket<index::MinMax>> tickets;
@@ -251,13 +251,13 @@ TEST(SessionAsync, UnsampledCounterExtremaDoNotGrowIndexCache)
     for (QueryTicket<index::MinMax> &ticket : tickets)
         EXPECT_FALSE(ticket.take().valid);
     EXPECT_EQ(session.cacheStats().counterIndex.builds, 0u);
-    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(store.counts().counterIndexes, 0u);
 
     for (int repeat = 0; repeat < 2; repeat++)
         EXPECT_TRUE(
             session.submit(CounterExtremaQuery{{span}, 0, 1}).take().valid);
     EXPECT_EQ(session.cacheStats().counterIndex.builds, 1u);
-    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(store.counts().counterIndexes, 1u);
 }
 
 TEST(SessionAsync, CancelWhileQueuedReportsCancelledAndBuildsNothing)
@@ -329,7 +329,7 @@ TEST(SessionAsync, QueuedQueriesCancelInstantly)
     const QueryContext pixels{span, QueryPriority::Interactive,
                               Resolution::pixels(16)};
     // The Pixels rows must take the pyramid path.
-    ASSERT_GT(Session::view(tr).sharedCaches().pyramids->granularityFor(
+    ASSERT_GT(Session::view(tr).traceIndex()->granularityFor(
                   pixels.resolution, span),
               0u);
     const std::vector<
@@ -373,7 +373,7 @@ TEST(SessionAsync, QueuedQueriesCancelInstantly)
         const SessionCacheStats stats = session.cacheStats();
         EXPECT_EQ(stats.counterIndex.builds, 0u);
         EXPECT_EQ(stats.intervalStats.builds, 0u);
-        EXPECT_EQ(session.sharedCaches().pyramids->size(), 0u);
+        EXPECT_EQ(session.traceIndex()->counts().pyramids, 0u);
     }
 }
 

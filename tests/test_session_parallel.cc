@@ -16,10 +16,10 @@
 #include "base/buffer.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
+#include "index/trace_index.h"
 #include "render/color.h"
 #include "render/framebuffer.h"
 #include "session/compare.h"
-#include "session/counter_index_cache.h"
 #include "session/session.h"
 #include "session/session_group.h"
 #include "stats/export.h"
@@ -95,16 +95,16 @@ TEST(ThreadPool, SubmitAndWaitDrainsQueue)
         pool.submit([&] { done.fetch_add(1, std::memory_order_relaxed); });
 }
 
-TEST(CounterIndexCache, ConcurrentGetsBuildEachIndexOnce)
+TEST(TraceIndex, ConcurrentGetsBuildEachIndexOnce)
 {
     trace::Trace tr = denseTrace(4, 2, 500);
-    CounterIndexCache cache(tr);
+    index::TraceIndex store(tr);
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; t++) {
         threads.emplace_back([&] {
             for (CpuId c = 0; c < tr.numCpus(); c++) {
                 for (CounterId id = 0; id < 2; id++) {
-                    index::MinMax mm = cache.query(c, id, {10, 900});
+                    index::MinMax mm = store.counterExtrema(c, id, {10, 900});
                     EXPECT_TRUE(mm.valid);
                 }
             }
@@ -112,10 +112,10 @@ TEST(CounterIndexCache, ConcurrentGetsBuildEachIndexOnce)
     }
     for (std::thread &t : threads)
         t.join();
-    CacheCounters counters = cache.counters();
+    CacheCounters counters = store.counts().counterIndexLookups;
     EXPECT_EQ(counters.builds, 8u); // 4 cpus x 2 counters, built once.
     EXPECT_EQ(counters.total(), 8u * 8u);
-    EXPECT_EQ(cache.size(), 8u);
+    EXPECT_EQ(store.counts().counterIndexes, 8u);
 }
 
 TEST(SessionParallel, ParallelWarmupBitIdenticalToSerial)
@@ -234,12 +234,12 @@ TEST(SessionParallel, WarmupRestrictionWithDuplicatesAndUnsampledIds)
     Session::WarmupStats stats = session.warmup(policy);
     EXPECT_EQ(stats.indexesVisited, 4u * 2u);
     EXPECT_EQ(stats.indexesBuilt, 4u * 2u);
-    const CounterIndexCache &cache = *session.sharedCaches().counterIndexes;
-    EXPECT_EQ(cache.size(), 4u * 2u);
+    const index::TraceIndex &store = *session.traceIndex();
+    EXPECT_EQ(store.counts().counterIndexes, 4u * 2u);
     for (CpuId c = 0; c < tr.numCpus(); c++) {
-        EXPECT_TRUE(cache.contains(c, 0)) << c;
-        EXPECT_FALSE(cache.contains(c, 1)) << c;
-        EXPECT_TRUE(cache.contains(c, 2)) << c;
+        EXPECT_TRUE(store.hasCounterIndex(c, 0)) << c;
+        EXPECT_FALSE(store.hasCounterIndex(c, 1)) << c;
+        EXPECT_TRUE(store.hasCounterIndex(c, 2)) << c;
     }
 }
 

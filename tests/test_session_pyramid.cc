@@ -6,7 +6,7 @@
  * bit-identical at every worker count, the trace-global task index
  * answers as the scan does over any interval (hostile wrapped task
  * intervals and a span ending at 2^64 - 1 included),
- * pyramids share through SharedCaches, and a trace read back with
+ * sessions share one index store, and a trace read back with
  * readTrace answers through a session opened over it. Built with TSan
  * and ASan+UBSan in CI.
  */
@@ -687,15 +687,15 @@ TEST(SummaryPyramid, BuildQueryIsIdempotentAndAttributed)
     EXPECT_EQ(second.cpusBuilt, 0u);
 }
 
-TEST(SummaryPyramid, SharedCachesShareOnePyramidStore)
+TEST(SummaryPyramid, SessionsShareOneTraceIndex)
 {
     auto tr = std::make_shared<const trace::Trace>(buildRandomTrace(43));
     Session a(tr);
     a.submit(PyramidBuildQuery{}).take();
-    Session b(tr, a.sharedCaches());
+    Session b(tr, a.traceIndex());
     EXPECT_EQ(a.traceIndex().get(), b.traceIndex().get());
     // b built no pyramid of its own: a's prefetch serves it.
-    EXPECT_EQ(b.traceIndex()->size(), tr->numCpus());
+    EXPECT_EQ(b.traceIndex()->counts().pyramids, tr->numCpus());
 
     const TimeInterval span = tr->span();
     Resolution res = Resolution::budget(span.duration() / 8);

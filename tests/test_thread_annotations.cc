@@ -193,8 +193,8 @@ TEST(LockRankDeathTest, SameRankAcquisitionAborts)
     // Two distinct mutexes of one rank model the shard-vs-shard trap
     // that visiting shards one at a time avoids: nesting them is an
     // abort, whichever is first.
-    Mutex first(lockrank::kCounterIndexShard, "test-shard-a");
-    Mutex second(lockrank::kCounterIndexShard, "test-shard-b");
+    Mutex first(lockrank::kTraceIndexShard, "test-shard-a");
+    Mutex second(lockrank::kTraceIndexShard, "test-shard-b");
     EXPECT_DEATH(
         {
             MutexLock a(first);
