@@ -469,11 +469,28 @@ decodeWarmupRequest(ByteReader &r, WarmupRequest &out)
     std::uint64_t counters = r.readVarint();
     if (!plausibleCount(r, counters, 1))
         return false;
-    out.policy.counters.clear();
-    out.policy.counters.reserve(counters);
-    for (std::uint64_t i = 0; i < counters; i++)
-        out.policy.counters.push_back(
-            static_cast<CounterId>(r.readVarint()));
+    // Warm-up reads the restriction as a set, so it is decoded into
+    // one: sorted distinct ids, so memory follows the distinct ids, not
+    // the count announced or the ids sent. Compacting each time the
+    // list doubles (sorting the new ids, merging them into the sorted
+    // ones) keeps the decode O(n log n).
+    std::vector<CounterId> &ids = out.policy.counters;
+    ids.clear();
+    std::size_t compacted = 0;
+    auto compact = [&] {
+        const auto fresh =
+            ids.begin() + static_cast<std::ptrdiff_t>(compacted);
+        std::sort(fresh, ids.end());
+        std::inplace_merge(ids.begin(), fresh, ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+        compacted = ids.size();
+    };
+    for (std::uint64_t i = 0; i < counters; i++) {
+        ids.push_back(static_cast<CounterId>(r.readVarint()));
+        if (ids.size() >= 2 * std::max<std::size_t>(compacted, 64))
+            compact();
+    }
+    compact();
     return r.ok();
 }
 

@@ -294,6 +294,10 @@ struct CounterExtremaRequest
     Resolution resolution; ///< Exact | Budget | Pixels.
 };
 
+/**
+ * Wire form of session::WarmupQuery. Decoding yields the counter
+ * restriction sorted and without duplicates, the same set to warm-up.
+ */
 struct WarmupRequest
 {
     QueryHead head;

@@ -125,7 +125,7 @@ struct QueryContext
 /**
  * What a warm-up prefetches: the counter indexes. Warm-up is
  * incremental: (cpu, counter) pairs whose index the session's index
- * cache already holds are skipped, whoever built them, so a re-warm-up
+ * store already holds are skipped, whoever built them, so a re-warm-up
  * builds only what is missing.
  */
 struct WarmupPolicy

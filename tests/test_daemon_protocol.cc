@@ -438,6 +438,44 @@ TEST(DaemonProtocol, AnomalyScanRequestRoundTripsAndValidates)
     EXPECT_TRUE(rejects(bad));
 }
 
+/** The counter restriction of @p body after decoding it whole. */
+std::vector<CounterId>
+decodedWarmupCounters(const std::vector<std::uint8_t> &body)
+{
+    ByteReader r(body);
+    WarmupRequest back;
+    EXPECT_TRUE(decodeWarmupRequest(r, back));
+    EXPECT_TRUE(r.atEnd());
+    return back.policy.counters;
+}
+
+TEST(DaemonProtocol, WarmupRequestDecodesItsCountersAsASortedSet)
+{
+    WarmupRequest request;
+    request.head.traceId = 3;
+    request.policy.counters = {5, 3, 5, 9, 3};
+    ByteWriter w;
+    encodeWarmupRequest(request, w);
+    EXPECT_EQ(decodedWarmupCounters(w.data()),
+              (std::vector<CounterId>{3, 5, 9}));
+
+    // A body near the frame limit of one repeated one-byte id: the
+    // announced count is bounded by the body, and the decoded list by
+    // the one distinct id.
+    request.policy.counters.clear();
+    ByteWriter head;
+    encodeWarmupRequest(request, head);
+    std::vector<std::uint8_t> body = head.data();
+    body.pop_back(); // The empty list's count, 0.
+    const std::size_t repeats = kMaxFrameBytes - 64;
+    ByteWriter count;
+    count.writeVarint(repeats);
+    body.insert(body.end(), count.data().begin(), count.data().end());
+    body.insert(body.end(), repeats, 7);
+    ASSERT_LE(body.size(), kMaxFrameBytes);
+    EXPECT_EQ(decodedWarmupCounters(body), std::vector<CounterId>{7});
+}
+
 /**
  * A 3x5 frame of two lanes (rows 0-1 and 2-3; row 4 is uncovered): an
  * exact lane of runs "A A B", and a pyramid lane whose columns hold
