@@ -170,8 +170,8 @@ class Session
 
     /**
      * Replace the active filter set; the index store (counter
-     * indexes, pyramids) is filter-independent and survives. Bumps the query and
-     * filter generations: stale in-flight queries cancel.
+     * indexes, pyramids) is filter-independent and survives. Bumps the
+     * query and filter generations: stale in-flight queries cancel.
      */
     void setFilters(filter::FilterSet filters);
 

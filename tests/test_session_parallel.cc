@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -116,6 +119,104 @@ TEST(TraceIndex, ConcurrentGetsBuildEachIndexOnce)
     EXPECT_EQ(counters.builds, 8u); // 4 cpus x 2 counters, built once.
     EXPECT_EQ(counters.total(), 8u * 8u);
     EXPECT_EQ(store.counts().counterIndexes, 8u);
+}
+
+TEST(TraceIndex, BackgroundBuildsAndInteractiveQueriesShareOneStore)
+{
+    trace::Trace tr = denseTrace(8, 3, 10'000);
+    const TimeInterval span = tr.span();
+    const Resolution pixels = Resolution::pixels(64);
+    Rng rng(26);
+    index::TraceIndex fresh(tr);
+    // Each probe's Pixels answer is the exact one over its snapped
+    // interval (the interval itself when it is narrower than a leaf per
+    // pixel), taken here by a session no other query touches, and the
+    // naive min/max of the samples in it.
+    struct Probe
+    {
+        TimeInterval interval;
+        CpuId cpu;
+        CounterId counter;
+        stats::IntervalStats stats;
+        index::MinMax extrema;
+    };
+    Session reference = Session::view(tr);
+    std::vector<Probe> probes;
+    for (int i = 0; i < 24; i++) {
+        Probe p;
+        const TimeStamp a = span.start + rng.nextBounded(span.duration());
+        p.interval = {a, a + 1 + rng.nextBounded(span.end - a)};
+        p.cpu = static_cast<CpuId>(rng.nextBounded(tr.numCpus()));
+        p.counter = static_cast<CounterId>(rng.nextBounded(3));
+        const TimeStamp g = fresh.granularityFor(pixels, p.interval);
+        const TimeInterval snapped =
+            g == 0 ? p.interval : fresh.snap(p.interval, g);
+        p.stats = reference.intervalStats(snapped);
+        for (const trace::CounterSample &sample :
+             tr.cpu(p.cpu).counterSamples(p.counter)) {
+            if (!snapped.contains(sample.time))
+                continue;
+            index::MinMax &mm = p.extrema;
+            mm.min = mm.valid ? std::min(mm.min, sample.value) : sample.value;
+            mm.max = mm.valid ? std::max(mm.max, sample.value) : sample.value;
+            mm.valid = true;
+        }
+        probes.push_back(p);
+    }
+
+    for (unsigned workers : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        Session session = Session::view(tr);
+        session.setConcurrency({workers});
+        const index::TraceIndex &store = *session.traceIndex();
+        const QueryContext background{std::nullopt,
+                                      QueryPriority::Background};
+        auto pyramids = session.submit(PyramidBuildQuery{background});
+        auto warmup =
+            session.submit(WarmupQuery{background, WarmupPolicy()});
+        std::vector<QueryTicket<stats::IntervalStats>> stats;
+        std::vector<QueryTicket<index::MinMax>> extrema;
+        for (const Probe &p : probes) {
+            const QueryContext interactive{p.interval,
+                                           QueryPriority::Interactive, pixels};
+            stats.push_back(session.submit(IntervalStatsQuery{interactive}));
+            extrema.push_back(session.submit(
+                CounterExtremaQuery{interactive, p.cpu, p.counter}));
+        }
+        EXPECT_EQ(pyramids.take().cpusVisited, tr.numCpus());
+        EXPECT_EQ(warmup.take().indexesVisited, tr.numCpus() * 3u);
+
+        for (std::size_t i = 0; i < probes.size(); i++) {
+            const Probe &p = probes[i];
+            const stats::IntervalStats got = stats[i].take();
+            EXPECT_EQ(got.interval, p.stats.interval) << i;
+            EXPECT_EQ(got.timeInState, p.stats.timeInState) << i;
+            EXPECT_EQ(got.tasksStarted, p.stats.tasksStarted) << i;
+            EXPECT_EQ(got.tasksOverlapping, p.stats.tasksOverlapping) << i;
+            const index::MinMax mm = extrema[i].take();
+            EXPECT_EQ(mm.valid, p.extrema.valid) << i;
+            EXPECT_EQ(mm.min, p.extrema.min) << i;
+            EXPECT_EQ(mm.max, p.extrema.max) << i;
+        }
+
+        // Each pyramid and each sampled index was built exactly once,
+        // whichever query built it, and every pyramid equals a fresh
+        // store's, leaf by leaf.
+        EXPECT_EQ(store.counts().pyramids, tr.numCpus());
+        EXPECT_EQ(session.cacheStats().counterIndex.builds,
+                  tr.numCpus() * 3u);
+        for (CpuId c = 0; c < tr.numCpus(); c++) {
+            const index::SummaryPyramid *built = store.getIfBuilt(c);
+            ASSERT_NE(built, nullptr);
+            for (std::uint64_t leaf = 0; leaf < store.leafCount(); leaf++) {
+                std::map<std::uint32_t, TimeStamp> want, got;
+                std::uint64_t cells = 0;
+                fresh.get(c).occupancy(leaf, leaf + 1, want, cells);
+                built->occupancy(leaf, leaf + 1, got, cells);
+                ASSERT_EQ(got, want) << "cpu " << c << " leaf " << leaf;
+            }
+        }
+    }
 }
 
 TEST(SessionParallel, ParallelWarmupBitIdenticalToSerial)
