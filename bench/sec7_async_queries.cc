@@ -200,7 +200,7 @@ main()
 
     // Priority inversion: an interactive stats query racing a
     // background warm-up storm. Fresh sessions each trial keep every
-    // index cache cold, so each storm really rebuilds all indexes.
+    // index store cold, so each storm really rebuilds all indexes.
     // 20 trials: the ceil-rank p95 is then the second-largest sample,
     // so the CI-gated ratio tolerates one outlier per mode instead of
     // being a max-over-max of scheduler noise.

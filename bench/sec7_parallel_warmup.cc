@@ -6,7 +6,7 @@
  * exactly what makes the first zoom on a many-core trace stall when
  * they are built lazily on the query path. Session::warmup() builds
  * them off that path, concurrently across the per-CPU shards of the
- * index cache. This bench measures warm-up wall time on the seidel
+ * index store. This bench measures warm-up wall time on the seidel
  * trace (192 CPUs x 4 counters) at 1/2/4/8 workers, verifies the
  * parallel build is bit-identical to the serial one, and — on machines
  * with >= 4 hardware threads — requires a >= 2x speedup at >= 4

@@ -60,7 +60,7 @@ randomInterval(Rng &rng, TimeStamp max_t)
     return {a, a + 1 + rng.nextBounded(max_t / 2)};
 }
 
-/** Cached path: every query goes through the session's index cache. */
+/** Cached path: every query goes through the session's index store. */
 std::int64_t
 runCached(session::Session &session)
 {

@@ -137,7 +137,7 @@ TraceIndex::counterIndex(CpuId cpu, CounterId counter, bool *built)
     Shard &shard = shardOf(cpu);
     base::MutexLock lock(shard.mutex);
     bool constructed = false;
-    const CounterIndex &index =
+    const CounterIndex &entry =
         buildOnce(shard.counterIndexes[counter], &constructed, [&] {
             return std::make_unique<CounterIndex>(
                 trace_.cpu(cpu).counterSamples(counter));
@@ -146,7 +146,7 @@ TraceIndex::counterIndex(CpuId cpu, CounterId counter, bool *built)
                  : shard.counterIndexLookups.hits)++;
     if (built)
         *built = constructed;
-    return index;
+    return entry;
 }
 
 MinMax

@@ -300,7 +300,7 @@ TEST(SessionParallel, WarmupSkipsIndexesAQueryAlreadyBuilt)
 {
     trace::Trace tr = denseTrace(4, 2, 300);
     Session session = Session::view(tr);
-    // The index cache is the one record of what is built: indexes a
+    // The index store is the one record of what is built: indexes a
     // query built are skipped like those of an earlier warm-up.
     session.counterExtrema(0, 0, tr.span());
     session.counterExtrema(2, 1, tr.span());
