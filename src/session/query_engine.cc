@@ -6,10 +6,9 @@
  * Executors capture shared ownership of everything they read — the
  * trace, the sharded index store, filter snapshots — and never the
  * Session itself, so sessions stay movable and destruction is safe
- * with queries in flight. No executor ever blocks
- * on the pool, so a 1-worker pool cannot deadlock. No executor
- * memoizes its result: every query computes its answer from the trace
- * and its indexes.
+ * with queries in flight. No executor ever blocks on the pool, so a
+ * 1-worker pool cannot deadlock. No executor memoizes its result:
+ * every query computes its answer from the trace and its indexes.
  *
  * Every query that reaches the pool runs as one FanOutJob, started by
  * launchFanOut(); a query with nothing to split is a one-chunk job
