@@ -11,27 +11,37 @@
  * with zero keys dropped, with Budget/Pixels answers over their
  * snapped interval. Timeline frames have a per-pixel oracle of their
  * own (oracleFrame()), checked against sync, async and daemon-decoded
- * frames at 1/2/4/8 workers.
+ * frames at 1/2/4/8 workers. The anomaly scan has one too
+ * (oracleAnomalies()), checked by encoded bytes against the serial
+ * scanner and the sync, Interactive, Background and daemon scans at
+ * 1/2/4/8 workers, under two sets of thresholds and every filter step.
  *
  * Traces: zero-duration states and tasks, zero-duration tasks on leaf
  * boundaries, tasks whose end wrapped below their start, and a span
  * ending at 2^64 - 1. Intervals: leaf-aligned, unaligned, inside one
  * leaf, zero-length, inverted and past the pyramid domain. Counter
- * queries also name unknown CPUs and unsampled counters.
+ * queries also name unknown CPUs and unsampled counters. The anomaly
+ * scan also reads enough tasks for several outlier chunks, a task
+ * spanning the whole trace, durations near 2^63, a type with fewer
+ * than 10 tasks and one with no spread.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/buffer.h"
 #include "base/resolution.h"
 #include "base/rng.h"
+#include "base/string_util.h"
 #include "daemon/client.h"
 #include "daemon/protocol.h"
 #include "daemon/server.h"
@@ -44,6 +54,7 @@
 #include "render/timeline_renderer.h"
 #include "session/query.h"
 #include "session/session.h"
+#include "stats/anomaly.h"
 #include "stats/export.h"
 #include "stats/histogram.h"
 #include "stats/interval_stats.h"
@@ -143,6 +154,223 @@ oracleTasks(const trace::Trace &tr, const filter::FilterSet &filters)
     return out;
 }
 
+/** The ranked order: severity descending, then the location. */
+bool
+oracleRankedBefore(const stats::Anomaly &a, const stats::Anomaly &b)
+{
+    return std::make_tuple(-a.severity, a.kind, a.interval.start,
+                           a.interval.end, a.cpu, a.task, a.counter) <
+           std::make_tuple(-b.severity, b.kind, b.interval.start,
+                           b.interval.end, b.cpu, b.task, b.counter);
+}
+
+/**
+ * One kind's raw oracle findings ranked, cut to maxPerKind and scaled
+ * so the top one scores 1.
+ */
+void
+oracleFinishKind(std::vector<stats::Anomaly> findings,
+                 const stats::AnomalyScanOptions &options,
+                 std::vector<stats::Anomaly> &out)
+{
+    std::sort(findings.begin(), findings.end(), oracleRankedBefore);
+    if (findings.size() > options.maxPerKind)
+        findings.resize(options.maxPerKind);
+    if (!findings.empty() && findings.front().severity > 0) {
+        const double top = findings.front().severity;
+        for (stats::Anomaly &a : findings)
+            a.severity /= top;
+    }
+    out.insert(out.end(), findings.begin(), findings.end());
+}
+
+/**
+ * The oracle anomaly scan: one serial pass per detector over the raw
+ * trace arrays, with no chunk, index or pool.
+ *  - Idle phases: the Idle-state time of every CPU in each of
+ *    numIntervals equal parts of @p scan (the last takes the rest);
+ *    each run of non-empty parts idling at least idleWorkerFraction of
+ *    the CPUs on average is one phase, widened by half a part on each
+ *    side within @p scan, its severity the peak share of idle CPUs.
+ *  - Duration outliers: per task type, the tasks that overlap @p scan
+ *    and pass @p filters (null: all), if at least 10 with nonzero
+ *    spread; each at least durationZScore population deviations above
+ *    the type mean (Welford, in trace order) is one, its z the
+ *    severity.
+ *  - Counter bursts: per counter and CPU, the samples in
+ *    [start, end]; the mean rate of their increasing steps, and each
+ *    step at least burstFactor times it, its ratio the severity.
+ * Each kind is ranked and cut by oracleFinishKind(), and the kinds
+ * ranked together.
+ */
+std::vector<stats::Anomaly>
+oracleAnomalies(const trace::Trace &tr,
+                const stats::AnomalyScanOptions &options,
+                const TimeInterval &scan, const filter::FilterSet *filters)
+{
+    if (scan.empty() || options.numIntervals == 0)
+        return {};
+    constexpr std::uint32_t kIdle =
+        static_cast<std::uint32_t>(trace::CoreState::Idle);
+    std::vector<stats::Anomaly> phases, outliers, bursts;
+
+    const std::uint32_t parts = options.numIntervals;
+    const TimeStamp width = scan.duration() / parts;
+    auto part = [&](std::uint32_t i) {
+        const TimeStamp start = scan.start + i * width;
+        return TimeInterval{start, i + 1 == parts ? scan.end : start + width};
+    };
+    std::vector<TimeStamp> idle(parts, 0);
+    for (CpuId c = 0; c < tr.numCpus(); c++) {
+        for (const trace::StateEvent &ev : tr.cpu(c).states()) {
+            if (ev.state != kIdle || !ev.interval.overlaps(scan))
+                continue;
+            // From the part holding the event's first instant in the
+            // scan, through the part holding its last.
+            std::uint32_t i =
+                width == 0
+                    ? parts - 1
+                    : static_cast<std::uint32_t>(std::min<TimeStamp>(
+                          (std::max(ev.interval.start, scan.start) -
+                           scan.start) / width,
+                          parts - 1));
+            for (; i < parts; i++) {
+                idle[i] += ev.interval.overlapDuration(part(i));
+                if (part(i).end >= ev.interval.end)
+                    break;
+            }
+        }
+    }
+    const double cpus = static_cast<double>(tr.numCpus());
+    const double threshold = options.idleWorkerFraction * cpus;
+    std::vector<double> level(parts, -1.0); // -1: not in a phase.
+    for (std::uint32_t i = 0; i < parts; i++) {
+        if (part(i).empty())
+            continue;
+        const double v = static_cast<double>(idle[i]) /
+                         static_cast<double>(part(i).duration());
+        if (!(v < threshold))
+            level[i] = v;
+    }
+    const TimeStamp half = width / 2;
+    for (std::uint32_t i = 0; i < parts;) {
+        if (level[i] < 0) {
+            i++;
+            continue;
+        }
+        const TimeStamp start = part(i).start;
+        double peak = 0.0;
+        for (; i < parts && level[i] >= 0; i++)
+            peak = std::max(peak, level[i]);
+        const TimeStamp end = part(i - 1).end;
+        stats::Anomaly a;
+        a.kind = stats::AnomalyKind::IdlePhase;
+        a.interval = {start - scan.start >= half ? start - half : scan.start,
+                      scan.end - end >= half ? end + half : scan.end};
+        a.severity = peak / cpus;
+        a.description = strFormat(
+            "idle phase: up to %.0f of %u workers idle for %s", peak,
+            tr.numCpus(), humanCycles(a.interval.duration()).c_str());
+        phases.push_back(a);
+    }
+
+    for (const auto &[type, info] : tr.taskTypes()) {
+        std::vector<const trace::TaskInstance *> tasks;
+        for (const trace::TaskInstance &task : tr.taskInstances())
+            if (task.type == type && task.interval.overlaps(scan) &&
+                (!filters || filters->matches(tr, task)))
+                tasks.push_back(&task);
+        if (tasks.size() < 10)
+            continue;
+        double mean = 0.0, m2 = 0.0;
+        double n = 0;
+        for (const trace::TaskInstance *task : tasks) {
+            const double d = static_cast<double>(task->duration());
+            n += 1;
+            const double delta = d - mean;
+            mean += delta / n;
+            m2 += delta * (d - mean);
+        }
+        const double sd = std::sqrt(m2 / n);
+        if (!(sd > 0))
+            continue;
+        for (const trace::TaskInstance *task : tasks) {
+            const double z =
+                (static_cast<double>(task->duration()) - mean) / sd;
+            if (z < options.durationZScore)
+                continue;
+            stats::Anomaly a;
+            a.kind = stats::AnomalyKind::DurationOutlier;
+            a.interval = task->interval;
+            a.cpu = task->cpu;
+            a.task = task->id;
+            a.severity = z;
+            a.description = strFormat(
+                "task %llu (%s) ran %s, %.1f sigma above its type mean",
+                static_cast<unsigned long long>(task->id),
+                info.name.c_str(), humanCycles(task->duration()).c_str(),
+                z);
+            outliers.push_back(a);
+        }
+    }
+
+    for (const auto &[counter, name] : tr.counters()) {
+        for (CpuId c = 0; c < tr.numCpus(); c++) {
+            std::vector<trace::CounterSample> window;
+            for (const trace::CounterSample &s :
+                 tr.cpu(c).counterSamples(counter))
+                if (s.time >= scan.start && s.time <= scan.end)
+                    window.push_back(s);
+            if (window.size() < 3)
+                continue;
+            // Value steps in 128 bits, so no pair of values overflows.
+            auto step = [&](std::size_t i) {
+                return static_cast<__int128>(window[i].value) -
+                       window[i - 1].value;
+            };
+            __int128 total_dv = 0;
+            unsigned __int128 total_dt = 0;
+            for (std::size_t i = 1; i < window.size(); i++) {
+                const TimeStamp dt = window[i].time - window[i - 1].time;
+                if (dt > 0 && step(i) > 0) {
+                    total_dv += step(i);
+                    total_dt += dt;
+                }
+            }
+            if (total_dt == 0)
+                continue;
+            const double mean_rate = static_cast<double>(total_dv) /
+                                     static_cast<double>(total_dt);
+            for (std::size_t i = 1; i < window.size(); i++) {
+                const TimeStamp dt = window[i].time - window[i - 1].time;
+                if (dt == 0 || step(i) <= 0)
+                    continue;
+                const double rate = static_cast<double>(step(i)) /
+                                    static_cast<double>(dt);
+                if (rate < options.burstFactor * mean_rate)
+                    continue;
+                stats::Anomaly a;
+                a.kind = stats::AnomalyKind::CounterBurst;
+                a.interval = {window[i - 1].time, window[i].time};
+                a.cpu = c;
+                a.counter = counter;
+                a.severity = rate / mean_rate;
+                a.description =
+                    strFormat("cpu %u: %s rate %.1fx the run average", c,
+                              name.c_str(), a.severity);
+                bursts.push_back(a);
+            }
+        }
+    }
+
+    std::vector<stats::Anomaly> out;
+    oracleFinishKind(phases, options, out);
+    oracleFinishKind(outliers, options, out);
+    oracleFinishKind(bursts, options, out);
+    std::sort(out.begin(), out.end(), oracleRankedBefore);
+    return out;
+}
+
 Bytes
 bytesOf(const stats::IntervalStats &s)
 {
@@ -172,6 +400,14 @@ bytesOf(const std::vector<daemon::TaskRow> &rows)
 {
     ByteWriter w;
     daemon::encodeTaskRows(rows, w);
+    return w.take();
+}
+
+Bytes
+bytesOf(const std::vector<stats::Anomaly> &findings)
+{
+    ByteWriter w;
+    stats::encodeAnomalies(findings, w);
     return w.take();
 }
 
@@ -354,6 +590,135 @@ filterSpecs()
     cpus.kind = daemon::FilterSpec::Kind::Cpu;
     cpus.ids = {0, 2};
     return {{}, {short_tasks}, {short_tasks, cpus}, {cpus}, {}};
+}
+
+/**
+ * The trace matrix plus traces that give every detector work and its
+ * edge cases: outliers of two types among enough tasks for several
+ * outlier chunks; one task spanning the whole trace; durations near
+ * 2^63 (their squares need 127 bits, and outliers tie in z) beside a
+ * type of 9 tasks and one of 20 equal durations.
+ */
+std::vector<Case>
+anomalyMatrix()
+{
+    std::vector<Case> out = traceMatrix();
+    auto add = [&](std::string name, const trace::Trace &tr) {
+        const Bytes bytes = trace::writeTrace(tr, trace::Encoding::Raw);
+        trace::ReadResult read = trace::readTrace(bytes);
+        EXPECT_TRUE(read.ok) << name << ": " << read.error;
+        out.push_back(
+            {std::move(name),
+             std::make_shared<const trace::Trace>(std::move(read.trace)),
+             std::make_shared<const Bytes>(bytes)});
+    };
+
+    RandomTraceOptions many;
+    many.cpus = 8;
+    many.statesPerCpu = 3000;
+    many.taskProbability = 0.9;
+    trace::Trace base = buildRandomTrace(29, many);
+    Rng rng(29);
+    std::vector<trace::TaskInstance> extra;
+    TaskInstanceId next_id = base.taskInstances().size();
+    for (int i = 0; i < 60; i++) {
+        const TimeStamp at = rng.nextBounded(base.span().end);
+        extra.push_back({next_id++, i % 3 ? 0x1000u : 0x2000u,
+                         static_cast<CpuId>(rng.nextBounded(many.cpus)),
+                         {at, at + 300 + rng.nextBounded(3000)}});
+    }
+    add("outliers among many tasks", test_support::withTasks(base, extra));
+
+    trace::Trace small = buildRandomTrace(23);
+    add("whole-span task",
+        test_support::withTasks(
+            small, {{small.taskInstances().size(), 0x2000, 1,
+                     {0, small.span().end}}}));
+
+    constexpr std::uint32_t kIdle =
+        static_cast<std::uint32_t>(trace::CoreState::Idle);
+    trace::Trace huge;
+    huge.setTopology(trace::MachineTopology::uniform(1, 4));
+    huge.addTaskType({0x1, "huge"});
+    huge.addTaskType({0x2, "few"});
+    huge.addTaskType({0x3, "flat"});
+    TaskInstanceId id = 0;
+    // 92 tasks near 2^63 and 8 outliers 2^62 longer, one cycle apart:
+    // their z-scores round alike, so they tie and rank by start. The
+    // shortest starts first, so a chunk that keeps only its longest
+    // tasks misses the first 7.
+    for (TimeStamp i = 0; i < 100; i++) {
+        const TimeStamp d = (TimeStamp{1} << 63) + (i % 3) * 4096;
+        const TimeStamp outlier = i >= 92 ? (TimeStamp{1} << 62) + i - 92 : 0;
+        const TimeStamp start = i >= 92 ? (i - 92) * 10 : 100 + i * 1000;
+        huge.addTaskInstance({id++, 0x1, 0, {start, start + d + outlier}});
+    }
+    for (TimeStamp i = 0; i < 9; i++)
+        huge.addTaskInstance(
+            {id++, 0x2, 1, {i * 100, i * 100 + (i == 4 ? 90000 : 50)}});
+    for (TimeStamp i = 0; i < 20; i++)
+        huge.addTaskInstance({id++, 0x3, 2, {i * 70, i * 70 + 60}});
+    huge.cpu(3).addState({{0, TimeStamp{1} << 62}, kIdle,
+                          kInvalidTaskInstance});
+    std::string err;
+    EXPECT_TRUE(huge.finalize(err)) << err;
+    add("durations near 2^63", huge);
+    return out;
+}
+
+/**
+ * Scan windows over @p tr: the span, the whole pyramid domain, an
+ * eighth of the span, random windows, a zero-length and an inverted
+ * one (no findings), windows reaching past the domain end, and one
+ * from a counter sample to another.
+ */
+std::vector<TimeInterval>
+anomalyViews(const trace::Trace &tr, std::uint64_t seed)
+{
+    const TimeStamp dom = index::TraceIndex(tr).domainEnd();
+    const TimeInterval span = tr.span();
+    const TimeStamp eighth = span.duration() / 8;
+    Rng rng(seed);
+    std::vector<TimeInterval> out = {
+        span, {0, dom}, {span.start + 3 * eighth, span.start + 4 * eighth}};
+    for (int i = 0; i < 2; i++) {
+        TimeStamp a = rng.nextBounded(dom);
+        TimeStamp b = rng.nextBounded(dom);
+        if (a > b)
+            std::swap(a, b);
+        out.push_back({a, b + 1});
+        if (i == 0) {
+            out.push_back({a, a});
+            out.push_back({b + 1, a});
+        }
+    }
+    out.push_back({dom - 1, dom + 1});
+    out.push_back({dom / 2 + 1, ~TimeStamp{0}});
+    // Edges on counter samples: a burst window is closed at both ends.
+    for (CpuId c = 0; c < tr.numCpus(); c++) {
+        for (CounterId id : tr.cpu(c).counterIds()) {
+            const auto &samples = tr.cpu(c).counterSamples(id);
+            if (samples.size() >= 8) {
+                out.push_back({samples[samples.size() / 4].time,
+                               samples[samples.size() / 2].time});
+                return out;
+            }
+        }
+    }
+    return out;
+}
+
+/** Scanner thresholds the oracle is checked under. */
+std::vector<stats::AnomalyScanOptions>
+anomalyOptions()
+{
+    stats::AnomalyScanOptions loose;
+    loose.numIntervals = 37;
+    loose.idleWorkerFraction = 0.25;
+    loose.durationZScore = 2.0;
+    loose.burstFactor = 2.0;
+    loose.maxPerKind = 7;
+    return {stats::AnomalyScanOptions(), loose};
 }
 
 /** An expected frame: its pixels and the operations drawing it takes. */
@@ -1246,6 +1611,138 @@ TEST(QueryOracle, DaemonFramesMatchOracleAtEveryWorkerCount)
                                               f.height),
                                   what + " daemon");
             }
+            client.closeTrace(id);
+        }
+        server.stop();
+    }
+}
+
+TEST(QueryOracle, AnomalyScanMatchesOracleOnEveryLocalPathAndWorkerCount)
+{
+    std::map<std::string, std::set<stats::AnomalyKind>> seen;
+    for (const Case &c : anomalyMatrix()) {
+        const trace::Trace &tr = *c.trace;
+        const std::vector<TimeInterval> views = anomalyViews(tr, 3);
+        // expect[o][f][v]: options o, filter step f, view v.
+        std::vector<std::vector<std::vector<Bytes>>> expect;
+        for (const stats::AnomalyScanOptions &options : anomalyOptions()) {
+            expect.emplace_back();
+            for (const auto &specs : filterSpecs()) {
+                const filter::FilterSet filters =
+                    daemon::materializeFilters(specs);
+                expect.back().emplace_back();
+                for (const TimeInterval &view : views) {
+                    const std::vector<stats::Anomaly> findings =
+                        oracleAnomalies(tr, options, view, &filters);
+                    for (const stats::Anomaly &a : findings)
+                        seen[c.name].insert(a.kind);
+                    const Bytes want = bytesOf(findings);
+                    EXPECT_EQ(bytesOf(stats::scanForAnomalies(
+                                  tr, options, view, &filters)),
+                              want)
+                        << c.name << " serial " << describe(view);
+                    expect.back().back().push_back(want);
+                }
+            }
+        }
+        for (unsigned workers : {1u, 2u, 4u, 8u}) {
+            Session session(c.trace);
+            session.setConcurrency({workers});
+            for (std::size_t o = 0; o < anomalyOptions().size(); o++) {
+                for (std::size_t f = 0; f < filterSpecs().size(); f++) {
+                    session.setFilters(
+                        daemon::materializeFilters(filterSpecs()[f]));
+                    for (std::size_t v = 0; v < views.size(); v++) {
+                        const std::string where =
+                            c.name + " options " + std::to_string(o) +
+                            " step " + std::to_string(f) + " " +
+                            describe(views[v]) + " workers " +
+                            std::to_string(workers);
+                        AnomalyScanQuery query;
+                        query.options = anomalyOptions()[o];
+                        query.context.interval = views[v];
+                        EXPECT_EQ(bytesOf(session.submit(query).take()),
+                                  expect[o][f][v])
+                            << where << " background";
+                        query.context.priority = QueryPriority::Interactive;
+                        EXPECT_EQ(bytesOf(session.submit(query).take()),
+                                  expect[o][f][v])
+                            << where << " interactive";
+                        // The synchronous wrapper scans the view; an
+                        // empty one stands for the span.
+                        if (views[v].empty())
+                            continue;
+                        session.setView(views[v]);
+                        EXPECT_EQ(bytesOf(session.scanForAnomalies(
+                                      anomalyOptions()[o])),
+                                  expect[o][f][v])
+                            << where << " sync";
+                    }
+                }
+            }
+        }
+    }
+    // The matrix gives every detector findings to compare.
+    const std::set<stats::AnomalyKind> outliers_and_bursts = {
+        stats::AnomalyKind::DurationOutlier,
+        stats::AnomalyKind::CounterBurst};
+    EXPECT_EQ(seen["outliers among many tasks"], outliers_and_bursts);
+    const std::set<stats::AnomalyKind> idle_and_outliers = {
+        stats::AnomalyKind::IdlePhase, stats::AnomalyKind::DurationOutlier};
+    EXPECT_EQ(seen["durations near 2^63"], idle_and_outliers);
+    EXPECT_TRUE(seen["whole-span task"].count(
+        stats::AnomalyKind::DurationOutlier));
+}
+
+TEST(QueryOracle, DaemonAnomalyScanMatchesOracleAtEveryWorkerCount)
+{
+    const stats::AnomalyScanOptions options = anomalyOptions()[1];
+    for (unsigned workers : {1u, 2u, 4u, 8u}) {
+        daemon::Server server(daemon::Server::Options{workers, 16});
+        daemon::Client client;
+        std::string error;
+        ASSERT_TRUE(client.adopt(server.connectInProcess(), error)) << error;
+        for (const Case &c : anomalyMatrix()) {
+            daemon::OpenTraceRequest open;
+            open.bytes = c.bytes;
+            daemon::Reply<daemon::OpenTraceReply> opened =
+                client.openTrace(open);
+            ASSERT_TRUE(opened.ok()) << c.name << ": " << opened.message;
+            const std::uint64_t id = opened.value.traceId;
+            const trace::Trace &tr = *c.trace;
+            for (const auto &specs : filterSpecs()) {
+                ASSERT_TRUE(client.setFilters(id, specs).ok()) << c.name;
+                const filter::FilterSet filters =
+                    daemon::materializeFilters(specs);
+                for (const TimeInterval &view : anomalyViews(tr, 5)) {
+                    daemon::AnomalyScanRequest request;
+                    request.head.traceId = id;
+                    request.interval = view;
+                    request.options = options;
+                    daemon::Reply<std::vector<stats::Anomaly>> remote =
+                        client.anomalyScan(request);
+                    ASSERT_TRUE(remote.ok()) << remote.message;
+                    EXPECT_EQ(bytesOf(remote.value),
+                              bytesOf(oracleAnomalies(tr, options, view,
+                                                      &filters)))
+                        << c.name << " " << specs.size() << " filters "
+                        << describe(view) << " workers " << workers;
+                }
+            }
+            // Without an interval the scan covers the connection's view.
+            const TimeInterval strip = anomalyViews(tr, 5)[2];
+            ASSERT_TRUE(client.setView(id, strip).ok()) << c.name;
+            daemon::AnomalyScanRequest request;
+            request.head.traceId = id;
+            request.options = options;
+            daemon::Reply<std::vector<stats::Anomaly>> remote =
+                client.anomalyScan(request);
+            ASSERT_TRUE(remote.ok()) << remote.message;
+            const filter::FilterSet last =
+                daemon::materializeFilters(filterSpecs().back());
+            EXPECT_EQ(bytesOf(remote.value),
+                      bytesOf(oracleAnomalies(tr, options, strip, &last)))
+                << c.name << " view " << describe(strip);
             client.closeTrace(id);
         }
         server.stop();
