@@ -75,6 +75,7 @@ TraceIndex::TraceIndex(const trace::Trace &trace)
             wrapped_.push_back(&task);
             continue;
         }
+        maxTaskDuration_ = std::max(maxTaskDuration_, task.duration());
         const std::uint64_t end_bucket = bucketOf(task.interval.end);
         endsBucketBefore_[end_bucket + 1]++;
         if (end_bucket != start_bucket)
@@ -329,6 +330,15 @@ TraceIndex::taskStartRange(const TimeInterval &interval) const
                 startsBucketBefore_[bucketOf(interval.start)]),
             static_cast<std::size_t>(
                 startsBucketBefore_[bucketOf(interval.end - 1) + 1])};
+}
+
+std::pair<std::size_t, std::size_t>
+TraceIndex::taskOverlapRange(const TimeInterval &interval) const
+{
+    const TimeStamp start = interval.start >= maxTaskDuration_
+                                ? interval.start - maxTaskDuration_
+                                : 0;
+    return taskStartRange({start, interval.end});
 }
 
 } // namespace index

@@ -210,6 +210,21 @@ class TraceIndex
     std::pair<std::size_t, std::size_t>
     taskStartRange(const TimeInterval &interval) const;
 
+    /** The longest duration of a task whose end did not wrap. */
+    TimeStamp maxTaskDuration() const { return maxTaskDuration_; }
+
+    /**
+     * Index range [first, last) into tasksByStart() holding every task
+     * that overlaps() @p interval: the taskStartRange() of
+     * [interval.start - maxTaskDuration(), interval.end), its start
+     * held at 0 rather than wrapping. A task that overlaps the interval
+     * starts less than its duration before the interval's start, or,
+     * if its end wrapped, inside the interval. Callers drop the other
+     * tasks of the range by TimeInterval::overlaps().
+     */
+    std::pair<std::size_t, std::size_t>
+    taskOverlapRange(const TimeInterval &interval) const;
+
   private:
     /** Bucket of time @p t: its leaf, or leafCount_ past the domain. */
     std::uint64_t bucketOf(TimeStamp t) const
@@ -263,6 +278,7 @@ class TraceIndex
     std::vector<TimeStamp> crossingEnds_;
     /** Tasks whose end wrapped below their start (hostile input). */
     std::vector<const trace::TaskInstance *> wrapped_;
+    TimeStamp maxTaskDuration_ = 0;
 };
 
 } // namespace index

@@ -104,6 +104,7 @@ struct NaiveTaskIndex
     std::uint64_t started = 0;
     std::uint64_t overlapping = 0;
     std::vector<const trace::TaskInstance *> startingIn;
+    std::vector<const trace::TaskInstance *> overlappingTasks;
 };
 
 NaiveTaskIndex
@@ -115,8 +116,10 @@ naiveTaskIndex(const trace::Trace &tr, const TimeInterval &interval)
             out.started++;
             out.startingIn.push_back(&task);
         }
-        if (task.interval.overlaps(interval))
+        if (task.interval.overlaps(interval)) {
             out.overlapping++;
+            out.overlappingTasks.push_back(&task);
+        }
     }
     return out;
 }
@@ -165,7 +168,8 @@ intervalGrid(const index::TraceIndex &pyramids, Rng &rng)
  * @p grid equals naiveTaskIndex() over @p tr, and its start range is
  * the start leaves meeting the interval: exactly the tasks starting in
  * it once filtered by contains(), and nothing more when the interval is
- * leaf-aligned inside the domain.
+ * leaf-aligned inside the domain. Its overlap range holds every task
+ * that overlaps the interval.
  */
 void
 expectTaskIndexMatchesNaive(const trace::Trace &tr,
@@ -195,7 +199,22 @@ expectTaskIndexMatchesNaive(const trace::Trace &tr,
             EXPECT_EQ(last - first, got.size())
                 << "[" << iv.start << ", " << iv.end << ")";
         }
+
+        auto [near_first, near_last] = pyramids.taskOverlapRange(iv);
+        ASSERT_LE(near_first, near_last);
+        ASSERT_LE(near_last, by_start.size());
+        std::vector<const trace::TaskInstance *> overlapping;
+        for (std::size_t i = near_first; i < near_last; i++)
+            if (by_start[i]->interval.overlaps(iv))
+                overlapping.push_back(by_start[i]);
+        std::sort(overlapping.begin(), overlapping.end());
+        EXPECT_EQ(overlapping, expect.overlappingTasks)
+            << "[" << iv.start << ", " << iv.end << ")";
     }
+    TimeStamp longest = 0;
+    for (const trace::TaskInstance &task : tr.taskInstances())
+        longest = std::max(longest, task.duration());
+    EXPECT_EQ(pyramids.maxTaskDuration(), longest);
 }
 
 /**
