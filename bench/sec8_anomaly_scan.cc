@@ -94,7 +94,8 @@ main()
         return 1;
     }
     const trace::Trace &tr = result.trace;
-    std::size_t chunks = stats::anomalyScanChunks(tr).size();
+    std::size_t chunks =
+        stats::anomalyScanChunks(tr, tr.taskInstances().size()).size();
     bench::row("trace",
                strFormat("%u cpus, %zu task instances, %zu scan chunks",
                          tr.numCpus(), tr.taskInstances().size(), chunks));

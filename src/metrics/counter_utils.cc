@@ -56,8 +56,11 @@ counterValueInterpolated(const trace::CpuTimeline &timeline,
         return static_cast<double>(after->value);
     double frac = static_cast<double>(t - before->time) /
                   static_cast<double>(after->time - before->time);
+    // The step in 128 bits: two 64-bit values can differ by more than
+    // a 64-bit integer holds.
     return static_cast<double>(before->value) +
-           frac * static_cast<double>(after->value - before->value);
+           frac * static_cast<double>(
+                      static_cast<__int128>(after->value) - before->value);
 }
 
 } // namespace metrics

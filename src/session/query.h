@@ -316,9 +316,13 @@ struct TimelineRenderResult
  * Ranked anomaly scan of the current view (Session::scanForAnomalies):
  * idle phases, duration outliers and counter bursts in one list, see
  * stats/anomaly.h. The executor fans the scan out as independent chunks
- * — one per CPU, one per task type, one per sampled (cpu, counter) pair
- * — on the shared pool and merges partials deterministically, so the
- * result is bit-identical to the serial scanner at any worker count.
+ * — one per CPU, one per stats::kOutlierChunkTasks tasks of the task
+ * index's range near the window (index::TraceIndex::taskOverlapRange),
+ * one per sampled (cpu, counter) pair — on the shared pool, so the
+ * outlier detector reads each task near the window once and none far
+ * from it. Partials merge exactly (integer idle times, integer duration
+ * sums), so the result is bit-identical to the serial scanner at any
+ * worker count.
  * The scan respects the session's active FilterSet (outlier detection
  * is restricted to tasks it accepts) and is view-generation-aware: a
  * view or filter change while the scan is queued or running cancels it.

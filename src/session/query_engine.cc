@@ -652,34 +652,44 @@ QueryTicket<std::vector<stats::Anomaly>>
 Session::submit(const AnomalyScanQuery &query)
 {
     TimeInterval interval = query.context.interval.value_or(view());
+    if (interval.empty() || query.options.numIntervals == 0)
+        return completedTicket(*domain_, std::vector<stats::Anomaly>());
+    // The outlier candidates are the task index's range of the tasks
+    // that may overlap the window, so the scan reads the tasks near
+    // it, not the trace's. The chunks hold the store, which holds the
+    // candidates' storage.
+    auto [first, last] = traceIndex_->taskOverlapRange(interval);
+    const stats::TaskCandidates candidates(traceIndex_->tasksByStart(),
+                                           first, last);
     auto chunks =
         std::make_shared<const std::vector<stats::AnomalyScanChunk>>(
-            stats::anomalyScanChunks(*trace_));
-    if (interval.empty() || query.options.numIntervals == 0 ||
-        chunks->empty())
+            stats::anomalyScanChunks(*trace_, candidates.size()));
+    if (chunks->empty())
         return completedTicket(*domain_, std::vector<stats::Anomaly>());
+    auto filters = std::make_shared<const filter::FilterSet>(filters_);
     // View-dependent by default generation: a view, filter or trace
     // mutation makes a queued or running scan stale (polled at chunk
     // boundaries) — the findings describe a window the user just left.
     // Chunks are the detector units of stats::anomalyScanChunks(), and
-    // stats::mergeAnomalyChunks() combines them in chunk order, so the
-    // ranked list is bit-identical to the serial scanner.
+    // stats::mergeAnomalyChunks() combines them exactly in any order,
+    // so the ranked list is bit-identical to the serial scanner.
     return launchFanOut<stats::AnomalyChunkResult>(
         *engine_, newTicketState<std::vector<stats::Anomaly>>(*domain_),
         query.context.priority, chunks->size(),
-        [trace = trace_, chunks,
-         filters = std::make_shared<const filter::FilterSet>(filters_),
+        [trace = trace_, store = traceIndex_, candidates, chunks, filters,
          options = query.options,
          interval](std::size_t i, stats::AnomalyChunkResult &out) {
-            out = stats::runAnomalyChunk(*trace, (*chunks)[i], options,
-                                         interval, filters.get());
+            out = stats::runAnomalyChunk(*trace, (*chunks)[i], candidates,
+                                         options, interval, filters.get());
             return true;
         },
-        [trace = trace_, chunks, options = query.options,
+        [trace = trace_, store = traceIndex_, candidates, chunks, filters,
+         options = query.options,
          interval](std::vector<stats::AnomalyChunkResult> &&partials) {
             return stats::mergeAnomalyChunks(*trace, *chunks,
-                                             std::move(partials), options,
-                                             interval);
+                                             std::move(partials), candidates,
+                                             options, interval,
+                                             filters.get());
         });
 }
 

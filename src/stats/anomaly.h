@@ -12,13 +12,33 @@
  * ## Chunk plane
  *
  * The scan decomposes into independent chunks — one per CPU (idle
- * phases), one per task type (duration outliers), one per sampled
- * (cpu, counter) pair (bursts) — exposed through anomalyScanChunks() /
- * runAnomalyChunk() / mergeAnomalyChunks() so the asynchronous query
- * plane (session::AnomalyScanQuery) can fan them out on the shared
- * worker pool. The serial scanForAnomalies() runs the *same* chunks in
- * chunk order through the *same* merge, so the parallel result is
- * bit-identical to the serial one at any worker count by construction.
+ * phases), one per kOutlierChunkTasks-long slice of the candidate tasks
+ * (duration outliers), one per sampled (cpu, counter) pair (bursts) —
+ * exposed through anomalyScanChunks() / runAnomalyChunk() /
+ * mergeAnomalyChunks() so the asynchronous query plane
+ * (session::AnomalyScanQuery) can fan them out on the shared worker
+ * pool. The candidates are any task sequence holding every task that
+ * overlaps the scan window: all instances for the serial
+ * scanForAnomalies(), the view's range of the task index
+ * (index::TraceIndex::taskOverlapRange()) for a session, so a session
+ * scan reads the tasks near its view once, whatever the trace holds.
+ *
+ * ## Exact outlier sums
+ *
+ * An outlier slice returns, per task type, the exact integer moments
+ * of the durations it accepts (n, S1 = sum d in 128 bits, S2 = sum d^2
+ * in 192 bits) and its maxPerKind longest tasks with their ties. The
+ * merge adds the moments, which is exact in any order, and scores a
+ * task of duration d by z = double(n*d - S1) / sqrt(double(n*S2 -
+ * S1^2)) from 256-bit integers: the population z-score, rounded from
+ * exact values, so it is the same for any chunking, candidate order or
+ * worker count, and no cancellation loses the spread of long
+ * durations. z never falls as d rises, so the merge finds each type's
+ * least outlying duration by binary search and scores only the kept
+ * tasks at or above it; a dropped task ranks below a slice's kept ones
+ * and cannot make the per-kind cap. The serial scanner runs the same
+ * chunks through the same merge, the bit-identical reference of the
+ * parallel one.
  *
  * ## Ranking
  *
@@ -93,19 +113,106 @@ bool anomalyRankedBefore(const Anomaly &a, const Anomaly &b);
 
 // -- Chunk plane ---------------------------------------------------------
 
+/** Candidate tasks per outlier chunk (the last takes the rest). */
+inline constexpr std::size_t kOutlierChunkTasks = 8192;
+
+/**
+ * The tasks a scan's outlier chunks read, by position: a run of task
+ * instances or of pointers to them. It must hold every task that
+ * overlaps the scan window, in any order; the chunks drop the rest.
+ * Views the caller's storage, which must outlive it.
+ */
+class TaskCandidates
+{
+  public:
+    TaskCandidates() = default;
+
+    /** Every instance of @p tasks. */
+    explicit TaskCandidates(const std::vector<trace::TaskInstance> &tasks)
+        : instances_(tasks.data()), size_(tasks.size())
+    {
+    }
+
+    /** Positions [first, last) of @p tasks. */
+    TaskCandidates(const std::vector<const trace::TaskInstance *> &tasks,
+                   std::size_t first, std::size_t last)
+        : pointers_(tasks.data() + first), size_(last - first)
+    {
+    }
+
+    std::size_t size() const { return size_; }
+
+    const trace::TaskInstance &
+    operator[](std::size_t i) const
+    {
+        return instances_ ? instances_[i] : *pointers_[i];
+    }
+
+  private:
+    const trace::TaskInstance *instances_ = nullptr;
+    const trace::TaskInstance *const *pointers_ = nullptr;
+    std::size_t size_ = 0;
+};
+
+/**
+ * Exact moments of a set of task durations: their count n, their sum
+ * S1 (below 2^128) and the sum of their squares S2 (below 2^192, held
+ * as a high 64-bit and a low 128-bit part). Adding is exact and
+ * order-free.
+ */
+struct DurationMoments
+{
+    std::uint64_t count = 0;
+    unsigned __int128 sum = 0;
+    unsigned __int128 sumSquaresLow = 0;
+    std::uint64_t sumSquaresHigh = 0;
+
+    /** Count one duration. */
+    void add(TimeStamp duration);
+
+    /** Count every duration of @p other. */
+    void add(const DurationMoments &other);
+};
+
+/** A task an outlier chunk accepted, with its duration. */
+struct OutlierCandidate
+{
+    TimeStamp duration = 0;
+    const trace::TaskInstance *task = nullptr;
+};
+
+/**
+ * What one outlier chunk accepted of one task type: the moments of
+ * every accepted duration, and the accepted tasks at least as long as
+ * the maxPerKind-th longest (all of them if there are fewer).
+ */
+struct TypeDurations
+{
+    TaskTypeId type = 0;
+    DurationMoments moments;
+    std::vector<OutlierCandidate> longest; ///< In no order.
+    bool dropped = false;         ///< Whether it accepted more.
+    TimeStamp longestDropped = 0; ///< The longest of those.
+
+    /** Count a task of @p duration accepted but not kept. */
+    void drop(TimeStamp duration);
+};
+
 /** One independent unit of a decomposed anomaly scan. */
 struct AnomalyScanChunk
 {
     enum class Family : std::uint8_t {
         Idle = 0,    ///< Per-CPU idle time per sub-interval.
-        Outlier = 1, ///< Duration outliers of one task type.
+        Outlier = 1, ///< Task durations of one slice of the candidates.
         Burst = 2,   ///< Bursts of one (cpu, counter) pair.
     };
 
     Family family = Family::Idle;
-    CpuId cpu = kInvalidCpu;  ///< Idle and Burst chunks.
-    TaskTypeId taskType = 0;  ///< Outlier chunks.
-    CounterId counter = 0;    ///< Burst chunks.
+    CpuId cpu = kInvalidCpu; ///< Idle and Burst chunks.
+    CounterId counter = 0;   ///< Burst chunks.
+    /** Outlier chunks: candidate positions [first, last). */
+    std::size_t first = 0;
+    std::size_t last = 0;
 };
 
 /** Partial result of one chunk. */
@@ -119,18 +226,26 @@ struct AnomalyChunkResult
      */
     std::vector<TimeStamp> idleTime;
 
-    /** Outlier and Burst chunks: raw (un-normalized) findings. */
+    /**
+     * Outlier chunks: per task type with accepted candidates, in
+     * ascending type order, their moments and longest tasks.
+     */
+    std::vector<TypeDurations> durations;
+
+    /** Burst chunks: raw (un-normalized) findings. */
     std::vector<Anomaly> findings;
 };
 
 /**
- * The chunk decomposition of a scan over @p trace: one Idle chunk per
- * CPU, one Outlier chunk per task type, one Burst chunk per
+ * The chunk decomposition of a scan over @p trace reading
+ * @p candidates candidate tasks: one Idle chunk per CPU, one Outlier
+ * chunk per kOutlierChunkTasks candidates, one Burst chunk per
  * (cpu, counter) pair with enough samples. The order is deterministic
- * (families in enum order, ids ascending) and mergeAnomalyChunks()
- * consumes partials in exactly this order.
+ * (families in enum order, ids and positions ascending) and
+ * mergeAnomalyChunks() consumes partials in exactly this order.
  */
-std::vector<AnomalyScanChunk> anomalyScanChunks(const trace::Trace &trace);
+std::vector<AnomalyScanChunk> anomalyScanChunks(const trace::Trace &trace,
+                                                std::size_t candidates);
 
 /**
  * Execute one chunk. @p scan_interval restricts the detectors to one
@@ -138,9 +253,12 @@ std::vector<AnomalyScanChunk> anomalyScanChunks(const trace::Trace &trace);
  * counter samples outside [start, end] are ignored); @p filters — when
  * non-null — restricts outlier detection to tasks the set accepts
  * (idle phases and counter bursts are not task-scoped and ignore it).
+ * Outlier chunks read their slice of @p candidates and skip tasks of
+ * types the trace does not describe.
  */
 AnomalyChunkResult runAnomalyChunk(const trace::Trace &trace,
                                    const AnomalyScanChunk &chunk,
+                                   const TaskCandidates &candidates,
                                    const AnomalyScanOptions &options,
                                    const TimeInterval &scan_interval,
                                    const filter::FilterSet *filters);
@@ -148,23 +266,31 @@ AnomalyChunkResult runAnomalyChunk(const trace::Trace &trace,
 /**
  * Merge per-chunk partials (in anomalyScanChunks() order) into the
  * final ranked list: idle totals become merged phase findings, each
- * kind is sorted and capped at maxPerKind, severities normalize per
- * kind, and the kinds interleave under anomalyRankedBefore().
+ * type's moments add up and score its kept tasks (a type with fewer
+ * than 10 or no spread has no outliers), each kind is sorted and
+ * capped at maxPerKind, severities normalize per kind, and the kinds
+ * interleave under anomalyRankedBefore(). @p candidates,
+ * @p scan_interval and @p filters are the chunks' own: where rounding
+ * ties the z-scores of a chunk's kept and dropped tasks, the merge
+ * reruns that chunk keeping every task.
  */
 std::vector<Anomaly>
 mergeAnomalyChunks(const trace::Trace &trace,
                    const std::vector<AnomalyScanChunk> &chunks,
                    std::vector<AnomalyChunkResult> partials,
+                   const TaskCandidates &candidates,
                    const AnomalyScanOptions &options,
-                   const TimeInterval &scan_interval);
+                   const TimeInterval &scan_interval,
+                   const filter::FilterSet *filters);
 
 // -- Whole-scan entry points ---------------------------------------------
 
 /**
  * Scan @p scan_interval of @p trace for anomalies, restricted to tasks
- * @p filters accepts (null = no filter). Runs every chunk serially in
- * chunk order through mergeAnomalyChunks(), so the result is the
- * bit-identical reference for the parallel AnomalyScanQuery executor.
+ * @p filters accept (null = no filter). Runs every chunk serially in
+ * chunk order through mergeAnomalyChunks(), with every task instance a
+ * candidate, so the result is the bit-identical reference for the
+ * parallel AnomalyScanQuery executor.
  */
 std::vector<Anomaly> scanForAnomalies(const trace::Trace &trace,
                                       const AnomalyScanOptions &options,

@@ -2,16 +2,23 @@
  * @file
  * Dedicated unit tests of the anomaly scanner (stats/anomaly.h) on
  * hand-built traces: ranking determinism and ordering guarantees,
- * empty-trace and single-CPU edges, the per-kind cap, and the
- * statistical thresholds (minimum sample counts, zero variance).
+ * empty-trace and single-CPU edges, the per-kind cap, the statistical
+ * thresholds (minimum sample counts, zero variance), results that do
+ * not depend on candidate order or chunking, and counter values at the
+ * ends of the 64-bit range.
  * Smoke-level detection coverage lives in test_extensions.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
+#include "base/buffer.h"
+#include "base/rng.h"
 #include "stats/anomaly.h"
+#include "stats/export.h"
 #include "trace/state.h"
 
 namespace aftermath {
@@ -341,11 +348,12 @@ TEST(AnomalyScan, IdlePhaseIntervalsStayWithinTraceSpan)
     EXPECT_EQ(phases, 2u);
 }
 
-// Regression: duration variance must survive large cycle counts. The
-// one-pass sum2/n - mean^2 form cancels catastrophically once durations
-// reach ~2^52 cycles (sum2 needs ~104 bits), flattening the jitter to
-// sd == 0 and silently suppressing every outlier; Welford accumulation
-// keeps the small deviations exact.
+// Regression: duration variance must survive large cycle counts. A
+// double sum2/n - mean^2 cancels catastrophically once durations reach
+// ~2^52 cycles (sum2 needs ~104 bits), flattening the jitter to
+// sd == 0 and silently suppressing every outlier; the exact integer
+// sums (S2 in 192 bits, n*S2 - S1^2 in 256) keep the small deviations
+// exact.
 TEST(AnomalyScan, LargeDurationsStillDetectOutliers)
 {
     trace::Trace tr;
@@ -371,6 +379,103 @@ TEST(AnomalyScan, LargeDurationsStillDetectOutliers)
         EXPECT_EQ(a.task, 7u) << a.description;
     }
     EXPECT_TRUE(found) << "outlier lost to catastrophic cancellation";
+}
+
+// Counter values at both ends of the 64-bit range: each step from
+// INT64_MIN to INT64_MAX, and the sum of such steps, overflows 64 bits.
+// Of the 20 rising steps, 19 take 10 cycles and one takes 1, so that
+// one runs at 191/20 of the mean rate and is the only burst.
+TEST(AnomalyScan, ExtremeCounterValuesDoNotOverflowTheBurstRate)
+{
+    trace::Trace tr;
+    tr.setTopology(trace::MachineTopology::uniform(1, 1));
+    tr.addCounterDescription({0, "ctr"});
+    TimeStamp t = 0;
+    for (int i = 0; i < 40; i++) {
+        tr.cpu(0).addCounterSample(0, {t, i % 2 ? INT64_MAX : INT64_MIN});
+        t += i == 20 ? 1 : 10;
+    }
+    std::string err;
+    ASSERT_TRUE(tr.finalize(err)) << err;
+
+    std::vector<stats::Anomaly> bursts;
+    for (const stats::Anomaly &a : stats::scanForAnomalies(tr))
+        if (a.kind == stats::AnomalyKind::CounterBurst)
+            bursts.push_back(a);
+    ASSERT_EQ(bursts.size(), 1u);
+    EXPECT_EQ(bursts[0].interval, (TimeInterval{200, 201}));
+    EXPECT_EQ(bursts[0].severity, 1.0);
+}
+
+// The outlier sums are exact, so neither the order the candidates come
+// in nor where the chunks cut them changes a bit of the ranked list.
+TEST(AnomalyScan, AnyCandidateOrderAndChunkingGiveTheSameList)
+{
+    trace::Trace tr;
+    tr.setTopology(trace::MachineTopology::uniform(1, 2));
+    tr.addTaskType({0x1, "a"});
+    tr.addTaskType({0x2, "b"});
+    tr.addTaskType({0x3, "c"});
+    Rng rng(7);
+    TimeStamp t[2] = {0, 0};
+    for (TaskInstanceId id = 0; id < 3000; id++) {
+        const CpuId cpu = static_cast<CpuId>(id % 2);
+        TimeStamp d = 1000 + rng.nextBounded(1000);
+        if (rng.nextBounded(50) == 0)
+            d *= 3 + rng.nextBounded(5);
+        tr.addTaskInstance({id, 1 + id % 3, cpu, {t[cpu], t[cpu] + d}});
+        tr.cpu(cpu).addState({{t[cpu], t[cpu] + d}, kExec, id});
+        t[cpu] += d;
+    }
+    std::string err;
+    ASSERT_TRUE(tr.finalize(err)) << err;
+    const TimeInterval window{tr.span().end / 5, tr.span().end / 2};
+    const stats::AnomalyScanOptions options;
+    auto bytesOf = [](const std::vector<stats::Anomaly> &findings) {
+        ByteWriter w;
+        stats::encodeAnomalies(findings, w);
+        return w.take();
+    };
+    const std::vector<stats::Anomaly> reference =
+        stats::scanForAnomalies(tr, options, window, nullptr);
+    std::size_t outliers = 0;
+    for (const stats::Anomaly &a : reference)
+        outliers += a.kind == stats::AnomalyKind::DurationOutlier ? 1 : 0;
+    ASSERT_GT(outliers, 1u);
+
+    std::vector<const trace::TaskInstance *> shuffled;
+    for (const trace::TaskInstance &task : tr.taskInstances())
+        shuffled.push_back(&task);
+    for (std::size_t i = shuffled.size(); i > 1; i--)
+        std::swap(shuffled[i - 1], shuffled[rng.nextBounded(i)]);
+    const stats::TaskCandidates candidates(shuffled, 0, shuffled.size());
+
+    for (int round = 0; round < 4; round++) {
+        std::vector<stats::AnomalyScanChunk> chunks;
+        for (const stats::AnomalyScanChunk &chunk :
+             stats::anomalyScanChunks(tr, 0))
+            chunks.push_back(chunk);
+        for (std::size_t first = 0; first < shuffled.size();) {
+            stats::AnomalyScanChunk chunk;
+            chunk.family = stats::AnomalyScanChunk::Family::Outlier;
+            chunk.first = first;
+            chunk.last = std::min<std::size_t>(
+                shuffled.size(), first + 1 + rng.nextBounded(700));
+            chunks.push_back(chunk);
+            first = chunk.last;
+        }
+        if (round % 2)
+            std::reverse(chunks.begin(), chunks.end());
+        std::vector<stats::AnomalyChunkResult> partials;
+        for (const stats::AnomalyScanChunk &chunk : chunks)
+            partials.push_back(stats::runAnomalyChunk(
+                tr, chunk, candidates, options, window, nullptr));
+        EXPECT_EQ(bytesOf(stats::mergeAnomalyChunks(
+                      tr, chunks, std::move(partials), candidates, options,
+                      window, nullptr)),
+                  bytesOf(reference))
+            << "round " << round;
+    }
 }
 
 } // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "filter/task_filter.h"
 #include "metrics/counter_utils.h"
 #include "metrics/generators.h"
@@ -144,6 +146,18 @@ TEST_F(MetricsTest, CounterValueInterpolatedIsLinear)
     // Clamps outside the sampled range.
     EXPECT_DOUBLE_EQ(*counterValueInterpolated(tr.cpu(0), 0, 9999),
                      1600.0);
+}
+
+TEST(CounterUtils, InterpolationSpansTheWholeValueRange)
+{
+    // The step from INT64_MIN to INT64_MAX does not fit 64 bits.
+    trace::Trace tr;
+    tr.setTopology(trace::MachineTopology::uniform(1, 1));
+    tr.cpu(0).addCounterSample(0, {0, INT64_MIN});
+    tr.cpu(0).addCounterSample(0, {100, INT64_MAX});
+    tr.cpu(0).addCounterSample(0, {200, INT64_MIN});
+    EXPECT_DOUBLE_EQ(*counterValueInterpolated(tr.cpu(0), 0, 50), 0.0);
+    EXPECT_DOUBLE_EQ(*counterValueInterpolated(tr.cpu(0), 0, 150), 0.0);
 }
 
 TEST_F(MetricsTest, TaskCounterIncreases)

@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -154,6 +155,103 @@ oracleTasks(const trace::Trace &tr, const filter::FilterSet &filters)
     return out;
 }
 
+/** A nonnegative integer of any size: 32-bit limbs, least first. */
+using BigInt = std::vector<std::uint32_t>;
+
+BigInt
+bigOf(unsigned __int128 v)
+{
+    BigInt out;
+    for (; v != 0; v >>= 32)
+        out.push_back(static_cast<std::uint32_t>(v));
+    return out;
+}
+
+BigInt
+bigAdd(const BigInt &a, const BigInt &b)
+{
+    BigInt out;
+    std::uint64_t carry = 0;
+    for (std::size_t i = 0; i < std::max(a.size(), b.size()) || carry; i++) {
+        carry += std::uint64_t{i < a.size() ? a[i] : 0} +
+                 std::uint64_t{i < b.size() ? b[i] : 0};
+        out.push_back(static_cast<std::uint32_t>(carry));
+        carry >>= 32;
+    }
+    return out;
+}
+
+BigInt
+bigMul(const BigInt &a, const BigInt &b)
+{
+    std::vector<std::uint64_t> acc(a.size() + b.size() + 1, 0);
+    for (std::size_t i = 0; i < a.size(); i++) {
+        std::uint64_t carry = 0;
+        for (std::size_t j = 0; j < b.size(); j++) {
+            carry += acc[i + j] + std::uint64_t{a[i]} * b[j];
+            acc[i + j] = carry & 0xffffffffu;
+            carry >>= 32;
+        }
+        for (std::size_t k = i + b.size(); carry; k++) {
+            carry += acc[k];
+            acc[k] = carry & 0xffffffffu;
+            carry >>= 32;
+        }
+    }
+    BigInt out(acc.begin(), acc.end());
+    while (!out.empty() && out.back() == 0)
+        out.pop_back();
+    return out;
+}
+
+/** -1, 0 or 1 as @p a is below, equal to or above @p b. */
+int
+bigCompare(BigInt a, BigInt b)
+{
+    while (!a.empty() && a.back() == 0)
+        a.pop_back();
+    while (!b.empty() && b.back() == 0)
+        b.pop_back();
+    if (a.size() != b.size())
+        return a.size() < b.size() ? -1 : 1;
+    for (std::size_t i = a.size(); i-- > 0;)
+        if (a[i] != b[i])
+            return a[i] < b[i] ? -1 : 1;
+    return 0;
+}
+
+/** @p a - @p b, for a >= b. */
+BigInt
+bigSub(const BigInt &a, const BigInt &b)
+{
+    BigInt out;
+    std::int64_t borrow = 0;
+    for (std::size_t i = 0; i < a.size(); i++) {
+        std::int64_t d = std::int64_t{a[i]} -
+                         (i < b.size() ? std::int64_t{b[i]} : 0) - borrow;
+        borrow = d < 0 ? 1 : 0;
+        out.push_back(static_cast<std::uint32_t>(d + (borrow << 32)));
+    }
+    return out;
+}
+
+/** @p v rounded to the nearest double, by strtod of its decimal form. */
+double
+bigToDouble(BigInt v)
+{
+    std::string digits;
+    while (bigCompare(v, {}) != 0) {
+        std::uint64_t rem = 0;
+        for (std::size_t i = v.size(); i-- > 0;) {
+            const std::uint64_t cur = (rem << 32) | v[i];
+            v[i] = static_cast<std::uint32_t>(cur / 10);
+            rem = cur % 10;
+        }
+        digits.insert(digits.begin(), static_cast<char>('0' + rem));
+    }
+    return digits.empty() ? 0.0 : std::strtod(digits.c_str(), nullptr);
+}
+
 /** The ranked order: severity descending, then the location. */
 bool
 oracleRankedBefore(const stats::Anomaly &a, const stats::Anomaly &b)
@@ -195,8 +293,10 @@ oracleFinishKind(std::vector<stats::Anomaly> findings,
  *  - Duration outliers: per task type, the tasks that overlap @p scan
  *    and pass @p filters (null: all), if at least 10 with nonzero
  *    spread; each at least durationZScore population deviations above
- *    the type mean (Welford, in trace order) is one, its z the
- *    severity.
+ *    the type mean is one, its z the severity. From the exact sums n,
+ *    S1 of d and S2 of d^2 (unbounded integers), a task's z is
+ *    double(n*d - S1) / sqrt(double(n*S2 - S1^2)), each double the
+ *    decimal form's strtod.
  *  - Counter bursts: per counter and CPU, the samples in
  *    [start, end]; the mean rate of their increasing steps, and each
  *    step at least burstFactor times it, its ratio the severity.
@@ -280,23 +380,29 @@ oracleAnomalies(const trace::Trace &tr,
             if (task.type == type && task.interval.overlaps(scan) &&
                 (!filters || filters->matches(tr, task)))
                 tasks.push_back(&task);
-        if (tasks.size() < 10)
-            continue;
-        double mean = 0.0, m2 = 0.0;
-        double n = 0;
+        const BigInt n = bigOf(tasks.size());
+        BigInt s1, s2;
         for (const trace::TaskInstance *task : tasks) {
-            const double d = static_cast<double>(task->duration());
-            n += 1;
-            const double delta = d - mean;
-            mean += delta / n;
-            m2 += delta * (d - mean);
+            const BigInt d = bigOf(task->duration());
+            s1 = bigAdd(s1, d);
+            s2 = bigAdd(s2, bigMul(d, d));
         }
-        const double sd = std::sqrt(m2 / n);
-        if (!(sd > 0))
+        const BigInt ns2 = bigMul(n, s2);
+        const BigInt s1s1 = bigMul(s1, s1);
+        if (tasks.size() < 10 || bigCompare(ns2, s1s1) == 0)
             continue;
+        const double spread = std::sqrt(bigToDouble(bigSub(ns2, s1s1)));
+        std::map<TimeStamp, double> z_of; // By duration.
         for (const trace::TaskInstance *task : tasks) {
-            const double z =
-                (static_cast<double>(task->duration()) - mean) / sd;
+            const TimeStamp d = task->duration();
+            if (!z_of.count(d)) {
+                const BigInt nd = bigMul(n, bigOf(d));
+                z_of[d] = (bigCompare(nd, s1) >= 0
+                               ? bigToDouble(bigSub(nd, s1))
+                               : -bigToDouble(bigSub(s1, nd))) /
+                          spread;
+            }
+            const double z = z_of[d];
             if (z < options.durationZScore)
                 continue;
             stats::Anomaly a;
