@@ -15,8 +15,11 @@
  * Background anomaly scans saturate the pool, against a FIFO baseline
  * (the same scans at Interactive priority). Background drainers yield
  * at chunk boundaries, so the probe must come back >= 2x faster than
- * under FIFO. Results land in bench-out/BENCH_sec8_anomaly_scan.json
- * for the CI bench-regression gate.
+ * under FIFO. It also pins that a scan costs what its window holds: at
+ * 1 worker, the median scan of an eighth of the span must take at most
+ * half the median whole-span scan. Results land in
+ * bench-out/BENCH_sec8_anomaly_scan.json for the CI bench-regression
+ * gate.
  */
 
 #include <algorithm>
@@ -77,6 +80,15 @@ averageScan(const trace::Trace &tr, unsigned workers, int reps)
     return total / reps;
 }
 
+double
+median(std::vector<double> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    const std::size_t n = samples.size();
+    return n % 2 ? samples[n / 2]
+                 : (samples[n / 2 - 1] + samples[n / 2]) / 2;
+}
+
 } // namespace
 
 int
@@ -135,6 +147,41 @@ main()
         if (workers >= 4)
             speedup_at_4plus = std::max(speedup_at_4plus, speedup);
     }
+
+    // Cost follows the view: at 1 worker, a scan of an eighth of the
+    // span against one of the whole span, alternating, medians of 11
+    // each. The outlier and burst detectors read only what the window
+    // holds, so the eighth should cost well under half.
+    double eighth_s = 0.0, whole_s = 0.0;
+    {
+        const TimeInterval span = tr.span();
+        const TimeStamp eighth = span.duration() / 8;
+        Session session = Session::view(tr);
+        session.queryEngine()->withPool([](base::ThreadPool &) {});
+        auto timeWindow = [&](const TimeInterval &window) {
+            session::AnomalyScanQuery scan;
+            scan.context.interval = window;
+            scan.context.priority = session::QueryPriority::Interactive;
+            auto start = Clock::now();
+            session.submit(scan).take();
+            return secondsSince(start);
+        };
+        std::vector<double> eighths, wholes;
+        for (int r = 0; r < 11; r++) {
+            const TimeStamp from = span.start + (r % 8) * eighth;
+            eighths.push_back(timeWindow({from, from + eighth}));
+            wholes.push_back(timeWindow(span));
+        }
+        eighth_s = median(eighths);
+        whole_s = median(wholes);
+    }
+    const double view_cost_ratio = whole_s > 0 ? eighth_s / whole_s : 0;
+    json.add("scan_eighth_w1", eighth_s, "s", 1);
+    json.add("scan_whole_w1", whole_s, "s", 1);
+    json.add("view_cost_ratio", view_cost_ratio, "x", 1);
+    bench::row("1/8-span vs whole-span scan (1 worker, medians of 11)",
+               strFormat("%.5f s / %.5f s = %.3f", eighth_s, whole_s,
+                         view_cost_ratio));
 
     // Correctness: every worker count must reproduce the serial ranked
     // list byte-for-byte through the wire encoding.
@@ -255,7 +302,9 @@ main()
     }
     bench::row("json", json.ok() ? json.path().c_str() : "WRITE FAILED");
 
-    bool ok = identical && generation_cancels &&
+    bench::row("view cost ratio",
+               strFormat("%.3f (required: <= 0.5)", view_cost_ratio));
+    bool ok = identical && generation_cancels && view_cost_ratio <= 0.5 &&
               (!enough_hw ||
                (speedup_at_4plus >= 1.5 && yield_speedup >= 2.0));
     return ok ? 0 : 1;
