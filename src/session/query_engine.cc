@@ -659,8 +659,9 @@ Session::submit(const AnomalyScanQuery &query)
     // it, not the trace's. The chunks hold the store, which holds the
     // candidates' storage.
     auto [first, last] = traceIndex_->taskOverlapRange(interval);
-    const stats::TaskCandidates candidates(traceIndex_->tasksByStart(),
-                                           first, last);
+    const stats::TaskCandidates candidates =
+        stats::TaskCandidates(traceIndex_->tasksByStart())
+            .subspan(first, last - first);
     auto chunks =
         std::make_shared<const std::vector<stats::AnomalyScanChunk>>(
             stats::anomalyScanChunks(*trace_, candidates.size()));

@@ -89,7 +89,7 @@ keepLongest(TypeDurations &durations, std::size_t keep)
  * least as long as the @p keep-th longest.
  */
 AnomalyChunkResult
-runOutlierChunk(const trace::Trace &trace, const TaskCandidates &candidates,
+runOutlierChunk(const trace::Trace &trace, TaskCandidates candidates,
                 std::size_t first, std::size_t last, std::size_t keep,
                 const TimeInterval &scan, const filter::FilterSet *filters)
 {
@@ -112,7 +112,7 @@ runOutlierChunk(const trace::Trace &trace, const TaskCandidates &candidates,
         return slot.type < type;
     };
     for (std::size_t i = first; i < last; i++) {
-        const trace::TaskInstance &task = candidates[i];
+        const trace::TaskInstance &task = *candidates[i];
         if (!task.interval.overlaps(scan))
             continue;
         auto slot = std::lower_bound(slots.begin(), slots.end(), task.type,
@@ -491,7 +491,7 @@ anomalyScanChunks(const trace::Trace &trace, std::size_t candidates)
 
 AnomalyChunkResult
 runAnomalyChunk(const trace::Trace &trace, const AnomalyScanChunk &chunk,
-                const TaskCandidates &candidates,
+                TaskCandidates candidates,
                 const AnomalyScanOptions &options,
                 const TimeInterval &scan_interval,
                 const filter::FilterSet *filters)
@@ -514,7 +514,7 @@ std::vector<Anomaly>
 mergeAnomalyChunks(const trace::Trace &trace,
                    const std::vector<AnomalyScanChunk> &chunks,
                    std::vector<AnomalyChunkResult> partials,
-                   const TaskCandidates &candidates,
+                   TaskCandidates candidates,
                    const AnomalyScanOptions &options,
                    const TimeInterval &scan_interval,
                    const filter::FilterSet *filters)
@@ -626,7 +626,11 @@ scanForAnomalies(const trace::Trace &trace,
 {
     if (scan_interval.empty() || options.numIntervals == 0)
         return {};
-    const TaskCandidates candidates(trace.taskInstances());
+    std::vector<const trace::TaskInstance *> all;
+    all.reserve(trace.taskInstances().size());
+    for (const trace::TaskInstance &task : trace.taskInstances())
+        all.push_back(&task);
+    const TaskCandidates candidates(all);
     std::vector<AnomalyScanChunk> chunks =
         anomalyScanChunks(trace, candidates.size());
     std::vector<AnomalyChunkResult> partials;

@@ -54,6 +54,7 @@
 #define AFTERMATH_STATS_ANOMALY_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -117,42 +118,11 @@ bool anomalyRankedBefore(const Anomaly &a, const Anomaly &b);
 inline constexpr std::size_t kOutlierChunkTasks = 8192;
 
 /**
- * The tasks a scan's outlier chunks read, by position: a run of task
- * instances or of pointers to them. It must hold every task that
- * overlaps the scan window, in any order; the chunks drop the rest.
- * Views the caller's storage, which must outlive it.
+ * The tasks a scan's outlier chunks read, by position. They must hold
+ * every task that overlaps the scan window, in any order; the chunks
+ * drop the rest.
  */
-class TaskCandidates
-{
-  public:
-    TaskCandidates() = default;
-
-    /** Every instance of @p tasks. */
-    explicit TaskCandidates(const std::vector<trace::TaskInstance> &tasks)
-        : instances_(tasks.data()), size_(tasks.size())
-    {
-    }
-
-    /** Positions [first, last) of @p tasks. */
-    TaskCandidates(const std::vector<const trace::TaskInstance *> &tasks,
-                   std::size_t first, std::size_t last)
-        : pointers_(tasks.data() + first), size_(last - first)
-    {
-    }
-
-    std::size_t size() const { return size_; }
-
-    const trace::TaskInstance &
-    operator[](std::size_t i) const
-    {
-        return instances_ ? instances_[i] : *pointers_[i];
-    }
-
-  private:
-    const trace::TaskInstance *instances_ = nullptr;
-    const trace::TaskInstance *const *pointers_ = nullptr;
-    std::size_t size_ = 0;
-};
+using TaskCandidates = std::span<const trace::TaskInstance *const>;
 
 /**
  * Exact moments of a set of task durations: their count n, their sum
@@ -258,7 +228,7 @@ std::vector<AnomalyScanChunk> anomalyScanChunks(const trace::Trace &trace,
  */
 AnomalyChunkResult runAnomalyChunk(const trace::Trace &trace,
                                    const AnomalyScanChunk &chunk,
-                                   const TaskCandidates &candidates,
+                                   TaskCandidates candidates,
                                    const AnomalyScanOptions &options,
                                    const TimeInterval &scan_interval,
                                    const filter::FilterSet *filters);
@@ -278,7 +248,7 @@ std::vector<Anomaly>
 mergeAnomalyChunks(const trace::Trace &trace,
                    const std::vector<AnomalyScanChunk> &chunks,
                    std::vector<AnomalyChunkResult> partials,
-                   const TaskCandidates &candidates,
+                   TaskCandidates candidates,
                    const AnomalyScanOptions &options,
                    const TimeInterval &scan_interval,
                    const filter::FilterSet *filters);

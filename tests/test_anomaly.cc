@@ -448,7 +448,7 @@ TEST(AnomalyScan, AnyCandidateOrderAndChunkingGiveTheSameList)
         shuffled.push_back(&task);
     for (std::size_t i = shuffled.size(); i > 1; i--)
         std::swap(shuffled[i - 1], shuffled[rng.nextBounded(i)]);
-    const stats::TaskCandidates candidates(shuffled, 0, shuffled.size());
+    const stats::TaskCandidates candidates(shuffled);
 
     for (int round = 0; round < 4; round++) {
         std::vector<stats::AnomalyScanChunk> chunks;
