@@ -96,7 +96,7 @@ runOutlierChunk(const trace::Trace &trace, TaskCandidates candidates,
     // One slot per described type, in ascending type order; a task of
     // an undescribed type has no slot and is skipped. A slot holds no
     // task shorter than its floor, and prunes down to the keep longest
-    // (and their ties) whenever it holds as many again; in a chunk too
+    // (and their ties) whenever it holds 2 * keep + 64; in a chunk too
     // short to accept more than keep, it never does.
     std::vector<TypeDurations> slots;
     slots.reserve(trace.taskTypes().size());
@@ -298,8 +298,9 @@ toDouble(unsigned __int128 v)
  * accepted task whose z(d) = double(n*d - S1) / sqrt(double(n*S2 -
  * S1^2)) under the type's summed moments is not below the threshold;
  * none with fewer than 10 tasks or no spread. @p parts are the type's
- * entries of the outlier chunks, in chunk order, and @p rescan reruns
- * chunk @p i keeping every task it accepts.
+ * entries of the outlier chunks, by chunk index, and
+ * @p rescan(chunk, type) reruns a chunk keeping every task of the type
+ * it accepts.
  */
 template <typename Rescan>
 void
