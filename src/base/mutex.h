@@ -52,7 +52,6 @@
  *   kThreadPool (400)       base::ThreadPool::mutex_ — every enqueue
  *                           path ends here, so everything above must
  *                           rank lower.
- *   kDecodePipeline (410)   trace reader scan→decode lane queues.
  *   kTicketState (500)      per-query completion state (TicketState).
  *   kTaskState (510)        base::ThreadPool::parallelFor join gates.
  *
@@ -88,7 +87,6 @@ inline constexpr int kDaemonClient = 60;
 inline constexpr int kQueryEngine = 100;
 inline constexpr int kTraceIndexShard = 300;
 inline constexpr int kThreadPool = 400;
-inline constexpr int kDecodePipeline = 410;
 inline constexpr int kTicketState = 500;
 inline constexpr int kTaskState = 510;
 

@@ -8,6 +8,7 @@
 #define AFTERMATH_BASE_TIME_INTERVAL_H
 
 #include <algorithm>
+#include <cstdint>
 
 #include "base/types.h"
 
@@ -71,6 +72,20 @@ struct TimeInterval
     constexpr bool
     operator==(const TimeInterval &other) const = default;
 };
+
+/**
+ * The @p i-th of @p n equal subdivisions of @p span; the last one
+ * absorbs the remainder. The derived-metric generators and the anomaly
+ * scanner subdivide with this one rule, so their sub-intervals agree.
+ */
+constexpr TimeInterval
+subInterval(const TimeInterval &span, std::uint32_t i, std::uint32_t n)
+{
+    TimeStamp width = span.duration() / n;
+    TimeStamp start = span.start + static_cast<TimeStamp>(i) * width;
+    TimeStamp end = (i + 1 == n) ? span.end : start + width;
+    return {start, end};
+}
 
 } // namespace aftermath
 

@@ -291,7 +291,7 @@ Future<Ack>
 Client::asyncCloseTrace(std::uint64_t trace_id)
 {
     ByteWriter w;
-    w.writeVarint(trace_id);
+    encodeCloseTrace(trace_id, w);
     return request<Ack>(MsgType::CloseTrace, w.take(), decodeAck);
 }
 
@@ -299,9 +299,7 @@ Future<Ack>
 Client::asyncSetView(std::uint64_t trace_id, const TimeInterval &view)
 {
     ByteWriter w;
-    w.writeVarint(trace_id);
-    w.writeU64(view.start);
-    w.writeU64(view.end);
+    encodeSetView({trace_id, view}, w);
     return request<Ack>(MsgType::SetView, w.take(), decodeAck);
 }
 
@@ -310,8 +308,7 @@ Client::asyncSetFilters(std::uint64_t trace_id,
                         const std::vector<FilterSpec> &filters)
 {
     ByteWriter w;
-    w.writeVarint(trace_id);
-    encodeFilters(filters, w);
+    encodeSetFilters({trace_id, filters}, w);
     return request<Ack>(MsgType::SetFilters, w.take(), decodeAck);
 }
 
@@ -382,7 +379,7 @@ Future<Ack>
 Client::asyncCancel(std::uint64_t target_request_id)
 {
     ByteWriter w;
-    w.writeU64(target_request_id);
+    encodeCancel(target_request_id, w);
     return request<Ack>(MsgType::Cancel, w.take(), decodeAck);
 }
 

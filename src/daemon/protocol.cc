@@ -240,6 +240,19 @@ decodeOpenTraceReply(ByteReader &r, OpenTraceReply &out)
     return r.ok();
 }
 
+void
+encodeCloseTrace(std::uint64_t trace_id, ByteWriter &w)
+{
+    w.writeVarint(trace_id);
+}
+
+bool
+decodeCloseTrace(ByteReader &r, std::uint64_t &trace_id)
+{
+    trace_id = r.readVarint();
+    return r.ok();
+}
+
 // -- Filters --------------------------------------------------------------
 
 void
@@ -359,6 +372,50 @@ materializeFilters(const std::vector<FilterSpec> &specs)
         }
     }
     return set;
+}
+
+void
+encodeSetView(const SetViewRequest &q, ByteWriter &w)
+{
+    w.writeVarint(q.traceId);
+    w.writeU64(q.view.start);
+    w.writeU64(q.view.end);
+}
+
+bool
+decodeSetView(ByteReader &r, SetViewRequest &out)
+{
+    out.traceId = r.readVarint();
+    out.view.start = r.readU64();
+    out.view.end = r.readU64();
+    return r.ok();
+}
+
+void
+encodeSetFilters(const SetFiltersRequest &q, ByteWriter &w)
+{
+    w.writeVarint(q.traceId);
+    encodeFilters(q.specs, w);
+}
+
+bool
+decodeSetFilters(ByteReader &r, SetFiltersRequest &out)
+{
+    out.traceId = r.readVarint();
+    return r.ok() && decodeFilters(r, out.specs);
+}
+
+void
+encodeCancel(std::uint64_t target, ByteWriter &w)
+{
+    w.writeU64(target);
+}
+
+bool
+decodeCancel(ByteReader &r, std::uint64_t &target)
+{
+    target = r.readU64();
+    return r.ok();
 }
 
 // -- Query requests -------------------------------------------------------

@@ -223,6 +223,9 @@ void encodeOpenTrace(const OpenTraceRequest &q, ByteWriter &w);
 bool decodeOpenTrace(ByteReader &r, OpenTraceRequest &out);
 void encodeOpenTraceReply(const OpenTraceReply &reply, ByteWriter &w);
 bool decodeOpenTraceReply(ByteReader &r, OpenTraceReply &out);
+/** CloseTrace's body: the varint id of the binding to drop. */
+void encodeCloseTrace(std::uint64_t trace_id, ByteWriter &w);
+bool decodeCloseTrace(ByteReader &r, std::uint64_t &trace_id);
 
 // -- View / filter mutations ---------------------------------------------
 
@@ -255,6 +258,31 @@ bool decodeFilters(ByteReader &r, std::vector<FilterSpec> &out);
 
 /** Build the FilterSet a list of specs describes. */
 filter::FilterSet materializeFilters(const std::vector<FilterSpec> &specs);
+
+/** Move a binding's view: the varint trace id, then two u64 bounds. */
+struct SetViewRequest
+{
+    std::uint64_t traceId = 0;
+    TimeInterval view;
+};
+
+/** Replace a binding's filters: the varint trace id, then the specs. */
+struct SetFiltersRequest
+{
+    std::uint64_t traceId = 0;
+    std::vector<FilterSpec> specs;
+};
+
+void encodeSetView(const SetViewRequest &q, ByteWriter &w);
+bool decodeSetView(ByteReader &r, SetViewRequest &out);
+void encodeSetFilters(const SetFiltersRequest &q, ByteWriter &w);
+bool decodeSetFilters(ByteReader &r, SetFiltersRequest &out);
+
+// -- Cancel ---------------------------------------------------------------
+
+/** Cancel's body: the u64 request id of the request to cancel. */
+void encodeCancel(std::uint64_t target, ByteWriter &w);
+bool decodeCancel(ByteReader &r, std::uint64_t &target);
 
 // -- Query requests -------------------------------------------------------
 

@@ -140,54 +140,6 @@ constexpr auto kQueryRoutes = std::make_tuple(
         },
         stats::encodeAnomalies});
 
-// Bodies of the control requests; the client writes them inline.
-
-/** CloseTrace: the trace id. */
-bool
-decodeTraceId(ByteReader &r, std::uint64_t &trace_id)
-{
-    trace_id = r.readVarint();
-    return r.ok();
-}
-
-/** Cancel: the target request id. */
-bool
-decodeCancelTarget(ByteReader &r, std::uint64_t &target)
-{
-    target = r.readU64();
-    return r.ok();
-}
-
-/** SetView: the trace id, then the view. */
-struct SetViewBody
-{
-    std::uint64_t traceId = 0;
-    TimeInterval view;
-};
-
-bool
-decodeSetView(ByteReader &r, SetViewBody &out)
-{
-    out.traceId = r.readVarint();
-    out.view.start = r.readU64();
-    out.view.end = r.readU64();
-    return r.ok();
-}
-
-/** SetFilters: the trace id, then the filter specs. */
-struct SetFiltersBody
-{
-    std::uint64_t traceId = 0;
-    std::vector<FilterSpec> specs;
-};
-
-bool
-decodeSetFilters(ByteReader &r, SetFiltersBody &out)
-{
-    out.traceId = r.readVarint();
-    return r.ok() && decodeFilters(r, out.specs);
-}
-
 } // namespace
 
 /**
@@ -594,7 +546,7 @@ void
 Server::Connection::handleCloseTrace(const Frame &frame)
 {
     std::uint64_t trace_id = 0;
-    if (!decodeOrFail(frame, "CloseTrace", decodeTraceId, trace_id))
+    if (!decodeOrFail(frame, "CloseTrace", decodeCloseTrace, trace_id))
         return;
     Binding *binding = findBinding(frame, trace_id);
     if (!binding)
@@ -611,7 +563,7 @@ Server::Connection::handleCloseTrace(const Frame &frame)
 void
 Server::Connection::handleSetView(const Frame &frame)
 {
-    SetViewBody q;
+    SetViewRequest q;
     if (!decodeOrFail(frame, "SetView", decodeSetView, q))
         return;
     if (Binding *binding = findBinding(frame, q.traceId)) {
@@ -623,7 +575,7 @@ Server::Connection::handleSetView(const Frame &frame)
 void
 Server::Connection::handleSetFilters(const Frame &frame)
 {
-    SetFiltersBody q;
+    SetFiltersRequest q;
     if (!decodeOrFail(frame, "SetFilters", decodeSetFilters, q))
         return;
     if (Binding *binding = findBinding(frame, q.traceId)) {
@@ -636,7 +588,7 @@ void
 Server::Connection::handleCancel(const Frame &frame)
 {
     std::uint64_t target = 0;
-    if (!decodeOrFail(frame, "Cancel", decodeCancelTarget, target))
+    if (!decodeOrFail(frame, "Cancel", decodeCancel, target))
         return;
     std::function<void()> cancel;
     {

@@ -10,20 +10,6 @@
 namespace aftermath {
 namespace metrics {
 
-namespace {
-
-/** The i-th of n equal subdivisions of the span (last absorbs remainder). */
-TimeInterval
-subInterval(const TimeInterval &span, std::uint32_t i, std::uint32_t n)
-{
-    TimeStamp width = span.duration() / n;
-    TimeStamp start = span.start + static_cast<TimeStamp>(i) * width;
-    TimeStamp end = (i + 1 == n) ? span.end : start + width;
-    return {start, end};
-}
-
-} // namespace
-
 DerivedCounter
 stateOccupancy(const trace::Trace &trace, std::uint32_t state,
                std::uint32_t num_intervals)

@@ -16,17 +16,6 @@ namespace stats {
 
 namespace {
 
-/** The i-th of n equal subdivisions of @p scan (last absorbs remainder);
- *  must match metrics::stateOccupancy's subdivision exactly. */
-TimeInterval
-subIntervalOf(const TimeInterval &scan, std::uint32_t i, std::uint32_t n)
-{
-    TimeStamp width = scan.duration() / n;
-    TimeStamp start = scan.start + static_cast<TimeStamp>(i) * width;
-    TimeStamp end = (i + 1 == n) ? scan.end : start + width;
-    return {start, end};
-}
-
 /** [start, end] widened by @p half each side, saturating-clamped to
  *  @p scan. Naive widening would wrap below zero at the scan start and
  *  spill past the scan end; a phase never extends beyond the window it
@@ -50,7 +39,7 @@ runIdleChunk(const trace::Trace &trace, CpuId cpu,
     out.idleTime.assign(options.numIntervals, 0);
     const trace::CpuTimeline &timeline = trace.cpu(cpu);
     for (std::uint32_t i = 0; i < options.numIntervals; i++) {
-        TimeInterval iv = subIntervalOf(scan, i, options.numIntervals);
+        TimeInterval iv = subInterval(scan, i, options.numIntervals);
         if (iv.empty())
             continue;
         out.idleTime[i] = timeline.timeInState(
@@ -558,8 +547,8 @@ mergeAnomalyChunks(const trace::Trace &trace,
     TimeStamp width = scan_interval.duration() / options.numIntervals;
     std::uint32_t i = 0;
     while (i < options.numIntervals) {
-        TimeInterval iv = subIntervalOf(scan_interval, i,
-                                        options.numIntervals);
+        TimeInterval iv = subInterval(scan_interval, i,
+                                      options.numIntervals);
         double value = iv.empty()
             ? 0.0
             : static_cast<double>(idle_totals[i]) /
@@ -572,8 +561,8 @@ mergeAnomalyChunks(const trace::Trace &trace,
         double peak = 0.0;
         TimeStamp phase_end = iv.end;
         while (i < options.numIntervals) {
-            TimeInterval sub = subIntervalOf(scan_interval, i,
-                                             options.numIntervals);
+            TimeInterval sub = subInterval(scan_interval, i,
+                                           options.numIntervals);
             if (sub.empty())
                 break;
             double v = static_cast<double>(idle_totals[i]) /
@@ -587,7 +576,7 @@ mergeAnomalyChunks(const trace::Trace &trace,
         Anomaly a;
         a.kind = AnomalyKind::IdlePhase;
         a.interval = widenClamped(
-            subIntervalOf(scan_interval, begin, options.numIntervals)
+            subInterval(scan_interval, begin, options.numIntervals)
                 .start,
             phase_end, width / 2, scan_interval);
         a.severity = peak / static_cast<double>(trace.numCpus());

@@ -13,34 +13,35 @@
  * plus a word-at-a-time varint skip), take one lane-frame step (skip,
  * CPU check, append, cache the prefix), or decode a non-lane frame.
  *
- * Phase 2 decodes the stretches with one run decoder (decodeRun) over
- * one per-frame switch (decodeLaneFrame). The scan runs the same
+ * Phase 2 starts once the scan has reached the end-of-trace frame. One
+ * run decoder (decodeRun) over one per-frame switch (decodeLaneFrame)
+ * takes each lane's whole run in one call. The scan runs the same
  * decoder on a one-frame run for a global frame that precedes the
- * topology frame, before any lane exists. With workers > 1 phase 2
- * runs *during* the scan: full batches stream to a per-lane serial
- * executor on a private base::ThreadPool (each lane has a FIFO and at
- * most one active pump, so its container fills in exact stream order
- * with its own delta registers), and the decode wall-clock hides
- * behind the scan. Without a pool the same decoder takes each lane's
- * whole run on the calling thread. Decode diagnostics merge by lowest
- * byte offset, which makes the reported error — like the trace itself
- * — independent of worker count and scheduling.
+ * topology frame, before any lane exists. When some lane holds at
+ * least kPoolLaneFrames frames and workers > 1, the lanes decode under
+ * base::ThreadPool::parallelFor, longest lane first, and finalize runs
+ * on the same pool; otherwise both run on the calling thread. Each lane
+ * owns its container and its delta registers, so its frames fill the
+ * container in exact stream order wherever it runs. Decode diagnostics
+ * merge by lowest byte offset, which makes the reported error — like
+ * the trace itself — independent of worker count and scheduling.
  */
 
 #include "trace/reader.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
+#include <cerrno>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <memory>
+#include <numeric>
 
 #include "base/buffer.h"
-#include "base/mutex.h"
 #include "base/string_util.h"
-#include "base/thread_annotations.h"
 #include "base/thread_pool.h"
 
 namespace aftermath {
@@ -73,25 +74,17 @@ packStretch(std::size_t offset, std::size_t count)
            (static_cast<std::uint64_t>(count) << kStretchCountShift);
 }
 
-/** One previous-timestamp register per delta class (one CPU's worth). */
-struct DeltaRegisters
-{
-    TimeStamp last[static_cast<std::size_t>(DeltaClass::NumClasses)] = {};
-};
-
 /**
  * Mirrors TraceWriter's encoding decisions while decoding. One decoder
  * serves either the global frames (which never carry delta-coded
- * timestamps) or exactly one CPU's frame run: the delta registers are
- * one per class, not per (class, cpu), and live with the caller so a
- * CPU's run can decode across several batches of the pipelined reader.
+ * timestamps) or exactly one lane's whole run: the delta registers are
+ * one per class, not per (class, cpu), and live in the decoder.
  */
 class FrameDecoder
 {
   public:
-    FrameDecoder(ByteReader &reader, Encoding encoding,
-                 DeltaRegisters &registers)
-        : reader_(reader), encoding_(encoding), registers_(registers)
+    FrameDecoder(ByteReader &reader, Encoding encoding)
+        : reader_(reader), encoding_(encoding)
     {}
 
     std::uint64_t
@@ -118,7 +111,7 @@ class FrameDecoder
     {
         if (encoding_ != Encoding::Compact)
             return reader_.readU64();
-        TimeStamp &last = registers_.last[static_cast<std::size_t>(cls)];
+        TimeStamp &last = last_[static_cast<std::size_t>(cls)];
         std::int64_t delta = reader_.readSignedVarint();
         TimeStamp time = static_cast<TimeStamp>(
             static_cast<std::int64_t>(last) + delta);
@@ -137,7 +130,8 @@ class FrameDecoder
   private:
     ByteReader &reader_;
     Encoding encoding_;
-    DeltaRegisters &registers_;
+    /** One previous-timestamp register per delta class. */
+    TimeStamp last_[static_cast<std::size_t>(DeltaClass::NumClasses)] = {};
 };
 
 /**
@@ -335,42 +329,26 @@ decodeLaneFrame(FrameType type, ByteReader &reader, FrameDecoder &decoder,
     }
 }
 
-/**
- * One lane's decode carry across batches: its delta registers and its
- * first decode error. In the pipelined mode it is exclusively owned by
- * the lane's single active pump (at most one exists; the active flag's
- * lock hand-off makes successive pumps happen-before ordered).
- */
-struct LaneDecode
-{
-    DeltaRegisters registers;
-    std::size_t errorOffset = std::numeric_limits<std::size_t>::max();
-    std::string error;
-
-    bool failed() const
-    {
-        return errorOffset != std::numeric_limits<std::size_t>::max();
-    }
-};
+/** decodeRun's result for a lane whose every frame decoded. */
+constexpr std::size_t kDecoded = std::numeric_limits<std::size_t>::max();
 
 /**
- * The run decoder: decode one batch of a lane's frame stretches into
- * its container, in stream order, carrying @p state across batches.
- * The scan already validated frame structure and CPU ids, so the only
- * possible failures are value-level; the first one stops the lane.
+ * The run decoder: decode one lane's frame stretches into its
+ * container, in stream order. The scan already validated frame
+ * structure and CPU ids, so the only possible failures are value-level;
+ * the first one stops the lane. Returns that frame's offset (its tag
+ * byte names its kind), or kDecoded.
  */
-void
+std::size_t
 decodeRun(const std::vector<std::uint8_t> &bytes, Encoding encoding,
           const std::vector<std::uint64_t> &stretches, Trace &trace,
-          std::size_t lane, LaneDecode &state)
+          std::size_t lane)
 {
-    if (state.failed())
-        return;
     CpuTimeline *timeline = lane < trace.numCpus()
                                 ? &trace.cpu(static_cast<CpuId>(lane))
                                 : nullptr;
     ByteReader reader(bytes);
-    FrameDecoder decoder(reader, encoding, state.registers);
+    FrameDecoder decoder(reader, encoding);
     for (std::uint64_t stretch : stretches) {
         reader.seek(static_cast<std::size_t>(stretch &
                                              kStretchOffsetMask));
@@ -380,77 +358,19 @@ decodeRun(const std::vector<std::uint8_t> &bytes, Encoding encoding,
             const std::size_t offset = reader.offset();
             FrameType type = static_cast<FrameType>(reader.readU8());
             decodeLaneFrame(type, reader, decoder, trace, timeline);
-            if (!reader.ok()) {
-                state.errorOffset = offset;
-                state.error = strFormat("corrupt %s frame at offset %zu",
-                                        frameTypeName(type), offset);
-                return;
-            }
+            if (!reader.ok())
+                return offset;
         }
     }
+    return kDecoded;
 }
-
-/** Frames per batch handed from the scan to the decode workers. */
-constexpr std::size_t kBatchFrames = 4096;
 
 /**
- * The scan-to-decoder pipeline: while the serial scan walks the byte
- * stream, completed lane batches decode concurrently on the pool, so
- * decode wall-clock hides behind the scan instead of following it.
- * Without a pool (a small trace, or workers == 1) the same per-lane
- * decode state serves the run decoder on the calling thread.
- *
- * Per-lane order is preserved by a per-key serial executor: each lane
- * has a FIFO of pending batches and at most one active pump task; the
- * pump drains the FIFO, carrying the lane's LaneDecode, which only the
- * active pump touches (handoff happens-before via the mutex). The
- * mutex-shared half (LaneQueue) and the pump-owned half (LaneDecode)
- * are separate structs so the guarded accesses are exactly the queue
- * operations — the decode state needs no lock by construction.
+ * The decode phase starts a pool only when some lane holds at least
+ * this many frames; smaller traces never pay thread start-up and decode
+ * on the calling thread.
  */
-struct DecodePipeline
-{
-    explicit DecodePipeline(std::size_t num_lanes)
-        : queues(num_lanes), decode(num_lanes)
-    {}
-
-    /** One lane's batch FIFO and pump-active flag. */
-    struct LaneQueue
-    {
-        std::deque<std::vector<std::uint64_t>> pending;
-        bool active = false;
-    };
-
-    base::Mutex mutex{base::lockrank::kDecodePipeline,
-                      "decode-pipeline"};
-    std::vector<LaneQueue> queues AM_GUARDED_BY(mutex);
-    std::vector<LaneDecode> decode;
-    /** Set by a failed scan: pumps stop at their next batch. */
-    std::atomic<bool> cancelled{false};
-};
-
-void
-pumpLane(const std::shared_ptr<DecodePipeline> &pipeline,
-         const std::vector<std::uint8_t> &bytes, Encoding encoding,
-         Trace &trace, std::size_t lane)
-{
-    for (;;) {
-        std::vector<std::uint64_t> batch;
-        {
-            base::MutexLock lock(pipeline->mutex);
-            DecodePipeline::LaneQueue &queue = pipeline->queues[lane];
-            if (queue.pending.empty() ||
-                pipeline->cancelled.load(std::memory_order_relaxed)) {
-                queue.active = false;
-                return;
-            }
-            batch = std::move(queue.pending.front());
-            queue.pending.pop_front();
-        }
-        decodeRun(bytes, encoding, batch, trace, lane,
-                  pipeline->decode[lane]);
-    }
-}
+constexpr std::size_t kPoolLaneFrames = 4096;
 
 } // namespace
 
@@ -484,50 +404,10 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
     result.trace.setCpuFreqHz(cpu_freq);
 
     // ---- Phase 1: serial frame scan ------------------------------------
-    DeltaRegisters scan_registers; // Unused: global frames carry no times.
-    FrameDecoder decoder(reader, encoding, scan_registers);
+    FrameDecoder decoder(reader, encoding); // Global frames: no times.
     Trace &trace = result.trace;
     std::vector<std::vector<std::uint64_t>> runs;
-    std::vector<std::size_t> frames_buffered;
     bool have_topology = false;
-
-    const unsigned max_workers = options.workers == 0
-                                     ? base::ThreadPool::defaultWorkers()
-                                     : options.workers;
-    std::unique_ptr<base::ThreadPool> pool;
-    std::shared_ptr<DecodePipeline> pipeline;
-
-    // Hand one lane's accumulated batch to the decode pipeline. The
-    // pipeline (and its pool) starts lazily on the first full batch,
-    // so small traces never pay thread start-up and decode serially.
-    auto flush_batch = [&](std::size_t lane) {
-        if (!pipeline) {
-            const std::size_t num_lanes = runs.size();
-            pipeline = std::make_shared<DecodePipeline>(num_lanes);
-            pool = std::make_unique<base::ThreadPool>(
-                std::min<unsigned>(max_workers,
-                                   static_cast<unsigned>(num_lanes)));
-        }
-        bool start_pump;
-        {
-            base::MutexLock lock(pipeline->mutex);
-            DecodePipeline::LaneQueue &queue = pipeline->queues[lane];
-            queue.pending.push_back(std::move(runs[lane]));
-            start_pump = !queue.active;
-            if (start_pump)
-                queue.active = true;
-        }
-        runs[lane].clear();
-        frames_buffered[lane] = 0;
-        if (start_pump) {
-            auto p = pipeline;
-            Trace *t = &trace;
-            const std::vector<std::uint8_t> *b = &bytes;
-            pool->submit([p, b, encoding, t, lane] {
-                pumpLane(p, *b, encoding, *t, lane);
-            });
-        }
-    };
 
     // The open stretch of consecutive frames on one lane; closing it
     // appends one packed entry to that lane's run.
@@ -540,11 +420,7 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
             return;
         runs[stretch_lane].push_back(
             packStretch(stretch_start, stretch_count));
-        frames_buffered[stretch_lane] += stretch_count;
         stretch_count = 0;
-        if (max_workers > 1 &&
-            frames_buffered[stretch_lane] >= kBatchFrames)
-            flush_batch(stretch_lane);
     };
 
     auto append_frame = [&](std::size_t lane, std::size_t offset) {
@@ -573,15 +449,9 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
     const std::uint8_t *data = bytes.data();
     const std::size_t size = bytes.size();
 
-    // The one fail path of the scan. The decode pumps hold pointers
-    // into result.trace, so a failed scan parks them before `result`
-    // leaves the function.
+    // The one fail path of the scan.
     auto fail = [&](std::string error) {
         result.error = std::move(error);
-        if (pipeline) {
-            pipeline->cancelled.store(true, std::memory_order_relaxed);
-            pool->wait();
-        }
         return std::move(result);
     };
     auto fail_corrupt = [&](FrameType type, std::size_t offset) {
@@ -637,10 +507,8 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                 // early; a task instance decodes first all the same,
                 // so that its corruption outranks the ordering error.
                 if (!layout.perCpu) {
-                    LaneDecode frame;
-                    decodeRun(bytes, encoding, {packStretch(offset, 1)},
-                              trace, lane, frame);
-                    if (frame.failed())
+                    if (decodeRun(bytes, encoding, {packStretch(offset, 1)},
+                                  trace, lane) != kDecoded)
                         return fail_corrupt(type, offset);
                     if (type != FrameType::TaskInstance)
                         continue;
@@ -704,8 +572,6 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                 std::move(cpu_to_node), num_nodes,
                 std::move(distances)));
             runs.resize(trace.numCpus() + kNumGlobalLanes);
-            frames_buffered.resize(trace.numCpus() + kNumGlobalLanes,
-                                   0);
             have_topology = true;
             break;
           }
@@ -748,36 +614,52 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
     }
 
     // ---- Phase 2: decode every lane's run ------------------------------
-    if (pipeline) {
-        // Most batches already decoded while the scan was running; hand
-        // over the partial tails and wait for the pumps to drain.
-        for (std::size_t lane = 0; lane < runs.size(); lane++) {
-            if (!runs[lane].empty())
-                flush_batch(lane);
-        }
-        pool->wait();
+    // Lanes are claimed longest first, so the longest lane never starts
+    // last. No early exit on a failed lane: the lowest-offset rule sees
+    // every lane's first error whatever the schedule.
+    const std::size_t num_lanes = runs.size();
+    std::vector<std::size_t> frames(num_lanes, 0);
+    for (std::size_t lane = 0; lane < num_lanes; lane++) {
+        for (std::uint64_t stretch : runs[lane])
+            frames[lane] += static_cast<std::size_t>(
+                stretch >> kStretchCountShift);
+    }
+    std::vector<std::size_t> order(num_lanes);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return frames[a] > frames[b];
+                     });
+    const unsigned workers = options.workers == 0
+                                 ? base::ThreadPool::defaultWorkers()
+                                 : options.workers;
+    std::unique_ptr<base::ThreadPool> pool;
+    if (workers > 1 && frames[order[0]] >= kPoolLaneFrames)
+        pool = std::make_unique<base::ThreadPool>(
+            std::min<unsigned>(workers, static_cast<unsigned>(num_lanes)));
+
+    std::vector<std::size_t> failed_at(num_lanes);
+    auto decode_lane = [&](std::size_t k) {
+        const std::size_t lane = order[k];
+        failed_at[lane] =
+            decodeRun(bytes, encoding, runs[lane], trace, lane);
+    };
+    if (pool) {
+        pool->parallelFor(num_lanes, decode_lane);
     } else {
-        // Small trace or workers == 1: the run decoder takes each whole
-        // run on the calling thread. No early exit on a failed lane, so
-        // the lowest-offset rule sees the same candidates as the
-        // pipelined mode.
-        pipeline = std::make_shared<DecodePipeline>(runs.size());
-        for (std::size_t lane = 0; lane < runs.size(); lane++)
-            decodeRun(bytes, encoding, runs[lane], trace, lane,
-                      pipeline->decode[lane]);
+        for (std::size_t k = 0; k < num_lanes; k++)
+            decode_lane(k);
     }
 
-    // Every lane's decode state is quiescent now (no pump is left
-    // running). The lowest-offset rule keeps the reported diagnostic
-    // independent of scheduling and worker count.
-    const LaneDecode *first_error = nullptr;
-    for (const LaneDecode &lane : pipeline->decode) {
-        if (lane.failed() &&
-            (!first_error || lane.errorOffset < first_error->errorOffset))
-            first_error = &lane;
-    }
-    if (first_error) {
-        result.error = first_error->error;
+    // The lowest-offset rule keeps the reported diagnostic independent
+    // of scheduling and worker count.
+    const std::size_t first_failure =
+        *std::min_element(failed_at.begin(), failed_at.end());
+    if (first_failure != kDecoded) {
+        result.error = strFormat(
+            "corrupt %s frame at offset %zu",
+            frameTypeName(static_cast<FrameType>(bytes[first_failure])),
+            first_failure);
         return result;
     }
 
@@ -794,25 +676,38 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
 ReadResult
 readTraceFile(const std::string &path, const ReadOptions &options)
 {
+    // Only a regular file is read. O_NONBLOCK keeps the open from
+    // waiting for a FIFO's writer; a regular file ignores it. Nothing
+    // between open and close throws, so the descriptor cannot leak.
     ReadResult result;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    if (fd < 0) {
         result.error = "cannot open " + path;
         return result;
     }
-    std::fseek(f, 0, SEEK_END);
-    long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (size < 0) {
-        std::fclose(f);
-        result.error = "cannot determine size of " + path;
-        return result;
+    const char *failure = nullptr;
+    std::vector<std::uint8_t> bytes;
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+        failure = " is not a regular file";
+    } else {
+        try {
+            bytes.resize(static_cast<std::size_t>(st.st_size));
+        } catch (...) { // bad_alloc, length_error
+            failure = " does not fit in memory";
+        }
     }
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-    std::size_t got = std::fread(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-    if (got != bytes.size()) {
-        result.error = "short read from " + path;
+    for (std::size_t got = 0; !failure && got < bytes.size();) {
+        const ssize_t n =
+            ::read(fd, bytes.data() + got, bytes.size() - got);
+        if (n > 0)
+            got += static_cast<std::size_t>(n);
+        else if (n == 0 || errno != EINTR)
+            failure = " could not be read in full";
+    }
+    ::close(fd);
+    if (failure) {
+        result.error = path + failure;
         return result;
     }
     return readTrace(bytes, options);

@@ -20,14 +20,16 @@
  *     lane frame takes the same structural skip, whether it repeats the
  *     previous frame's (tag, CPU) prefix or starts a new one. The scan
  *     checks frame structure and stops at the first malformed frame.
- *  2. Lane decode (parallel). One run decoder decodes each lane's
- *     stretches strictly in stream order with private delta-timestamp
- *     registers, so every container fills exactly as a serial pass
- *     would fill it. With ReadOptions::workers > 1 the decode is
- *     pipelined: batches of scanned frames stream to a base::ThreadPool
- *     while the scan is still running; otherwise the same decoder runs
- *     on the calling thread. Decode diagnostics are merged by lowest
- *     byte offset so the reported error does not depend on scheduling.
+ *  2. Lane decode (parallel). Once the scan reached the end-of-trace
+ *     frame, one run decoder decodes each lane's whole run in one call,
+ *     strictly in stream order with private delta-timestamp registers,
+ *     so every container fills exactly as a serial pass would fill it.
+ *     With ReadOptions::workers > 1 and some lane of at least 4096
+ *     frames, the lanes decode under base::ThreadPool::parallelFor,
+ *     longest lane first, and Trace::finalize runs on the same pool;
+ *     otherwise the same decoder runs on the calling thread. Decode
+ *     diagnostics are merged by lowest byte offset so the reported
+ *     error does not depend on scheduling.
  *
  * Bit-identity guarantee: the materialized Trace, the diagnostics (which
  * carry the failing frame's byte offset and kind), and bytesRead are
@@ -54,7 +56,7 @@ namespace trace {
 struct ReadOptions
 {
     /**
-     * Worker threads of the per-CPU decode phase; 1 decodes on the
+     * Worker threads of the lane decode phase; 1 decodes on the
      * calling thread, 0 uses one worker per hardware thread. The
      * result is bit-identical at every setting.
      */
@@ -75,7 +77,7 @@ struct ReadResult
 ReadResult readTrace(const std::vector<std::uint8_t> &bytes,
                      const ReadOptions &options = {});
 
-/** Parse a trace from a file. */
+/** Parse a trace from a file; anything but a regular file fails. */
 ReadResult readTraceFile(const std::string &path,
                          const ReadOptions &options = {});
 

@@ -78,12 +78,6 @@ Trace::cpuOrNull(CpuId cpu) const
 }
 
 bool
-Trace::finalize(std::string &error)
-{
-    return finalize(error, nullptr);
-}
-
-bool
 Trace::finalize(std::string &error, base::ThreadPool *pool)
 {
     if (finalized_) {
@@ -158,47 +152,37 @@ Trace::finalize(std::string &error, base::ThreadPool *pool)
             instanceIndex_[taskInstances_[i].id] = i;
     };
 
-    lastTime_ = 0;
-    if (pool && cpus_.size() > 1) {
-        // Independent units on the pool: one ordering validation per
-        // CPU plus the three index builds (they touch disjoint
-        // members). The lowest-numbered failing CPU is reported and
-        // errors rank exactly like the serial control flow below.
-        const std::size_t n = cpus_.size();
-        std::vector<std::string> cpu_errors(n);
-        std::vector<std::uint8_t> cpu_failed(n, 0);
-        pool->parallelFor(n + 3, [&](std::size_t unit) {
-            if (unit < n) {
-                if (!cpus_[unit].finalize(cpu_errors[unit]))
-                    cpu_failed[unit] = 1;
-            } else if (unit == n) {
-                build_region_index();
-            } else if (unit == n + 1) {
-                build_access_ranges();
-            } else {
-                build_instance_index();
-            }
-        });
-        for (CpuId c = 0; c < n; c++) {
-            if (cpu_failed[c]) {
-                error = strFormat("cpu %u: %s", c, cpu_errors[c].c_str());
-                return false;
-            }
+    // Independent units: one ordering validation per CPU plus the three
+    // index builds (they touch disjoint members), on the pool or on the
+    // calling thread. The lowest-numbered failing CPU is reported.
+    const std::size_t n = cpus_.size();
+    std::vector<std::string> cpu_errors(n);
+    std::vector<std::uint8_t> cpu_failed(n, 0);
+    auto run_unit = [&](std::size_t unit) {
+        if (unit < n) {
+            if (!cpus_[unit].finalize(cpu_errors[unit]))
+                cpu_failed[unit] = 1;
+        } else if (unit == n) {
+            build_region_index();
+        } else if (unit == n + 1) {
+            build_access_ranges();
+        } else {
+            build_instance_index();
         }
-        for (CpuId c = 0; c < n; c++)
-            lastTime_ = std::max(lastTime_, cpus_[c].lastTime());
+    };
+    if (pool) {
+        pool->parallelFor(n + 3, run_unit);
     } else {
-        for (CpuId c = 0; c < cpus_.size(); c++) {
-            std::string cpu_error;
-            if (!cpus_[c].finalize(cpu_error)) {
-                error = strFormat("cpu %u: %s", c, cpu_error.c_str());
-                return false;
-            }
-            lastTime_ = std::max(lastTime_, cpus_[c].lastTime());
+        for (std::size_t unit = 0; unit < n + 3; unit++)
+            run_unit(unit);
+    }
+    lastTime_ = 0;
+    for (CpuId c = 0; c < n; c++) {
+        if (cpu_failed[c]) {
+            error = strFormat("cpu %u: %s", c, cpu_errors[c].c_str());
+            return false;
         }
-        build_region_index();
-        build_access_ranges();
-        build_instance_index();
+        lastTime_ = std::max(lastTime_, cpus_[c].lastTime());
     }
 
     for (const TaskInstance &instance : taskInstances_) {

@@ -77,22 +77,18 @@ class Trace
     CpuTimeline &cpu(CpuId cpu);
 
     /**
-     * Validate and index the trace.
+     * Validate and index the trace. Its units — one ordering validation
+     * per CPU and three index builds — run on @p pool when one is given
+     * (the trace reader passes its decode pool), else on the calling
+     * thread. Which violation is reported does not depend on that:
+     * every CPU validates independently and the lowest-numbered failing
+     * CPU wins.
      *
      * @param error Receives a description of the first violation.
      * @return true on success; the trace is unusable for analysis if
      *         validation fails.
      */
-    bool finalize(std::string &error);
-
-    /**
-     * finalize() with the per-CPU ordering validation distributed over
-     * @p pool (nullptr validates serially). The result — including
-     * which violation is reported — is identical to the serial form:
-     * every CPU validates independently and the lowest-numbered failing
-     * CPU wins. The parallel trace reader drives this overload.
-     */
-    bool finalize(std::string &error, base::ThreadPool *pool);
+    bool finalize(std::string &error, base::ThreadPool *pool = nullptr);
 
     // -- Access ----------------------------------------------------------
 

@@ -19,7 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <future>
 #include <memory>
@@ -240,6 +244,36 @@ TEST(Daemon, OpenTraceReportsShapeAndSharesRegistry)
     ASSERT_TRUE(b.closeTrace(rb.value.traceId).ok());
     EXPECT_EQ(server.stats().sharedTraces, 0u);
     server.stop();
+}
+
+TEST(Daemon, OpenTraceOfADirectoryOrFifoAnswersError)
+{
+    // Any client can name any path. A directory or a FIFO answers
+    // Error, and the daemon and the connection go on serving.
+    Server server(Server::Options{1, 16});
+    Client client;
+    ASSERT_TRUE(connect(server, client));
+    std::string dir =
+        ::testing::TempDir() + "aftermath_daemon_not_a_file_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    const std::string fifo = dir + "/fifo";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    for (const std::string &path : {dir, fifo}) {
+        OpenTraceRequest open;
+        open.path = path;
+        Reply<OpenTraceReply> reply = client.openTrace(open);
+        EXPECT_EQ(reply.status, Status::Error) << path;
+        EXPECT_NE(reply.message.find(path), std::string::npos)
+            << reply.message;
+    }
+    EXPECT_EQ(server.stats().sharedTraces, 0u);
+
+    std::uint64_t trace_id = 0;
+    EXPECT_TRUE(openShared(client, trace_id));
+    EXPECT_EQ(server.stats().sharedTraces, 1u);
+    server.stop();
+    ::unlink(fifo.c_str());
+    ::rmdir(dir.c_str());
 }
 
 TEST(Daemon, UnknownTraceIdAndUnknownTypeAnswerErrors)

@@ -438,6 +438,68 @@ TEST(DaemonProtocol, AnomalyScanRequestRoundTripsAndValidates)
     EXPECT_TRUE(rejects(bad));
 }
 
+/**
+ * Encode @p request, compare its bytes with @p wire, decode them whole
+ * into @p back, and check that every strict prefix fails to decode.
+ */
+template <typename Request, typename Encoded>
+void
+expectControlBody(const Request &request,
+                  void (*encode)(Encoded, ByteWriter &),
+                  bool (*decode)(ByteReader &, Request &),
+                  const std::vector<std::uint8_t> &wire, Request &back)
+{
+    ByteWriter w;
+    encode(request, w);
+    EXPECT_EQ(w.data(), wire);
+    ByteReader r(wire);
+    ASSERT_TRUE(decode(r, back));
+    EXPECT_TRUE(r.atEnd());
+    for (std::size_t len = 0; len < wire.size(); len++) {
+        const std::vector<std::uint8_t> prefix(wire.begin(),
+                                               wire.begin() + len);
+        ByteReader pr(prefix);
+        Request out;
+        EXPECT_FALSE(decode(pr, out)) << "prefix of " << len << " bytes";
+    }
+}
+
+TEST(DaemonProtocol, ControlRequestBodiesRoundTripWithTheirWireBytes)
+{
+    // The bodies of CloseTrace, SetView, SetFilters and Cancel keep the
+    // bytes the protocol has always carried for them.
+    std::uint64_t trace_id = 0;
+    expectControlBody<std::uint64_t>(300, encodeCloseTrace,
+                                     decodeCloseTrace, {0xac, 0x02},
+                                     trace_id);
+    EXPECT_EQ(trace_id, 300u);
+
+    SetViewRequest view;
+    expectControlBody<SetViewRequest>(
+        {5, {7, 900}}, encodeSetView, decodeSetView,
+        {5, 7, 0, 0, 0, 0, 0, 0, 0, 0x84, 0x03, 0, 0, 0, 0, 0, 0}, view);
+    EXPECT_EQ(view.traceId, 5u);
+    EXPECT_EQ(view.view, TimeInterval(7, 900));
+
+    FilterSpec types;
+    types.kind = FilterSpec::Kind::TaskType;
+    types.ids = {0x1000, 3};
+    SetFiltersRequest filters;
+    expectControlBody<SetFiltersRequest>(
+        {9, {types}}, encodeSetFilters, decodeSetFilters,
+        {9, 1, 0, 2, 0x80, 0x20, 3}, filters);
+    EXPECT_EQ(filters.traceId, 9u);
+    ASSERT_EQ(filters.specs.size(), 1u);
+    EXPECT_EQ(filters.specs[0].kind, FilterSpec::Kind::TaskType);
+    EXPECT_EQ(filters.specs[0].ids, types.ids);
+
+    std::uint64_t target = 0;
+    expectControlBody<std::uint64_t>(
+        0x0807060504030201, encodeCancel, decodeCancel,
+        {1, 2, 3, 4, 5, 6, 7, 8}, target);
+    EXPECT_EQ(target, 0x0807060504030201u);
+}
+
 /** The counter restriction of @p body after decoding it whole. */
 std::vector<CounterId>
 decodedWarmupCounters(const std::vector<std::uint8_t> &body)

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "index/trace_index.h"
 #include "trace/reader.h"
@@ -92,6 +97,25 @@ TEST(Format, MissingFileReportsError)
     ReadResult result = readTraceFile("/nonexistent/path/trace.ostv");
     EXPECT_FALSE(result.ok);
     EXPECT_NE(result.error.find("cannot open"), std::string::npos);
+}
+
+TEST(Format, DirectoryAndFifoReportErrors)
+{
+    // Neither is a trace file. Each must fail at once with an error
+    // naming the path: a directory must not be sized by its seek
+    // offset, and a FIFO must not block the open until a writer comes.
+    std::string dir = ::testing::TempDir() + "aftermath_not_a_file_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    const std::string fifo = dir + "/fifo";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    for (const std::string &path : {dir, fifo}) {
+        ReadResult result = readTraceFile(path);
+        EXPECT_FALSE(result.ok) << path;
+        EXPECT_NE(result.error.find(path), std::string::npos)
+            << result.error;
+    }
+    ::unlink(fifo.c_str());
+    ::rmdir(dir.c_str());
 }
 
 TEST(FormatErrors, BadMagicRejected)

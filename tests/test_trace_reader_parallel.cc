@@ -85,8 +85,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ReaderRoundTrip, LargeTraceExercisesThePool)
 {
-    // Big enough (> 4096 per-CPU frames) that workers > 1 really
-    // decodes on a ThreadPool instead of the small-trace fallback.
+    // Big enough (a lane of more than 4096 frames) that workers > 1
+    // really decode on a ThreadPool instead of the calling thread.
     RandomTraceOptions options;
     options.cpus = 16;
     options.counters = 2;
@@ -311,6 +311,88 @@ TEST(ReaderCorruption, ParallelDecodeReportsLowestOffsetError)
     }
 }
 
+/**
+ * Compact bytes of a 2-CPU trace with a 5000-frame task-instance lane
+ * whose cpu field overflows 32 bits in one frame near the end. With
+ * @p corrupt_state, an earlier state frame on cpu 1 has a state that
+ * overflows too. The offsets of both bad frames land in @p state_bad
+ * and @p task_bad.
+ */
+std::vector<std::uint8_t>
+longTaskLaneBytes(bool corrupt_state, std::size_t &state_bad,
+                  std::size_t &task_bad)
+{
+    ByteWriter writer;
+    writer.writeU32(kTraceMagic);
+    writer.writeU16(kTraceVersion);
+    writer.writeU16(static_cast<std::uint16_t>(Encoding::Compact));
+    writer.writeU64(2'000'000'000);
+    writer.writeU8(static_cast<std::uint8_t>(FrameType::Topology));
+    writer.writeVarint(2);  // cpus
+    writer.writeVarint(1);  // nodes
+    writer.writeVarint(0);  // cpu 0 -> node 0
+    writer.writeVarint(0);  // cpu 1 -> node 0
+    writer.writeVarint(10); // distance
+    state_bad = writer.size();
+    writer.writeU8(static_cast<std::uint8_t>(FrameType::StateEvent));
+    writer.writeVarint(1);                                 // cpu
+    writer.writeVarint(corrupt_state ? 0x1'0000'0000ull : 0); // state
+    writer.writeSignedVarint(5);                           // time delta
+    writer.writeVarint(10);                                // duration
+    writer.writeVarint(0);                                 // task
+    constexpr int kTasks = 5000;
+    for (int i = 0; i < kTasks; i++) {
+        const bool bad = i == kTasks - 10;
+        if (bad)
+            task_bad = writer.size();
+        writer.writeU8(static_cast<std::uint8_t>(FrameType::TaskInstance));
+        writer.writeVarint(static_cast<std::uint64_t>(i) + 1); // id
+        writer.writeVarint(0xbeef);                            // type
+        writer.writeVarint(bad ? 0x1'0000'0000ull : 0);        // cpu
+        writer.writeVarint(static_cast<std::uint64_t>(i) * 10); // start
+        writer.writeVarint(5);                                 // duration
+    }
+    writer.writeU8(static_cast<std::uint8_t>(FrameType::EndOfTrace));
+    return writer.take();
+}
+
+TEST(ReaderCorruption, PooledDecodeReportsLowestOffsetError)
+{
+    // The task-instance lane holds more than 4096 frames, so workers > 1
+    // start the pool and claim that lane first. Its corrupt frame sits
+    // near the end of the stream; the corrupt state frame on cpu 1's
+    // one-frame lane comes earlier and must be the one reported.
+    for (bool corrupt_state : {false, true}) {
+        SCOPED_TRACE(corrupt_state ? "state and task corrupt"
+                                   : "task corrupt");
+        std::size_t state_bad = 0;
+        std::size_t task_bad = 0;
+        const std::vector<std::uint8_t> bytes =
+            longTaskLaneBytes(corrupt_state, state_bad, task_bad);
+        const std::string expected =
+            corrupt_state
+                ? "corrupt StateEvent frame at offset " +
+                      std::to_string(state_bad)
+                : "corrupt TaskInstance frame at offset " +
+                      std::to_string(task_bad);
+        ReadResult serial;
+        for (unsigned workers : kWorkerCounts) {
+            ReadOptions options;
+            options.workers = workers;
+            ReadResult result = readTrace(bytes, options);
+            ASSERT_FALSE(result.ok) << "workers " << workers;
+            EXPECT_EQ(result.error, expected) << "workers " << workers;
+            if (workers == 1) {
+                serial = std::move(result);
+                continue;
+            }
+            EXPECT_EQ(result.ok, serial.ok) << "workers " << workers;
+            EXPECT_EQ(result.bytesRead, serial.bytesRead)
+                << "workers " << workers;
+        }
+    }
+}
+
 TEST(ReaderCorruption, OverlongVarintsReachingBufferEndFailCleanly)
 {
     // A compact MemAccess whose three "varints" are over-long
@@ -355,10 +437,10 @@ TEST(ReaderCorruption, OverlongVarintsReachingBufferEndFailCleanly)
 
 TEST(ReaderCorruption, SampledCorruptionIsIdenticalAtEveryWorkerCount)
 {
-    // Every CPU lane fills a 4096-frame batch, so workers > 1 decode on
-    // the pipeline while the scan runs: a corrupt byte must give the
-    // same outcome whether it stops the scan with pumps in flight,
-    // fails one lane's decode, or decodes to a different valid trace.
+    // Every CPU lane holds more than 4096 frames, so workers > 1 decode
+    // on the pool: a corrupt byte must give the same outcome whether it
+    // stops the scan before any decode, fails one lane's decode on the
+    // pool, or decodes to a different valid trace.
     RandomTraceOptions options;
     options.cpus = 3;
     options.statesPerCpu = 1700;
