@@ -29,8 +29,8 @@ main()
     const trace::Trace &tr = result.trace;
     Session session = Session::view(tr);
 
-    metrics::DerivedCounter idle = session.stateOccupancy(
-        static_cast<std::uint32_t>(trace::CoreState::Idle), 100);
+    metrics::DerivedCounter idle = metrics::stateOccupancy(
+        tr, static_cast<std::uint32_t>(trace::CoreState::Idle), 100);
 
     std::printf("\nnormalized_time_pct, idle_workers\n");
     TimeStamp span = tr.span().duration();

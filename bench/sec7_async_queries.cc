@@ -56,7 +56,7 @@ timeColdStats(const trace::Trace &tr, unsigned workers,
               stats::IntervalStats *out = nullptr)
 {
     Session session = Session::view(tr);
-    session.setConcurrency({workers});
+    session.setConcurrency(workers);
     // Spin workers up outside the timing.
     session.queryEngine()->withPool([](base::ThreadPool &) {});
     auto start = Clock::now();
@@ -153,7 +153,7 @@ main()
     int cancel_samples = 0;
     for (int r = 0; r < reps; r++) {
         Session session = Session::view(tr);
-        session.setConcurrency({2});
+        session.setConcurrency(2);
         session.queryEngine()->withPool([](base::ThreadPool &) {});
         auto ticket = session.submit(session::IntervalStatsQuery{
             TimeInterval{span.start, span.end - 1 - r}});
@@ -182,7 +182,7 @@ main()
     bool generation_cancels = true;
     {
         Session session = Session::view(tr);
-        session.setConcurrency({2});
+        session.setConcurrency(2);
         session.queryEngine()->withPool([](base::ThreadPool &) {});
         auto stale = session.submit(session::IntervalStatsQuery{
             TimeInterval{span.start, span.end - 7}});

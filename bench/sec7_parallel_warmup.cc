@@ -32,7 +32,7 @@ timeWarmup(const trace::Trace &tr, unsigned workers,
            session::Session::WarmupStats *stats_out = nullptr)
 {
     Session session = Session::view(tr);
-    session.setConcurrency({workers});
+    session.setConcurrency(workers);
     auto start = std::chrono::steady_clock::now();
     session::Session::WarmupStats stats = session.warmup();
     std::chrono::duration<double> d =
@@ -121,7 +121,7 @@ main()
     // intervals, same number of indexes built.
     Session serial = Session::view(tr);
     Session parallel = Session::view(tr);
-    parallel.setConcurrency({std::max(4u, std::min(hw, 8u))});
+    parallel.setConcurrency(std::max(4u, std::min(hw, 8u)));
     session::Session::WarmupStats serial_stats = serial.warmup();
     session::Session::WarmupStats parallel_stats = parallel.warmup();
     bool identical = serial_stats.indexesBuilt ==

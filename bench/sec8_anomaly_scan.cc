@@ -59,7 +59,7 @@ timeScan(const trace::Trace &tr, unsigned workers,
          std::vector<stats::Anomaly> *out = nullptr)
 {
     Session session = Session::view(tr);
-    session.setConcurrency({workers});
+    session.setConcurrency(workers);
     // Spin workers up outside the timing.
     session.queryEngine()->withPool([](base::ThreadPool &) {});
     auto start = Clock::now();
@@ -201,7 +201,7 @@ main()
     {
         TimeInterval span = tr.span();
         Session session = Session::view(tr);
-        session.setConcurrency({2});
+        session.setConcurrency(2);
         session.queryEngine()->withPool([](base::ThreadPool &) {});
         auto stale = session.submit(session::AnomalyScanQuery{});
         session.setView({span.start, span.start + span.duration() / 4});

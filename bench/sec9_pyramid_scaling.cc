@@ -193,7 +193,7 @@ exactIsBitIdentical(const trace::Trace &tr)
     std::vector<std::uint8_t> reference;
     for (unsigned workers : {1u, 2u, 4u}) {
         Session session = Session::view(tr);
-        session.setConcurrency({workers});
+        session.setConcurrency(workers);
         std::vector<std::uint8_t> got = bytesOf(
             session.submit(session::IntervalStatsQuery{interval}).take());
         if (workers == 1u)

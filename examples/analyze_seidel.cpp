@@ -69,8 +69,8 @@ main()
                 humanCycles(plain.makespan).c_str());
 
     std::printf("== Step 2: detect idle phases (Fig 2/3)\n");
-    metrics::DerivedCounter idle = session.stateOccupancy(
-        static_cast<std::uint32_t>(trace::CoreState::Idle), 60);
+    metrics::DerivedCounter idle = metrics::stateOccupancy(
+        tr, static_cast<std::uint32_t>(trace::CoreState::Idle), 60);
     std::printf("   peak idle workers: %.0f of %u\n", idle.maxValue(),
                 tr.numCpus());
 
@@ -117,8 +117,8 @@ main()
                     compute_avg)).c_str(),
                 init_avg / compute_avg);
 
-    metrics::DerivedCounter sys = session.aggregateCounter(
-        static_cast<CounterId>(trace::CoreCounter::SystemTimeUs), 40);
+    metrics::DerivedCounter sys = metrics::aggregateCounter(
+        tr, static_cast<CounterId>(trace::CoreCounter::SystemTimeUs), 40);
     metrics::DerivedCounter dsys = metrics::differenceQuotient(sys);
     std::size_t growth_end = 0;
     for (std::size_t i = 0; i < dsys.samples.size(); i++) {

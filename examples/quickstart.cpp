@@ -80,8 +80,8 @@ main()
                     100.0 * istats.stateFraction(state));
     }
 
-    metrics::DerivedCounter idle = session.stateOccupancy(
-        static_cast<std::uint32_t>(trace::CoreState::Idle), 50);
+    metrics::DerivedCounter idle = metrics::stateOccupancy(
+        tr, static_cast<std::uint32_t>(trace::CoreState::Idle), 50);
     std::printf("peak simultaneous idle workers: %.1f\n",
                 idle.maxValue());
 
@@ -90,7 +90,7 @@ main()
     //     pool, and a view/filter change cancels stale tickets. Here we
     //     just submit two queries and collect both — they execute
     //     concurrently at workers >= 2.
-    session.setConcurrency({2});
+    session.setConcurrency(2);
     auto stats_ticket = session.submit(
         session::IntervalStatsQuery{TimeInterval{0, result.makespan / 2}});
     auto histogram_ticket = session.submit(session::HistogramQuery{{}, 16});

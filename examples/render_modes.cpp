@@ -88,8 +88,8 @@ main()
     // (5) Derived metric overlay: idle workers over the state view.
     render::Framebuffer overlay_fb(1024, 512);
     session.render({}, overlay_fb);
-    metrics::DerivedCounter idle = session.stateOccupancy(
-        static_cast<std::uint32_t>(trace::CoreState::Idle), 200);
+    metrics::DerivedCounter idle = metrics::stateOccupancy(
+        tr, static_cast<std::uint32_t>(trace::CoreState::Idle), 200);
     session.renderGlobalOverlay(idle, session.layoutFor(overlay_fb), {},
                                 overlay_fb);
     if (overlay_fb.writePpmFile("mode_overlay.ppm", error))

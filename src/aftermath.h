@@ -34,11 +34,7 @@
  * The per-layer modules remain available underneath: the trace model
  * and format, indexes, filters, derived metrics, statistics, task-graph
  * analysis, rendering, symbol handling, and the runtime simulator with
- * its workloads. The pre-facade free functions (computeIntervalStats,
- * filterTasks, Histogram::taskDurations, taskCounterIncreases) and the
- * framebuffer-binding TimelineRenderer constructor completed their
- * deprecation cycle and are gone; see README.md for the migration
- * table.
+ * its workloads.
  */
 
 #ifndef AFTERMATH_AFTERMATH_H

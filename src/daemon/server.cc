@@ -1,5 +1,8 @@
 #include "daemon/server.h"
 
+#include <algorithm>
+#include <chrono>
+#include <iterator>
 #include <tuple>
 #include <utility>
 
@@ -177,7 +180,12 @@ class Server::Connection
             writer_.join();
     }
 
-    bool finished() const { return finished_.load(std::memory_order_acquire); }
+    /** True once both threads are done: join() will not block. */
+    bool
+    finished() const
+    {
+        return threadsDone_.load(std::memory_order_acquire) == 2;
+    }
 
   private:
     /** The cancel/wait half of one in-flight ticket, type-erased. */
@@ -300,7 +308,8 @@ class Server::Connection
     std::unordered_map<std::uint64_t, Binding> bindings_;
     std::uint64_t nextTraceId_ = 1;
 
-    std::atomic<bool> finished_{false};
+    /** Reader and writer loops that have returned (0..2). */
+    std::atomic<int> threadsDone_{0};
     std::thread reader_;
     std::thread writer_;
 };
@@ -350,6 +359,7 @@ Server::Connection::writerLoop()
                 // final protocol error) is on the wire — hang up so
                 // the peer observes EOF, not a silent idle socket.
                 socket_.shutdownBoth();
+                threadsDone_.fetch_add(1, std::memory_order_acq_rel);
                 return;
             }
             std::tie(type, request_id, body) = std::move(queue_.front());
@@ -525,10 +535,6 @@ Server::Connection::handleOpenTrace(const Frame &frame)
     binding.session = std::make_unique<session::Session>(shared->trace,
                                                          shared->index);
     binding.session->setQueryEngine(server_->engine_);
-    // Per-client cancellation scope: this client's view/filter
-    // mutations cancel only its own stale queries.
-    binding.session->setGenerationDomain(
-        std::make_shared<session::GenerationDomain>());
 
     OpenTraceReply reply;
     reply.traceId = nextTraceId_++;
@@ -641,7 +647,7 @@ Server::Connection::disconnectCleanup()
     }
     bindings_.clear();
 
-    finished_.store(true, std::memory_order_release);
+    threadsDone_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 // -- Server ---------------------------------------------------------------
@@ -672,15 +678,45 @@ Server::acceptLoop()
 {
     for (;;) {
         Socket socket = acceptConnection(listener_.fd());
-        if (!socket.valid())
-            return; // Listener closed: stop() is running.
-        serve(std::move(socket));
+        if (socket.valid()) {
+            serve(std::move(socket));
+            continue;
+        }
+        {
+            base::MutexLock lock(mutex_);
+            if (stopping_)
+                return; // stop() closed the listener.
+        }
+        // A transient failure (EMFILE at the fd limit, ECONNABORTED):
+        // free what finished connections hold, back off, retry.
+        reapFinished();
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
+}
+
+void
+Server::reapFinished()
+{
+    std::vector<std::shared_ptr<Connection>> finished;
+    {
+        base::MutexLock lock(mutex_);
+        auto done = std::stable_partition(
+            connections_.begin(), connections_.end(),
+            [](const auto &conn) { return !conn->finished(); });
+        finished.assign(std::make_move_iterator(done),
+                        std::make_move_iterator(connections_.end()));
+        connections_.erase(done, connections_.end());
+    }
+    // Both loops have returned, so the joins return at once; the
+    // socket closes with the last reference.
+    for (auto &conn : finished)
+        conn->join();
 }
 
 void
 Server::serve(Socket socket)
 {
+    reapFinished();
     auto conn = std::make_shared<Connection>(this, std::move(socket));
     {
         base::MutexLock lock(mutex_);

@@ -17,9 +17,9 @@
  * queries never grow the daemon's memory.
  *
  * Isolation comes from the cancellation plane, not from duplication:
- * each (client, trace) binding owns a GenerationDomain, so a client's
- * SetView/SetFilters cancels only that client's stale in-flight
- * queries, never a neighbour's (session/query_engine.h).
+ * each (client, trace) binding's session is its own cancellation
+ * scope, so a client's SetView/SetFilters cancels only that client's
+ * stale in-flight queries, never a neighbour's (session/session.h).
  *
  * Admission control: every request frame maps onto the engine's
  * Interactive/Background queues via its priority byte, and each
@@ -133,8 +133,12 @@ class Server
     void acceptLoop();
     void serve(Socket socket);
 
-    /** Drop @p conn from the list once its threads finished. */
-    void retire(Connection *conn);
+    /**
+     * Join and drop every connection whose threads both finished, so
+     * its socket closes. Runs before each new connection is served and
+     * after a failed accept.
+     */
+    void reapFinished() AM_EXCLUDES(mutex_);
 
     /**
      * Open (or share) the trace @p request names. Returns null with

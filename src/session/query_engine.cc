@@ -48,7 +48,6 @@ namespace session {
 // -- QueryEngine lifecycle -----------------------------------------------
 
 QueryEngine::QueryEngine(unsigned workers)
-    : defaultDomain_(std::make_shared<GenerationDomain>())
 {
     setWorkers(workers);
 }
@@ -114,23 +113,27 @@ toTaskPriority(QueryPriority priority)
         : base::TaskPriority::Normal;
 }
 
-/** Fresh ticket state snapshotting the driving domain's generation. */
+/**
+ * Fresh ticket state snapshotting @p live, one of the driving
+ * session's generation cells, and going stale when it moves.
+ */
 template <typename Result>
 std::shared_ptr<detail::TicketState<Result>>
-newTicketState(const GenerationDomain &domain)
+newTicketState(std::shared_ptr<const std::atomic<std::uint64_t>> live)
 {
     auto state = std::make_shared<detail::TicketState<Result>>();
-    state->generation = domain.generation();
-    state->live = domain.generationCell();
+    state->generation = live->load(std::memory_order_acquire);
+    state->live = std::move(live);
     return state;
 }
 
 /** An already-Done ticket (an empty query; never touches the pool). */
 template <typename Result>
 QueryTicket<Result>
-completedTicket(const GenerationDomain &domain, Result value)
+completedTicket(std::shared_ptr<const std::atomic<std::uint64_t>> live,
+                Result value)
 {
-    auto state = newTicketState<Result>(domain);
+    auto state = newTicketState<Result>(std::move(live));
     state->status = QueryStatus::Done;
     state->result.emplace(std::move(value));
     return QueryTicket<Result>(std::move(state));
@@ -281,7 +284,7 @@ Session::submit(const IntervalStatsQuery &query)
         const bool exact = snapped.start == interval.start &&
                            snapped.end == interval.end;
         return launchOneChunk(
-            *engine_, newTicketState<stats::IntervalStats>(*domain_),
+            *engine_, newTicketState<stats::IntervalStats>(generation_),
             query.context.priority,
             [trace = trace_, store = traceIndex_, snapped, granularity,
              exact](stats::IntervalStats &out) {
@@ -306,7 +309,7 @@ Session::submit(const IntervalStatsQuery &query)
     // index, two leaves' worth of work. Whichever way each CPU was
     // answered, the provenance is the exact scan's.
     return launchFanOut<stats::IntervalStats>(
-        *engine_, newTicketState<stats::IntervalStats>(*domain_),
+        *engine_, newTicketState<stats::IntervalStats>(generation_),
         query.context.priority, trace_->numCpus(),
         [trace = trace_, store = traceIndex_,
          interval](std::size_t i, stats::IntervalStats &out) {
@@ -331,11 +334,9 @@ QueryTicket<std::vector<const trace::TaskInstance *>>
 Session::submit(const TaskListQuery &query)
 {
     using List = std::vector<const trace::TaskInstance *>;
-    auto state = newTicketState<List>(*domain_);
     // The task list is view-independent: staleness tracks the filter
     // generation, so panning the view never cancels it.
-    state->generation = domain_->filterGeneration();
-    state->live = domain_->filterGenerationCell();
+    auto state = newTicketState<List>(filterGeneration_);
     return launchOneChunk(
         *engine_, state, query.context.priority,
         [state, trace = trace_,
@@ -356,11 +357,9 @@ Session::submit(const TaskListQuery &query)
 QueryTicket<stats::Histogram>
 Session::submit(const HistogramQuery &query)
 {
-    auto state = newTicketState<stats::Histogram>(*domain_);
     // Like the task list, the histogram is view-independent: staleness
     // tracks the filter generation only.
-    state->generation = domain_->filterGeneration();
-    state->live = domain_->filterGenerationCell();
+    auto state = newTicketState<stats::Histogram>(filterGeneration_);
     // The candidates are the task index's start-ordered instances: all
     // of them without an interval; with one, the tasks starting inside
     // it (under Budget/Pixels, the snapped one), selected from the
@@ -418,7 +417,7 @@ Session::submit(const CounterExtremaQuery &query)
     if (const TimeStamp granularity =
             traceIndex_->granularityFor(query.context.resolution, interval))
         interval = traceIndex_->snap(interval, granularity);
-    return launchOneChunk(*engine_, newTicketState<index::MinMax>(*domain_),
+    return launchOneChunk(*engine_, newTicketState<index::MinMax>(generation_),
                           query.context.priority,
                           [store = traceIndex_, cpu = query.cpu,
                            counter = query.counter,
@@ -432,7 +431,7 @@ Session::submit(const CounterExtremaQuery &query)
 QueryTicket<Session::WarmupStats>
 Session::submit(const WarmupQuery &query)
 {
-    auto state = newTicketState<WarmupStats>(*domain_);
+    auto state = newTicketState<WarmupStats>(generation_);
     // Warm-up products (indexes) are view- and filter-independent, so
     // generation bumps don't invalidate them: warm-up cancels only
     // explicitly.
@@ -503,7 +502,7 @@ Session::submit(const WarmupQuery &query)
 QueryTicket<PyramidBuildStats>
 Session::submit(const PyramidBuildQuery &query)
 {
-    auto state = newTicketState<PyramidBuildStats>(*domain_);
+    auto state = newTicketState<PyramidBuildStats>(generation_);
     // Pyramids are trace-keyed, never view- or filter-keyed, so
     // generation bumps don't invalidate a build: explicit cancel only.
     state->live = nullptr;
@@ -602,7 +601,7 @@ Session::submitRender(const TimelineRenderQuery &query,
     // The trace, filters and store captures keep config's pointers
     // valid even if the session dies mid-render.
     return launchFanOut<render::RenderStats>(
-        *engine_, newTicketState<TimelineRenderResult>(*domain_),
+        *engine_, newTicketState<TimelineRenderResult>(generation_),
         query.context.priority, trace_->numCpus(),
         [trace = trace_, filters, store = traceIndex_, config, frame,
          width = query.width, height = query.height](
@@ -653,7 +652,7 @@ Session::submit(const AnomalyScanQuery &query)
 {
     TimeInterval interval = query.context.interval.value_or(view());
     if (interval.empty() || query.options.numIntervals == 0)
-        return completedTicket(*domain_, std::vector<stats::Anomaly>());
+        return completedTicket(generation_, std::vector<stats::Anomaly>());
     // The outlier candidates are the task index's range of the tasks
     // that may overlap the window, so the scan reads the tasks near
     // it, not the trace's. The chunks hold the store, which holds the
@@ -666,7 +665,7 @@ Session::submit(const AnomalyScanQuery &query)
         std::make_shared<const std::vector<stats::AnomalyScanChunk>>(
             stats::anomalyScanChunks(*trace_, candidates.size()));
     if (chunks->empty())
-        return completedTicket(*domain_, std::vector<stats::Anomaly>());
+        return completedTicket(generation_, std::vector<stats::Anomaly>());
     auto filters = std::make_shared<const filter::FilterSet>(filters_);
     // View-dependent by default generation: a view, filter or trace
     // mutation makes a queued or running scan stale (polled at chunk
@@ -675,7 +674,7 @@ Session::submit(const AnomalyScanQuery &query)
     // stats::mergeAnomalyChunks() combines them exactly in any order,
     // so the ranked list is bit-identical to the serial scanner.
     return launchFanOut<stats::AnomalyChunkResult>(
-        *engine_, newTicketState<std::vector<stats::Anomaly>>(*domain_),
+        *engine_, newTicketState<std::vector<stats::Anomaly>>(generation_),
         query.context.priority, chunks->size(),
         [trace = trace_, store = traceIndex_, candidates, chunks, filters,
          options = query.options,

@@ -8,13 +8,12 @@
  * cancel: wait()/result() block until the query finished; cancel()
  * completes a still-queued query Cancelled at once and stops a running
  * one at its next chunk boundary; and every view or filter mutation
- * bumps the session's GenerationDomain so stale in-flight queries
- * cancel at the next chunk boundary instead of wasting cores on a view
- * the user already left. A domain is the unit of cancellation:
- * sessions default to their engine's domain (one driving context, the
- * historical behaviour), while the trace-serving daemon gives every
- * client its own domain over one shared engine so client A panning its
- * view never cancels client B's queries.
+ * bumps the session's generation counters so its stale in-flight
+ * queries cancel at the next chunk boundary instead of wasting cores
+ * on a view the user already left. Each session is its own
+ * cancellation scope: sessions sharing one engine (a SessionGroup's
+ * variants, the daemon's clients) share its pool, never each other's
+ * cancellations.
  *
  * The two-queue contract: every spec carries a QueryPriority, and the
  * engine drains the Interactive queue strictly before the Background
@@ -107,87 +106,12 @@ enum class QueryStatus
     Cancelled,
 };
 
-/**
- * The pair of cancellation counters one driving context bumps on
- * shared-state mutations: the full generation (view + filters) and the
- * filter generation (filters only). Executors snapshot
- * the relevant counter at submit and poll the shared cell at chunk
- * boundaries; a bump makes every older in-flight query of this domain
- * stale.
- *
- * A domain is the unit of cancellation isolation. A lone Session (and
- * every session of a SessionGroup) lives on its engine's default
- * domain, so mutations cancel group-wide exactly as before; the
- * trace-serving daemon creates one domain per client, so a client's
- * view/filter mutations cancel only that client's stale queries even
- * though all clients share one engine and pool.
- *
- * Bump methods are safe from any thread; the cells outlive the domain
- * through the shared_ptr handles executors capture.
- */
-class GenerationDomain
-{
-  public:
-    GenerationDomain()
-        : generation_(std::make_shared<std::atomic<std::uint64_t>>(0)),
-          filterGeneration_(
-              std::make_shared<std::atomic<std::uint64_t>>(0))
-    {}
-
-    /** The live generation (bumped by every mutation). */
-    std::uint64_t
-    generation() const
-    {
-        return generation_->load(std::memory_order_acquire);
-    }
-
-    /** The live filter generation (filter mutations only). */
-    std::uint64_t
-    filterGeneration() const
-    {
-        return filterGeneration_->load(std::memory_order_acquire);
-    }
-
-    /** Invalidate in-flight view-dependent queries (the view moved). */
-    void
-    bumpGeneration()
-    {
-        generation_->fetch_add(1, std::memory_order_acq_rel);
-    }
-
-    /** Invalidate every in-flight query (filters moved). */
-    void
-    bumpFilterGeneration()
-    {
-        generation_->fetch_add(1, std::memory_order_acq_rel);
-        filterGeneration_->fetch_add(1, std::memory_order_acq_rel);
-    }
-
-    /** The generation cell executors poll (shared, outlives the domain). */
-    std::shared_ptr<const std::atomic<std::uint64_t>>
-    generationCell() const
-    {
-        return generation_;
-    }
-
-    /** The filter-generation cell (shared, outlives the domain). */
-    std::shared_ptr<const std::atomic<std::uint64_t>>
-    filterGenerationCell() const
-    {
-        return filterGeneration_;
-    }
-
-  private:
-    std::shared_ptr<std::atomic<std::uint64_t>> generation_;
-    std::shared_ptr<std::atomic<std::uint64_t>> filterGeneration_;
-};
-
 namespace detail {
 
 /**
  * Shared completion state of one query: the future's storage, the
  * cooperative cancellation token, the optional completion callback,
- * and the generation snapshot checked against the domain's live
+ * and the generation snapshot checked against the session's live
  * counter. Shared between the ticket, the executor tasks, and nothing
  * else.
  */
@@ -213,7 +137,7 @@ struct TicketState
      *  Written before the query is published, then read-only. */
     std::uint64_t generation = 0;
 
-    /** The domain's live counter; null = generation-immune (warm-up).
+    /** The session's live counter; null = generation-immune (warm-up).
      *  Written before the query is published, then read-only. */
     std::shared_ptr<const std::atomic<std::uint64_t>> live;
 
@@ -308,7 +232,7 @@ class QueryTicket
         return state_->status;
     }
 
-    /** The engine generation this query was submitted under. */
+    /** The session generation this query was submitted under. */
     std::uint64_t
     generation() const
     {
@@ -414,17 +338,17 @@ class QueryTicket
 
 /**
  * The shared execution substrate of one or more sessions: a lazily
- * started base::ThreadPool with a two-level priority queue and the
- * generation counters that invalidate in-flight queries. A
+ * started base::ThreadPool with a two-level priority queue, and
+ * nothing else — cancellation scopes belong to the sessions. A
  * SessionGroup points every variant at one engine so group-wide work
  * (overlapped warm-up, submitAll) shares one pool instead of parking
  * workers per variant.
  *
- * Every method is safe from any thread, as is every GenerationDomain:
- * the daemon's connection threads submit into one shared engine while
- * setWorkers() may resize its pool. The pool is never exposed by
- * reference, because a resize replaces it; every enqueue goes through
- * withPool(), which holds poolMutex_ across lazy start + enqueue.
+ * Every method is safe from any thread: the daemon's connection
+ * threads submit into one shared engine while setWorkers() may resize
+ * its pool. The pool is never exposed by reference, because a resize
+ * replaces it; every enqueue goes through withPool(), which holds
+ * poolMutex_ across lazy start + enqueue.
  */
 class QueryEngine
 {
@@ -453,20 +377,6 @@ class QueryEngine
     void setWorkers(unsigned workers);
 
     /**
-     * The engine's default GenerationDomain: the cancellation scope of
-     * every session that never called setGenerationDomain(). One lone
-     * session, or all sessions of a SessionGroup, bump and poll this
-     * one — the historical engine-wide cancellation semantics. The
-     * daemon leaves it untouched and hands every client its own
-     * domain instead.
-     */
-    const std::shared_ptr<GenerationDomain> &
-    defaultDomain() const
-    {
-        return defaultDomain_;
-    }
-
-    /**
      * Run @p body with the live pool (started on first use) while
      * holding poolMutex_, so a concurrent setWorkers() cannot replace
      * the pool between the start and the body's enqueues. The submit
@@ -492,8 +402,6 @@ class QueryEngine
   private:
     /** Start the pool if it is not running. */
     base::ThreadPool &ensurePoolLocked() AM_REQUIRES(poolMutex_);
-
-    std::shared_ptr<GenerationDomain> defaultDomain_;
 
     /**
      * Guards the pool handle: daemon connection threads submit

@@ -4,41 +4,9 @@
 
 #include "base/logging.h"
 #include "metrics/counter_utils.h"
-#include "metrics/generators.h"
 
 namespace aftermath {
 namespace session {
-
-namespace {
-
-/** Counter attribution over an explicit task list (paper section V). */
-std::vector<metrics::TaskCounterIncrease>
-collectIncreases(const trace::Trace &trace, CounterId counter,
-                 const std::vector<const trace::TaskInstance *> &tasks)
-{
-    std::vector<metrics::TaskCounterIncrease> out;
-    for (const trace::TaskInstance *task : tasks) {
-        const trace::CpuTimeline *tl = trace.cpuOrNull(task->cpu);
-        if (!tl)
-            continue;
-        auto before =
-            metrics::counterValueAt(*tl, counter, task->interval.start);
-        auto after =
-            metrics::counterValueAt(*tl, counter, task->interval.end);
-        if (!before || !after)
-            continue;
-        metrics::TaskCounterIncrease row;
-        row.task = task->id;
-        row.type = task->type;
-        row.cpu = task->cpu;
-        row.duration = task->duration();
-        row.increase = *after - *before;
-        out.push_back(row);
-    }
-    return out;
-}
-
-} // namespace
 
 Session::Session(trace::Trace trace)
     : Session(std::make_shared<const trace::Trace>(std::move(trace)))
@@ -54,7 +22,8 @@ Session::Session(std::shared_ptr<const trace::Trace> trace,
     : trace_(std::move(trace)),
       traceIndex_(std::move(index)),
       engine_(std::make_shared<QueryEngine>(1)),
-      domain_(engine_->defaultDomain())
+      generation_(std::make_shared<std::atomic<std::uint64_t>>(0)),
+      filterGeneration_(std::make_shared<std::atomic<std::uint64_t>>(0))
 {
     AFTERMATH_ASSERT(trace_ != nullptr, "session over a null trace");
     AFTERMATH_ASSERT(traceIndex_ != nullptr, "session over a null index");
@@ -72,7 +41,8 @@ void
 Session::setFilters(filter::FilterSet filters)
 {
     filters_ = std::move(filters);
-    domain_->bumpFilterGeneration();
+    generation_->fetch_add(1, std::memory_order_acq_rel);
+    filterGeneration_->fetch_add(1, std::memory_order_acq_rel);
 }
 
 void
@@ -85,7 +55,7 @@ void
 Session::setView(const TimeInterval &view)
 {
     view_ = view;
-    domain_->bumpGeneration();
+    generation_->fetch_add(1, std::memory_order_acq_rel);
 }
 
 TimeInterval
@@ -95,9 +65,9 @@ Session::view() const
 }
 
 void
-Session::setConcurrency(const Concurrency &concurrency)
+Session::setConcurrency(unsigned workers)
 {
-    engine_->setWorkers(concurrency.workers);
+    engine_->setWorkers(workers);
 }
 
 void
@@ -105,17 +75,6 @@ Session::setQueryEngine(std::shared_ptr<QueryEngine> engine)
 {
     AFTERMATH_ASSERT(engine != nullptr, "null query engine");
     engine_ = std::move(engine);
-    // Re-align the cancellation scope with the new engine: a group's
-    // sessions sharing one engine share one domain (the historical
-    // semantics). Isolated contexts re-point with setGenerationDomain().
-    domain_ = engine_->defaultDomain();
-}
-
-void
-Session::setGenerationDomain(std::shared_ptr<GenerationDomain> domain)
-{
-    AFTERMATH_ASSERT(domain != nullptr, "null generation domain");
-    domain_ = std::move(domain);
 }
 
 Session::WarmupStats
@@ -186,62 +145,32 @@ Session::counterIndex(CpuId cpu, CounterId counter)
 std::vector<metrics::TaskCounterIncrease>
 Session::taskCounterIncreases(CounterId counter)
 {
-    return collectIncreases(*trace_, counter, tasks());
-}
-
-std::vector<metrics::TaskCounterIncrease>
-Session::taskCounterIncreasesMatching(CounterId counter,
-                                      const filter::TaskFilter &filter) const
-{
-    return collectIncreases(*trace_, counter, tasksMatching(filter));
+    std::vector<metrics::TaskCounterIncrease> out;
+    for (const trace::TaskInstance *task : tasks()) {
+        const trace::CpuTimeline *tl = trace_->cpuOrNull(task->cpu);
+        if (!tl)
+            continue;
+        auto before =
+            metrics::counterValueAt(*tl, counter, task->interval.start);
+        auto after =
+            metrics::counterValueAt(*tl, counter, task->interval.end);
+        if (!before || !after)
+            continue;
+        metrics::TaskCounterIncrease row;
+        row.task = task->id;
+        row.type = task->type;
+        row.cpu = task->cpu;
+        row.duration = task->duration();
+        row.increase = *after - *before;
+        out.push_back(row);
+    }
+    return out;
 }
 
 std::vector<const trace::TaskInstance *>
 Session::tasks()
 {
     return submit(TaskListQuery{}).take();
-}
-
-std::vector<const trace::TaskInstance *>
-Session::tasks(const TaskPredicate &pred)
-{
-    std::vector<const trace::TaskInstance *> out;
-    for (const trace::TaskInstance *task : tasks()) {
-        if (pred(*task))
-            out.push_back(task);
-    }
-    return out;
-}
-
-std::vector<const trace::TaskInstance *>
-Session::tasksMatching(const filter::TaskFilter &filter) const
-{
-    std::vector<const trace::TaskInstance *> out;
-    for (const trace::TaskInstance &task : trace_->taskInstances()) {
-        if (filter.matches(*trace_, task))
-            out.push_back(&task);
-    }
-    return out;
-}
-
-metrics::DerivedCounter
-Session::stateOccupancy(std::uint32_t state,
-                        std::uint32_t num_intervals) const
-{
-    return metrics::stateOccupancy(*trace_, state, num_intervals);
-}
-
-metrics::DerivedCounter
-Session::averageTaskDuration(std::uint32_t num_intervals) const
-{
-    return metrics::averageTaskDuration(*trace_, num_intervals);
-}
-
-metrics::DerivedCounter
-Session::aggregateCounter(CounterId counter,
-                          std::uint32_t num_intervals) const
-{
-    return metrics::aggregateCounter(*trace_, counter, num_intervals);
 }
 
 SessionCacheStats

@@ -15,17 +15,18 @@
  *
  *  - Driving side: setters (setFilters, setView, setConcurrency),
  *    submit() and the synchronous query methods require external
- *    synchronization — one driving thread at a time per session (per
- *    group, when sessions share a QueryEngine).
+ *    synchronization — one driving thread at a time per session.
  *  - Execution side: submit(spec) returns a QueryTicket immediately
  *    and runs the query on the engine's worker pool. Tickets are safe
  *    from any thread (status/wait/result/cancel), so a UI thread can
  *    submit, keep painting, and collect the result when it lands.
  *
- * Every mutation of the shared state (view, filters) bumps the
- * engine's generation counters; in-flight stale queries observe the
- * bump at their next chunk boundary and complete as Cancelled instead
- * of wasting cores on a view the user already left. Staleness is
+ * Every session is its own cancellation scope: a mutation of its
+ * state (view, filters) bumps the session's own generation counters;
+ * its in-flight stale queries observe the bump at their next chunk
+ * boundary and complete as Cancelled instead of wasting cores on a
+ * view the user already left. Sessions sharing an engine share its
+ * pool, never each other's cancellations. Staleness is
  * per-query: view-dependent queries (interval stats, extrema, render)
  * cancel on any mutation, view-independent but filter-keyed ones (task
  * list, histogram) only on filter mutations — panning never cancels
@@ -41,14 +42,13 @@
  * counts from the task index. A task list scans the instances in
  * insertion order; a histogram reads the task index's start-ordered
  * instances, only the start buckets an interval meets when it has one.
- * Distinct sessions not sharing an engine are fully independent.
  */
 
 #ifndef AFTERMATH_SESSION_SESSION_H
 #define AFTERMATH_SESSION_SESSION_H
 
+#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -121,27 +121,11 @@ struct SessionCacheStats
 class Session
 {
   public:
-    /** Additional predicate over task instances for tasks(pred). */
-    using TaskPredicate =
-        std::function<bool(const trace::TaskInstance &)>;
-
     /** What warmup() prefetches (see session/query.h). */
     using WarmupPolicy = session::WarmupPolicy;
 
     /** What one warmup() call actually did (see session/query.h). */
     using WarmupStats = session::WarmupStats;
-
-    /**
-     * Parallelism knob of the session's query engine. One worker by
-     * default, so queries of existing callers execute on a single
-     * background thread; raising it parallelizes exact interval-stats
-     * queries, renders and warm-up index construction.
-     */
-    struct Concurrency
-    {
-        /** Worker threads; 0 = one per hardware thread. */
-        unsigned workers = 1;
-    };
 
     /** A session owning @p trace (moved in; must be finalized). */
     explicit Session(trace::Trace trace);
@@ -229,9 +213,9 @@ class Session
     submit(const AnomalyScanQuery &query);
 
     /**
-     * The session's query engine (generation counter + worker pool).
-     * Exposed for pool introspection and for tests that need to
-     * control worker scheduling; replace it with setQueryEngine().
+     * The session's query engine (its worker pool). Exposed for pool
+     * introspection and for tests that need to control worker
+     * scheduling; replace it with setQueryEngine().
      */
     const std::shared_ptr<QueryEngine> &queryEngine() const
     {
@@ -239,29 +223,14 @@ class Session
     }
 
     /**
-     * Point this session at @p engine (shared pool) and at the engine's
-     * default GenerationDomain (shared cancellation scope). SessionGroup
-     * aligns every variant on one engine so group warm-up overlaps on
-     * one pool. The engine's current worker count stays in effect until
-     * the next setConcurrency(). For per-client cancellation isolation
-     * over a shared engine, follow with setGenerationDomain().
+     * Run this session's queries on @p engine (a shared pool).
+     * SessionGroup aligns every variant on one engine so group warm-up
+     * overlaps on one pool; the daemon runs every client on its one
+     * engine. The cancellation scope stays the session's own. The
+     * engine's current worker count stays in effect until the next
+     * setConcurrency().
      */
     void setQueryEngine(std::shared_ptr<QueryEngine> engine);
-
-    /**
-     * Point this session at its own cancellation domain: view and
-     * filter mutations bump (and in-flight queries poll) @p domain
-     * instead of the engine's default. The daemon gives each client one
-     * domain so a client's mutations never cancel another client's
-     * queries on the shared engine.
-     */
-    void setGenerationDomain(std::shared_ptr<GenerationDomain> domain);
-
-    /** The session's cancellation domain (never null). */
-    const std::shared_ptr<GenerationDomain> &generationDomain() const
-    {
-        return domain_;
-    }
 
     /**
      * The session's index store (index/trace_index.h): counter
@@ -280,17 +249,19 @@ class Session
     // -- Warm-up and concurrency -------------------------------------------
 
     /**
-     * Set the worker count of the query engine. Affects every
-     * subsequent query and warm-up (and, with a shared engine, every
-     * session on it).
+     * Set the worker count of the query engine (0 = one per hardware
+     * thread; one by default). More workers parallelize exact
+     * interval-stats queries, renders and warm-up index construction.
+     * Affects every subsequent query and warm-up (and, with a shared
+     * engine, every session on it).
      */
-    void setConcurrency(const Concurrency &concurrency);
+    void setConcurrency(unsigned workers);
 
     /**
      * Prefetch the search structures @p policy names so later queries
      * never pay a build on the interactive path: the per-(CPU, counter)
-     * min/max indexes, constructed concurrently across CPUs when the
-     * Concurrency knob allows. Incremental: pairs whose index the store
+     * min/max indexes, constructed concurrently across CPUs when
+     * setConcurrency() allows. Incremental: pairs whose index the store
      * already holds are skipped, so a re-warm-up builds only what is
      * missing. submit(WarmupQuery) is the asynchronous form — a UI
      * thread warms up without blocking.
@@ -351,11 +322,6 @@ class Session
     std::vector<metrics::TaskCounterIncrease>
     taskCounterIncreases(CounterId counter);
 
-    /** Counter increases of the tasks accepted by @p filter. */
-    std::vector<metrics::TaskCounterIncrease>
-    taskCounterIncreasesMatching(CounterId counter,
-                                 const filter::TaskFilter &filter) const;
-
     // -- Task iteration ----------------------------------------------------
 
     /**
@@ -364,27 +330,6 @@ class Session
      * instance array, in insertion order.
      */
     std::vector<const trace::TaskInstance *> tasks();
-
-    /** The filtered tasks additionally accepted by @p pred. */
-    std::vector<const trace::TaskInstance *> tasks(const TaskPredicate &pred);
-
-    /** Tasks accepted by an explicit @p filter (uncached). */
-    std::vector<const trace::TaskInstance *>
-    tasksMatching(const filter::TaskFilter &filter) const;
-
-    // -- Derived metrics ---------------------------------------------------
-
-    /** Workers simultaneously in @p state (metrics::stateOccupancy). */
-    metrics::DerivedCounter stateOccupancy(std::uint32_t state,
-                                           std::uint32_t num_intervals) const;
-
-    /** Average task duration per interval (metrics generator). */
-    metrics::DerivedCounter
-    averageTaskDuration(std::uint32_t num_intervals) const;
-
-    /** Cross-worker counter aggregation (metrics generator). */
-    metrics::DerivedCounter aggregateCounter(CounterId counter,
-                                             std::uint32_t num_intervals) const;
 
     // -- Rendering ---------------------------------------------------------
 
@@ -468,7 +413,11 @@ class Session
     // movable and destruction-safe with queries in flight).
     std::shared_ptr<index::TraceIndex> traceIndex_;
     std::shared_ptr<QueryEngine> engine_;
-    std::shared_ptr<GenerationDomain> domain_; ///< Never null.
+    // The session's cancellation scope: setView() bumps the first,
+    // setFilters() both; tickets snapshot and poll the one their
+    // query's staleness tracks.
+    std::shared_ptr<std::atomic<std::uint64_t>> generation_;
+    std::shared_ptr<std::atomic<std::uint64_t>> filterGeneration_;
     render::RenderStats renderStats_; ///< Last timeline render's counts.
     render::RenderStats overlayStats_;
 };

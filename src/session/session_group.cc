@@ -15,9 +15,8 @@ std::size_t
 SessionGroup::add(std::string label, Session session)
 {
     variants_.push_back({std::move(label), std::move(session)});
-    // Aligned variants share one pool and one generation counter, so
-    // group-wide warm-up and submitAll overlap instead of parking one
-    // worker set per variant.
+    // Aligned variants share one pool, so group-wide warm-up and
+    // submitAll overlap instead of parking one worker set per variant.
     variants_.back().session.setQueryEngine(engine_);
     return variants_.size() - 1;
 }
@@ -77,10 +76,9 @@ SessionGroup::setView(const TimeInterval &view)
 }
 
 void
-SessionGroup::setConcurrency(const Session::Concurrency &concurrency)
+SessionGroup::setConcurrency(unsigned workers)
 {
-    for (Variant &v : variants_)
-        v.session.setConcurrency(concurrency);
+    engine_->setWorkers(workers);
 }
 
 std::vector<Session::WarmupStats>

@@ -13,13 +13,16 @@
  * framebuffer.
  *
  * Every variant added to a group is rewired onto one shared
- * QueryEngine (one worker pool, one generation counter), so group-wide
- * work overlaps instead of warming variants in sequence: warmup()
- * submits every variant's WarmupQuery before waiting on any of them,
- * and submitAll(spec) fans one query spec out to all variants and
- * returns the tickets so deltas compute concurrently. The shared
+ * QueryEngine (one worker pool), so group-wide work overlaps instead
+ * of warming variants in sequence: warmup() submits every variant's
+ * WarmupQuery before waiting on any of them, and submitAll(spec) fans
+ * one query spec out to all variants and returns the tickets so
+ * deltas compute concurrently. The shared
  * engine's one worker set starts on the first submission of any
- * variant and lives as long as the group.
+ * variant and lives as long as the group. Each variant stays its own
+ * cancellation scope: the group's setView() and setFilters() cancel
+ * every variant's stale queries because they mutate every variant,
+ * while a mutation through session(i) cancels only variant i's.
  *
  * Like Session, a group's driving side requires external
  * synchronization: one thread at a time. Tickets returned by
@@ -85,8 +88,9 @@ class SessionGroup
     /** Apply one view interval to every variant. */
     void setView(const TimeInterval &view);
 
-    /** Apply one concurrency knob to every variant. */
-    void setConcurrency(const Session::Concurrency &concurrency);
+    /** Set the worker count of the pool every variant shares (0 = one
+     *  per hardware thread). */
+    void setConcurrency(unsigned workers);
 
     /**
      * Warm every variant up under @p policy, overlapped on the shared
@@ -118,7 +122,7 @@ class SessionGroup
         return tickets;
     }
 
-    /** The engine every variant shares (pool + generation counter). */
+    /** The engine every variant shares (its worker pool). */
     const std::shared_ptr<QueryEngine> &queryEngine() const
     {
         return engine_;
@@ -200,7 +204,7 @@ class SessionGroup
 
     std::vector<Variant> variants_;
 
-    /** One pool + generation counter for every variant. */
+    /** One pool for every variant. */
     std::shared_ptr<QueryEngine> engine_ =
         std::make_shared<QueryEngine>(1);
 };

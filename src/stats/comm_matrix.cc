@@ -38,19 +38,6 @@ CommMatrix::fromTrace(const trace::Trace &trace)
     return fromTrace(trace, trace.span());
 }
 
-CommMatrix
-CommMatrix::fromCells(std::uint32_t num_nodes,
-                      std::vector<std::uint64_t> cells)
-{
-    AFTERMATH_ASSERT(cells.size() ==
-                         static_cast<std::size_t>(num_nodes) * num_nodes,
-                     "cell count does not match %u nodes", num_nodes);
-    CommMatrix m;
-    m.numNodes_ = num_nodes;
-    m.cells_ = std::move(cells);
-    return m;
-}
-
 std::uint64_t
 CommMatrix::bytes(NodeId src, NodeId dst) const
 {

@@ -37,15 +37,6 @@ class CommMatrix
     /** Accumulate over the whole trace span. */
     static CommMatrix fromTrace(const trace::Trace &trace);
 
-    /**
-     * Reconstruct a matrix from its row-major cells — the decode half
-     * of the wire serialization (stats/export.h). @p cells must hold
-     * exactly @p num_nodes * @p num_nodes entries ([src * num_nodes +
-     * dst], as bytes() indexes them).
-     */
-    static CommMatrix fromCells(std::uint32_t num_nodes,
-                                std::vector<std::uint64_t> cells);
-
     /** Number of nodes (matrix is numNodes x numNodes). */
     std::uint32_t numNodes() const { return numNodes_; }
 

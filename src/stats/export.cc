@@ -174,76 +174,6 @@ decodeMinMax(ByteReader &r, index::MinMax &out)
 }
 
 void
-encodeTaskCounterRows(const std::vector<metrics::TaskCounterIncrease> &rows,
-                      ByteWriter &w)
-{
-    w.writeVarint(rows.size());
-    for (const metrics::TaskCounterIncrease &row : rows) {
-        w.writeVarint(row.task);
-        w.writeVarint(row.type);
-        w.writeVarint(row.cpu);
-        w.writeVarint(row.duration);
-        w.writeSignedVarint(row.increase);
-    }
-}
-
-bool
-decodeTaskCounterRows(ByteReader &r,
-                      std::vector<metrics::TaskCounterIncrease> &out)
-{
-    out.clear();
-    std::uint64_t count = r.readVarint();
-    if (!plausibleCount(r, count, 5))
-        return false;
-    out.reserve(count);
-    for (std::uint64_t i = 0; i < count; i++) {
-        metrics::TaskCounterIncrease row;
-        row.task = r.readVarint();
-        row.type = r.readVarint();
-        row.cpu = static_cast<CpuId>(r.readVarint());
-        row.duration = r.readVarint();
-        row.increase = r.readSignedVarint();
-        if (!r.ok())
-            return false;
-        out.push_back(row);
-    }
-    return r.ok();
-}
-
-void
-encodeCommMatrix(const CommMatrix &m, ByteWriter &w)
-{
-    w.writeVarint(m.numNodes());
-    for (NodeId src = 0; src < m.numNodes(); src++)
-        for (NodeId dst = 0; dst < m.numNodes(); dst++)
-            w.writeVarint(m.bytes(src, dst));
-}
-
-bool
-decodeCommMatrix(ByteReader &r, CommMatrix &out)
-{
-    std::uint64_t nodes = r.readVarint();
-    // Cells scale quadratically; bound the node count first so the
-    // multiplication below cannot overflow.
-    if (!r.ok() || nodes > 1u << 16) {
-        r.markFailed();
-        return false;
-    }
-    std::uint64_t cells = nodes * nodes;
-    if (cells > 0 && !plausibleCount(r, cells, 1))
-        return false;
-    std::vector<std::uint64_t> values;
-    values.reserve(cells);
-    for (std::uint64_t i = 0; i < cells; i++)
-        values.push_back(r.readVarint());
-    if (!r.ok())
-        return false;
-    out = CommMatrix::fromCells(static_cast<std::uint32_t>(nodes),
-                                std::move(values));
-    return true;
-}
-
-void
 encodeAnomalies(const std::vector<Anomaly> &anomalies, ByteWriter &w)
 {
     w.writeVarint(anomalies.size());

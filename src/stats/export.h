@@ -10,8 +10,8 @@
  *
  * The binary half serializes the statistics results the trace-serving
  * daemon ships over its wire protocol (src/daemon/protocol.h):
- * IntervalStats, Histogram, MinMax, CommMatrix and task-counter rows,
- * on the same ByteWriter/ByteReader varint idioms as the trace format.
+ * IntervalStats, Histogram, MinMax and ranked anomaly lists, on the
+ * same ByteWriter/ByteReader varint idioms as the trace format.
  * Every encode/decode pair round-trips exactly — integer sums are
  * varints, doubles travel as IEEE-754 bits — so a result decoded on
  * the client is bit-identical to the server's local computation.
@@ -31,7 +31,6 @@
 #include "index/counter_index.h"
 #include "metrics/task_attribution.h"
 #include "stats/anomaly.h"
-#include "stats/comm_matrix.h"
 #include "stats/histogram.h"
 #include "stats/interval_stats.h"
 
@@ -71,20 +70,6 @@ void encodeMinMax(const index::MinMax &m, ByteWriter &w);
 
 /** Decode into @p out; false on malformed input. */
 bool decodeMinMax(ByteReader &r, index::MinMax &out);
-
-/** Append @p rows: count, then one row per task-counter increase. */
-void encodeTaskCounterRows(
-    const std::vector<metrics::TaskCounterIncrease> &rows, ByteWriter &w);
-
-/** Decode into @p out; false on malformed input. */
-bool decodeTaskCounterRows(ByteReader &r,
-                           std::vector<metrics::TaskCounterIncrease> &out);
-
-/** Append @p m: node count, then the row-major cells. */
-void encodeCommMatrix(const CommMatrix &m, ByteWriter &w);
-
-/** Decode into @p out via CommMatrix::fromCells; false on malformed input. */
-bool decodeCommMatrix(ByteReader &r, CommMatrix &out);
 
 /**
  * Append @p anomalies: count, then per finding the kind byte, interval

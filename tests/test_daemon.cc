@@ -22,8 +22,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <memory>
@@ -796,6 +798,45 @@ TEST(Daemon, SetViewCancelsOwnQueriesButNotNeighbours)
         gate.release();
         EXPECT_EQ(future.get().status, Status::Cancelled);
     }
+    server.stop();
+}
+
+/** Open file descriptors of this process. */
+std::size_t
+openFds()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        n++;
+    return n;
+}
+
+/**
+ * A finished connection gives its socket and threads back: connect and
+ * close churn leaves the descriptor count flat, and a client connecting
+ * afterwards is served.
+ */
+TEST(Daemon, ConnectionChurnReleasesDescriptors)
+{
+    Server server(Server::Options{1, 16});
+    const std::size_t baseline = openFds();
+    for (int i = 0; i < 200; i++) {
+        Client client;
+        ASSERT_TRUE(connect(server, client));
+        client.close();
+    }
+    for (int i = 0; i < 5000 && server.stats().activeConnections > 0; i++)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(server.stats().activeConnections, 0u);
+    // Finished connections are reaped when the next one is served, so
+    // only the last few may still hold their server end.
+    EXPECT_LE(openFds(), baseline + 4);
+
+    Client client;
+    ASSERT_TRUE(connect(server, client));
+    std::uint64_t id = 0;
+    EXPECT_TRUE(openShared(client, id));
     server.stop();
 }
 

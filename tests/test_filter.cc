@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "filter/task_filter.h"
-#include "session/session.h"
 #include "trace/trace.h"
 
 namespace aftermath {
@@ -40,8 +39,9 @@ class FilterTest : public ::testing::Test
     idsOf(const TaskFilter &f)
     {
         std::vector<TaskInstanceId> out;
-        for (const auto *t : session::Session::view(tr).tasksMatching(f))
-            out.push_back(t->id);
+        for (const trace::TaskInstance &t : tr.taskInstances())
+            if (f.matches(tr, t))
+                out.push_back(t.id);
         return out;
     }
 };

@@ -200,9 +200,10 @@ TEST_F(KmeansEndToEnd, DurationCorrelatesWithMispredictions)
     filter::FilterSet f;
     f.add(std::make_shared<filter::TaskTypeFilter>(
         std::unordered_set<TaskTypeId>{workloads::kKmeansDistanceType}));
-    auto rows = Session::view(trace_).taskCounterIncreasesMatching(
-        static_cast<CounterId>(trace::CoreCounter::BranchMispredictions),
-        f);
+    Session session = Session::view(trace_);
+    session.setFilters(f);
+    auto rows = session.taskCounterIncreases(
+        static_cast<CounterId>(trace::CoreCounter::BranchMispredictions));
     ASSERT_GT(rows.size(), 50u);
 
     std::vector<double> xs, ys;
@@ -248,10 +249,8 @@ TEST_F(KmeansEndToEnd, AuxStatesPresent)
 
 TEST_F(KmeansEndToEnd, ExportedTsvMatchesRowCount)
 {
-    filter::FilterSet all;
-    auto rows = Session::view(trace_).taskCounterIncreasesMatching(
-        static_cast<CounterId>(trace::CoreCounter::BranchMispredictions),
-        all);
+    auto rows = Session::view(trace_).taskCounterIncreases(
+        static_cast<CounterId>(trace::CoreCounter::BranchMispredictions));
     std::string path = ::testing::TempDir() + "/aftermath_export.tsv";
     std::string error;
     ASSERT_TRUE(stats::exportTaskCounterTsvFile(rows, path, error))

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <unordered_set>
 
 #include "filter/task_filter.h"
 #include "metrics/counter_utils.h"
@@ -162,9 +164,7 @@ TEST(CounterUtils, InterpolationSpansTheWholeValueRange)
 
 TEST_F(MetricsTest, TaskCounterIncreases)
 {
-    filter::FilterSet all;
-    auto rows =
-        session::Session::view(tr).taskCounterIncreasesMatching(0, all);
+    auto rows = session::Session::view(tr).taskCounterIncreases(0);
     ASSERT_EQ(rows.size(), 2u);
     EXPECT_EQ(rows[0].task, 0u);
     EXPECT_EQ(rows[0].increase, 500); // 1500 - 1000 across [0, 100).
@@ -175,9 +175,12 @@ TEST_F(MetricsTest, TaskCounterIncreases)
 
 TEST_F(MetricsTest, TaskCounterIncreasesRespectFilter)
 {
-    filter::CpuFilter cpu0({0});
-    auto rows =
-        session::Session::view(tr).taskCounterIncreasesMatching(0, cpu0);
+    filter::FilterSet cpu0;
+    cpu0.add(std::make_shared<filter::CpuFilter>(
+        std::unordered_set<CpuId>{0}));
+    session::Session session = session::Session::view(tr);
+    session.setFilters(cpu0);
+    auto rows = session.taskCounterIncreases(0);
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].task, 0u);
 }

@@ -1172,7 +1172,7 @@ TEST(QueryOracle, ExactMatchesOracleOverEveryPyramidStateAndWorkerCount)
         for (unsigned workers : {1u, 2u, 4u, 8u}) {
             for (Built built : {Built::None, Built::Half, Built::All}) {
                 Session session(c.trace);
-                session.setConcurrency({workers});
+                session.setConcurrency(workers);
                 session.setFilters(shortTasks());
                 if (built == Built::Half)
                     for (CpuId cpu = 0; cpu < tr.numCpus(); cpu += 2)
@@ -1254,7 +1254,7 @@ TEST(QueryOracle, ExactRacingAPyramidBuildMatchesOracle)
             expect.push_back(bytesOf(oracleStats(*c.trace, iv)));
         for (int round = 0; round < 3; round++) {
             Session session(c.trace);
-            session.setConcurrency({4});
+            session.setConcurrency(4);
             auto build = session.submit(PyramidBuildQuery{});
             std::vector<QueryTicket<stats::IntervalStats>> tickets;
             for (const TimeInterval &iv : intervals)
@@ -1272,7 +1272,7 @@ TEST(QueryOracle, BudgetAndPixelsMatchOracleOfSnappedInterval)
     for (const Case &c : traceMatrix()) {
         const trace::Trace &tr = *c.trace;
         Session session(c.trace);
-        session.setConcurrency({2});
+        session.setConcurrency(2);
         const index::TraceIndex &pyramids = *session.traceIndex();
         Rng rng(13);
         for (const TimeInterval &iv : intervalMatrix(tr, 13)) {
@@ -1328,7 +1328,7 @@ TEST(QueryOracle, CounterExtremaMatchOracleAtEveryResolution)
         const auto pairs = counterPairs(tr);
         for (unsigned workers : {1u, 2u, 4u, 8u}) {
             Session session(c.trace);
-            session.setConcurrency({workers});
+            session.setConcurrency(workers);
             const index::TraceIndex &pyramids = *session.traceIndex();
             Rng rng(17);
             for (const TimeInterval &iv : intervals) {
@@ -1396,7 +1396,7 @@ TEST(QueryOracle, TaskListMatchesOracleAcrossFilterChanges)
         const trace::Trace &tr = *c.trace;
         for (unsigned workers : {1u, 2u, 4u, 8u}) {
             Session session(c.trace);
-            session.setConcurrency({workers});
+            session.setConcurrency(workers);
             int step = 0;
             for (const auto &specs : filterSpecs()) {
                 session.setFilters(daemon::materializeFilters(specs));
@@ -1429,7 +1429,7 @@ TEST(QueryOracle, HistogramWithoutIntervalMatchesOracleAcrossFilterChanges)
         const trace::Trace &tr = *c.trace;
         for (unsigned workers : {1u, 2u, 4u, 8u}) {
             Session session(c.trace);
-            session.setConcurrency({workers});
+            session.setConcurrency(workers);
             int step = 0;
             for (const auto &specs : filterSpecs()) {
                 session.setFilters(daemon::materializeFilters(specs));
@@ -1455,7 +1455,7 @@ TEST(QueryOracle, FinishedFilterKeyedAnswersBelongToTheirSubmitFilters)
         const trace::Trace &tr = *c.trace;
         for (unsigned workers : {1u, 2u, 4u, 8u}) {
             Session session(c.trace);
-            session.setConcurrency({workers});
+            session.setConcurrency(workers);
             // Submit under every filter set in turn without waiting, so
             // later steps overtake (and cancel) the earlier tickets.
             std::vector<QueryTicket<std::vector<const trace::TaskInstance *>>>
@@ -1632,7 +1632,7 @@ TEST(QueryOracle, LocalFramesMatchOracleAtEveryWorkerCount)
         EXPECT_EQ(pyramid_frames, 4u) << c.name;
         for (unsigned workers : {1u, 2u, 4u, 8u}) {
             Session session(c.trace);
-            session.setConcurrency({workers});
+            session.setConcurrency(workers);
             for (std::size_t i = 0; i < frames.size(); i++) {
                 const FrameCase &f = frames[i];
                 const std::string what = c.name + " " + f.name() +
@@ -1753,7 +1753,7 @@ TEST(QueryOracle, AnomalyScanMatchesOracleOnEveryLocalPathAndWorkerCount)
         }
         for (unsigned workers : {1u, 2u, 4u, 8u}) {
             Session session(c.trace);
-            session.setConcurrency({workers});
+            session.setConcurrency(workers);
             for (std::size_t o = 0; o < anomalyOptions().size(); o++) {
                 for (std::size_t f = 0; f < filterSpecs().size(); f++) {
                     session.setFilters(

@@ -368,7 +368,7 @@ TEST(QueryPriorityTest, BackgroundYieldKeepsResultsBitIdentical)
     TimeInterval span = tr.span();
     for (int rep = 0; rep < 3; rep++) {
         Session session = Session::view(tr);
-        session.setConcurrency({2});
+        session.setConcurrency(2);
         TimeInterval interval{span.start,
                               span.end - 1 - static_cast<TimeStamp>(rep)};
         auto background = session.submit(
@@ -402,7 +402,7 @@ TEST(QueryPriorityTest, BackgroundWarmupYieldsAndStillWarmsEverything)
 {
     trace::Trace tr = denseTrace(12, 3);
     Session session = Session::view(tr);
-    session.setConcurrency({2});
+    session.setConcurrency(2);
     auto warmup = session.submit(WarmupQuery{}); // Background default.
     std::vector<QueryTicket<stats::Histogram>> flood;
     for (unsigned i = 0; i < 8; i++)
@@ -439,14 +439,13 @@ TEST(PoolLifecycle, SessionConstructionStartsNoWorker)
 TEST(PoolLifecycle, BindingLeavesItsDiscardedEngineUnstarted)
 {
     // The daemon's binding sequence: a session over a shared store is
-    // pointed at the server's engine and its own domain, so the engine
-    // it was constructed with must never have started a thread.
+    // pointed at the server's engine, so the engine it was constructed
+    // with must never have started a thread.
     auto tr = std::make_shared<const trace::Trace>(denseTrace());
     auto server_engine = std::make_shared<QueryEngine>(2);
     Session session(tr, std::make_shared<index::TraceIndex>(*tr));
     std::shared_ptr<QueryEngine> discarded = session.queryEngine();
     session.setQueryEngine(server_engine);
-    session.setGenerationDomain(std::make_shared<GenerationDomain>());
 
     const TimeInterval span = tr->span();
     auto ticket = session.submit(IntervalStatsQuery{span});
@@ -464,7 +463,7 @@ TEST(PoolLifecycle, ResizeDrainsQueuedBackgroundWorkFirst)
     auto ticket = session.submit(IntervalStatsQuery{
         {TimeInterval{span.start, span.end - 3},
          QueryPriority::Background}});
-    session.setConcurrency({2});
+    session.setConcurrency(2);
     // Drained, not abandoned: the ticket completed before the join.
     EXPECT_EQ(ticket.status(), QueryStatus::Done);
     expectStatsEqual(ticket.result(),

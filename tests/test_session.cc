@@ -158,23 +158,22 @@ TEST(Session, SetFiltersInvalidatesTaskListButNotIndexes)
     EXPECT_EQ(session.tasks().size(), 2u);
 }
 
-TEST(Session, TasksWithPredicateComposesWithFilters)
+TEST(Session, TaskListComposesEveryActiveFilter)
 {
     Session session(smallTrace());
-    auto on_cpu1 = session.tasks([](const trace::TaskInstance &task) {
-        return task.cpu == 1;
-    });
-    ASSERT_EQ(on_cpu1.size(), 1u);
-    EXPECT_EQ(on_cpu1[0]->id, 1u);
+    filter::FilterSet on_cpu1;
+    on_cpu1.add(std::make_shared<filter::CpuFilter>(
+        std::unordered_set<CpuId>{1}));
+    session.setFilters(on_cpu1);
+    auto tasks = session.tasks();
+    ASSERT_EQ(tasks.size(), 1u);
+    EXPECT_EQ(tasks[0]->id, 1u);
 
-    filter::FilterSet shorter;
-    shorter.add(std::make_shared<filter::DurationFilter>(0, 70));
-    session.setFilters(shorter);
-    // Predicate applies on top of the active filters: no task is both
-    // short and on cpu 1.
-    EXPECT_TRUE(session.tasks([](const trace::TaskInstance &task) {
-        return task.cpu == 1;
-    }).empty());
+    // Filters conjoin: no task is both short and on cpu 1.
+    filter::FilterSet short_on_cpu1 = on_cpu1;
+    short_on_cpu1.add(std::make_shared<filter::DurationFilter>(0, 70));
+    session.setFilters(short_on_cpu1);
+    EXPECT_TRUE(session.tasks().empty());
 }
 
 TEST(Session, OwningAndViewModesSeeTheSameTrace)
@@ -263,7 +262,6 @@ TEST_F(SessionEquivalence, FilteredTasksMatchHandFilter)
 
     session.setFilters(f);
     EXPECT_EQ(session.tasks(), expected);
-    EXPECT_EQ(session.tasksMatching(f), expected);
 }
 
 TEST_F(SessionEquivalence, HistogramMatchesFromValues)

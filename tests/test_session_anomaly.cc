@@ -178,7 +178,7 @@ TEST(SessionAnomaly, AsyncMatchesSerialBitIdenticallyAtEveryWorkerCount)
 
     for (unsigned workers : {1u, 2u, 4u, 8u}) {
         Session session = Session::view(tr);
-        session.setConcurrency({workers});
+        session.setConcurrency(workers);
         std::vector<stats::Anomaly> got =
             session.submit(AnomalyScanQuery{}).take();
         EXPECT_EQ(bytesOf(got), expect) << workers << " workers";
@@ -192,7 +192,7 @@ TEST(SessionAnomaly, FiltersRestrictTheOutlierScan)
 {
     trace::Trace tr = buildAnomalousTrace();
     Session session = Session::view(tr);
-    session.setConcurrency({4});
+    session.setConcurrency(4);
     const std::vector<std::uint8_t> unfiltered =
         bytesOf(session.submit(AnomalyScanQuery{}).take());
 
@@ -216,7 +216,7 @@ TEST(SessionAnomaly, ViewAndExplicitIntervalsRestrictTheScan)
 {
     trace::Trace tr = buildAnomalousTrace();
     Session session = Session::view(tr);
-    session.setConcurrency({2});
+    session.setConcurrency(2);
 
     const TimeInterval half{0, tr.span().end / 2};
     session.setView(half);
@@ -302,7 +302,7 @@ TEST(SessionAnomaly, BackgroundScanCoexistsWithInteractiveQueries)
 
     trace::Trace tr = buildAnomalousTrace();
     Session session = Session::view(tr);
-    session.setConcurrency({2});
+    session.setConcurrency(2);
     const std::vector<std::uint8_t> expect =
         bytesOf(stats::scanForAnomalies(tr));
 
@@ -371,7 +371,7 @@ TEST(SessionGroupRegressions, VariantRegressionsAreDetectedAndRanked)
     SessionGroup group;
     group.add("base", Session::view(base));
     group.add("bad", Session::view(bad));
-    group.setConcurrency({2});
+    group.setConcurrency(2);
 
     compare::RegressionReport report = group.detectRegressions(0, 1);
     EXPECT_EQ(report.baseline, 0u);
@@ -420,7 +420,7 @@ TEST(SessionGroupRegressions, IdenticalVariantsProduceNoFindings)
     SessionGroup group;
     group.add("a", Session::view(bad));
     group.add("b", Session::view(bad));
-    group.setConcurrency({2});
+    group.setConcurrency(2);
 
     compare::RegressionReport report = group.detectRegressions(0, 1);
     EXPECT_TRUE(report.findings.empty());

@@ -158,12 +158,12 @@ TEST(SessionAsync, SubmitIntervalStatsBitIdenticalToSyncAndSerial)
 
     for (unsigned workers : {1u, 4u}) {
         Session async_session = Session::view(tr);
-        async_session.setConcurrency({workers});
+        async_session.setConcurrency(workers);
         stats::IntervalStats got =
             async_session.submit(IntervalStatsQuery{iv}).take();
 
         Session sync_session = Session::view(tr);
-        sync_session.setConcurrency({workers});
+        sync_session.setConcurrency(workers);
         const stats::IntervalStats &wrapper =
             sync_session.intervalStats(iv);
 
@@ -436,7 +436,7 @@ TEST(SessionAsync, AsyncWarmupMatchesSyncWarmup)
     trace::Trace tr = denseTrace(4, 2, 400);
     Session sync_session = Session::view(tr);
     Session async_session = Session::view(tr);
-    async_session.setConcurrency({3});
+    async_session.setConcurrency(3);
 
     Session::WarmupStats sync_stats = sync_session.warmup();
     Session::WarmupStats async_stats =
@@ -536,7 +536,7 @@ TEST(SessionAsync, RenderPathsAgreeAcrossModesFiltersAndWorkers)
     std::size_t pyramid_frames = 0;
     for (unsigned workers : {1u, 2u, 4u, 8u}) {
         Session session = Session::view(tr);
-        session.setConcurrency({workers});
+        session.setConcurrency(workers);
         session.setView(view);
         for (bool filtered : {false, true}) {
             session.setFilters(filtered ? alpha : filter::FilterSet());
@@ -601,29 +601,28 @@ TEST(SessionAsync, RenderPathsAgreeAcrossModesFiltersAndWorkers)
 }
 
 /**
- * Accepts every task; its first call bumps @p domain's generation, as a
- * view change would, while the render that consults it draws a lane.
+ * Accepts every task; its first call re-sets @p session's view, bumping
+ * its generation as a view change would, while the render that
+ * consults it draws a lane.
  */
 class BumpOnFirstMatch : public filter::TaskFilter
 {
   public:
-    explicit BumpOnFirstMatch(std::shared_ptr<GenerationDomain> domain)
-        : domain_(std::move(domain))
-    {}
+    explicit BumpOnFirstMatch(Session &session) : session_(session) {}
 
     bool
     matches(const trace::Trace &,
             const trace::TaskInstance &) const override
     {
         if (!bumped_.exchange(true))
-            domain_->bumpGeneration();
+            session_.setView(session_.view());
         return true;
     }
 
     std::string describe() const override { return "bump on first match"; }
 
   private:
-    std::shared_ptr<GenerationDomain> domain_;
+    Session &session_;
     mutable std::atomic<bool> bumped_{false};
 };
 
@@ -634,8 +633,8 @@ TEST(SessionAsync, RenderGoingStaleBetweenLanesPublishesNoFrame)
     const trace::Trace tr = test_support::buildRandomTrace(5, options);
     for (unsigned workers : {1u, 2u, 4u}) {
         Session session = Session::view(tr);
-        session.setConcurrency({workers});
-        BumpOnFirstMatch bump(session.generationDomain());
+        session.setConcurrency(workers);
+        BumpOnFirstMatch bump(session);
         TimelineRenderQuery query;
         query.config.taskFilter = &bump;
         query.width = 120;
@@ -679,7 +678,7 @@ TEST(SessionAsync, SyncRenderOnAnUnchangedSessionReturnsTheFullFrame)
     direct.render(config, direct_fb);
 
     Session session = Session::view(tr);
-    session.setConcurrency({2});
+    session.setConcurrency(2);
     // Background work on the same engine yields to the render's lanes
     // and never cancels them.
     auto scan = session.submit(AnomalyScanQuery{});
@@ -704,8 +703,45 @@ TEST(SessionGroupAsync, VariantsShareTheGroupEngine)
     group.add("variant", Session::view(variant));
     EXPECT_EQ(group.session(0).queryEngine(), group.queryEngine());
     EXPECT_EQ(group.session(1).queryEngine(), group.queryEngine());
-    group.setConcurrency({2});
+    group.setConcurrency(2);
     EXPECT_EQ(group.queryEngine()->workers(), 2u);
+}
+
+/**
+ * Each variant is its own cancellation scope: a view change through
+ * session(i) cancels only variant i's in-flight queries, while the
+ * group's setView() mutates, and so cancels, every variant.
+ */
+TEST(SessionGroupAsync, VariantViewChangeCancelsOnlyThatVariant)
+{
+    trace::Trace base = denseTrace(4, 2, 300, 1);
+    trace::Trace variant = denseTrace(4, 2, 300, 3);
+    SessionGroup group;
+    group.add("base", Session::view(base));
+    group.add("variant", Session::view(variant));
+
+    // The shared engine's one worker is parked, so both Background
+    // scans stay queued until the gate opens.
+    auto gate = std::make_shared<Gate>();
+    occupyWorker(group.session(0), gate);
+    auto scans = group.submitAll(AnomalyScanQuery{});
+    ASSERT_EQ(scans.size(), 2u);
+    EXPECT_EQ(scans[0].status(), QueryStatus::Pending);
+    EXPECT_EQ(scans[1].status(), QueryStatus::Pending);
+    group.session(0).setView({0, 100});
+    gate->release();
+    EXPECT_EQ(scans[0].wait(), QueryStatus::Cancelled);
+    ASSERT_EQ(scans[1].wait(), QueryStatus::Done);
+    EXPECT_EQ(scans[1].result().size(),
+              Session::view(variant).scanForAnomalies().size());
+
+    gate = std::make_shared<Gate>();
+    occupyWorker(group.session(0), gate);
+    scans = group.submitAll(AnomalyScanQuery{});
+    group.setView({0, 100});
+    gate->release();
+    EXPECT_EQ(scans[0].wait(), QueryStatus::Cancelled);
+    EXPECT_EQ(scans[1].wait(), QueryStatus::Cancelled);
 }
 
 TEST(SessionGroupAsync, SubmitAllDeliversPerVariantResults)
@@ -715,7 +751,7 @@ TEST(SessionGroupAsync, SubmitAllDeliversPerVariantResults)
     SessionGroup group;
     group.add("base", Session::view(base));
     group.add("variant", Session::view(variant));
-    group.setConcurrency({2});
+    group.setConcurrency(2);
     group.setView({0, 200});
 
     auto tickets = group.submitAll(IntervalStatsQuery{});

@@ -167,7 +167,7 @@ TEST(TraceIndex, BackgroundBuildsAndInteractiveQueriesShareOneStore)
     for (unsigned workers : {1u, 2u, 4u, 8u}) {
         SCOPED_TRACE("workers " + std::to_string(workers));
         Session session = Session::view(tr);
-        session.setConcurrency({workers});
+        session.setConcurrency(workers);
         const index::TraceIndex &store = *session.traceIndex();
         const QueryContext background{std::nullopt,
                                       QueryPriority::Background};
@@ -224,7 +224,7 @@ TEST(SessionParallel, ParallelWarmupBitIdenticalToSerial)
     trace::Trace tr = denseTrace();
     Session serial = Session::view(tr);
     Session parallel = Session::view(tr);
-    parallel.setConcurrency({4});
+    parallel.setConcurrency(4);
 
     Session::WarmupStats serial_stats = serial.warmup();
     Session::WarmupStats parallel_stats = parallel.warmup();
@@ -260,7 +260,7 @@ TEST(SessionParallel, RepeatedWarmupIsIncrementallySkipped)
 {
     trace::Trace tr = denseTrace(4, 2, 300);
     Session session = Session::view(tr);
-    session.setConcurrency({3});
+    session.setConcurrency(3);
     Session::WarmupStats initial = session.warmup();
     EXPECT_EQ(initial.indexesVisited, 4u * 2u);
     EXPECT_EQ(initial.indexesSkipped, 0u);
@@ -348,7 +348,7 @@ TEST(SessionParallel, HardwareDefaultWorkersWarmsUp)
 {
     trace::Trace tr = denseTrace(4, 2, 200);
     Session session = Session::view(tr);
-    session.setConcurrency({0}); // 0 = one worker per hardware thread.
+    session.setConcurrency(0); // 0 = one worker per hardware thread.
     Session::WarmupStats stats = session.warmup();
     EXPECT_EQ(stats.indexesVisited, 8u);
     EXPECT_GE(stats.workers, 1u);
@@ -530,7 +530,7 @@ TEST_F(SessionGroupTest, DiffHighlightsOnlyDifferingPixels)
 
 TEST_F(SessionGroupTest, GroupWarmupWarmsEveryVariant)
 {
-    group_.setConcurrency({2});
+    group_.setConcurrency(2);
     std::vector<Session::WarmupStats> stats = group_.warmup();
     ASSERT_EQ(stats.size(), 2u);
     for (const Session::WarmupStats &s : stats) {

@@ -343,7 +343,7 @@ TEST(SummaryPyramid, ExactStaysBitIdenticalAtEveryWorkerCount)
 
     for (unsigned workers : {1u, 2u, 5u}) {
         Session session = Session::view(tr);
-        session.setConcurrency({workers});
+        session.setConcurrency(workers);
         stats::IntervalStats got =
             session.submit(IntervalStatsQuery{{interval}}).take();
         EXPECT_EQ(got.timeInState, expect.timeInState) << workers;

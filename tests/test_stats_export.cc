@@ -16,11 +16,9 @@
 #include <gtest/gtest.h>
 
 #include "base/buffer.h"
-#include "stats/comm_matrix.h"
 #include "stats/export.h"
 #include "stats/histogram.h"
 #include "stats/interval_stats.h"
-#include "trace_builder.h"
 
 using namespace aftermath;
 
@@ -158,67 +156,6 @@ TEST(StatsExport, MinMaxRejectsBadValidityByte)
     EXPECT_FALSE(stats::decodeMinMax(r, back));
 }
 
-TEST(StatsExport, TaskCounterRowsRoundTrip)
-{
-    std::vector<metrics::TaskCounterIncrease> rows;
-    for (int i = 0; i < 37; i++) {
-        metrics::TaskCounterIncrease row;
-        row.task = static_cast<TaskInstanceId>(i * 1000 + 1);
-        row.type = 0xabc000 + static_cast<TaskTypeId>(i % 3);
-        row.cpu = static_cast<CpuId>(i % 8);
-        row.duration = 5000 + static_cast<TimeStamp>(i);
-        row.increase = (i % 2) ? -i * 77 : i * 1234;
-        rows.push_back(row);
-    }
-    ByteWriter w;
-    stats::encodeTaskCounterRows(rows, w);
-    ByteReader r(w.data());
-    std::vector<metrics::TaskCounterIncrease> back;
-    ASSERT_TRUE(stats::decodeTaskCounterRows(r, back));
-    EXPECT_TRUE(r.atEnd());
-    ASSERT_EQ(back.size(), rows.size());
-    for (std::size_t i = 0; i < rows.size(); i++) {
-        EXPECT_EQ(back[i].task, rows[i].task);
-        EXPECT_EQ(back[i].type, rows[i].type);
-        EXPECT_EQ(back[i].cpu, rows[i].cpu);
-        EXPECT_EQ(back[i].duration, rows[i].duration);
-        EXPECT_EQ(back[i].increase, rows[i].increase);
-        EXPECT_TRUE(sameBits(back[i].ratePerKcycle(),
-                             rows[i].ratePerKcycle()));
-    }
-}
-
-TEST(StatsExport, CommMatrixRoundTripFromTrace)
-{
-    trace::Trace tr = test_support::buildRandomTrace(11);
-    stats::CommMatrix m = stats::CommMatrix::fromTrace(tr);
-    ByteWriter w;
-    stats::encodeCommMatrix(m, w);
-    ByteReader r(w.data());
-    stats::CommMatrix back;
-    ASSERT_TRUE(stats::decodeCommMatrix(r, back));
-    EXPECT_TRUE(r.atEnd());
-    ASSERT_EQ(back.numNodes(), m.numNodes());
-    for (NodeId s = 0; s < m.numNodes(); s++)
-        for (NodeId d = 0; d < m.numNodes(); d++)
-            EXPECT_EQ(back.bytes(s, d), m.bytes(s, d));
-    EXPECT_EQ(back.totalBytes(), m.totalBytes());
-    EXPECT_TRUE(sameBits(back.diagonalFraction(), m.diagonalFraction()));
-    EXPECT_EQ(back.toAscii(), m.toAscii());
-}
-
-TEST(StatsExport, CommMatrixEmptyRoundTrip)
-{
-    stats::CommMatrix m = stats::CommMatrix::fromCells(0, {});
-    ByteWriter w;
-    stats::encodeCommMatrix(m, w);
-    ByteReader r(w.data());
-    stats::CommMatrix back;
-    ASSERT_TRUE(stats::decodeCommMatrix(r, back));
-    EXPECT_EQ(back.numNodes(), 0u);
-    EXPECT_EQ(back.totalBytes(), 0u);
-}
-
 namespace {
 
 /** One finding of each kind, including the sentinel ids. */
@@ -337,17 +274,6 @@ TEST(StatsExport, TruncationFailsEveryDecoder)
         EXPECT_FALSE(stats::decodeHistogram(r, out)) << "prefix " << len;
     }
 
-    stats::CommMatrix m =
-        stats::CommMatrix::fromCells(2, {1, 200, 3000, 40000});
-    stats::encodeCommMatrix(m, w);
-    std::vector<std::uint8_t> matrix_bytes = w.take();
-    for (std::size_t len = 0; len < matrix_bytes.size(); len++) {
-        ByteReader r(matrix_bytes.data(), len);
-        stats::CommMatrix out;
-        EXPECT_FALSE(stats::decodeCommMatrix(r, out))
-            << "prefix " << len;
-    }
-
     stats::encodeAnomalies(sampleAnomalies(), w);
     std::vector<std::uint8_t> anomaly_bytes = w.take();
     for (std::size_t len = 0; len < anomaly_bytes.size(); len++) {
@@ -369,10 +295,4 @@ TEST(StatsExport, HostileCountsAreRejected)
     ByteReader r(w.data());
     stats::IntervalStats out;
     EXPECT_FALSE(stats::decodeIntervalStats(r, out));
-
-    ByteWriter wm;
-    wm.writeVarint(1u << 20); // nodes -> 2^40 cells.
-    ByteReader rm(wm.data());
-    stats::CommMatrix mout;
-    EXPECT_FALSE(stats::decodeCommMatrix(rm, mout));
 }
