@@ -17,12 +17,12 @@
  * of warming variants in sequence: warmup() submits every variant's
  * WarmupQuery before waiting on any of them, and submitAll(spec) fans
  * one query spec out to all variants and returns the tickets so
- * deltas compute concurrently. The shared
- * engine's one worker set starts on the first submission of any
- * variant and lives as long as the group. Each variant stays its own
- * cancellation scope: the group's setView() and setFilters() cancel
- * every variant's stale queries because they mutate every variant,
- * while a mutation through session(i) cancels only variant i's.
+ * deltas compute concurrently. The shared engine's one worker set
+ * starts on the first submission of any variant and lives as long as
+ * the group. Each variant stays its own cancellation scope: the
+ * group's setView() and setFilters() cancel every variant's stale
+ * queries because they mutate every variant, while a mutation through
+ * session(i) cancels only variant i's.
  *
  * Like Session, a group's driving side requires external
  * synchronization: one thread at a time. Tickets returned by
